@@ -8,7 +8,7 @@
 //! at ≈0.9 s per candidate frame (Fig. 11(d) reports ≈1 s per key frame).
 
 use crate::{ObjectQuerySystem, PreprocessReport, QueryResponse, RankedHit};
-use lovo_core::{Lovo, LovoConfig};
+use lovo_core::{Lovo, LovoConfig, QuerySpec};
 use lovo_video::query::ObjectQuery;
 use lovo_video::VideoCollection;
 use std::time::Instant;
@@ -72,9 +72,9 @@ impl ObjectQuerySystem for LovoSystem {
             };
         };
         let start = Instant::now();
-        let result = system
-            .query_with_k(&query.text, system.config().fast_search_k.max(top))
-            .expect("LOVO query failed");
+        let spec =
+            QuerySpec::new(query.text.as_str()).with_k(system.config().fast_search_k.max(top));
+        let result = system.query_spec(&spec).expect("LOVO query failed");
         let hits = result
             .frames
             .iter()

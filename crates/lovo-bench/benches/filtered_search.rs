@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lovo_index::IdFilter;
-use lovo_store::{patchid, CollectionConfig, PushdownFilter, SegmentedCollection};
+use lovo_store::{patchid, BatchQuery, CollectionConfig, PushdownFilter, SegmentedCollection};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -61,8 +61,13 @@ fn bench_selectivity_sweep(c: &mut Criterion) {
             &filter,
             |b, filter| {
                 b.iter(|| {
+                    let request = BatchQuery {
+                        query: black_box(&query),
+                        k: 10,
+                        filter: Some(filter),
+                    };
                     collection
-                        .search_filtered_with_stats(black_box(&query), 10, Some(filter))
+                        .search_batch_with_stats_opts(&[request], 0)
                         .unwrap()
                 })
             },

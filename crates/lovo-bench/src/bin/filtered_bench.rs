@@ -15,8 +15,10 @@
 //! JSON goes to stdout; `--out` additionally writes it to a file. CI runs
 //! this with a small `--rows` so the emitter can never bit-rot.
 
+use lovo_index::SearchStats;
 use lovo_store::{
-    patchid, BatchQuery, CollectionConfig, PatchPredicate, PatchRecord, VectorDatabase,
+    patchid, BatchQuery, CollectionConfig, JoinedHit, PatchPredicate, PatchRecord, PushdownFilter,
+    VectorDatabase,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -78,6 +80,19 @@ fn random_unit(dim: usize, rng: &mut SmallRng) -> Vec<f32> {
     let mut v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
     lovo_index::metric::normalize(&mut v);
     v
+}
+
+/// One (optionally filtered) query through the store's batched search.
+fn search_one(
+    db: &VectorDatabase,
+    query: &[f32],
+    k: usize,
+    filter: Option<&PushdownFilter>,
+) -> (Vec<JoinedHit>, SearchStats) {
+    db.search_batch_with_stats_opts(COLLECTION, &[BatchQuery { query, k, filter }], 0)
+        .unwrap()
+        .pop()
+        .unwrap()
 }
 
 fn parse_flag(args: &[String], name: &str, default: usize) -> usize {
@@ -155,13 +170,10 @@ fn main() {
         eprintln!("[filtered_bench] selectivity {percent}%: measuring...");
 
         let pushdown = measure_queries(&queries, |q| {
-            black_box(
-                db.search_pushdown_with_stats(COLLECTION, q, k, Some(&filter))
-                    .unwrap(),
-            );
+            black_box(search_one(&db, q, k, Some(&filter)));
         });
         let post_filter = measure_queries(&queries, |q| {
-            let (hits, stats) = db.search_with_stats(COLLECTION, q, k).unwrap();
+            let (hits, stats) = search_one(&db, q, k, None);
             black_box(
                 hits.into_iter()
                     .filter(|h| h.record.video_id < allowed)
@@ -169,9 +181,7 @@ fn main() {
             );
             black_box(stats);
         });
-        let (_, probe_stats) = db
-            .search_pushdown_with_stats(COLLECTION, &queries[0], k, Some(&filter))
-            .unwrap();
+        let (_, probe_stats) = search_one(&db, &queries[0], k, Some(&filter));
         sections.push(format!(
             "    \"video_selectivity_{percent}pct\": {{\n      {},\n      {},\n      \
              \"speedup\": {:.2},\n      \"segments_pruned\": {},\n      \"segments_probed\": {}\n    }}",
@@ -193,10 +203,8 @@ fn main() {
     };
     eprintln!("[filtered_bench] time+class predicate: measuring...");
     let joined = measure_queries(&queries, |q| {
-        black_box(
-            db.search_with_predicate(COLLECTION, q, k, &joined_predicate)
-                .unwrap(),
-        );
+        let filter = db.resolve_filter(&joined_predicate);
+        black_box(search_one(&db, q, k, filter.as_ref()));
     });
     sections.push(format!(
         "    \"time_class_predicate\": {{\n      {}\n    }}",
@@ -216,7 +224,10 @@ fn main() {
                 filter: None,
             })
             .collect();
-        black_box(db.search_batch_with_stats(COLLECTION, &requests).unwrap());
+        black_box(
+            db.search_batch_with_stats_opts(COLLECTION, &requests, 0)
+                .unwrap(),
+        );
         batch_passes += 1;
     }
     let batch_qps = (batch_passes * queries.len()) as f64 / batch_start.elapsed().as_secs_f64();

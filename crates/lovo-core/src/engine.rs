@@ -1,10 +1,10 @@
 //! The LOVO system façade and the two-stage Query Strategy (§VI).
 //!
-//! Since the planner refactor, every query entry point routes through one
-//! **plan → execute** pipeline: [`crate::planner::QueryPlanner`] compiles the
-//! spec (text, predicate, k) into a staged [`crate::planner::QueryPlan`] and
-//! [`crate::exec`] runs it — encode → prune → coarse filtered search →
-//! rerank → aggregate — recording per-stage timings.
+//! Every query routes through one **plan → execute** pipeline:
+//! [`crate::planner::QueryPlanner`] compiles the spec (text, predicate, k)
+//! into a staged [`crate::planner::QueryPlan`] and [`Lovo::query_plans`]
+//! runs a batch of them through [`crate::exec`] — encode → prune → coarse
+//! filtered search → rerank → aggregate — recording per-stage timings.
 
 use crate::config::LovoConfig;
 use crate::planner::{QueryPlan, QueryPlanner, QuerySpec};
@@ -452,56 +452,35 @@ impl Lovo {
     }
 
     /// Answers a complex object query with the two-stage strategy of
-    /// Algorithm 2, returning the top `output_frames` frames with boxes.
-    /// Thin wrapper over the plan → execute pipeline.
+    /// Algorithm 2, returning the top `output_frames` frames with boxes:
+    /// [`Lovo::query_spec`] over the bare text.
     pub fn query(&self, text: &str) -> Result<QueryResult> {
         self.query_spec(&QuerySpec::new(text))
     }
 
-    /// Like [`Lovo::query`] but with an explicit fast-search candidate count
-    /// (the scalability experiments sweep this). Thin wrapper over the same
-    /// plan path.
-    pub fn query_with_k(&self, text: &str, fast_search_k: usize) -> Result<QueryResult> {
-        self.query_spec(&QuerySpec::new(text).with_k(fast_search_k))
-    }
-
     /// Answers a full query spec — text plus a metadata predicate restricting
-    /// *where* to search (video subsets, time windows, object classes). The
-    /// predicate is pushed down through the storage fan-out into every index
-    /// scan, so selective queries touch a fraction of the corpus.
+    /// *where* to search (video subsets, time windows, object classes) and
+    /// optional budget overrides such as [`QuerySpec::with_k`]. The predicate
+    /// is pushed down through the storage fan-out into every index scan, so
+    /// selective queries touch a fraction of the corpus. Plans the spec and
+    /// runs it as a batch of one through [`Lovo::query_plans`].
     pub fn query_spec(&self, spec: &QuerySpec) -> Result<QueryResult> {
-        exec::execute(self, &self.planner.plan(spec))
+        self.query_plans(std::slice::from_ref(&self.planner.plan(spec)))?
+            .pop()
+            .ok_or_else(|| LovoError::InvalidState("executor returned no result for plan".into()))
     }
 
-    /// Answers a batch of query specs in one pass: all texts are encoded up
-    /// front and the coarse searches fan out over the storage segments
-    /// *together* (one collection lock acquisition and one segment walk for
-    /// the whole batch), amortizing per-query overheads under concurrent
-    /// load. Results come back in spec order.
-    pub fn query_batch(&self, specs: &[QuerySpec]) -> Result<Vec<QueryResult>> {
-        let plans: Vec<QueryPlan> = specs.iter().map(|spec| self.planner.plan(spec)).collect();
-        exec::execute_batch(self, &plans)
-    }
-
-    /// Executes a batch of already-compiled plans — [`Lovo::query_batch`]
-    /// without the planning step. Serving layers that plan once per
-    /// submission (to fingerprint it for their result cache) hand the same
-    /// plans straight to execution here instead of re-planning.
+    /// Executes a batch of compiled plans (see [`Lovo::plan`]) in one pass —
+    /// the one function every query goes through. All texts are encoded up
+    /// front, each *distinct* predicate is resolved once, and the coarse
+    /// searches fan out over the storage segments *together* (one collection
+    /// lock acquisition and one segment walk for the whole batch), amortizing
+    /// per-query overheads under concurrent load; rerank and aggregation then
+    /// run per plan. Results come back in plan order. Serving layers that
+    /// plan once per submission (to fingerprint it for their result cache)
+    /// hand the same plans straight to execution here.
     pub fn query_plans(&self, plans: &[QueryPlan]) -> Result<Vec<QueryResult>> {
-        exec::execute_batch(self, plans)
-    }
-
-    /// [`Lovo::query_plans`] with an explicit intra-query fan-out worker
-    /// count for the coarse search (`0` = automatic sizing). A serving layer
-    /// under low load passes its idle worker capacity here, letting a lone
-    /// query split its sealed segments across otherwise-idle cores instead
-    /// of scanning them on one thread.
-    pub fn query_plans_opts(
-        &self,
-        plans: &[QueryPlan],
-        intra_query_threads: usize,
-    ) -> Result<Vec<QueryResult>> {
-        exec::execute_batch_opts(self, plans, intra_query_threads)
+        exec::execute(self, plans)
     }
 }
 
@@ -636,8 +615,11 @@ mod tests {
     fn query_with_smaller_k_reduces_candidates() {
         let videos = bellevue(240);
         let lovo = Lovo::build(&videos, LovoConfig::default()).unwrap();
-        let small = lovo.query_with_k("a red car on the road", 10).unwrap();
-        let large = lovo.query_with_k("a red car on the road", 200).unwrap();
+        let with_k = |k| {
+            lovo.query_spec(&QuerySpec::new("a red car on the road").with_k(k))
+                .unwrap()
+        };
+        let (small, large) = (with_k(10), with_k(200));
         assert!(small.fast_search_candidates <= 10);
         assert!(large.fast_search_candidates <= 200);
         assert!(large.fast_search_candidates >= small.fast_search_candidates);
@@ -830,7 +812,7 @@ mod tests {
     }
 
     #[test]
-    fn query_batch_matches_single_queries() {
+    fn query_plans_batch_matches_single_queries() {
         let videos = bellevue(240);
         // Brute-force segments make the fan-out exact, so batch and single
         // paths must rank identically.
@@ -840,7 +822,8 @@ mod tests {
             QuerySpec::new("a bus driving on the road"),
             QuerySpec::new("a person walking on the sidewalk").with_k(50),
         ];
-        let batch = lovo.query_batch(&specs).unwrap();
+        let plans: Vec<QueryPlan> = specs.iter().map(|spec| lovo.plan(spec)).collect();
+        let batch = lovo.query_plans(&plans).unwrap();
         assert_eq!(batch.len(), specs.len());
         for (spec, batched) in specs.iter().zip(&batch) {
             let single = lovo.query_spec(spec).unwrap();
@@ -857,7 +840,7 @@ mod tests {
                 spec.text
             );
         }
-        assert!(lovo.query_batch(&[]).unwrap().is_empty());
+        assert!(lovo.query_plans(&[]).unwrap().is_empty());
     }
 
     #[test]

@@ -1,33 +1,40 @@
 //! The plan executor: runs [`QueryPlan`]s produced by the
 //! [`crate::planner::QueryPlanner`] against a built [`Lovo`] system.
 //!
-//! One implementation serves every entry point — `Lovo::query`,
-//! `Lovo::query_with_k`, `Lovo::query_spec` and `Lovo::query_batch` are all
-//! thin wrappers over the crate-private `execute_batch`. The stages mirror
-//! [`crate::planner::PlanStage`]:
+//! Each stage of [`crate::planner::PlanStage`] is written here exactly once,
+//! and every executor is a composition of the same three functions:
 //!
-//! 1. **encode** — every text in the batch is encoded up front;
-//! 2. **prune** — each plan's compiled predicate is resolved into a
-//!    pushed-down filter (video-only predicates compile to an id bit test;
-//!    time/class predicates join the metadata table once); provably-empty
-//!    plans short-circuit to an empty result here;
-//! 3. **coarse** — all remaining queries fan out over the storage segments
-//!    *together* in one batched pass (one collection lock acquisition, one
-//!    segment walk shared by the batch), each with its own filter;
-//! 4. **rerank** — the cross-modality transformer re-scores each query's
-//!    candidate frames;
-//! 5. **aggregate** — frames are grouped, truncated and assembled into
-//!    [`QueryResult`]s with per-stage timings.
+//! 1. **coarse stage** (crate-private, batched) — **encode** every text in
+//!    the batch, **prune** by resolving each *distinct* compiled predicate
+//!    once into a pushed-down filter (video-only predicates compile to an id
+//!    bit test; time/class predicates join the metadata table once;
+//!    provably-empty plans are never searched), then run the **coarse**
+//!    search for all remaining queries in one batched fan-out over the
+//!    storage segments (one collection lock acquisition, one segment walk
+//!    shared by the batch), each with its own filter;
+//! 2. **rerank stage** (crate-private) — the cross-modality transformer
+//!    re-scores a list of candidate frames against one parsed query;
+//! 3. [`aggregate`] — merges per-source coarse lists, groups them into
+//!    candidate frames, truncates to the rerank budget, calls a *rerank
+//!    callback*, and assembles the [`QueryResult`] with per-stage timings.
+//!
+//! [`Lovo::query_plans`] is the coarse stage over the batch followed by
+//! [`aggregate`] per plan with a local rerank callback; [`Lovo::coarse_plan`]
+//! and [`Lovo::rerank_plan`] are the coarse stage over a batch of one and the
+//! rerank stage — the halves an engine exposes as a *shard* — and the shard
+//! router calls the same [`aggregate`] with one coarse list per shard and a
+//! callback that scatters the rerank to each frame's owning shard.
 
 use crate::engine::{Lovo, QueryResult, QueryTimings, RankedObject};
 use crate::planner::QueryPlan;
 use crate::summary::{split_patch_id, PATCH_COLLECTION};
-use crate::{LovoError, Result};
+use crate::Result;
 use lovo_encoder::cross_modality::CandidateFrame;
-use lovo_encoder::{QueryEmbedding, RerankedFrame};
+use lovo_encoder::QueryEmbedding;
 use lovo_index::SearchStats;
-use lovo_store::{BatchQuery, JoinedHit, PushdownFilter};
+use lovo_store::{BatchQuery, PushdownFilter};
 use lovo_video::bbox::BoundingBox;
+use lovo_video::QueryConstraints;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -38,9 +45,9 @@ use std::time::Instant;
 /// frame's timestamp when the producing engine has published that key frame.
 ///
 /// The shard router's coarse responses carry these across the router↔shard
-/// boundary; the single-engine executor builds the same values internally,
-/// so both paths aggregate through one implementation — which is what makes
-/// sharded answers bit-identical to single-engine ones.
+/// boundary and the single-engine executor builds the same values, so both
+/// feed one [`aggregate`] — which is what makes sharded answers bit-identical
+/// to single-engine ones.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CoarseHit {
     /// Packed patch id (video / frame / patch, see `lovo_store::patch_id`).
@@ -133,9 +140,7 @@ pub fn merge_reranked(lists: Vec<Vec<RankedObject>>, output_frames: usize) -> Ve
 /// Groups coarse candidates (given best-first) into candidate frames: one
 /// seed per key frame, listed in order of each frame's best patch's rank,
 /// keeping the best score/box per frame (strictly-greater wins, so on score
-/// ties the earlier — smaller-patch-id — box is kept). The single-engine
-/// executor and the shard router both group through this one function,
-/// which is what makes their frame ordering identical.
+/// ties the earlier — smaller-patch-id — box is kept).
 pub fn group_hits_by_frame(hits: &[CoarseHit]) -> Vec<FrameSeed> {
     let mut order: Vec<(u32, u32)> = Vec::new();
     let mut best: HashMap<(u32, u32), FrameSeed> = HashMap::new();
@@ -195,151 +200,49 @@ pub fn assemble_unreranked(seeds: &[FrameSeed], output_frames: usize) -> Vec<Ran
     ranked
 }
 
-fn coarse_hit_from_joined(hit: &JoinedHit, timestamp: Option<f64>) -> CoarseHit {
-    CoarseHit {
-        patch_id: hit.patch_id,
-        score: hit.score,
-        bbox: BoundingBox::new(
-            hit.record.bbox.0,
-            hit.record.bbox.1,
-            hit.record.bbox.2,
-            hit.record.bbox.3,
-        ),
-        timestamp,
-    }
+/// One plan's coarse-stage output: the parsed query (kept for the rerank
+/// stage, so each text is encoded once per query), the candidate patches in
+/// fast-search order with their key-frame timestamps attached, the search
+/// work counters, and the encode / prune / fast-search timings.
+struct CoarseOutput {
+    embedding: QueryEmbedding,
+    hits: Vec<CoarseHit>,
+    stats: SearchStats,
+    timings: QueryTimings,
 }
 
-/// Multi-engine plan execution entry points: one engine acting as a *shard*
-/// runs a routed plan in two halves — the coarse stage against its local
-/// segments, and the rerank stage over the frames the router assigned back
-/// to it. Both take an already-compiled [`QueryPlan`] (compiled once at the
-/// router), and both encode the query text locally: encoding is
-/// content-deterministic, so every shard derives the same embedding the
-/// router's twin engine would.
-impl Lovo {
-    /// Runs a plan's encode + prune + coarse stages against this engine
-    /// only, returning candidate patches in fast-search order together with
-    /// the work counters. Each hit carries its key frame's timestamp so a
-    /// router can assemble rerank-disabled results without touching this
-    /// engine again. Provably-empty plans return no candidates without
-    /// searching. `intra_query_threads` sizes the segment fan-out (`0` =
-    /// automatic).
-    pub fn coarse_plan(
-        &self,
-        plan: &QueryPlan,
-        intra_query_threads: usize,
-    ) -> Result<(Vec<CoarseHit>, SearchStats)> {
-        if plan.provably_empty {
-            return Ok((Vec::new(), SearchStats::default()));
-        }
-        let embedding = self.text_encoder.encode(&plan.text)?;
-        let filter: Option<PushdownFilter> = if plan.patch_predicate.is_unconstrained() {
-            None
-        } else {
-            self.database.resolve_filter(&plan.patch_predicate)
-        };
-        let request = BatchQuery {
-            query: embedding.embedding.as_slice(),
-            k: plan.fast_search_k,
-            filter: filter.as_ref(),
-        };
-        let mut results = self.database.search_batch_with_stats_opts(
-            PATCH_COLLECTION,
-            std::slice::from_ref(&request),
-            intra_query_threads,
-        )?;
-        let (hits, stats) = results.pop().unwrap_or_default();
-        let keyframes = self.keyframes.read();
-        let coarse = hits
-            .iter()
-            .map(|hit| {
-                let (video_id, frame_index, _) = split_patch_id(hit.patch_id);
-                let timestamp = keyframes
-                    .get(&(video_id, frame_index))
-                    .map(|frame| frame.timestamp);
-                coarse_hit_from_joined(hit, timestamp)
-            })
-            .collect();
-        Ok((coarse, stats))
-    }
-
-    /// Runs a plan's rerank stage over the given candidate frames on this
-    /// engine: frames whose key frame this engine does not hold are skipped
-    /// (exactly as the single-engine path skips unpublished frames), and the
-    /// reranked list comes back sorted by [`reranked_order`] but
-    /// *untruncated* — the router applies the output budget globally after
-    /// merging every shard's list.
-    pub fn rerank_plan(&self, plan: &QueryPlan, seeds: &[FrameSeed]) -> Result<Vec<RankedObject>> {
-        let embedding = self.text_encoder.encode(&plan.text)?;
-        let keyframes = self.keyframes.read();
-        let candidates: Vec<CandidateFrame<'_>> = seeds
-            .iter()
-            .filter_map(|seed| {
-                keyframes
-                    .get(&(seed.video_id, seed.frame_index))
-                    .map(|frame| CandidateFrame {
-                        video_id: seed.video_id,
-                        frame,
-                        seed_box: Some(seed.bbox),
-                    })
-            })
-            .collect();
-        let reranked: Vec<RerankedFrame> = self
-            .rerank
-            .rerank_with_constraints(&embedding.parsed, &candidates)?;
-        Ok(reranked
-            .into_iter()
-            .map(|r| RankedObject {
-                video_id: r.video_id,
-                frame_index: r.frame_index as u32,
-                timestamp: r.timestamp,
-                score: r.score,
-                bbox: r.bbox,
-            })
-            .collect())
-    }
-}
-
-/// Executes a single plan.
-pub(crate) fn execute(lovo: &Lovo, plan: &QueryPlan) -> Result<QueryResult> {
-    let mut results = execute_batch(lovo, std::slice::from_ref(plan))?;
-    results
-        .pop()
-        .ok_or_else(|| LovoError::InvalidState("executor returned no result for plan".into()))
-}
-
-/// Executes a batch of plans, sharing the encode pass and the segment
-/// fan-out across the whole batch. Results come back in plan order.
-pub(crate) fn execute_batch(lovo: &Lovo, plans: &[QueryPlan]) -> Result<Vec<QueryResult>> {
-    execute_batch_opts(lovo, plans, 0)
-}
-
-/// [`execute_batch`] with an explicit intra-query fan-out worker count for
-/// the coarse stage (`0` = automatic sizing in the storage layer).
-pub(crate) fn execute_batch_opts(
-    lovo: &Lovo,
-    plans: &[QueryPlan],
-    intra_query_threads: usize,
-) -> Result<Vec<QueryResult>> {
-    // --- Stage 1: encode every query text up front (§VI-A). ---
-    let mut timings = vec![QueryTimings::default(); plans.len()];
-    let mut embeddings: Vec<QueryEmbedding> = Vec::with_capacity(plans.len());
-    for (plan, timing) in plans.iter().zip(&mut timings) {
+/// The batched coarse stage (Algorithm 1): encode every text, resolve each
+/// *distinct* predicate once, run one batched fan-out over the storage
+/// segments, and attach each candidate's key-frame timestamp. Outputs come
+/// back in plan order; provably-empty plans get no candidates and are never
+/// searched. `workers` goes to the store untouched (`0` = its automatic
+/// rule).
+fn coarse_stage(lovo: &Lovo, plans: &[QueryPlan], workers: usize) -> Result<Vec<CoarseOutput>> {
+    // --- Encode every query text up front (§VI-A). ---
+    let mut outputs: Vec<CoarseOutput> = Vec::with_capacity(plans.len());
+    for plan in plans {
         let start = Instant::now();
-        embeddings.push(lovo.text_encoder.encode(&plan.text)?);
-        timing.text_encoding_seconds = start.elapsed().as_secs_f64();
+        let embedding = lovo.text_encoder.encode(&plan.text)?;
+        outputs.push(CoarseOutput {
+            embedding,
+            hits: Vec::new(),
+            stats: SearchStats::default(),
+            timings: QueryTimings {
+                text_encoding_seconds: start.elapsed().as_secs_f64(),
+                ..QueryTimings::default()
+            },
+        });
     }
 
-    // --- Stage 2: prune — resolve each compiled predicate into a pushed-down
-    // filter. Provably-empty plans stop here. Plans sharing one predicate
-    // (the common shape of a batch: many texts, one scope) share one
-    // resolution — the metadata join runs once per *distinct* predicate, not
-    // once per query.
+    // --- Prune: resolve each compiled predicate into a pushed-down filter.
+    // Plans sharing one predicate (the common shape of a batch: many texts,
+    // one scope) share one resolution — the metadata join runs once per
+    // *distinct* predicate, not once per query.
     let mut resolved: Vec<PushdownFilter> = Vec::new();
     // Predicate that first resolved each slot.
     let mut resolved_pred: Vec<&lovo_store::PatchPredicate> = Vec::new();
     let mut plan_filter: Vec<Option<usize>> = Vec::with_capacity(plans.len());
-    for (plan, timing) in plans.iter().zip(&mut timings) {
+    for (plan, output) in plans.iter().zip(&mut outputs) {
         let start = Instant::now();
         let mut slot = None;
         if !plan.provably_empty && !plan.patch_predicate.is_unconstrained() {
@@ -355,154 +258,195 @@ pub(crate) fn execute_batch_opts(
             }
         }
         if plan.is_filtered() {
-            timing.prune_seconds = start.elapsed().as_secs_f64();
+            output.timings.prune_seconds = start.elapsed().as_secs_f64();
         }
         plan_filter.push(slot);
     }
 
-    // --- Stage 3: coarse filtered search, batched (Algorithm 1). ---
-    // All searchable plans fan out over the segments together; the batch's
-    // wall-clock is attributed evenly since the pass is shared.
-    let mut search_positions: Vec<usize> = Vec::new();
-    let mut requests: Vec<BatchQuery<'_>> = Vec::new();
-    for (position, ((plan, embedding), slot)) in
-        plans.iter().zip(&embeddings).zip(&plan_filter).enumerate()
-    {
-        if plan.provably_empty {
-            continue;
-        }
-        search_positions.push(position);
-        requests.push(BatchQuery {
-            query: embedding.embedding.as_slice(),
+    // --- Coarse filtered search: all searchable plans fan out over the
+    // segments together; the batch's wall-clock is attributed evenly since
+    // the pass is shared.
+    let requests: Vec<BatchQuery<'_>> = plans
+        .iter()
+        .zip(&outputs)
+        .zip(&plan_filter)
+        .filter(|((plan, _), _)| !plan.provably_empty)
+        .map(|((plan, output), slot)| BatchQuery {
+            query: output.embedding.embedding.as_slice(),
             k: plan.fast_search_k,
             filter: slot.and_then(|s| resolved.get(s)),
-        });
-    }
-    let mut coarse: Vec<Option<(Vec<JoinedHit>, SearchStats)>> =
-        plans.iter().map(|_| None).collect();
-    if !requests.is_empty() {
-        let search_start = Instant::now();
-        let batch_results = lovo.database.search_batch_with_stats_opts(
-            PATCH_COLLECTION,
-            &requests,
-            intra_query_threads,
-        )?;
-        let shared_seconds = search_start.elapsed().as_secs_f64() / requests.len() as f64;
-        for (&position, result) in search_positions.iter().zip(batch_results) {
-            // The positions were collected over these same vectors just
-            // above, so the lookups cannot miss; `.get` keeps the hot path
-            // structurally panic-free all the same.
-            if let (Some(timing), Some(slot)) =
-                (timings.get_mut(position), coarse.get_mut(position))
-            {
-                timing.fast_search_seconds = shared_seconds;
-                *slot = Some(result);
-            }
-        }
-    }
-
-    // --- Stages 4 + 5: rerank and aggregate, per query. ---
-    plans
-        .iter()
-        .zip(embeddings)
-        .zip(coarse)
-        .zip(timings)
-        .map(|(((plan, embedding), searched), mut timing)| {
-            let (hits, stats) = searched.unwrap_or_default();
-            finish(lovo, plan, &embedding, hits, stats, &mut timing)
         })
-        .collect()
+        .collect();
+    if requests.is_empty() {
+        return Ok(outputs);
+    }
+    let search_start = Instant::now();
+    let results =
+        lovo.database
+            .search_batch_with_stats_opts(PATCH_COLLECTION, &requests, workers)?;
+    let shared_seconds = search_start.elapsed().as_secs_f64() / requests.len() as f64;
+
+    // A key frame this engine has not (yet) published — a query racing an
+    // append, see `Lovo::add_videos` — leaves its hits' timestamp `None`.
+    let keyframes = lovo.keyframes.read();
+    let searched = outputs
+        .iter_mut()
+        .zip(plans)
+        .filter(|(_, plan)| !plan.provably_empty);
+    for ((output, _), (hits, stats)) in searched.zip(results) {
+        output.timings.fast_search_seconds = shared_seconds;
+        output.stats = stats;
+        output.hits = hits
+            .iter()
+            .map(|hit| {
+                let (video_id, frame_index, _) = split_patch_id(hit.patch_id);
+                let (x, y, w, h) = hit.record.bbox;
+                CoarseHit {
+                    patch_id: hit.patch_id,
+                    score: hit.score,
+                    bbox: BoundingBox::new(x, y, w, h),
+                    timestamp: keyframes
+                        .get(&(video_id, frame_index))
+                        .map(|frame| frame.timestamp),
+                }
+            })
+            .collect();
+    }
+    Ok(outputs)
 }
 
-/// Stages 4 (rerank) and 5 (aggregate) for one query: group candidate
-/// patches by key frame, rerank the strongest frames, and assemble the
-/// result.
-fn finish(
+/// The rerank stage: re-scores the given candidate frames against the
+/// parsed query with the cross-modality transformer. Frames whose key frame
+/// this engine does not hold are skipped; the list comes back in
+/// [`reranked_order`], untruncated.
+fn rerank_stage(
     lovo: &Lovo,
-    plan: &QueryPlan,
-    embedding: &QueryEmbedding,
-    hits: Vec<JoinedHit>,
-    search_stats: SearchStats,
-    timing: &mut QueryTimings,
-) -> Result<QueryResult> {
-    let fast_search_candidates = hits.len();
-
-    // Group candidate patches by their key frame through the shared
-    // implementation (the shard router groups through the same function, so
-    // frame ordering is identical in both serving shapes). Timestamps are
-    // attached lazily below, under the key-frame lock, only on the path
-    // that needs them.
-    let coarse: Vec<CoarseHit> = hits
-        .iter()
-        .map(|hit| coarse_hit_from_joined(hit, None))
-        .collect();
-    let mut seeds = group_hits_by_frame(&coarse);
-
-    // Bound the expensive rerank stage: `seeds` lists frames in order of
-    // their best patch's fast-search rank (the search returns patches
-    // best-first and a frame is recorded at its first patch), so truncation
-    // keeps the strongest candidate frames.
-    if plan.enable_rerank {
-        seeds.truncate(plan.rerank_frames);
-    }
-
+    constraints: &QueryConstraints,
+    seeds: &[FrameSeed],
+) -> Result<Vec<RankedObject>> {
     // Hold the key-frame read lock across the rerank: candidates borrow
     // frames straight from the shared map. Readers never block each other;
     // ingest merges (the only writers) are short.
     let keyframes = lovo.keyframes.read();
-    let rerank_start = Instant::now();
-    let frames = if plan.enable_rerank {
-        let candidates: Vec<CandidateFrame<'_>> = seeds
-            .iter()
-            .filter_map(|seed| {
-                keyframes
-                    .get(&(seed.video_id, seed.frame_index))
-                    .map(|frame| CandidateFrame {
-                        video_id: seed.video_id,
-                        frame,
-                        seed_box: Some(seed.bbox),
-                    })
-            })
-            .collect();
-        let reranked: Vec<RerankedFrame> = lovo
-            .rerank
-            .rerank_with_constraints(&embedding.parsed, &candidates)?;
-        reranked
-            .into_iter()
-            .take(plan.output_frames)
-            .map(|r| RankedObject {
-                video_id: r.video_id,
-                frame_index: r.frame_index as u32,
-                timestamp: r.timestamp,
-                score: r.score,
-                bbox: r.bbox,
-            })
-            .collect()
-    } else {
-        // Ablation: return the fast-search frame order directly. Frames
-        // whose key frame is not in the map (a query racing an append, see
-        // `Lovo::add_videos`) are skipped — their timestamp stays `None` —
-        // exactly as the rerank path skips them, not emitted with a
-        // fabricated timestamp.
-        for seed in &mut seeds {
-            seed.timestamp = keyframes
+    let candidates: Vec<CandidateFrame<'_>> = seeds
+        .iter()
+        .filter_map(|seed| {
+            keyframes
                 .get(&(seed.video_id, seed.frame_index))
-                .map(|frame| frame.timestamp);
-        }
+                .map(|frame| CandidateFrame {
+                    video_id: seed.video_id,
+                    frame,
+                    seed_box: Some(seed.bbox),
+                })
+        })
+        .collect();
+    Ok(lovo
+        .rerank
+        .rerank_with_constraints(constraints, &candidates)?
+        .into_iter()
+        .map(|r| RankedObject {
+            video_id: r.video_id,
+            frame_index: r.frame_index as u32,
+            timestamp: r.timestamp,
+            score: r.score,
+            bbox: r.bbox,
+        })
+        .collect())
+}
+
+/// The aggregation stage, shared by every executor: merges the per-source
+/// coarse lists (one for a single engine, one per shard behind a router)
+/// into the global candidate order, groups them into candidate frames, and
+/// either hands the strongest `rerank_frames` of them to `rerank` and merges
+/// the reranked lists it returns, or — rerank disabled — assembles the
+/// fast-search frame order directly. `timings` arrives with the caller's
+/// coarse-stage times filled in; the rerank time is measured here.
+///
+/// `rerank` receives the candidate frames in global rank order and returns
+/// one [`reranked_order`]-sorted list per source that scored some of them.
+/// Because the single engine and the shard router differ *only* in that
+/// callback, their answers agree by construction.
+pub fn aggregate<E>(
+    plan: &QueryPlan,
+    coarse: Vec<Vec<CoarseHit>>,
+    search_stats: SearchStats,
+    mut timings: QueryTimings,
+    rerank: impl FnOnce(&[FrameSeed]) -> std::result::Result<Vec<Vec<RankedObject>>, E>,
+) -> std::result::Result<QueryResult, E> {
+    let merged = merge_coarse(coarse, plan.fast_search_k);
+    let mut seeds = group_hits_by_frame(&merged);
+    let frames = if plan.enable_rerank {
+        // Bound the expensive stage: `seeds` lists frames in order of their
+        // best patch's fast-search rank, so truncation keeps the strongest.
+        seeds.truncate(plan.rerank_frames);
+        let start = Instant::now();
+        let lists = rerank(&seeds)?;
+        timings.rerank_seconds = start.elapsed().as_secs_f64();
+        merge_reranked(lists, plan.output_frames)
+    } else {
         assemble_unreranked(&seeds, plan.output_frames)
     };
-    timing.rerank_seconds = if plan.enable_rerank {
-        rerank_start.elapsed().as_secs_f64()
-    } else {
-        0.0
-    };
-
     Ok(QueryResult {
         query: plan.text.clone(),
-        reranked_frames: if plan.enable_rerank { seeds.len() } else { 0 },
         frames,
-        fast_search_candidates,
-        timings: *timing,
+        fast_search_candidates: merged.len(),
+        reranked_frames: if plan.enable_rerank { seeds.len() } else { 0 },
+        timings,
         search_stats,
     })
+}
+
+/// Executes a batch of plans: one shared coarse stage, then rerank +
+/// aggregation per plan. Results come back in plan order.
+pub(crate) fn execute(lovo: &Lovo, plans: &[QueryPlan]) -> Result<Vec<QueryResult>> {
+    coarse_stage(lovo, plans, 0)?
+        .into_iter()
+        .zip(plans)
+        .map(|(coarse, plan)| {
+            aggregate(
+                plan,
+                vec![coarse.hits],
+                coarse.stats,
+                coarse.timings,
+                |seeds| Ok(vec![rerank_stage(lovo, &coarse.embedding.parsed, seeds)?]),
+            )
+        })
+        .collect()
+}
+
+/// The stage halves one engine exposes when it acts as a *shard*: a router
+/// runs a plan's coarse stage against each shard's local segments, then the
+/// rerank stage over the frames it assigns back to their owning shard, and
+/// aggregates through [`aggregate`]. Both take an already-compiled
+/// [`QueryPlan`] (compiled once at the router), and both encode the query
+/// text locally: encoding is content-deterministic, so every shard derives
+/// the same embedding the router's twin engine would.
+impl Lovo {
+    /// Runs a plan's encode + prune + coarse stages against this engine
+    /// only — the batched coarse stage over a batch of one — returning
+    /// candidate patches in fast-search order together with the work
+    /// counters. Each hit carries its key frame's timestamp so a router can
+    /// assemble rerank-disabled results without touching this engine again.
+    /// Provably-empty plans return no candidates without searching.
+    /// `intra_query_threads` is the store's segment-scan worker count (`0` =
+    /// its automatic rule, which is what every executor in this crate uses).
+    pub fn coarse_plan(
+        &self,
+        plan: &QueryPlan,
+        intra_query_threads: usize,
+    ) -> Result<(Vec<CoarseHit>, SearchStats)> {
+        let output = coarse_stage(self, std::slice::from_ref(plan), intra_query_threads)?.pop();
+        Ok(output.map(|o| (o.hits, o.stats)).unwrap_or_default())
+    }
+
+    /// Runs a plan's rerank stage over the given candidate frames on this
+    /// engine: frames whose key frame this engine does not hold are skipped
+    /// (exactly as the single-engine path skips unpublished frames), and the
+    /// reranked list comes back sorted by [`reranked_order`] but
+    /// *untruncated* — the router applies the output budget globally after
+    /// merging every shard's list.
+    pub fn rerank_plan(&self, plan: &QueryPlan, seeds: &[FrameSeed]) -> Result<Vec<RankedObject>> {
+        let embedding = self.text_encoder.encode(&plan.text)?;
+        rerank_stage(self, &embedding.parsed, seeds)
+    }
 }

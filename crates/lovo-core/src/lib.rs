@@ -19,7 +19,11 @@
 //!    coarse filtered search → rerank → aggregate) and the executor runs it,
 //!    pushing metadata predicates (video subsets, time windows, object
 //!    classes) down through the storage fan-out into every index scan.
-//!    [`Lovo::query_batch`] executes many specs in one shared fan-out pass.
+//!    [`Lovo::query_plans`] is the one function that executes — a batch of
+//!    plans in one shared fan-out pass; [`Lovo::query_spec`] and
+//!    [`Lovo::query`] are its one-plan conveniences, and the stage functions
+//!    it is made of ([`Lovo::coarse_plan`], [`Lovo::rerank_plan`],
+//!    [`exec::aggregate`]) are what a shard router composes instead.
 //!
 //! The entry point is [`Lovo`]: build it once over a video collection, then
 //! issue as many queries as you like.
@@ -47,8 +51,8 @@ pub mod summary;
 pub use config::LovoConfig;
 pub use engine::{Lovo, QueryResult, QueryTimings, RankedObject};
 pub use exec::{
-    assemble_unreranked, coarse_hit_order, group_hits_by_frame, merge_coarse, merge_reranked,
-    reranked_order, unreranked_order, CoarseHit, FrameSeed,
+    aggregate, assemble_unreranked, coarse_hit_order, group_hits_by_frame, merge_coarse,
+    merge_reranked, reranked_order, unreranked_order, CoarseHit, FrameSeed,
 };
 pub use planner::{PlanStage, QueryPlan, QueryPlanner, QuerySpec};
 pub use summary::{IngestStats, VideoSummarizer};

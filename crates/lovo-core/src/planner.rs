@@ -44,8 +44,8 @@ impl QuerySpec {
     }
 
     /// Builder-style fast-search `k` override. Passed through verbatim —
-    /// `k = 0` is a valid no-candidates baseline (`query_with_k(text, 0)`
-    /// has always returned an empty result).
+    /// `k = 0` is a valid no-candidates baseline (it returns an empty
+    /// result).
     pub fn with_k(mut self, k: usize) -> Self {
         self.fast_search_k = Some(k);
         self

@@ -6,9 +6,10 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Worker threads executing engine batches. Each worker drains one
-    /// micro-batch at a time; the engine itself parallelizes the storage
-    /// fan-out inside a batch, so a small pool (the default is 2) usually
-    /// saturates the machine while maximizing coalescing opportunity.
+    /// micro-batch at a time; the storage layer itself decides whether to
+    /// parallelize the segment fan-out inside a batch, so a small pool (the
+    /// default is 2) usually saturates the machine while maximizing
+    /// coalescing opportunity.
     pub workers: usize,
     /// Admission-queue depth: submissions beyond this many *queued* (not yet
     /// picked up) requests are refused with [`crate::ServeError::Rejected`].
@@ -37,14 +38,6 @@ pub struct ServeConfig {
     /// direct database writes; the floor avoids mass-producing tiny segments
     /// that the next compaction would immediately re-merge.
     pub maintenance_seal_min_rows: usize,
-    /// Intra-query fan-out workers donated to a batch's coarse search.
-    /// `0` (the default) sizes the donation automatically from *idle* pool
-    /// capacity: a lone query on an otherwise-idle service splits its sealed
-    /// segments across the cores the other workers would have used, while a
-    /// fully loaded pool keeps every query on one thread (inter-query
-    /// parallelism already saturates the machine). A non-zero value forces
-    /// that many fan-out workers for every executed batch.
-    pub intra_query_threads: usize,
     /// Pre-fault mapped sealed segments when the service starts. Only
     /// meaningful when the engine was opened with the mmap read path and
     /// without `MAP_POPULATE`: the service issues one `MADV_WILLNEED` pass
@@ -65,7 +58,6 @@ impl Default for ServeConfig {
             cache_shards: 8,
             maintenance_interval: Some(Duration::from_millis(500)),
             maintenance_seal_min_rows: 256,
-            intra_query_threads: 0,
             warmup_on_start: false,
         }
     }
@@ -107,13 +99,6 @@ impl ServeConfig {
     /// maintenance thread).
     pub fn with_maintenance_interval(mut self, interval: Option<Duration>) -> Self {
         self.maintenance_interval = interval;
-        self
-    }
-
-    /// Builder-style intra-query fan-out override (`0` = automatic from idle
-    /// pool capacity).
-    pub fn with_intra_query_threads(mut self, threads: usize) -> Self {
-        self.intra_query_threads = threads;
         self
     }
 
@@ -175,7 +160,6 @@ mod tests {
             .with_max_batch(16)
             .with_cache_capacity(64)
             .with_maintenance_interval(None)
-            .with_intra_query_threads(3)
             .with_warmup_on_start(true);
         assert_eq!(config.workers, 4);
         assert_eq!(config.queue_depth, 8);
@@ -183,7 +167,6 @@ mod tests {
         assert_eq!(config.max_batch, 16);
         assert_eq!(config.cache_capacity, 64);
         assert_eq!(config.maintenance_interval, None);
-        assert_eq!(config.intra_query_threads, 3);
         assert!(config.warmup_on_start);
     }
 }

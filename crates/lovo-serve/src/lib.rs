@@ -17,10 +17,12 @@
 //!   overload, latency stays bounded and callers get a signal they can back
 //!   off on.
 //! * **Micro-batch coalescing** — submissions that arrive within a small
-//!   window are executed as one [`lovo_core::Lovo::query_batch`]-style pass,
+//!   window are executed as one [`lovo_core::Lovo::query_plans`] pass,
 //!   sharing one collection lock acquisition and one storage-segment walk.
 //!   Duplicate submissions (same plan fingerprint) inside a batch are
-//!   executed once and fanned back out to every waiter.
+//!   executed once and fanned back out to every waiter. The service calls
+//!   the engine exactly as a direct caller does — it has no scan-thread
+//!   option, so a served plan and a direct `query_spec` do the same scan.
 //! * **Plan-keyed result cache** — a sharded LRU keyed by the normalized
 //!   [`lovo_core::QueryPlan::fingerprint`] (text + effective `k` + flattened
 //!   predicate), invalidated by the engine's ingest epoch

@@ -5,7 +5,7 @@ use crate::cache::ResultCache;
 use crate::{Result, ServeConfig, ServeError};
 use lovo_core::{Lovo, QueryPlan, QueryResult, QuerySpec};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -115,6 +115,10 @@ struct Pending {
     plan: QueryPlan,
     fingerprint: u64,
     enqueued: Instant,
+    /// Serve-side wait (admission queue + batch window), stamped when a
+    /// worker closes the micro-batch this submission rides in — before the
+    /// engine runs, so engine time never counts as waiting.
+    queue_seconds: f64,
     reply: mpsc::Sender<Result<Served>>,
 }
 
@@ -130,11 +134,6 @@ struct Shared {
     work_ready: Condvar,
     cache: ResultCache,
     counters: Counters,
-    /// Workers currently inside an engine pass. Sizes the automatic
-    /// intra-query fan-out donation: idle capacity is divided among the busy
-    /// passes, so a lone query on an idle service gets the whole machine
-    /// while a saturated pool keeps each pass on one thread.
-    busy_workers: AtomicUsize,
 }
 
 impl Shared {
@@ -181,7 +180,6 @@ impl QueryService {
             }),
             work_ready: Condvar::new(),
             counters: Counters::default(),
-            busy_workers: AtomicUsize::new(0),
         });
         // A failed spawn must not leak the threads already started: tell
         // them to shut down and join them before surfacing the error.
@@ -300,6 +298,7 @@ impl QueryService {
                 plan,
                 fingerprint,
                 enqueued: submitted,
+                queue_seconds: 0.0,
                 reply,
             });
         }
@@ -392,14 +391,10 @@ fn worker_loop(shared: &Shared) {
         // fixed-size, so a dead worker would (once all are dead) leave
         // queued waiters blocked forever. Catching the unwind drops the
         // batch's un-replied senders — those waiters get `WorkerLost` — and
-        // the worker lives on to serve the next batch. The busy counter is
-        // decremented on the panic path too, so a crashed pass never
-        // permanently shrinks the idle capacity donated to later queries.
-        shared.busy_workers.fetch_add(1, Ordering::Relaxed);
+        // the worker lives on to serve the next batch.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             execute_batch(shared, batch)
         }));
-        shared.busy_workers.fetch_sub(1, Ordering::Relaxed);
         if outcome.is_err() {
             shared
                 .counters
@@ -411,8 +406,9 @@ fn worker_loop(shared: &Shared) {
 
 /// Blocks until at least one submission is available, then keeps the batch
 /// open for the configured window (or until `max_batch`) so concurrent
-/// arrivals coalesce. Returns `None` on shutdown once the queue is empty —
-/// queued submissions are always drained before workers exit.
+/// arrivals coalesce, and stamps each member's wait as the batch closes.
+/// Returns `None` on shutdown once the queue is empty — queued submissions
+/// are always drained before workers exit.
 fn next_batch(shared: &Shared) -> Option<Vec<Pending>> {
     let mut state = shared.lock_state();
     loop {
@@ -442,6 +438,9 @@ fn next_batch(shared: &Shared) -> Option<Vec<Pending>> {
                         .unwrap_or_else(PoisonError::into_inner);
                     state = next;
                 }
+            }
+            for pending in &mut batch {
+                pending.queue_seconds = pending.enqueued.elapsed().as_secs_f64();
             }
             return Some(batch);
         }
@@ -518,10 +517,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
             .fetch_add(executed as u64, Ordering::Relaxed);
     }
 
-    match shared
-        .engine
-        .query_plans_opts(&plans, intra_query_workers(shared))
-    {
+    match shared.engine.query_plans(&plans) {
         Ok(results) => {
             for ((fingerprint, plan, members), result) in run.into_iter().zip(results) {
                 shared.cache.put(fingerprint, &plan, epoch, result.clone());
@@ -539,30 +535,12 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
     }
 }
 
-/// Intra-query fan-out workers donated to one engine pass. An explicit
-/// configuration wins; otherwise hardware parallelism is divided evenly
-/// among the currently busy workers (including the caller), so a lone query
-/// on an otherwise-idle service splits its segment fan-out across the cores
-/// the rest of the pool is not using, while a saturated pool donates nothing
-/// (each pass scans sequentially; inter-query parallelism already covers the
-/// machine).
-fn intra_query_workers(shared: &Shared) -> usize {
-    if shared.config.intra_query_threads != 0 {
-        return shared.config.intra_query_threads;
-    }
-    let hardware = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let busy = shared.busy_workers.load(Ordering::Relaxed).max(1);
-    (hardware / busy).max(1)
-}
-
 /// Sends one group's shared result to every waiter, stamping each copy with
-/// that submission's own queue + batch-window wait.
+/// that submission's own queue + batch-window wait (taken in `next_batch`).
 fn reply_all(members: Vec<Pending>, result: &QueryResult, cache_hit: bool, coalesced_with: usize) {
     for pending in members {
         let mut copy = result.clone();
-        copy.timings.queue_seconds = pending.enqueued.elapsed().as_secs_f64();
+        copy.timings.queue_seconds = pending.queue_seconds;
         // A waiter that gave up (dropped its receiver) is not an error.
         let _ = pending.reply.send(Ok(Served {
             result: copy,
@@ -863,40 +841,6 @@ mod tests {
             // ShuttingDown error — never hang, never panic.
         });
         drop(service);
-    }
-
-    #[test]
-    fn forced_intra_query_threads_parallelize_a_lone_query() {
-        // Maintenance off so the appended segments are not compacted away;
-        // two extra appends guarantee a multi-segment fan-out, and the
-        // explicit worker count forces the parallel path even on a one-core
-        // CI runner (the threads time-slice; correctness is what's tested).
-        let config = ServeConfig::default()
-            .with_intra_query_threads(2)
-            .with_cache_capacity(0)
-            .with_maintenance_interval(None);
-        let service = QueryService::start(engine(90), config).unwrap();
-        let mut offset = 1000u32;
-        for seed in [51u64, 53] {
-            let mut batch = VideoCollection::generate(
-                DatasetConfig::for_kind(DatasetKind::Bellevue)
-                    .with_frames_per_video(90)
-                    .with_seed(seed),
-            );
-            for video in &mut batch.videos {
-                video.id += offset;
-            }
-            offset += 1000;
-            service.engine().add_videos(&batch).unwrap();
-        }
-        let served = service.submit(QuerySpec::new("a bus on the road")).unwrap();
-        assert!(!served.result.frames.is_empty());
-        let stats = served.result.search_stats;
-        assert!(
-            stats.parallel_segments > 0 && stats.parallel_segments == stats.segments_probed,
-            "forced fan-out must scan every probed segment on a parallel worker: {stats:?}"
-        );
-        assert!(served.result.breakdown().contains("parallel"));
     }
 
     #[test]

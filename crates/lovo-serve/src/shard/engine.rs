@@ -18,8 +18,6 @@ use std::sync::Arc;
 pub struct CoarseRequest {
     /// The compiled plan, shipped as data (compiled once at the router).
     pub plan: QueryPlan,
-    /// Intra-query segment fan-out width on the shard (`0` = automatic).
-    pub intra_query_threads: usize,
 }
 
 /// Coarse-stage response: the shard's local top-k candidates, in the global
@@ -110,9 +108,10 @@ impl EngineShard for LocalShard {
         // response is stamped with the pre-ingest epoch and any cache entry
         // keyed on it goes stale immediately — conservative, never wrong.
         let epoch = self.engine.ingest_epoch();
+        // `0`: the store's automatic scan-thread rule, as for a direct query.
         let (hits, stats) = self
             .engine
-            .coarse_plan(&request.plan, request.intra_query_threads)
+            .coarse_plan(&request.plan, 0)
             .map_err(|e| e.to_string())?;
         Ok(CoarseResponse { hits, stats, epoch })
     }

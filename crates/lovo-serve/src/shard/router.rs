@@ -8,9 +8,8 @@ use super::placement::Placement;
 use super::{ShardError, ShardOutage};
 use crate::cache::ResultCache;
 use lovo_core::{
-    assemble_unreranked, group_hits_by_frame, merge_coarse, merge_reranked, CoarseHit, FrameSeed,
-    LovoConfig, QueryPlan, QueryPlanner, QueryResult, QuerySpec, QueryTimings, RankedObject,
-    SearchStats,
+    aggregate, CoarseHit, FrameSeed, LovoConfig, QueryPlan, QueryPlanner, QueryResult, QuerySpec,
+    QueryTimings, RankedObject, SearchStats,
 };
 use lovo_store::durability::FaultPlan;
 use std::collections::HashMap;
@@ -46,9 +45,6 @@ pub struct ShardConfig {
     /// waits indefinitely — only safe because every claimed leg sends
     /// exactly one message even when the shard panics.
     pub gather_timeout: Option<Duration>,
-    /// Intra-query segment fan-out width forwarded to each shard's coarse
-    /// stage (`0` = automatic on the shard).
-    pub intra_query_threads: usize,
     /// Deterministic fault plan consulted at the `shard.gather` point
     /// (chaos tests); checks compile out of release builds without the
     /// `failpoints` feature, exactly like the storage layer's I/O points.
@@ -64,7 +60,6 @@ impl std::fmt::Debug for ShardConfig {
             .field("result_cache_capacity", &self.result_cache_capacity)
             .field("cache_shards", &self.cache_shards)
             .field("gather_timeout", &self.gather_timeout)
-            .field("intra_query_threads", &self.intra_query_threads)
             .field("faults", &self.faults.is_some())
             .finish()
     }
@@ -79,7 +74,6 @@ impl Default for ShardConfig {
             result_cache_capacity: 256,
             cache_shards: 4,
             gather_timeout: None,
-            intra_query_threads: 0,
             faults: None,
         }
     }
@@ -113,12 +107,6 @@ impl ShardConfig {
     /// Builder-style gather-deadline override (`None` waits indefinitely).
     pub fn with_gather_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.gather_timeout = timeout;
-        self
-    }
-
-    /// Builder-style intra-query fan-out override forwarded to shards.
-    pub fn with_intra_query_threads(mut self, threads: usize) -> Self {
-        self.intra_query_threads = threads;
         self
     }
 
@@ -396,43 +384,23 @@ impl ShardRouter {
         search_stats.shards_probed = shards_probed;
         search_stats.shards_pruned = pruned;
 
-        // --- Merge per-shard top-k into the single-engine candidate order
-        // and group into candidate frames through the engine's own
-        // implementation. ---
+        // --- Aggregate through the engine's own implementation: merge the
+        // per-shard top-k into the single-engine candidate order, group into
+        // candidate frames, rerank on each frame's owning shard, and merge
+        // globally. ---
         let hit_lists: Vec<Vec<CoarseHit>> = responses
             .into_iter()
             .flatten()
             .map(|response| response.hits)
             .collect();
-        let merged = merge_coarse(hit_lists, plan.fast_search_k);
-        let fast_search_candidates = merged.len();
-        let mut seeds = group_hits_by_frame(&merged);
-        if plan.enable_rerank {
-            seeds.truncate(plan.rerank_frames);
-        }
-
-        // --- Rerank on each frame's owning shard, merge globally. ---
-        let rerank_start = Instant::now();
-        let frames = if plan.enable_rerank {
-            let lists = self.scatter_rerank(plan, &seeds, &mut outages);
-            timings.rerank_seconds = rerank_start.elapsed().as_secs_f64();
-            merge_reranked(lists, plan.output_frames)
-        } else {
-            assemble_unreranked(&seeds, plan.output_frames)
-        };
+        let result = aggregate(plan, hit_lists, search_stats, timings, |seeds| {
+            Ok::<_, ShardError>(self.scatter_rerank(plan, seeds, &mut outages))
+        })?;
 
         self.counters
             .outages
             .fetch_add(outages.len() as u64, Ordering::Relaxed);
 
-        let result = QueryResult {
-            query: plan.text.clone(),
-            reranked_frames: if plan.enable_rerank { seeds.len() } else { 0 },
-            frames,
-            fast_search_candidates,
-            timings,
-            search_stats,
-        };
         // Only healthy answers are cacheable: a degraded result is partial,
         // and serving it after the lost shard recovers would be a lie.
         if outages.is_empty() {
@@ -547,10 +515,7 @@ impl ShardRouter {
             .map(|&index| {
                 let shard = self.shards.get(index).cloned();
                 let faults = self.config.faults.clone();
-                let request = CoarseRequest {
-                    plan: plan.clone(),
-                    intra_query_threads: self.config.intra_query_threads,
-                };
+                let request = CoarseRequest { plan: plan.clone() };
                 let work: Box<dyn FnOnce() -> Result<CoarseResponse, String> + Send> =
                     Box::new(move || {
                         if let Some(reason) = injected_outage(&faults, index) {

@@ -182,10 +182,6 @@ pub struct SegmentedCollection {
     generation: u64,
 }
 
-/// Historical name of the collection type, kept so call sites that predate
-/// the segmented engine keep compiling.
-pub type VectorCollection = SegmentedCollection;
-
 impl SegmentedCollection {
     /// Creates an empty collection.
     pub fn new(name: impl Into<String>, config: CollectionConfig) -> Result<Self> {
@@ -454,60 +450,41 @@ impl SegmentedCollection {
         Ok(result)
     }
 
-    /// Searches for the `k` most similar embeddings to `query`.
+    /// Searches for the `k` most similar embeddings to `query`: the unfiltered
+    /// one-query case of [`SegmentedCollection::search_batch_with_stats_opts`].
     pub fn search(&self, query: &[f32], k: usize) -> Result<Vec<SearchResult>> {
-        Ok(self.search_with_stats(query, k)?.0)
-    }
-
-    /// Unfiltered search: [`SegmentedCollection::search_filtered_with_stats`]
-    /// with no pushed-down filter.
-    pub fn search_with_stats(
-        &self,
-        query: &[f32],
-        k: usize,
-    ) -> Result<(Vec<SearchResult>, SearchStats)> {
-        self.search_filtered_with_stats(query, k, None)
-    }
-
-    /// Searches all segments the filter cannot rule out — in parallel when
-    /// there is more than one — pushing the filter's id test into every
-    /// per-segment scan, and merges the per-segment top-k into the collection
-    /// top-k with a bounded [`TopK`] selection. Segments whose zone map does
-    /// not intersect the filter's id ranges are pruned before fan-out and
-    /// counted in [`SearchStats::segments_pruned`].
-    pub fn search_filtered_with_stats(
-        &self,
-        query: &[f32],
-        k: usize,
-        filter: Option<&PushdownFilter>,
-    ) -> Result<(Vec<SearchResult>, SearchStats)> {
-        let mut results = self.search_batch_with_stats(&[BatchQuery { query, k, filter }])?;
-        Ok(results.pop().expect("one result per batched query"))
+        let request = BatchQuery {
+            query,
+            k,
+            filter: None,
+        };
+        Ok(self
+            .search_batch_with_stats_opts(&[request], 0)?
+            .pop()
+            .unwrap_or_default()
+            .0)
     }
 
     /// Answers a batch of (possibly filtered) queries in one fan-out pass:
     /// the segment set is walked once, each segment scanned for every query
     /// it survives pruning for while its rows are hot in cache, so a batch
     /// shares the per-segment access cost that per-query fan-outs would pay
-    /// once per query. Results come back in request order.
-    pub fn search_batch_with_stats(
-        &self,
-        requests: &[BatchQuery<'_>],
-    ) -> Result<Vec<(Vec<SearchResult>, SearchStats)>> {
-        self.search_batch_with_stats_opts(requests, 0)
-    }
-
-    /// [`SegmentedCollection::search_batch_with_stats`] with an explicit
-    /// intra-query worker count. `0` sizes the pool automatically (hardware
-    /// parallelism, skipped entirely for workloads too small to amortize the
-    /// thread spawns); an explicit non-zero count forces that many fan-out
-    /// workers even below the sequential threshold, which is how a serving
-    /// layer donates idle worker capacity to a single in-flight query — and
-    /// how the parallel path is exercised deterministically on one-core CI.
+    /// once per query. Each query's filter is pushed into every per-segment
+    /// scan, segments whose zone map does not intersect the filter's id
+    /// ranges are pruned before they are probed (counted in
+    /// [`SearchStats::segments_pruned`]), and the per-segment top-k are merged
+    /// into the collection top-k with a bounded [`TopK`] selection. Results
+    /// come back in request order.
+    ///
+    /// `workers` sizes the scan pool: `0` applies the automatic rule (see
+    /// `scan_workers` — sequential below [`SEQUENTIAL_SEARCH_ROWS`] of scan
+    /// work, else one worker per hardware thread), a non-zero count forces
+    /// exactly that many — how the parallel path is exercised
+    /// deterministically on one-core CI, and what `fastscan_bench` sweeps.
     pub fn search_batch_with_stats_opts(
         &self,
         requests: &[BatchQuery<'_>],
-        intra_query_threads: usize,
+        workers: usize,
     ) -> Result<Vec<(Vec<SearchResult>, SearchStats)>> {
         if requests.is_empty() {
             return Ok(Vec::new());
@@ -541,25 +518,15 @@ impl SegmentedCollection {
         // claim-per-segment keeps every worker busy until the probe list is
         // drained. One thread per segment would pay a spawn per probe, which
         // dominates once appends fragment the collection into many small
-        // segments. With the automatic worker count (0), workloads small
-        // enough that the spawn overhead rivals the scan work are probed
-        // sequentially; the scan work scales with the *batch size as well
-        // as* the row count, so a large batch over a small collection still
-        // parallelizes. Each worker keeps ONE reused merge scratch per query
-        // and folds segment hits in as they finish, instead of collecting a
+        // segments. Each worker keeps ONE reused merge scratch per query and
+        // folds segment hits in as they finish, instead of collecting a
         // per-segment result vec.
         let total_rows: usize = probes.iter().map(|segment| segment.len()).sum();
-        let sequential = probes.len() == 1
-            || (intra_query_threads == 0
-                && total_rows.saturating_mul(requests.len()) < SEQUENTIAL_SEARCH_ROWS);
-        let workers = if intra_query_threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            intra_query_threads
-        }
-        .min(probes.len());
+        let workers = scan_workers(
+            workers,
+            probes.len(),
+            total_rows.saturating_mul(requests.len()),
+        );
         let next_probe = AtomicUsize::new(0);
         let scan_claimed = |parallel: bool| -> Result<Vec<MergeScratch>> {
             let mut scratches: Vec<MergeScratch> =
@@ -591,7 +558,7 @@ impl SegmentedCollection {
             }
             Ok(scratches)
         };
-        let per_thread: Vec<Vec<MergeScratch>> = if sequential || workers <= 1 {
+        let per_thread: Vec<Vec<MergeScratch>> = if workers <= 1 {
             vec![scan_claimed(false)?]
         } else {
             std::thread::scope(|scope| {
@@ -669,6 +636,33 @@ impl SegmentedCollection {
     }
 }
 
+/// The segment-scan thread policy — the only place it is decided. Returns
+/// the number of threads one fan-out pass scans on (`1` = sequentially on the
+/// caller's thread) given the caller's `requested` count, the number of
+/// segments to probe, and the pass's scan work in rows × batch size (work
+/// scales with the batch as well as the row count, so a large batch over a
+/// small collection still parallelizes).
+///
+/// `requested == 0` is the automatic rule: passes whose scan work is below
+/// [`SEQUENTIAL_SEARCH_ROWS`] stay sequential (the thread spawns would cost
+/// about as much as the scans), larger ones get one worker per hardware
+/// thread. A non-zero `requested` forces that many workers regardless of
+/// size. Either way a single segment is scanned in place and the pool never
+/// exceeds the segment count.
+fn scan_workers(requested: usize, probes: usize, scan_rows: usize) -> usize {
+    if probes == 1 || (requested == 0 && scan_rows < SEQUENTIAL_SEARCH_ROWS) {
+        return 1;
+    }
+    let pool = if requested == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        requested
+    };
+    pool.min(probes)
+}
+
 /// Per-worker fan-out scratch: the best score seen per id (duplicate ids —
 /// e.g. a row replaced while its old copy still lives in a sealed segment —
 /// keep only their best-scored occurrence), merged work counters, and the
@@ -701,6 +695,20 @@ impl MergeScratch {
 mod tests {
     use super::*;
 
+    /// One (optionally filtered) query through the batched working function
+    /// under the automatic thread rule.
+    fn search_one(
+        c: &SegmentedCollection,
+        query: &[f32],
+        k: usize,
+        filter: Option<&PushdownFilter>,
+    ) -> (Vec<SearchResult>, SearchStats) {
+        c.search_batch_with_stats_opts(&[BatchQuery { query, k, filter }], 0)
+            .unwrap()
+            .pop()
+            .unwrap()
+    }
+
     fn sample_vectors(n: usize, dim: usize) -> Vec<Vec<f32>> {
         // Seeded-random so every vector is distinct (a modular pattern would
         // repeat and make nearest-neighbour assertions ambiguous).
@@ -714,7 +722,7 @@ mod tests {
 
     #[test]
     fn insert_build_search_round_trip() {
-        let mut c = VectorCollection::new("patches", CollectionConfig::new(16)).unwrap();
+        let mut c = SegmentedCollection::new("patches", CollectionConfig::new(16)).unwrap();
         let vectors = sample_vectors(600, 16);
         for (i, v) in vectors.iter().enumerate() {
             c.insert(i as u64, v).unwrap();
@@ -730,13 +738,13 @@ mod tests {
     fn growing_buffer_is_searchable_before_seal() {
         // The growing segment answers queries by brute-force scan even for
         // training-based index families — no build step required.
-        let mut c = VectorCollection::new("patches", CollectionConfig::new(16)).unwrap();
+        let mut c = SegmentedCollection::new("patches", CollectionConfig::new(16)).unwrap();
         let vectors = sample_vectors(50, 16);
         for (i, v) in vectors.iter().enumerate() {
             c.insert(i as u64, v).unwrap();
         }
         assert!(!c.is_built());
-        let (hits, stats) = c.search_with_stats(&vectors[7], 3).unwrap();
+        let (hits, stats) = search_one(&c, &vectors[7], 3, None);
         assert_eq!(hits[0].id, 7);
         assert_eq!(stats.segments_probed, 1);
         assert_eq!(stats.vectors_scored, 50);
@@ -759,7 +767,7 @@ mod tests {
 
         // Fan-out search still finds rows in every segment.
         for probe in [5usize, 150, 230] {
-            let (hits, stats) = c.search_with_stats(&vectors[probe], 3).unwrap();
+            let (hits, stats) = search_one(&c, &vectors[probe], 3, None);
             assert_eq!(hits[0].id, probe as u64, "row {probe}");
             assert_eq!(stats.segments_probed, 3);
         }
@@ -869,9 +877,7 @@ mod tests {
         // Filter allowing only ids 50..100: one segment can match.
         let filter = PushdownFilter::new(IdFilter::from_predicate(|id| (50..100).contains(&id)))
             .with_ranges(vec![(50, 99)]);
-        let (hits, stats) = c
-            .search_filtered_with_stats(&vectors[60], 5, Some(&filter))
-            .unwrap();
+        let (hits, stats) = search_one(&c, &vectors[60], 5, Some(&filter));
         assert_eq!(hits[0].id, 60);
         assert!(hits.iter().all(|h| (50..100).contains(&h.id)));
         assert_eq!(stats.segments_pruned, 3);
@@ -880,9 +886,7 @@ mod tests {
 
         // The same filter without ranges probes everything but still masks.
         let no_ranges = PushdownFilter::new(IdFilter::from_predicate(|id| (50..100).contains(&id)));
-        let (hits2, stats2) = c
-            .search_filtered_with_stats(&vectors[60], 5, Some(&no_ranges))
-            .unwrap();
+        let (hits2, stats2) = search_one(&c, &vectors[60], 5, Some(&no_ranges));
         assert_eq!(hits, hits2);
         assert_eq!(stats2.segments_pruned, 0);
         assert_eq!(stats2.segments_probed, 4);
@@ -890,9 +894,7 @@ mod tests {
 
         // An empty range list is a provably-empty filter: all pruned.
         let empty = PushdownFilter::new(IdFilter::Set(Default::default())).with_ranges(Vec::new());
-        let (none, estats) = c
-            .search_filtered_with_stats(&vectors[0], 5, Some(&empty))
-            .unwrap();
+        let (none, estats) = search_one(&c, &vectors[0], 5, Some(&empty));
         assert!(none.is_empty());
         assert_eq!(estats.segments_pruned, 4);
         assert_eq!(estats.segments_probed, 0);
@@ -926,18 +928,16 @@ mod tests {
                 filter: None,
             },
         ];
-        let batched = c.search_batch_with_stats(&requests).unwrap();
+        let batched = c.search_batch_with_stats_opts(&requests, 0).unwrap();
         assert_eq!(batched.len(), 3);
-        let single_a = c.search_with_stats(&vectors[7], 5).unwrap();
-        let single_b = c
-            .search_filtered_with_stats(&vectors[120], 3, Some(&filter))
-            .unwrap();
-        let single_c = c.search_with_stats(&vectors[400], 7).unwrap();
+        let single_a = search_one(&c, &vectors[7], 5, None);
+        let single_b = search_one(&c, &vectors[120], 3, Some(&filter));
+        let single_c = search_one(&c, &vectors[400], 7, None);
         assert_eq!(batched[0], single_a);
         assert_eq!(batched[1], single_b);
         assert_eq!(batched[2], single_c);
         assert!(batched[1].0.iter().all(|h| h.id < 200));
-        assert!(c.search_batch_with_stats(&[]).unwrap().is_empty());
+        assert!(c.search_batch_with_stats_opts(&[], 0).unwrap().is_empty());
     }
 
     #[test]
@@ -1026,7 +1026,7 @@ mod tests {
     #[test]
     fn brute_force_collection_searches_without_build() {
         let cfg = CollectionConfig::new(8).with_index_kind(IndexKind::BruteForce);
-        let mut c = VectorCollection::new("bf", cfg).unwrap();
+        let mut c = SegmentedCollection::new("bf", cfg).unwrap();
         c.insert(1, &[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
             .unwrap();
         let hits = c
@@ -1039,7 +1039,7 @@ mod tests {
     #[test]
     fn normalization_makes_scale_irrelevant() {
         let cfg = CollectionConfig::new(4).with_index_kind(IndexKind::BruteForce);
-        let mut c = VectorCollection::new("norm", cfg).unwrap();
+        let mut c = SegmentedCollection::new("norm", cfg).unwrap();
         c.insert(1, &[10.0, 0.0, 0.0, 0.0]).unwrap();
         c.insert(2, &[0.0, 0.1, 0.0, 0.0]).unwrap();
         let hits = c.search(&[0.0, 500.0, 0.0, 0.0], 1).unwrap();
@@ -1049,7 +1049,7 @@ mod tests {
 
     #[test]
     fn stats_reflect_contents() {
-        let mut c = VectorCollection::new("stats", CollectionConfig::new(8)).unwrap();
+        let mut c = SegmentedCollection::new("stats", CollectionConfig::new(8)).unwrap();
         let vectors = sample_vectors(300, 8);
         let refs: Vec<(u64, &[f32])> = vectors
             .iter()
@@ -1115,7 +1115,7 @@ mod tests {
     #[test]
     fn insert_after_build_marks_unbuilt_for_hnsw_and_ok() {
         let cfg = CollectionConfig::new(8).with_index_kind(IndexKind::Hnsw);
-        let mut c = VectorCollection::new("hnsw", cfg).unwrap();
+        let mut c = SegmentedCollection::new("hnsw", cfg).unwrap();
         for (i, v) in sample_vectors(50, 8).iter().enumerate() {
             c.insert(i as u64, v).unwrap();
         }

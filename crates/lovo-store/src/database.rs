@@ -10,7 +10,7 @@
 
 use crate::collection::{
     BatchQuery, CollectionConfig, CollectionStats, CompactionResult, PushdownFilter,
-    SegmentedCollection, VectorCollection,
+    SegmentedCollection,
 };
 use crate::durability::wal::WalRecord;
 use crate::durability::{points, DurabilityConfig, DurableStore, OpenOptions, RecoveryReport};
@@ -45,7 +45,7 @@ pub struct JoinedHit {
 /// which also serializes WAL append order with in-memory apply order.
 pub struct VectorDatabase {
     durable: Option<Mutex<DurableStore>>,
-    collections: RwLock<HashMap<String, VectorCollection>>,
+    collections: RwLock<HashMap<String, SegmentedCollection>>,
     metadata: RwLock<MetadataStore>,
 }
 
@@ -115,7 +115,7 @@ impl VectorDatabase {
     fn from_recovered(
         (store, state): (DurableStore, crate::durability::RecoveredState),
     ) -> Result<(Self, RecoveryReport)> {
-        let mut collections: HashMap<String, VectorCollection> = HashMap::new();
+        let mut collections: HashMap<String, SegmentedCollection> = HashMap::new();
         let mut metadata = MetadataStore::new();
         let mut sealed_ids: HashMap<String, HashSet<u64>> = HashMap::new();
         for recovered in state.collections {
@@ -276,7 +276,7 @@ impl VectorDatabase {
         if let Some(store) = durable.as_mut() {
             store.register_collection(name, config)?;
         }
-        let collection = VectorCollection::new(name, config)?;
+        let collection = SegmentedCollection::new(name, config)?;
         self.collections
             .write()
             .insert(name.to_string(), collection);
@@ -407,12 +407,6 @@ impl VectorDatabase {
         Ok(())
     }
 
-    /// Builds (trains) the named collection's index. With the segmented
-    /// engine this seals the growing segment; kept under the historical name.
-    pub fn build_collection(&self, collection: &str) -> Result<()> {
-        self.seal_collection(collection)
-    }
-
     /// Compacts the named collection: merges undersized sealed segments to
     /// bound the search fan-out width after many incremental appends. With a
     /// durable store the merged segment files are fully written and fsynced
@@ -432,19 +426,20 @@ impl VectorDatabase {
         Ok(result)
     }
 
-    /// Fast search: top-`k` joined hits for the query embedding.
+    /// Fast search: top-`k` joined hits for the query embedding — the
+    /// unfiltered one-query case of
+    /// [`VectorDatabase::search_batch_with_stats_opts`].
     pub fn search(&self, collection: &str, query: &[f32], k: usize) -> Result<Vec<JoinedHit>> {
-        Ok(self.search_with_stats(collection, query, k)?.0)
-    }
-
-    /// Fast search that also reports index probe statistics.
-    pub fn search_with_stats(
-        &self,
-        collection: &str,
-        query: &[f32],
-        k: usize,
-    ) -> Result<(Vec<JoinedHit>, SearchStats)> {
-        self.search_pushdown_with_stats(collection, query, k, None)
+        let request = BatchQuery {
+            query,
+            k,
+            filter: None,
+        };
+        Ok(self
+            .search_batch_with_stats_opts(collection, &[request], 0)?
+            .pop()
+            .unwrap_or_default()
+            .0)
     }
 
     /// Compiles a metadata predicate into the fully pushed-down filter the
@@ -487,65 +482,25 @@ impl VectorDatabase {
         }
     }
 
-    /// Filtered fast search: like [`VectorDatabase::search_with_stats`] but
-    /// pushing a compiled filter down through the segment fan-out into every
-    /// index scan.
-    pub fn search_pushdown_with_stats(
-        &self,
-        collection: &str,
-        query: &[f32],
-        k: usize,
-        filter: Option<&PushdownFilter>,
-    ) -> Result<(Vec<JoinedHit>, SearchStats)> {
-        let collections = self.collections.read();
-        let col = collections
-            .get(collection)
-            .ok_or_else(|| StoreError::UnknownCollection(collection.to_string()))?;
-        let (hits, stats) = col.search_filtered_with_stats(query, k, filter)?;
-        Ok((self.join_hits(hits)?, stats))
-    }
-
-    /// Resolves a predicate and runs one filtered search in a single call
-    /// (the planner times the two steps separately; this is the convenience
-    /// path for tests and benchmarks).
-    pub fn search_with_predicate(
-        &self,
-        collection: &str,
-        query: &[f32],
-        k: usize,
-        predicate: &PatchPredicate,
-    ) -> Result<(Vec<JoinedHit>, SearchStats)> {
-        let filter = self.resolve_filter(predicate);
-        self.search_pushdown_with_stats(collection, query, k, filter.as_ref())
-    }
-
     /// Batched fast search: all queries fan out over the segment set together
     /// (one collection read-lock acquisition, one segment walk shared by the
-    /// whole batch), each with its own `k` and optional pushed-down filter.
-    /// Results come back joined with metadata, in request order.
-    pub fn search_batch_with_stats(
-        &self,
-        collection: &str,
-        requests: &[BatchQuery<'_>],
-    ) -> Result<Vec<(Vec<JoinedHit>, SearchStats)>> {
-        self.search_batch_with_stats_opts(collection, requests, 0)
-    }
-
-    /// [`VectorDatabase::search_batch_with_stats`] with an explicit
-    /// intra-query fan-out worker count (`0` = automatic). Serving layers
-    /// pass their idle worker capacity here so a lone query under low load
-    /// can split its sealed segments across otherwise-idle cores.
+    /// whole batch), each with its own `k` and optional pushed-down filter
+    /// (compile one with [`VectorDatabase::resolve_filter`]). Results come
+    /// back joined with metadata, in request order. `workers` sizes the
+    /// segment-scan pool exactly as in
+    /// [`SegmentedCollection::search_batch_with_stats_opts`]: `0` is the
+    /// store's automatic rule, `n` forces exactly `n` workers.
     pub fn search_batch_with_stats_opts(
         &self,
         collection: &str,
         requests: &[BatchQuery<'_>],
-        intra_query_threads: usize,
+        workers: usize,
     ) -> Result<Vec<(Vec<JoinedHit>, SearchStats)>> {
         let collections = self.collections.read();
         let col = collections
             .get(collection)
             .ok_or_else(|| StoreError::UnknownCollection(collection.to_string()))?;
-        let results = col.search_batch_with_stats_opts(requests, intra_query_threads)?;
+        let results = col.search_batch_with_stats_opts(requests, workers)?;
         results
             .into_iter()
             .map(|(hits, stats)| Ok((self.join_hits(hits)?, stats)))
@@ -676,6 +631,20 @@ mod tests {
         }
     }
 
+    /// One (optionally filtered) query through the batched working function
+    /// under the automatic thread rule.
+    fn search_one(
+        db: &VectorDatabase,
+        query: &[f32],
+        k: usize,
+        filter: Option<&PushdownFilter>,
+    ) -> (Vec<JoinedHit>, SearchStats) {
+        db.search_batch_with_stats_opts("p", &[BatchQuery { query, k, filter }], 0)
+            .unwrap()
+            .pop()
+            .unwrap()
+    }
+
     fn vector(i: usize, dim: usize) -> Vec<f32> {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
@@ -696,7 +665,7 @@ mod tests {
             )
             .unwrap();
         }
-        db.build_collection("patches").unwrap();
+        db.seal_collection("patches").unwrap();
         let hits = db.search("patches", &vector(123, 16), 5).unwrap();
         assert_eq!(hits.len(), 5);
         assert_eq!(hits[0].patch_id, 123);
@@ -710,7 +679,6 @@ mod tests {
             .insert_patch("missing", &[0.0; 4], record(0, 0, 0))
             .is_err());
         assert!(db.search("missing", &[0.0; 4], 1).is_err());
-        assert!(db.build_collection("missing").is_err());
         assert!(db.collection_stats("missing").is_err());
         assert!(!db.has_collection("missing"));
     }
@@ -833,9 +801,7 @@ mod tests {
         assert!(!predicate.needs_metadata_join());
         let filter = db.resolve_filter(&predicate).unwrap();
         let probe = vector(2 * 64 + 11, 8);
-        let (hits, stats) = db
-            .search_pushdown_with_stats("p", &probe, 5, Some(&filter))
-            .unwrap();
+        let (hits, stats) = search_one(&db, &probe, 5, Some(&filter));
         assert!(!hits.is_empty());
         assert!(hits.iter().all(|h| h.record.video_id == 2));
         assert_eq!(hits[0].patch_id, patchid::patch_id(2, 11, 0));
@@ -865,9 +831,8 @@ mod tests {
             class_codes: Some([1u8].into_iter().collect()),
             ..Default::default()
         };
-        let (hits, stats) = db
-            .search_with_predicate("p", &vector(17, 8), 50, &predicate)
-            .unwrap();
+        let filter = db.resolve_filter(&predicate);
+        let (hits, stats) = search_one(&db, &vector(17, 8), 50, filter.as_ref());
         assert!(!hits.is_empty());
         for hit in &hits {
             assert!(hit.record.timestamp >= 0.5 && hit.record.timestamp <= 1.0);
@@ -880,9 +845,8 @@ mod tests {
             time_range: Some((100.0, 200.0)),
             ..Default::default()
         };
-        let (none, nstats) = db
-            .search_with_predicate("p", &vector(17, 8), 5, &impossible)
-            .unwrap();
+        let filter = db.resolve_filter(&impossible);
+        let (none, nstats) = search_one(&db, &vector(17, 8), 5, filter.as_ref());
         assert!(none.is_empty());
         assert_eq!(nstats.segments_probed, 0);
         assert!(nstats.segments_pruned >= 1);
@@ -924,17 +888,17 @@ mod tests {
                 filter: None,
             },
         ];
-        let results = db.search_batch_with_stats("p", &requests).unwrap();
+        let results = db.search_batch_with_stats_opts("p", &requests, 0).unwrap();
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].0[0].patch_id, 5);
         assert!(results[0].0.iter().all(|h| h.record.timestamp <= 1.0));
         assert_eq!(results[1].0[0].patch_id, 60);
         // Batch results match the equivalent single searches.
-        let single = db
-            .search_pushdown_with_stats("p", &q0, 3, Some(&filter))
-            .unwrap();
+        let single = search_one(&db, &q0, 3, Some(&filter));
         assert_eq!(results[0], single);
-        assert!(db.search_batch_with_stats("missing", &requests).is_err());
+        assert!(db
+            .search_batch_with_stats_opts("missing", &requests, 0)
+            .is_err());
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod segment;
 
 pub use collection::{
     BatchQuery, CollectionConfig, CollectionStats, CompactionResult, PushdownFilter,
-    SegmentedCollection, VectorCollection, DEFAULT_SEGMENT_CAPACITY,
+    SegmentedCollection, DEFAULT_SEGMENT_CAPACITY,
 };
 pub use database::{JoinedHit, VectorDatabase};
 pub use durability::{

@@ -13,8 +13,8 @@
 use lovo_index::{IndexKind, QuantizationOptions};
 use lovo_store::durability::{points, FaultAction, FaultPlan};
 use lovo_store::{
-    patch_id, CollectionConfig, DurabilityConfig, OpenOptions, PatchPredicate, PatchRecord,
-    VectorDatabase, MMAP_SUPPORTED,
+    patch_id, BatchQuery, CollectionConfig, DurabilityConfig, OpenOptions, PatchPredicate,
+    PatchRecord, VectorDatabase, MMAP_SUPPORTED,
 };
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -130,7 +130,15 @@ fn observe_filtered(
     k: usize,
     predicate: &PatchPredicate,
 ) -> Vec<(u64, u32)> {
-    db.search_with_predicate(COL, query, k, predicate)
+    let filter = db.resolve_filter(predicate);
+    let request = BatchQuery {
+        query,
+        k,
+        filter: filter.as_ref(),
+    };
+    db.search_batch_with_stats_opts(COL, &[request], 0)
+        .unwrap()
+        .pop()
         .unwrap()
         .0
         .into_iter()

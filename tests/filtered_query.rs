@@ -17,7 +17,7 @@ fn multi_camera_collection() -> VideoCollection {
 }
 
 #[test]
-fn time_window_and_class_predicate_through_query_batch() {
+fn time_window_and_class_predicate_through_a_plan_batch() {
     let videos = multi_camera_collection();
     let lovo = Lovo::build(&videos, LovoConfig::default()).expect("build");
 
@@ -30,7 +30,8 @@ fn time_window_and_class_predicate_through_query_batch() {
         QuerySpec::new("a bus driving on the road").with_predicate(predicate.clone()),
         QuerySpec::new("a red car driving in the center of the road"),
     ];
-    let results = lovo.query_batch(&specs).expect("query batch");
+    let plans = specs.each_ref().map(|spec| lovo.plan(spec));
+    let results = lovo.query_plans(&plans).expect("query batch");
     assert_eq!(results.len(), 2);
 
     let filtered = &results[0];

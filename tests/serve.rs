@@ -14,7 +14,7 @@ use lovo::serve::{
 use lovo::video::{DatasetConfig, DatasetKind, VideoCollection};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn collection(frames: usize, seed: u64, id_offset: u32) -> VideoCollection {
     let mut videos = VideoCollection::generate(
@@ -351,6 +351,69 @@ fn served_wait_time_separates_queue_from_engine_stages() {
             "expected a visible batch-window wait, got {max_wait}s"
         );
     });
+}
+
+#[test]
+fn served_miss_scans_exactly_as_a_direct_query_does() {
+    // Three sealed segments whose total scan work sits below the store's
+    // sequential threshold: the store's own rule scans them on the caller's
+    // thread, and a served miss must do precisely that too — the service
+    // has no scan-thread policy of its own. Maintenance off so the appended
+    // segments are not compacted away; cache off so the submission executes.
+    let engine =
+        Arc::new(Lovo::build(&collection(90, 7, 0), LovoConfig::default()).expect("build engine"));
+    for (round, seed) in [51u64, 53].into_iter().enumerate() {
+        engine
+            .add_videos(&collection(90, seed, 1000 * (round as u32 + 1)))
+            .expect("append");
+    }
+    assert!(engine.collection_stats().sealed_segments >= 2);
+    assert!(engine.indexed_patches() < lovo::store::collection::SEQUENTIAL_SEARCH_ROWS);
+    let service = QueryService::start(
+        Arc::clone(&engine),
+        ServeConfig::default()
+            .with_cache_capacity(0)
+            .with_maintenance_interval(None),
+    )
+    .expect("start service");
+
+    let spec = QuerySpec::new("a bus driving on the road");
+    let direct = engine.query_spec(&spec).expect("direct query");
+    let served = service.submit(spec).expect("submit");
+    assert!(!served.cache_hit);
+    assert!(!direct.frames.is_empty());
+    assert_eq!(served.result.frames, direct.frames);
+    assert_eq!(served.result.search_stats, direct.search_stats);
+    assert_eq!(direct.search_stats.parallel_segments, 0);
+}
+
+#[test]
+fn served_stage_timings_fit_inside_the_callers_wall_clock() {
+    // On an idle service a miss's wait ends when the worker picks it up, and
+    // the engine stages follow it: wait + encode + prune + coarse + rerank
+    // are disjoint slices of the caller's own `submit` call.
+    let engine =
+        Arc::new(Lovo::build(&collection(120, 9, 0), LovoConfig::default()).expect("build engine"));
+    let service = QueryService::start(
+        engine,
+        ServeConfig::default().with_maintenance_interval(None),
+    )
+    .expect("start service");
+    let start = Instant::now();
+    let served = service
+        .submit(QuerySpec::new(
+            "a red car driving in the center of the road",
+        ))
+        .expect("submit");
+    let wall_seconds = start.elapsed().as_secs_f64();
+    assert!(!served.cache_hit);
+    let timings = served.result.timings;
+    assert!(timings.rerank_seconds > 0.0);
+    assert!(
+        timings.total_seconds() <= wall_seconds,
+        "stages sum to {:.6}s but submit took {wall_seconds:.6}s: {timings:?}",
+        timings.total_seconds()
+    );
 }
 
 #[test]
