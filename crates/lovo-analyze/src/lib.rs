@@ -105,7 +105,7 @@ pub struct Config {
 }
 
 /// The default configuration for this repository: panic-denied modules are
-/// the serve tier, the executor, and the index scan kernels; the covered
+/// the serve tier, the executor, the rerank scorer and the index scan kernels; the covered
 /// stats structs are `SearchStats`/`ServeStats`/`IngestStats`/`ShardStats`;
 /// the lock hierarchy is whatever `hierarchy` pairs the caller parsed from
 /// ARCHITECTURE.md (see [`parse_hierarchy_doc`]).
@@ -115,6 +115,9 @@ pub fn default_config(hierarchy: &[(String, String)]) -> Config {
             panic_paths: vec![
                 "lovo-serve/src".to_string(),
                 "lovo-core/src/exec.rs".to_string(),
+                // The rerank scorer runs where the executor runs: on
+                // `QueryService` and shard rerank workers.
+                "lovo-encoder/src/cross_modality.rs".to_string(),
                 "lovo-index/src/flat.rs".to_string(),
                 "lovo-index/src/ivf.rs".to_string(),
                 "lovo-index/src/hnsw.rs".to_string(),

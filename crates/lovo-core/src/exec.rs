@@ -30,7 +30,7 @@ use crate::planner::QueryPlan;
 use crate::summary::{split_patch_id, PATCH_COLLECTION};
 use crate::Result;
 use lovo_encoder::cross_modality::CandidateFrame;
-use lovo_encoder::QueryEmbedding;
+use lovo_encoder::{QueryEmbedding, TextEncoder};
 use lovo_index::SearchStats;
 use lovo_store::{BatchQuery, PushdownFilter};
 use lovo_video::bbox::BoundingBox;
@@ -418,9 +418,10 @@ pub(crate) fn execute(lovo: &Lovo, plans: &[QueryPlan]) -> Result<Vec<QueryResul
 /// runs a plan's coarse stage against each shard's local segments, then the
 /// rerank stage over the frames it assigns back to their owning shard, and
 /// aggregates through [`aggregate`]. Both take an already-compiled
-/// [`QueryPlan`] (compiled once at the router), and both encode the query
-/// text locally: encoding is content-deterministic, so every shard derives
-/// the same embedding the router's twin engine would.
+/// [`QueryPlan`] (compiled once at the router), and both read the query
+/// text locally — the coarse stage encodes it, the rerank stage only parses
+/// it: both are content-deterministic, so every shard derives what the
+/// router's twin engine would.
 impl Lovo {
     /// Runs a plan's encode + prune + coarse stages against this engine
     /// only — the batched coarse stage over a batch of one — returning
@@ -446,7 +447,6 @@ impl Lovo {
     /// *untruncated* — the router applies the output budget globally after
     /// merging every shard's list.
     pub fn rerank_plan(&self, plan: &QueryPlan, seeds: &[FrameSeed]) -> Result<Vec<RankedObject>> {
-        let embedding = self.text_encoder.encode(&plan.text)?;
-        rerank_stage(self, &embedding.parsed, seeds)
+        rerank_stage(self, &TextEncoder::parse(&plan.text), seeds)
     }
 }

@@ -19,9 +19,11 @@
 
 use lovo_tensor::init::rng_for;
 use lovo_tensor::ops::l2_normalize;
-use lovo_video::object::Color;
+use lovo_video::object::{
+    Accessory, Activity, Color, Gender, Location, ObjectAttributes, ObjectClass, Relation,
+    SizeClass,
+};
 use lovo_video::query::QueryConstraints;
-use lovo_video::ObjectAttributes;
 use rand::Rng;
 
 /// The semantic facets that own directions in the space.
@@ -63,6 +65,116 @@ impl AttributeFacet {
             AttributeFacet::Accessory => "accessory",
             AttributeFacet::Gender => "gender",
         }
+    }
+}
+
+/// One fine-grained token of the rerank view, named by value rather than by
+/// vector: the facet and the code of the value within it. The set of tokens
+/// any object or query can produce is closed ([`FineToken::codebook`]), which
+/// is what lets the rerank compute per-token features once and look them up
+/// afterwards; [`AttributeSpace::token_direction`] gives a token's vector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct FineToken {
+    /// The facet the token speaks about. `Color` means the blended colour
+    /// direction ([`AttributeSpace::color_direction`]).
+    pub facet: AttributeFacet,
+    /// The value's stable code within the facet.
+    pub code: usize,
+}
+
+impl FineToken {
+    /// The token of `code` within `facet`.
+    pub fn new(facet: AttributeFacet, code: usize) -> Self {
+        Self { facet, code }
+    }
+
+    /// Every token reachable from the attribute enums: all classes, colours,
+    /// sizes, activities, locations and accessories, both specified genders,
+    /// both relation kinds and every relation peer class.
+    pub fn codebook() -> Vec<FineToken> {
+        let facet = |facet, codes: std::ops::Range<usize>| {
+            codes.map(move |code| FineToken::new(facet, code))
+        };
+        facet(AttributeFacet::Class, 0..ObjectClass::ALL.len())
+            .chain(facet(AttributeFacet::Color, 0..Color::ALL.len()))
+            .chain(facet(AttributeFacet::Size, 0..SizeClass::ALL.len()))
+            .chain(facet(AttributeFacet::Activity, 0..Activity::ALL.len()))
+            .chain(facet(AttributeFacet::Location, 0..Location::ALL.len()))
+            .chain(facet(AttributeFacet::Gender, 1..3))
+            .chain(facet(AttributeFacet::RelationKind, 1..3))
+            .chain(facet(
+                AttributeFacet::RelationPeer,
+                0..ObjectClass::ALL.len(),
+            ))
+            .chain(facet(AttributeFacet::Accessory, 0..Accessory::ALL.len()))
+            .collect()
+    }
+
+    /// The tokens of an object, in the order the rerank attends over them:
+    /// one per present facet (class, colour, size, activity, location, then
+    /// gender, relation kind and peer where set, then each accessory).
+    pub fn of_attributes(attrs: &ObjectAttributes) -> impl Iterator<Item = FineToken> + '_ {
+        Self::of_facets(
+            Some(attrs.class),
+            Some(attrs.color),
+            Some(attrs.size),
+            Some(attrs.activity),
+            Some(attrs.location),
+            Some(attrs.gender),
+            Some(attrs.relation),
+            &attrs.accessories,
+        )
+    }
+
+    /// The tokens of a query's constraints: one per constrained facet, in the
+    /// same facet order as [`FineToken::of_attributes`].
+    pub fn of_constraints(constraints: &QueryConstraints) -> impl Iterator<Item = FineToken> + '_ {
+        Self::of_facets(
+            constraints.class,
+            constraints.color,
+            constraints.size,
+            constraints.activity,
+            constraints.location,
+            constraints.gender,
+            constraints.relation,
+            &constraints.accessories,
+        )
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn of_facets(
+        class: Option<ObjectClass>,
+        color: Option<Color>,
+        size: Option<SizeClass>,
+        activity: Option<Activity>,
+        location: Option<Location>,
+        gender: Option<Gender>,
+        relation: Option<Relation>,
+        accessories: &[Accessory],
+    ) -> impl Iterator<Item = FineToken> + '_ {
+        // An unspecified gender and the `None` relation carry code 0 and
+        // produce no token.
+        let gender = gender.map(|g| g.code()).filter(|&code| code != 0);
+        let relation = relation.filter(|r| r.kind_code() != 0);
+        [
+            class.map(|v| FineToken::new(AttributeFacet::Class, v.code())),
+            color.map(|v| FineToken::new(AttributeFacet::Color, v.code())),
+            size.map(|v| FineToken::new(AttributeFacet::Size, v.code())),
+            activity.map(|v| FineToken::new(AttributeFacet::Activity, v.code())),
+            location.map(|v| FineToken::new(AttributeFacet::Location, v.code())),
+            gender.map(|code| FineToken::new(AttributeFacet::Gender, code)),
+            relation.map(|r| FineToken::new(AttributeFacet::RelationKind, r.kind_code())),
+            relation
+                .and_then(|r| r.peer())
+                .map(|peer| FineToken::new(AttributeFacet::RelationPeer, peer.code())),
+        ]
+        .into_iter()
+        .flatten()
+        .chain(
+            accessories
+                .iter()
+                .map(|a| FineToken::new(AttributeFacet::Accessory, a.code())),
+        )
     }
 }
 
@@ -328,66 +440,30 @@ impl AttributeSpace {
         acc
     }
 
+    /// The vector of a fine-grained token: the blended
+    /// [`color_direction`](Self::color_direction) for a colour, the facet's
+    /// own [`direction`](Self::direction) for everything else (including a
+    /// colour code no [`Color`] carries).
+    pub fn token_direction(&self, token: FineToken) -> Vec<f32> {
+        match (token.facet, Color::ALL.get(token.code)) {
+            (AttributeFacet::Color, Some(&color)) => self.color_direction(color),
+            _ => self.direction(token.facet, token.code),
+        }
+    }
+
     /// Per-facet fine-grained token vectors of an object — one token per
     /// present facet. The cross-modality transformer attends over these.
     pub fn fine_tokens_of_attributes(&self, attrs: &ObjectAttributes) -> Vec<Vec<f32>> {
-        let mut tokens = vec![
-            self.direction(AttributeFacet::Class, attrs.class.code()),
-            self.color_direction(attrs.color),
-            self.direction(AttributeFacet::Size, attrs.size.code()),
-            self.direction(AttributeFacet::Activity, attrs.activity.code()),
-            self.direction(AttributeFacet::Location, attrs.location.code()),
-        ];
-        if attrs.gender.code() != 0 {
-            tokens.push(self.direction(AttributeFacet::Gender, attrs.gender.code()));
-        }
-        if attrs.relation.kind_code() != 0 {
-            tokens.push(self.direction(AttributeFacet::RelationKind, attrs.relation.kind_code()));
-            if let Some(peer) = attrs.relation.peer() {
-                tokens.push(self.direction(AttributeFacet::RelationPeer, peer.code()));
-            }
-        }
-        for acc in &attrs.accessories {
-            tokens.push(self.direction(AttributeFacet::Accessory, acc.code()));
-        }
-        tokens
+        FineToken::of_attributes(attrs)
+            .map(|token| self.token_direction(token))
+            .collect()
     }
 
     /// Per-facet fine-grained token vectors of a query's constraints.
     pub fn fine_tokens_of_constraints(&self, constraints: &QueryConstraints) -> Vec<Vec<f32>> {
-        let mut tokens = Vec::new();
-        if let Some(class) = constraints.class {
-            tokens.push(self.direction(AttributeFacet::Class, class.code()));
-        }
-        if let Some(color) = constraints.color {
-            tokens.push(self.color_direction(color));
-        }
-        if let Some(size) = constraints.size {
-            tokens.push(self.direction(AttributeFacet::Size, size.code()));
-        }
-        if let Some(activity) = constraints.activity {
-            tokens.push(self.direction(AttributeFacet::Activity, activity.code()));
-        }
-        if let Some(location) = constraints.location {
-            tokens.push(self.direction(AttributeFacet::Location, location.code()));
-        }
-        if let Some(gender) = constraints.gender {
-            if gender.code() != 0 {
-                tokens.push(self.direction(AttributeFacet::Gender, gender.code()));
-            }
-        }
-        if let Some(relation) = &constraints.relation {
-            if relation.kind_code() != 0 {
-                tokens.push(self.direction(AttributeFacet::RelationKind, relation.kind_code()));
-                if let Some(peer) = relation.peer() {
-                    tokens.push(self.direction(AttributeFacet::RelationPeer, peer.code()));
-                }
-            }
-        }
-        for acc in &constraints.accessories {
-            tokens.push(self.direction(AttributeFacet::Accessory, acc.code()));
-        }
-        tokens
+        FineToken::of_constraints(constraints)
+            .map(|token| self.token_direction(token))
+            .collect()
     }
 
     /// A deterministic "background" embedding for patches that cover no

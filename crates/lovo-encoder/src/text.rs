@@ -402,6 +402,31 @@ mod tests {
         assert_eq!(t, vec!["a", "red", "car", "side-by-side"]);
     }
 
+    /// The rerank stage of a shard parses the text instead of encoding it
+    /// (`Lovo::rerank_plan`); that is only right while `encode` attaches
+    /// exactly what `parse` returns. The texts are the end-to-end benchmark's
+    /// twelve.
+    #[test]
+    fn encode_attaches_exactly_what_parse_returns() {
+        let e = encoder();
+        for text in [
+            "A red car driving in the center of the road.",
+            "A red car side by side with another car, both positioned in the center of the road.",
+            "A bus driving on the road.",
+            "A bus driving on the road with white roof and yellow-green body.",
+            "car",
+            "red car in road",
+            "red car side by side with another car, positioned in the center of the road",
+            "a person walking on the sidewalk",
+            "a truck driving on the road",
+            "a white car driving on the road",
+            "a blue car driving on the road",
+            "a bus",
+        ] {
+            assert_eq!(e.encode(text).unwrap().parsed, TextEncoder::parse(text));
+        }
+    }
+
     #[test]
     fn parses_bellevue_complex_query() {
         let c = TextEncoder::parse(

@@ -5,19 +5,23 @@ use std::time::Duration;
 /// Configuration of a [`crate::QueryService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Worker threads executing engine batches. Each worker drains one
-    /// micro-batch at a time; the storage layer itself decides whether to
-    /// parallelize the segment fan-out inside a batch, so a small pool (the
-    /// default is 2) usually saturates the machine while maximizing
-    /// coalescing opportunity.
+    /// Worker threads executing engine batches, and the bound on engine
+    /// passes in flight (a submitter that leads its own pass on an idle
+    /// service counts against it too). Each pass drains one micro-batch and
+    /// scans it on its own thread; a small pool (the default is 2) leaves
+    /// the most room for coalescing.
     pub workers: usize,
     /// Admission-queue depth: submissions beyond this many *queued* (not yet
     /// picked up) requests are refused with [`crate::ServeError::Rejected`].
     pub queue_depth: usize,
     /// Micro-batch coalescing window. After picking up a submission, a worker
     /// keeps the batch open this long (or until [`ServeConfig::max_batch`])
-    /// so concurrent arrivals share one engine pass. `Duration::ZERO`
-    /// disables coalescing: every submission runs as its own engine call.
+    /// so concurrent arrivals share one engine pass. The worker polls the
+    /// queue through the last millisecond of the window instead of sleeping
+    /// (a sub-millisecond timed sleep is neither punctual nor steady), so a
+    /// window costs that worker's core for up to a millisecond a batch.
+    /// `Duration::ZERO` disables coalescing: every submission runs as its
+    /// own engine call.
     pub batch_window: Duration,
     /// Upper bound on submissions coalesced into one engine pass.
     pub max_batch: usize,

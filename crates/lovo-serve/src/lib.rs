@@ -15,7 +15,8 @@
 //!   submission is refused *immediately* with the typed
 //!   [`ServeError::Rejected`] instead of queueing unboundedly: under
 //!   overload, latency stays bounded and callers get a signal they can back
-//!   off on.
+//!   off on. A submission that finds the service idle skips the queue and
+//!   the hand-off: the calling thread runs the pass itself.
 //! * **Micro-batch coalescing** — submissions that arrive within a small
 //!   window are executed as one [`lovo_core::Lovo::query_plans`] pass,
 //!   sharing one collection lock acquisition and one storage-segment walk.

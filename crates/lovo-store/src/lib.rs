@@ -16,7 +16,7 @@
 //!   ANN-indexed **sealed** segment once full;
 //! * [`collection::SegmentedCollection`] — a named collection of
 //!   L2-normalized embeddings over a set of sealed segments plus one growing
-//!   segment; searches fan out over all segments in parallel and k-way-merge
+//!   segment; searches fan out over all segments and k-way-merge
 //!   the per-segment top-k, and [`collection::SegmentedCollection::compact`]
 //!   merges undersized sealed segments to bound the fan-out width;
 //! * [`metadata::MetadataStore`] — the relational side: one row per patch

@@ -8,7 +8,7 @@
 //! attention swaps the roles.
 
 use crate::nn::Linear;
-use crate::ops::softmax_rows;
+use crate::ops::softmax_inplace;
 use crate::{Matrix, Result, TensorError};
 use serde::{Deserialize, Serialize};
 
@@ -64,78 +64,80 @@ impl MultiHeadAttention {
 
     /// Cross-attention: queries come from `queries`, keys and values from
     /// `context`. Output has one row per query token.
+    ///
+    /// This is [`attend`](Self::attend) over
+    /// [`project_queries`](Self::project_queries) and
+    /// [`project_context`](Self::project_context). A caller that attends
+    /// many times with the same queries or the same context calls the steps
+    /// itself and keeps `Q` or `(K, V)`; the result is the same, bit for bit.
     pub fn cross_attention(&self, queries: &Matrix, context: &Matrix) -> Result<Matrix> {
+        let (k, v) = self.project_context(context)?;
+        self.attend(&self.project_queries(queries)?, &k, &v)
+    }
+
+    /// The query projection `Q` of `(tokens, model_dim)` query tokens. Row
+    /// `r` of `Q` depends on row `r` of `queries` only.
+    pub fn project_queries(&self, queries: &Matrix) -> Result<Matrix> {
+        self.q_proj.forward(queries)
+    }
+
+    /// The key and value projections `(K, V)` of `(tokens, model_dim)`
+    /// context tokens. Row `r` of each depends on row `r` of `context` only.
+    pub fn project_context(&self, context: &Matrix) -> Result<(Matrix, Matrix)> {
+        Ok((self.k_proj.forward(context)?, self.v_proj.forward(context)?))
+    }
+
+    /// Attends projected queries `q` over projected context `(k, v)`: per
+    /// head `softmax(q_h · k_h^T / sqrt(d_head)) · v_h`, the heads
+    /// concatenated and passed through the output projection. Output row `r`
+    /// depends on row `r` of `q` and on all of `k` and `v`; with no query or
+    /// no context rows the output is all zeros.
+    pub fn attend(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Result<Matrix> {
         let model_dim = self.model_dim();
-        if queries.cols() != model_dim || context.cols() != model_dim {
+        if q.cols() != model_dim || k.shape() != v.shape() || k.cols() != model_dim {
             return Err(TensorError::ShapeMismatch(format!(
-                "cross_attention: queries {}x{}, context {}x{}, model_dim {model_dim}",
-                queries.rows(),
-                queries.cols(),
-                context.rows(),
-                context.cols()
+                "attend: q {}x{}, k {}x{}, v {}x{}, model_dim {model_dim}",
+                q.rows(),
+                q.cols(),
+                k.rows(),
+                k.cols(),
+                v.rows(),
+                v.cols()
             )));
         }
-        if queries.rows() == 0 || context.rows() == 0 {
-            return Ok(Matrix::zeros(queries.rows(), model_dim));
+        let mut concat = Matrix::zeros(q.rows(), model_dim);
+        if q.rows() == 0 || k.rows() == 0 {
+            return Ok(concat);
         }
 
-        let q = self.q_proj.forward(queries)?;
-        let k = self.k_proj.forward(context)?;
-        let v = self.v_proj.forward(context)?;
-
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mut concat = Matrix::zeros(queries.rows(), model_dim);
-
-        for head in 0..self.num_heads {
-            let start = head * self.head_dim;
-            let end = start + self.head_dim;
-            let qh = q.columns(start, end)?;
-            let kh = k.columns(start, end)?;
-            let vh = v.columns(start, end)?;
-
-            // scores[i][j] = (q_i . k_j) / sqrt(d_head)
-            let mut scores = qh.matmul_transposed(&kh)?.scale(scale);
-            softmax_rows(&mut scores);
-            let head_out = scores.matmul(&vh)?;
-
-            for r in 0..concat.rows() {
-                concat.row_mut(r)[start..end].copy_from_slice(head_out.row(r));
+        let mut weights = vec![0.0f32; k.rows()];
+        for i in 0..q.rows() {
+            for head in 0..self.num_heads {
+                let span = head * self.head_dim..(head + 1) * self.head_dim;
+                // weights[j] = (q_i . k_j) / sqrt(d_head) over this head's columns
+                let q_head = &q.row(i)[span.clone()];
+                for (weight, k_row) in weights.iter_mut().zip(k.iter_rows()) {
+                    let mut acc = 0.0f32;
+                    for (a, b) in q_head.iter().zip(&k_row[span.clone()]) {
+                        acc += a * b;
+                    }
+                    *weight = acc * scale;
+                }
+                softmax_inplace(&mut weights);
+                // A weight that underflowed to 0.0 adds a zero to a sum
+                // seeded with +0.0: the bits `Matrix::matmul` gets by
+                // skipping the term.
+                let out_head = &mut concat.row_mut(i)[span.clone()];
+                for (&weight, v_row) in weights.iter().zip(v.iter_rows()) {
+                    for (o, &x) in out_head.iter_mut().zip(&v_row[span.clone()]) {
+                        *o += weight * x;
+                    }
+                }
             }
         }
 
         self.out_proj.forward(&concat)
-    }
-
-    /// Returns the attention weights (after softmax) between `queries` and
-    /// `context`, averaged over heads. Shape `(num_queries, num_context)`.
-    ///
-    /// The rerank stage uses this to expose which image patch the query text
-    /// attends to, which in turn drives box selection.
-    pub fn attention_weights(&self, queries: &Matrix, context: &Matrix) -> Result<Matrix> {
-        let model_dim = self.model_dim();
-        if queries.cols() != model_dim || context.cols() != model_dim {
-            return Err(TensorError::ShapeMismatch(format!(
-                "attention_weights: queries {}x{}, context {}x{}, model_dim {model_dim}",
-                queries.rows(),
-                queries.cols(),
-                context.rows(),
-                context.cols()
-            )));
-        }
-        let q = self.q_proj.forward(queries)?;
-        let k = self.k_proj.forward(context)?;
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mut avg = Matrix::zeros(queries.rows(), context.rows());
-        for head in 0..self.num_heads {
-            let start = head * self.head_dim;
-            let end = start + self.head_dim;
-            let qh = q.columns(start, end)?;
-            let kh = k.columns(start, end)?;
-            let mut scores = qh.matmul_transposed(&kh)?.scale(scale);
-            softmax_rows(&mut scores);
-            avg = avg.add(&scores)?;
-        }
-        Ok(avg.scale(1.0 / self.num_heads as f32))
     }
 }
 
@@ -174,30 +176,6 @@ mod tests {
         let ctx = Matrix::full(4, 8, 0.2);
         let out = attn.cross_attention(&q, &ctx).unwrap();
         assert_eq!(out.shape(), (0, 8));
-    }
-
-    #[test]
-    fn attention_weights_are_row_stochastic() {
-        let attn = MultiHeadAttention::new(8, 2, 3, "w").unwrap();
-        let q = Matrix::from_vec(2, 8, (0..16).map(|v| v as f32 * 0.1).collect()).unwrap();
-        let ctx = Matrix::from_vec(4, 8, (0..32).map(|v| (v % 7) as f32 * 0.2).collect()).unwrap();
-        let w = attn.attention_weights(&q, &ctx).unwrap();
-        assert_eq!(w.shape(), (2, 4));
-        for r in 0..2 {
-            let sum: f32 = w.row(r).iter().sum();
-            assert!((sum - 1.0).abs() < 1e-4, "row {r} sums to {sum}");
-        }
-    }
-
-    #[test]
-    fn identical_tokens_attend_uniformly() {
-        let attn = MultiHeadAttention::new(8, 2, 3, "u").unwrap();
-        let ctx = Matrix::full(5, 8, 0.4);
-        let q = Matrix::full(1, 8, 0.4);
-        let w = attn.attention_weights(&q, &ctx).unwrap();
-        for j in 0..5 {
-            assert!((w.get(0, j) - 0.2).abs() < 1e-5);
-        }
     }
 
     #[test]

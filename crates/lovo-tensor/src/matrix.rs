@@ -7,8 +7,9 @@
 use crate::{Result, TensorError};
 use serde::{Deserialize, Serialize};
 
-/// A dense, row-major matrix of `f32` values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A dense, row-major matrix of `f32` values. The default is the empty
+/// `0 x 0` matrix.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -324,20 +325,18 @@ impl Matrix {
         Ok(Matrix { rows, cols, data })
     }
 
-    /// Returns a copy of the given contiguous column range as a new matrix.
-    pub fn columns(&self, start: usize, end: usize) -> Result<Matrix> {
-        if start > end || end > self.cols {
-            return Err(TensorError::InvalidArgument(format!(
-                "columns: range {start}..{end} out of 0..{}",
-                self.cols
-            )));
+    /// Returns a new matrix whose row `i` is a copy of row `rows[i]` of this
+    /// one; an index may repeat. Every index must be below [`Matrix::rows`].
+    pub fn gather_rows(&self, rows: &[usize]) -> Matrix {
+        let mut data = Vec::with_capacity(rows.len() * self.cols);
+        for &r in rows {
+            data.extend_from_slice(self.row(r));
         }
-        let width = end - start;
-        let mut out = Matrix::zeros(self.rows, width);
-        for r in 0..self.rows {
-            out.row_mut(r).copy_from_slice(&self.row(r)[start..end]);
+        Matrix {
+            rows: rows.len(),
+            cols: self.cols,
+            data,
         }
-        Ok(out)
     }
 }
 
@@ -423,12 +422,12 @@ mod tests {
     }
 
     #[test]
-    fn columns_slices_range() {
-        let a = Matrix::from_vec(2, 4, (0..8).map(|v| v as f32).collect()).unwrap();
-        let c = a.columns(1, 3).unwrap();
-        assert_eq!(c.shape(), (2, 2));
-        assert_eq!(c.row(0), &[1.0, 2.0]);
-        assert_eq!(c.row(1), &[5.0, 6.0]);
+    fn gather_rows_copies_and_repeats() {
+        let a = Matrix::from_vec(3, 2, (0..6).map(|v| v as f32).collect()).unwrap();
+        let g = a.gather_rows(&[2, 0, 2]);
+        assert_eq!(g.shape(), (3, 2));
+        assert_eq!(g.as_slice(), &[4.0, 5.0, 0.0, 1.0, 4.0, 5.0]);
+        assert_eq!(a.gather_rows(&[]).shape(), (0, 2));
     }
 
     #[test]

@@ -9,8 +9,10 @@ use serde::{Deserialize, Serialize};
 /// A dense affine layer `y = x W^T + b` applied row-wise to a token matrix.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Linear {
-    /// Weight matrix of shape `(out_features, in_features)`.
-    weight: Matrix,
+    /// The weight stored transposed, shape `(in_features, out_features)`, so
+    /// the kernel's inner loop walks one weight row and one output row
+    /// contiguously (see [`Linear::forward`]).
+    weight_t: Matrix,
     /// Bias of length `out_features`.
     bias: Vec<f32>,
 }
@@ -20,12 +22,18 @@ impl Linear {
     /// from `(seed, label)`.
     pub fn new(in_features: usize, out_features: usize, seed: u64, label: &str) -> Self {
         let mut rng = rng_for(seed, label);
+        // Drawn in `(out, in)` order and then transposed, so the value of
+        // weight `(out, in)` does not depend on the storage layout.
         let weight = xavier_uniform(&mut rng, out_features, in_features);
         let bias = uniform_vector(&mut rng, out_features, 0.01);
-        Self { weight, bias }
+        Self {
+            weight_t: weight.transpose(),
+            bias,
+        }
     }
 
-    /// Creates a layer from explicit parameters (used by tests and the
+    /// Creates a layer from explicit parameters: `weight` has shape
+    /// `(out_features, in_features)` (used by tests and the
     /// attribute-grounded encoder which builds structured projections).
     pub fn from_parts(weight: Matrix, bias: Vec<f32>) -> Result<Self> {
         if weight.rows() != bias.len() {
@@ -35,21 +43,33 @@ impl Linear {
                 bias.len()
             )));
         }
-        Ok(Self { weight, bias })
+        Ok(Self {
+            weight_t: weight.transpose(),
+            bias,
+        })
     }
 
     /// Input feature dimension.
     pub fn in_features(&self) -> usize {
-        self.weight.cols()
+        self.weight_t.rows()
     }
 
     /// Output feature dimension.
     pub fn out_features(&self) -> usize {
-        self.weight.rows()
+        self.bias.len()
     }
 
     /// Applies the layer to a `(tokens, in_features)` matrix, producing
     /// `(tokens, out_features)`.
+    ///
+    /// `out[i][j] = (Σ_k x[i][k] · w[j][k]) + b[j]`, the sum accumulated from
+    /// `0.0` in increasing `k` — the same per-element order as a row-times-row
+    /// dot product, so the result is bit-identical to
+    /// `x.matmul_transposed(w)` plus the bias. The loops run `k` outside and
+    /// `j` inside over the transposed weight: every output column of a row
+    /// advances together, which vectorises, where the dot-product form is one
+    /// dependent add chain per output. Each output row depends on its own
+    /// input row only.
     pub fn forward(&self, input: &Matrix) -> Result<Matrix> {
         if input.cols() != self.in_features() {
             return Err(TensorError::ShapeMismatch(format!(
@@ -58,8 +78,19 @@ impl Linear {
                 self.in_features()
             )));
         }
-        let projected = input.matmul_transposed(&self.weight)?;
-        projected.add_row_broadcast(&self.bias)
+        let mut out = Matrix::zeros(input.rows(), self.out_features());
+        for r in 0..input.rows() {
+            let out_row = out.row_mut(r);
+            for (&x, w_row) in input.row(r).iter().zip(self.weight_t.iter_rows()) {
+                for (o, &w) in out_row.iter_mut().zip(w_row) {
+                    *o += x * w;
+                }
+            }
+            for (o, &b) in out_row.iter_mut().zip(&self.bias) {
+                *o += b;
+            }
+        }
+        Ok(out)
     }
 
     /// Applies the layer to a single vector.

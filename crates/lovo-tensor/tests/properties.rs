@@ -4,11 +4,28 @@ use lovo_tensor::ops::{
     cosine_similarity, dot, euclidean, l2_norm, l2_normalize, similarity_to_distance,
     softmax_inplace, top_k_indices,
 };
-use lovo_tensor::Matrix;
+use lovo_tensor::{Linear, Matrix, MultiHeadAttention};
 use proptest::prelude::*;
 
 fn small_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-10.0f32..10.0, len)
+}
+
+/// A `rows x cols` matrix filled from `values`, cycled; about one entry in
+/// eight is a zero of either sign.
+fn matrix_of(rows: usize, cols: usize, values: &[f32]) -> Matrix {
+    let data = (0..rows * cols)
+        .map(|i| match i % 16 {
+            3 => 0.0,
+            11 => -0.0,
+            _ => values[i % values.len()],
+        })
+        .collect();
+    Matrix::from_vec(rows, cols, data).unwrap()
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
 proptest! {
@@ -91,6 +108,67 @@ proptest! {
         let slow = a.matmul(&b.transpose()).unwrap();
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
             prop_assert!((x - y).abs() < 1e-4);
+        }
+    }
+
+    // The three properties the rerank's hoisting rests on, asserted on bits:
+    // CI runs them in debug and in `--release`, where the kernel vectorises.
+
+    #[test]
+    fn linear_forward_is_bit_identical_to_the_row_dot_product_form(
+        rows in 0usize..6,
+        in_features in 1usize..40,
+        out_features in 1usize..70,
+        values in prop::collection::vec(-2.0f32..2.0, 64),
+    ) {
+        let weight = matrix_of(out_features, in_features, &values[7..]);
+        let bias: Vec<f32> = values.iter().cycle().take(out_features).map(|v| v * 0.01).collect();
+        let input = matrix_of(rows, in_features, &values);
+        let layer = Linear::from_parts(weight.clone(), bias.clone()).unwrap();
+        let expected = input
+            .matmul_transposed(&weight)
+            .unwrap()
+            .add_row_broadcast(&bias)
+            .unwrap();
+        let actual = layer.forward(&input).unwrap();
+        prop_assert_eq!(actual.shape(), (rows, out_features));
+        prop_assert_eq!(bits(&actual), bits(&expected));
+    }
+
+    #[test]
+    fn cross_attention_is_the_composition_of_its_three_steps(
+        queries in 0usize..6,
+        context in 0usize..9,
+        seed in 0u64..1000,
+        values in prop::collection::vec(-1.5f32..1.5, 48),
+    ) {
+        let attn = MultiHeadAttention::new(16, 4, seed, "prop").unwrap();
+        let queries = matrix_of(queries, 16, &values);
+        let context = matrix_of(context, 16, &values[5..]);
+        let whole = attn.cross_attention(&queries, &context).unwrap();
+        let (k, v) = attn.project_context(&context).unwrap();
+        let stepped = attn
+            .attend(&attn.project_queries(&queries).unwrap(), &k, &v)
+            .unwrap();
+        prop_assert_eq!(bits(&whole), bits(&stepped));
+    }
+
+    #[test]
+    fn an_attention_row_depends_on_its_own_query_row_only(
+        queries in 1usize..8,
+        context in 1usize..7,
+        seed in 0u64..1000,
+        values in prop::collection::vec(-1.5f32..1.5, 48),
+    ) {
+        let attn = MultiHeadAttention::new(16, 4, seed, "prop").unwrap();
+        let queries = matrix_of(queries, 16, &values);
+        let context = matrix_of(context, 16, &values[9..]);
+        let whole = attn.cross_attention(&queries, &context).unwrap();
+        for r in 0..queries.rows() {
+            let alone = attn
+                .cross_attention(&Matrix::row_vector(queries.row(r)), &context)
+                .unwrap();
+            prop_assert_eq!(bits(&alone), bits(&Matrix::row_vector(whole.row(r))));
         }
     }
 }

@@ -148,3 +148,108 @@ fn storage_footprint_reports_are_consistent() {
     );
     assert!(lovo.storage_bytes() >= stats.index_bytes);
 }
+
+/// One hit of [`QUICKSTART_GOLDEN`]: video, frame, score bits, and the bits
+/// of the box's `x, y, w, h`.
+type GoldenHit = (u32, u32, u32, [u32; 4]);
+
+/// What `Lovo::query` returned for the three quickstart queries over the
+/// default Bellevue collection at commit ecf6f99, before the rerank computed
+/// values at the level they depend on and before `Linear` ran its
+/// column-order kernel. Both changes are exact, so the encoders, the coarse
+/// stage and the rerank must reproduce every bit.
+#[rustfmt::skip]
+const QUICKSTART_GOLDEN: [(&str, &[GoldenHit]); 3] = [
+    (
+        "a red car driving in the center of the road",
+        &[
+            (0, 37, 0x3f49780d, [0x444045e0, 0x43d5ae74, 0x42dc0d40, 0x42805d10]),
+            (0, 9, 0x3f497542, [0x4409bec8, 0x43b9388c, 0x42dc0d40, 0x42805d10]),
+            (0, 0, 0x3f496e34, [0x43f06fd8, 0x43b012a6, 0x42dc0d40, 0x42805d10]),
+            (0, 8, 0x3f496e34, [0x4407cc3e, 0x43b83456, 0x42dc0d40, 0x42805d10]),
+            (0, 248, 0x3f217cc2, [0x43c9526f, 0x43b3889d, 0x42df77dc, 0x42825b40]),
+            (0, 386, 0x3f217969, [0x4419e8ea, 0x43be4ba0, 0x42d18fc0, 0x42747d08]),
+            (0, 414, 0x3f2171a8, [0x43f81650, 0x43c598d8, 0x42d18fc0, 0x42747d08]),
+            (0, 69, 0x3f216af4, [0x439e8984, 0x43a67f8a, 0x43025eb0, 0x42981920]),
+            (0, 379, 0x3f216990, [0x4421605a, 0x43bc7852, 0x42d18fc0, 0x42747d08]),
+            (0, 99, 0x3f2164e7, [0x4327d428, 0x439184d6, 0x43025eb0, 0x42981920]),
+            (0, 444, 0x3f2163d0, [0x43b81672, 0x43cd6b94, 0x42d18fbc, 0x42747d08]),
+            (0, 63, 0x3f21572b, [0x43ad7634, 0x43aab1ae, 0x43025eb0, 0x42981920]),
+            (0, 445, 0x3f214e34, [0x43b5f451, 0x43cdae56, 0x42d18fbc, 0x42747d08]),
+            (0, 460, 0x3f214e34, [0x4395f462, 0x43d197b4, 0x42d18fbc, 0x42747d08]),
+            (0, 467, 0x3f214e34, [0x4387057b, 0x43d36b02, 0x42d18fbc, 0x42747d08]),
+            (0, 488, 0x3f214e34, [0x4334718c, 0x43d8e4ec, 0x42d18fbc, 0x42747d08]),
+            (0, 68, 0x3f214bf6, [0x43a1064c, 0x43a73290, 0x43025eb0, 0x42981920]),
+            (0, 303, 0x3f214bf6, [0x00000000, 0x439919e5, 0x42b07982, 0x42825b40]),
+            (0, 263, 0x3f2144ac, [0x438f363e, 0x43ac5325, 0x42df77dc, 0x42825b40]),
+            (0, 272, 0x3f2144ac, [0x4358b10e, 0x43a7ffdd, 0x42df77dc, 0x42825b40]),
+        ],
+    ),
+    (
+        "a red car side by side with another car, both positioned in the center of the road",
+        &[
+            (0, 37, 0x3f1146b3, [0x444045e0, 0x43d5ae74, 0x42dc0d40, 0x42805d10]),
+            (0, 9, 0x3f1142d3, [0x4409bec8, 0x43b9388c, 0x42dc0d40, 0x42805d10]),
+            (0, 0, 0x3f113a40, [0x43f06fd8, 0x43b012a6, 0x42dc0d40, 0x42805d10]),
+            (0, 8, 0x3f113a40, [0x4407cc3e, 0x43b83456, 0x42dc0d40, 0x42805d10]),
+            (0, 188, 0x3ed9b976, [0x446e1a91, 0x43a1917d, 0x42cd4418, 0x426f7a18]),
+            (0, 218, 0x3ed9b976, [0x44977808, 0x4399fb1b, 0x42887f80, 0x426f7a18]),
+            (0, 129, 0x3ed9a443, [0x448e5302, 0x44107710, 0x42da9a40, 0x427f0950]),
+            (0, 174, 0x3ed9a2cd, [0x00000000, 0x44083de3, 0x41971ec8, 0x427f5850]),
+            (0, 143, 0x3ed9912d, [0x44979458, 0x44158282, 0x4286ba80, 0x427f0950]),
+            (0, 139, 0x3ed990c3, [0x4494ef64, 0x44141186, 0x42b109c0, 0x427f0950]),
+            (0, 319, 0x3ed9900d, [0x4427d12d, 0x43e69e81, 0x42f30758, 0x428dc444]),
+            (0, 329, 0x3ed9900d, [0x4441a67f, 0x43e81a27, 0x42f30758, 0x428dc444]),
+            (0, 356, 0x3ed98f80, [0x4483b33a, 0x43ec1b34, 0x42f30750, 0x428dc448]),
+            (0, 151, 0x3ed98e45, [0x449cde40, 0x4418647a, 0x41c87000, 0x427f0950]),
+            (0, 63, 0x3ed92fa8, [0x4393e226, 0x4422efd8, 0x4309dea0, 0x42888140]),
+            (0, 248, 0x3ed79ba6, [0x43c9526f, 0x43b3889d, 0x42df77dc, 0x42825b40]),
+            (0, 69, 0x3ed77146, [0x439e8984, 0x43a67f8a, 0x43025eb0, 0x42981920]),
+            (0, 263, 0x3ed76e05, [0x438f363e, 0x43ac5325, 0x42df77dc, 0x42825b40]),
+            (0, 272, 0x3ed76e05, [0x4358b10e, 0x43a7ffdd, 0x42df77dc, 0x42825b40]),
+            (0, 274, 0x3ed76e05, [0x43493212, 0x43a709cd, 0x42df77dc, 0x42825b40]),
+        ],
+    ),
+    (
+        "a bus driving on the road with white roof and yellow-green body",
+        &[
+            (0, 188, 0x3f105803, [0x44422c1e, 0x43fa6dfa, 0x4396d3e4, 0x42ff3f30]),
+            (0, 218, 0x3f105803, [0x446ca6a6, 0x4401bfbb, 0x4396d3e4, 0x42ff3f30]),
+            (0, 248, 0x3f104fa3, [0x448b9097, 0x44064879, 0x43237b48, 0x42ff3f30]),
+            (0, 174, 0x3f104c82, [0x442e5956, 0x43f6329e, 0x4396d3e2, 0x42ff3f30]),
+            (0, 386, 0x3f1043e1, [0x444ae53e, 0x4399d8da, 0x43b5931c, 0x4319a3de]),
+            (0, 414, 0x3f104371, [0x44882c3a, 0x4394b9fe, 0x433e9e30, 0x4319a3de]),
+            (0, 129, 0x3f103dc6, [0x42f3df98, 0x440008f4, 0x43adc9bc, 0x43130d28]),
+            (0, 99, 0x3f103da7, [0x43f026d6, 0x43f32b72, 0x43adc9bc, 0x43130d28]),
+            (0, 69, 0x3f103c45, [0x4451aae3, 0x43e644fc, 0x43adc9ba, 0x43130d28]),
+            (0, 587, 0x3ee9a3c8, [0x439a8f54, 0x43d0960d, 0x435b3c20, 0x42c74dec]),
+            (0, 444, 0x3ee99ae8, [0x4444e252, 0x43c27150, 0x43477940, 0x42b556f4]),
+            (0, 379, 0x3ee98d5e, [0x43bcee50, 0x43d3fe70, 0x43477940, 0x42b556f8]),
+        ],
+    ),
+];
+
+#[test]
+fn quickstart_answers_are_bit_identical_to_the_golden() {
+    let videos = VideoCollection::generate(
+        DatasetConfig::for_kind(DatasetKind::Bellevue).with_frames_per_video(600),
+    );
+    let lovo = Lovo::build(&videos, LovoConfig::default()).expect("build LOVO");
+    for (query, golden) in QUICKSTART_GOLDEN {
+        let result = lovo.query(query).expect("query");
+        let answer: Vec<GoldenHit> = result
+            .frames
+            .iter()
+            .map(|hit| {
+                let b = hit.bbox;
+                (
+                    hit.video_id,
+                    hit.frame_index,
+                    hit.score.to_bits(),
+                    [b.x, b.y, b.w, b.h].map(f32::to_bits),
+                )
+            })
+            .collect();
+        assert_eq!(answer, golden, "{query}");
+    }
+}
