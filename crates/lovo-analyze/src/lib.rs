@@ -105,7 +105,7 @@ pub struct Config {
 }
 
 /// The default configuration for this repository: panic-denied modules are
-/// the serve tier, the executor, the rerank scorer and the index scan kernels; the covered
+/// the serve tier, the executor, the rerank scorer, the index scan kernels and the metadata table; the covered
 /// stats structs are `SearchStats`/`ServeStats`/`IngestStats`/`ShardStats`;
 /// the lock hierarchy is whatever `hierarchy` pairs the caller parsed from
 /// ARCHITECTURE.md (see [`parse_hierarchy_doc`]).
@@ -136,6 +136,10 @@ pub fn default_config(hierarchy: &[(String, String)]) -> Config {
                 // into the scan kernels above; a panic here is a panic on the
                 // query path.
                 "lovo-index/src/store.rs".to_string(),
+                // The metadata table runs inside every filtered query's
+                // resolve and every hit's join, and the postings it shares
+                // are tested inside the scans.
+                "lovo-store/src/metadata.rs".to_string(),
             ],
             index_paths: vec![
                 "lovo-serve/src/service.rs".to_string(),
@@ -144,6 +148,9 @@ pub fn default_config(hierarchy: &[(String, String)]) -> Config {
                 // panics here takes down a scatter worker mid-gather.
                 "lovo-serve/src/shard".to_string(),
                 "lovo-core/src/exec.rs".to_string(),
+                // Positions into the table come from its own directory, but
+                // a wrong one must cost an answer, not a worker.
+                "lovo-store/src/metadata.rs".to_string(),
             ],
         },
         locks: LockConfig {

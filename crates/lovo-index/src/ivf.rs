@@ -752,8 +752,10 @@ impl IvfPqIndex {
         // row-major arena — no hash lookup per candidate. With the int8 tier
         // enabled, candidates are first narrowed against the quantized arena
         // (¼ the traffic) and only the top `2k` survivors touch f32 rows.
+        // The rescoring loop reads every kept candidate and the selector
+        // below orders them, so nothing here needs them sorted.
         let dim = self.config.dim;
-        let mut entries = approx.into_sorted_entries();
+        let mut entries = approx.into_unordered_entries();
         if let Some(int8) = &built.arena_i8 {
             let narrowed_k = k.saturating_mul(2).max(k);
             if entries.len() > narrowed_k {
@@ -768,7 +770,7 @@ impl IvfPqIndex {
                     );
                 }
                 stats.heap_pushes += narrowed.pushes();
-                entries = narrowed.into_sorted_entries();
+                entries = narrowed.into_unordered_entries();
             }
         }
         let mut top = TopK::new(k);

@@ -160,6 +160,181 @@ impl SearchStats {
     }
 }
 
+/// Sorted, pairwise-disjoint inclusive id ranges: the shape a frame-level
+/// predicate (videos, time windows) resolves to, because every key frame owns
+/// one contiguous run of packed patch ids. Membership and overlap tests are
+/// binary searches, so a window that matches every other frame — thousands
+/// of ranges — costs the same few steps per row as one range per camera.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct IdRanges(Vec<(VectorId, VectorId)>);
+
+impl IdRanges {
+    /// Builds the set from inclusive `(start, end)` ranges in any order:
+    /// sorts them, drops inverted ones and merges those that overlap.
+    pub fn new(mut ranges: Vec<(VectorId, VectorId)>) -> Self {
+        ranges.retain(|&(start, end)| start <= end);
+        ranges.sort_unstable();
+        let mut merged: Vec<(VectorId, VectorId)> = Vec::with_capacity(ranges.len());
+        for (start, end) in ranges {
+            match merged.last_mut() {
+                Some(last) if start <= last.1 => last.1 = last.1.max(end),
+                _ => merged.push((start, end)),
+            }
+        }
+        Self(merged)
+    }
+
+    /// The ranges, ascending.
+    pub fn as_slice(&self) -> &[(VectorId, VectorId)] {
+        &self.0
+    }
+
+    /// True when some range holds the id.
+    #[inline]
+    pub fn contains(&self, id: VectorId) -> bool {
+        self.overlaps(id, id)
+    }
+
+    /// True when some range intersects the inclusive span `start..=end`.
+    #[inline]
+    pub fn overlaps(&self, start: VectorId, end: VectorId) -> bool {
+        // The first range ending at or after `start` is the only candidate:
+        // every earlier one ends before the span, every later one starts
+        // even further right.
+        let candidate = self.0.partition_point(|&(_, range_end)| range_end < start);
+        self.0
+            .get(candidate)
+            .is_some_and(|&(range_start, _)| range_start <= end)
+    }
+}
+
+/// A sorted set of ids held in four bytes each: `u32` offsets from a handful
+/// of eight-byte block bases. A new block opens whenever the next id lies
+/// more than `u32::MAX` past the current base — for packed patch ids that is
+/// once per video — so the per-class postings the metadata store keeps cost
+/// half of what the same ids would as a `Vec<u64>`, and a membership test
+/// binary-searches a dense `u32` run.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct IdPosting {
+    /// `(base id, index in `offsets` of the block's first entry)`, both
+    /// strictly ascending.
+    blocks: Vec<(VectorId, usize)>,
+    /// Id minus its block's base, ascending within each block.
+    offsets: Vec<u32>,
+}
+
+impl IdPosting {
+    /// Creates an empty posting.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends an id, which must exceed every id already held. Returns
+    /// `false` — leaving the posting unchanged — when it does not.
+    #[must_use]
+    pub fn push(&mut self, id: VectorId) -> bool {
+        let offset = match self.bounds() {
+            Some((_, last)) if id <= last => return false,
+            Some(_) => self
+                .blocks
+                .last()
+                .and_then(|&(base, _)| u32::try_from(id - base).ok()),
+            None => None,
+        };
+        match offset {
+            Some(offset) => self.offsets.push(offset),
+            None => {
+                self.blocks.push((id, self.offsets.len()));
+                self.offsets.push(0);
+            }
+        }
+        true
+    }
+
+    /// Number of ids held.
+    pub fn len(&self) -> usize {
+        self.offsets.len()
+    }
+
+    /// True when no id is held.
+    pub fn is_empty(&self) -> bool {
+        self.offsets.is_empty()
+    }
+
+    /// Smallest and largest id held, `None` when empty.
+    pub fn bounds(&self) -> Option<(VectorId, VectorId)> {
+        let &(first, _) = self.blocks.first()?;
+        let &(base, _) = self.blocks.last()?;
+        let &offset = self.offsets.last()?;
+        Some((first, base + VectorId::from(offset)))
+    }
+
+    /// Offsets of the block at `index` and where they start in `offsets`.
+    fn block(&self, index: usize) -> Option<(VectorId, usize, &[u32])> {
+        let &(base, start) = self.blocks.get(index)?;
+        let end = self
+            .blocks
+            .get(index + 1)
+            .map_or(self.offsets.len(), |&(_, next)| next);
+        Some((base, start, self.offsets.get(start..end)?))
+    }
+
+    /// The block whose base is the greatest at or below `id`.
+    fn block_of(&self, id: VectorId) -> Option<(VectorId, usize, &[u32])> {
+        let after = self.blocks.partition_point(|&(base, _)| base <= id);
+        self.block(after.checked_sub(1)?)
+    }
+
+    /// Number of held ids below `id` (or, with `inclusive`, at or below it).
+    fn rank(&self, id: VectorId, inclusive: bool) -> usize {
+        let Some((base, start, run)) = self.block_of(id) else {
+            return 0;
+        };
+        let Ok(offset) = u32::try_from(id - base) else {
+            return start + run.len();
+        };
+        start + run.partition_point(|&held| held < offset || (inclusive && held == offset))
+    }
+
+    /// True when the id is held.
+    #[inline]
+    pub fn contains(&self, id: VectorId) -> bool {
+        self.block_of(id).is_some_and(|(base, _, run)| {
+            u32::try_from(id - base).is_ok_and(|offset| run.binary_search(&offset).is_ok())
+        })
+    }
+
+    /// Number of held ids inside the inclusive span `start..=end`.
+    pub fn count_in(&self, start: VectorId, end: VectorId) -> usize {
+        self.rank(end, true).saturating_sub(self.rank(start, false))
+    }
+
+    /// The held ids, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = VectorId> + '_ {
+        (0..self.blocks.len())
+            .filter_map(|index| self.block(index))
+            .flat_map(|(base, _, run)| run.iter().map(move |&offset| base + VectorId::from(offset)))
+    }
+
+    /// Heap footprint in bytes.
+    pub fn memory_bytes(&self) -> usize {
+        self.blocks.len() * std::mem::size_of::<(VectorId, usize)>()
+            + self.offsets.len() * std::mem::size_of::<u32>()
+    }
+}
+
+impl FromIterator<VectorId> for IdPosting {
+    /// Collects ascending ids; an id that does not exceed its predecessor is
+    /// skipped.
+    fn from_iter<I: IntoIterator<Item = VectorId>>(ids: I) -> Self {
+        let mut posting = Self::new();
+        for id in ids {
+            let _ = posting.push(id);
+        }
+        posting
+    }
+}
+
 /// A pushed-down predicate over external vector ids, evaluated inside every
 /// index scan so rejected rows never reach candidate selection (and, for the
 /// quantized and graph families, are never fully scored).
@@ -169,11 +344,28 @@ impl SearchStats {
 /// its segments; see `lovo-store`'s `PushdownFilter` for the zone-map half of
 /// the pushdown.
 pub enum IdFilter {
-    /// Explicit allow-set of ids (the shape metadata joins produce).
+    /// Explicit allow-set of ids (what a per-row metadata join produces, and
+    /// what callers holding an explicit id list use).
     Set(std::collections::HashSet<VectorId>),
-    /// Arbitrary predicate over the id bits (e.g. a packed video-id test
-    /// that needs no materialized set at all).
+    /// Arbitrary predicate over the id bits.
     Predicate(Box<dyn Fn(VectorId) -> bool + Send + Sync>),
+    /// Every id inside sorted, disjoint ranges — what video and time
+    /// predicates resolve to from the metadata store's frame directory.
+    Ranges {
+        /// The accepted ranges.
+        ranges: IdRanges,
+        /// Number of stored rows the ranges hold.
+        matched: usize,
+    },
+    /// Ids held by any of the (mutually disjoint) postings and, when
+    /// `within` is given, inside its ranges — what class predicates resolve
+    /// to. The postings are the metadata store's own, shared, not copied.
+    Postings {
+        /// One sorted posting per requested class.
+        postings: Vec<std::sync::Arc<IdPosting>>,
+        /// The frame-level part of the predicate, if any.
+        within: Option<IdRanges>,
+    },
 }
 
 impl IdFilter {
@@ -193,6 +385,45 @@ impl IdFilter {
         match self {
             IdFilter::Set(ids) => ids.contains(&id),
             IdFilter::Predicate(pred) => pred(id),
+            IdFilter::Ranges { ranges, .. } => ranges.contains(id),
+            IdFilter::Postings { postings, within } => {
+                within.as_ref().map_or(true, |ranges| ranges.contains(id))
+                    && postings.iter().any(|posting| posting.contains(id))
+            }
+        }
+    }
+
+    /// Number of stored rows the filter accepts, when it can tell: the size
+    /// of an allow-set, the row count recorded with resolved ranges, the
+    /// posting entries inside the ranges. `None` for an opaque predicate.
+    pub fn matched(&self) -> Option<usize> {
+        match self {
+            IdFilter::Set(ids) => Some(ids.len()),
+            IdFilter::Predicate(_) => None,
+            IdFilter::Ranges { matched, .. } => Some(*matched),
+            IdFilter::Postings { postings, within } => Some(
+                postings
+                    .iter()
+                    .map(|posting| match within {
+                        None => posting.len(),
+                        Some(ranges) => ranges
+                            .as_slice()
+                            .iter()
+                            .map(|&(start, end)| posting.count_in(start, end))
+                            .sum(),
+                    })
+                    .sum(),
+            ),
+        }
+    }
+
+    /// The sorted id ranges every accepted id lies in, when the filter is
+    /// made of ranges — the same ranges prune segments by zone map.
+    pub fn ranges(&self) -> Option<&IdRanges> {
+        match self {
+            IdFilter::Ranges { ranges, .. } => Some(ranges),
+            IdFilter::Postings { within, .. } => within.as_ref(),
+            IdFilter::Set(_) | IdFilter::Predicate(_) => None,
         }
     }
 }
@@ -202,6 +433,17 @@ impl std::fmt::Debug for IdFilter {
         match self {
             IdFilter::Set(ids) => write!(f, "IdFilter::Set({} ids)", ids.len()),
             IdFilter::Predicate(_) => write!(f, "IdFilter::Predicate"),
+            IdFilter::Ranges { ranges, matched } => write!(
+                f,
+                "IdFilter::Ranges({} ranges, {matched} rows)",
+                ranges.as_slice().len()
+            ),
+            IdFilter::Postings { postings, within } => write!(
+                f,
+                "IdFilter::Postings({} postings, {} ranges)",
+                postings.len(),
+                within.as_ref().map_or(0, |ranges| ranges.as_slice().len())
+            ),
         }
     }
 }
@@ -220,59 +462,40 @@ pub struct TopKEntry<P: Copy = ()> {
 }
 
 impl<P: Copy> TopKEntry<P> {
-    /// True when `self` outranks `other` under the crate-wide result order:
-    /// score descending, then id ascending.
+    /// The crate-wide result order, best first: score descending, then id
+    /// ascending. A NaN score ranks after every number, which keeps the
+    /// order total — what `select_nth_unstable_by` and `sort_unstable_by`
+    /// are entitled to assume — even for a query that scores to NaN.
+    #[inline]
+    fn order(&self, other: &Self) -> std::cmp::Ordering {
+        other
+            .score
+            .partial_cmp(&self.score)
+            .unwrap_or_else(|| self.score.is_nan().cmp(&other.score.is_nan()))
+            .then(self.id.cmp(&other.id))
+    }
+
+    /// True when `self` outranks `other` under [`TopKEntry::order`].
     #[inline]
     fn beats(&self, other: &Self) -> bool {
-        match self.score.partial_cmp(&other.score) {
-            Some(std::cmp::Ordering::Greater) => true,
-            Some(std::cmp::Ordering::Less) => false,
-            _ => self.id < other.id,
-        }
+        self.order(other) == std::cmp::Ordering::Less
     }
 }
 
-/// Heap wrapper whose `Ord` ranks the *worst* entry greatest, so a max-heap
-/// of `Worst` keeps its peek on the next eviction candidate.
-#[derive(Debug, Clone, Copy)]
-struct Worst<P: Copy>(TopKEntry<P>);
-
-impl<P: Copy> PartialEq for Worst<P> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl<P: Copy> Eq for Worst<P> {}
-
-impl<P: Copy> Ord for Worst<P> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Greater = worse: lower score first, then higher id. NaN scores
-        // compare equal, consistent with every sort in this crate.
-        other
-            .0
-            .score
-            .partial_cmp(&self.0.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(self.0.id.cmp(&other.0.id))
-    }
-}
-
-impl<P: Copy> PartialOrd for Worst<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Bounded top-k selection: a size-`k` min-heap that keeps the `k` best
-/// candidates seen so far in O(log k) per offer, replacing the
-/// collect-everything + `sort_by` + `truncate` pattern (O(n log n) and a
-/// candidate-count-sized allocation) on every search path.
+/// Bounded top-k selection: offers are buffered and, whenever `2k` have
+/// piled up, cut back to the best `k` with one linear-time
+/// `select_nth_unstable_by`; after a cut an offer that does not beat the kept
+/// worst is rejected on arrival. That is O(1) amortised per offer whatever
+/// `k` is, nothing is ordered until the caller asks for it, and the buffer
+/// grows with the offers instead of being sized for `k` up front — a segment
+/// that yields 240 candidates for a 1600-entry selector allocates for 240.
 ///
 /// The selected set and its final ordering are identical to a full sort by
 /// score descending with ties broken by ascending id — the crate's
-/// determinism contract — which the property tests in
-/// `tests/hot_path_properties.rs` assert exhaustively.
+/// determinism contract, a total order over distinct ids, so neither the
+/// offer order nor where the cuts fall can change the outcome. The property
+/// tests here and in `tests/hot_path_properties.rs` assert it against a
+/// binary-heap selector and a full sort.
 ///
 /// ```
 /// use lovo_index::TopK;
@@ -293,7 +516,10 @@ impl<P: Copy> PartialOrd for Worst<P> {
 #[derive(Debug, Clone)]
 pub struct TopK<P: Copy = ()> {
     k: usize,
-    heap: std::collections::BinaryHeap<Worst<P>>,
+    /// At most `2k` entries, of which the best `k` are the selection.
+    entries: Vec<TopKEntry<P>>,
+    /// The worst entry a cut kept: the bar later offers must beat.
+    bar: Option<TopKEntry<P>>,
     pushes: usize,
 }
 
@@ -302,7 +528,8 @@ impl<P: Copy> TopK<P> {
     pub fn new(k: usize) -> Self {
         Self {
             k,
-            heap: std::collections::BinaryHeap::with_capacity(k.min(4096).saturating_add(1)),
+            entries: Vec::new(),
+            bar: None,
             pushes: 0,
         }
     }
@@ -313,23 +540,34 @@ impl<P: Copy> TopK<P> {
     pub fn push(&mut self, id: VectorId, score: f32, payload: P) {
         self.pushes += 1;
         let entry = TopKEntry { score, id, payload };
-        if self.heap.len() < self.k {
-            self.heap.push(Worst(entry));
-        } else if let Some(mut worst) = self.heap.peek_mut() {
-            if entry.beats(&worst.0) {
-                *worst = Worst(entry);
-            }
+        if self.k == 0 || self.bar.is_some_and(|bar| !entry.beats(&bar)) {
+            return;
+        }
+        self.entries.push(entry);
+        if self.entries.len() >= self.k.saturating_mul(2) {
+            self.cut();
+        }
+    }
+
+    /// Cuts the buffer back to its best `k` entries, in no particular order.
+    fn cut(&mut self) {
+        if self.entries.len() > self.k {
+            let (_, kth, _) = self
+                .entries
+                .select_nth_unstable_by(self.k - 1, TopKEntry::order);
+            self.bar = Some(*kth);
+            self.entries.truncate(self.k);
         }
     }
 
     /// Number of entries currently held (≤ k).
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.entries.len().min(self.k)
     }
 
     /// True when no entry has been kept.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.entries.is_empty()
     }
 
     /// Total candidates offered via [`TopK::push`], for `heap_pushes` stats.
@@ -337,14 +575,18 @@ impl<P: Copy> TopK<P> {
         self.pushes
     }
 
+    /// Consumes the selector, returning the kept entries in no particular
+    /// order — for a caller that rescores them all and selects again.
+    pub fn into_unordered_entries(mut self) -> Vec<TopKEntry<P>> {
+        self.cut();
+        self.entries
+    }
+
     /// Consumes the selector, returning the kept entries best-first.
     pub fn into_sorted_entries(self) -> Vec<TopKEntry<P>> {
-        // Ascending `Worst` order is exactly best-first.
-        self.heap
-            .into_sorted_vec()
-            .into_iter()
-            .map(|w| w.0)
-            .collect()
+        let mut entries = self.into_unordered_entries();
+        entries.sort_unstable_by(TopKEntry::order);
+        entries
     }
 }
 
@@ -734,6 +976,191 @@ mod tests {
         assert_eq!(entries.len(), 2);
         assert_eq!((entries[0].id, entries[0].payload), (20, 200));
         assert_eq!((entries[1].id, entries[1].payload), (30, 300));
+    }
+
+    /// The size-`k` binary heap [`TopK`] was before it buffered and cut:
+    /// kept as the reference the selector must equal.
+    struct HeapTopK {
+        k: usize,
+        heap: std::collections::BinaryHeap<Worst>,
+        pushes: usize,
+    }
+
+    /// Heap wrapper whose `Ord` ranks the *worst* entry greatest, so a
+    /// max-heap of `Worst` keeps its peek on the next eviction candidate.
+    #[derive(PartialEq)]
+    struct Worst(TopKEntry<u32>);
+
+    impl Eq for Worst {}
+
+    impl Ord for Worst {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            other
+                .0
+                .score
+                .partial_cmp(&self.0.score)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(self.0.id.cmp(&other.0.id))
+        }
+    }
+
+    impl PartialOrd for Worst {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl HeapTopK {
+        fn push(&mut self, id: VectorId, score: f32, payload: u32) {
+            self.pushes += 1;
+            let entry = TopKEntry { score, id, payload };
+            if self.heap.len() < self.k {
+                self.heap.push(Worst(entry));
+            } else if let Some(mut worst) = self.heap.peek_mut() {
+                let outranks = match entry.score.partial_cmp(&worst.0.score) {
+                    Some(std::cmp::Ordering::Greater) => true,
+                    Some(std::cmp::Ordering::Less) => false,
+                    _ => entry.id < worst.0.id,
+                };
+                if outranks {
+                    *worst = Worst(entry);
+                }
+            }
+        }
+
+        fn into_sorted_entries(self) -> Vec<TopKEntry<u32>> {
+            self.heap
+                .into_sorted_vec()
+                .into_iter()
+                .map(|w| w.0)
+                .collect()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        // Coarse scores tie on nearly every case; ids are unique, so the
+        // order is total and the heap's answer is the only right one. `k`
+        // covers 0, 1, n and beyond n.
+        #[test]
+        fn top_k_equals_the_heap_it_replaced(
+            raw_scores in proptest::prop::collection::vec(0u32..12, 0..300),
+            wide_k in 0usize..400,
+            tiny in proptest::any::<bool>(),
+        ) {
+            let k = if tiny { wide_k % 3 } else { wide_k };
+            let mut heap = HeapTopK {
+                k,
+                heap: std::collections::BinaryHeap::new(),
+                pushes: 0,
+            };
+            let mut top: TopK<u32> = TopK::new(k);
+            for (i, &raw) in raw_scores.iter().enumerate() {
+                // Scatter the ids so arrival order is not id order.
+                let id = (i as u64 * 7919) % 1009 + 1009 * (i as u64 / 1009);
+                let score = raw as f32 * 0.125 - 0.5;
+                heap.push(id, score, i as u32);
+                top.push(id, score, i as u32);
+                proptest::prop_assert_eq!(top.len(), heap.heap.len());
+            }
+            proptest::prop_assert_eq!(top.pushes(), heap.pushes);
+            let expected = heap.into_sorted_entries();
+            let mut unordered = top.clone().into_unordered_entries();
+            unordered.sort_by(TopKEntry::order);
+            proptest::prop_assert_eq!(&unordered, &expected);
+            proptest::prop_assert_eq!(top.into_sorted_entries(), expected);
+        }
+    }
+
+    #[test]
+    fn id_ranges_sort_merge_and_search() {
+        let ranges = IdRanges::new(vec![
+            (40, 49),
+            (10, 19),
+            (15, 25),
+            (9, 3),
+            (26, 30),
+            (60, 60),
+        ]);
+        // Overlapping ranges merge; touching ones ((15,25) and (26,30)) need
+        // not; the inverted (9,3) is dropped.
+        assert_eq!(ranges.as_slice(), &[(10, 25), (26, 30), (40, 49), (60, 60)]);
+        for id in [10u64, 19, 25, 26, 30, 40, 49, 60] {
+            assert!(ranges.contains(id), "{id}");
+        }
+        for id in [0u64, 9, 31, 39, 50, 59, 61, u64::MAX] {
+            assert!(!ranges.contains(id), "{id}");
+        }
+        assert!(ranges.overlaps(0, 10));
+        assert!(ranges.overlaps(31, 40));
+        assert!(ranges.overlaps(0, u64::MAX));
+        assert!(!ranges.overlaps(31, 39));
+        assert!(!ranges.overlaps(61, u64::MAX));
+        assert!(!IdRanges::default().overlaps(0, u64::MAX));
+    }
+
+    #[test]
+    fn id_posting_holds_sorted_ids_in_blocks() {
+        // Three packed-id "videos" 2^44 apart force three blocks.
+        let ids: Vec<u64> = (0..3u64)
+            .flat_map(|video| (0..50u64).map(move |i| (video << 44) | (i * 3)))
+            .collect();
+        let posting: IdPosting = ids.iter().copied().collect();
+        assert_eq!(posting.len(), 150);
+        assert_eq!(posting.bounds(), Some((0, (2 << 44) | 147)));
+        assert_eq!(posting.iter().collect::<Vec<_>>(), ids);
+        assert_eq!(posting.memory_bytes(), 3 * 16 + 150 * 4);
+        for &id in &ids {
+            assert!(posting.contains(id));
+            assert!(!posting.contains(id + 1));
+        }
+        assert!(!posting.contains(u64::MAX));
+        assert_eq!(posting.count_in(0, u64::MAX), 150);
+        assert_eq!(posting.count_in(3, 9), 3);
+        assert_eq!(posting.count_in(4, 5), 0);
+        assert_eq!(posting.count_in(148, 1 << 44), 1);
+        assert_eq!(posting.count_in(1 << 44, (1 << 44) | 147), 50);
+        // Out-of-order and duplicate pushes are refused and change nothing.
+        let mut grown = posting.clone();
+        assert!(!grown.push(5));
+        assert!(!grown.push((2 << 44) | 147));
+        assert_eq!(grown, posting);
+        assert!(grown.push((2 << 44) | 148));
+        assert!(IdPosting::new().bounds().is_none());
+        assert!(!IdPosting::new().contains(0));
+        assert_eq!(IdPosting::new().count_in(0, u64::MAX), 0);
+    }
+
+    #[test]
+    fn id_filter_ranges_and_postings_accept_and_count() {
+        let ranges = IdFilter::Ranges {
+            ranges: IdRanges::new(vec![(10, 19), (40, 49)]),
+            matched: 12,
+        };
+        assert!(ranges.accepts(15) && ranges.accepts(40) && !ranges.accepts(30));
+        assert_eq!(ranges.matched(), Some(12));
+        assert_eq!(ranges.ranges().map(|r| r.as_slice().len()), Some(2));
+        assert!(format!("{ranges:?}").contains("2 ranges"));
+
+        let even: IdPosting = (0..50u64).map(|i| i * 2).collect();
+        let odd: IdPosting = (0..10u64).map(|i| i * 2 + 1).collect();
+        let unbounded = IdFilter::Postings {
+            postings: vec![std::sync::Arc::new(even.clone()), std::sync::Arc::new(odd)],
+            within: None,
+        };
+        assert!(unbounded.accepts(98) && unbounded.accepts(19) && !unbounded.accepts(21));
+        assert_eq!(unbounded.matched(), Some(60));
+        assert!(unbounded.ranges().is_none());
+        let bounded = IdFilter::Postings {
+            postings: vec![std::sync::Arc::new(even)],
+            within: Some(IdRanges::new(vec![(10, 19), (40, 49)])),
+        };
+        assert!(bounded.accepts(12) && !bounded.accepts(13) && !bounded.accepts(20));
+        assert_eq!(bounded.matched(), Some(10));
+        assert!(format!("{bounded:?}").contains("1 postings"));
+        assert_eq!(IdFilter::from_ids([1u64, 2]).matched(), Some(2));
+        assert_eq!(IdFilter::from_predicate(|_| true).matched(), None);
     }
 
     #[test]

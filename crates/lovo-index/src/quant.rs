@@ -263,7 +263,7 @@ impl QuantizedFlatIndex {
         stats.heap_pushes += approx.pushes();
         let mut top = TopK::new(k);
         let exact_rows = self.exact.as_slice();
-        for entry in approx.into_sorted_entries() {
+        for entry in approx.into_unordered_entries() {
             let row = entry.payload as usize;
             let exact = dot(query, &exact_rows[row * self.dim..(row + 1) * self.dim]);
             stats.exact_rescored += 1;

@@ -6,11 +6,13 @@
 
 use lovo_index::metric::{dot, normalize};
 use lovo_index::{
-    FlatIndex, HnswConfig, HnswIndex, IdFilter, IvfPqConfig, IvfPqIndex, SearchResult, VectorIndex,
+    FlatIndex, HnswConfig, HnswIndex, IdFilter, IdPosting, IdRanges, IvfPqConfig, IvfPqIndex,
+    SearchResult, VectorIndex,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Reference implementation: exhaustively retrieve everything unfiltered,
 /// drop ids the filter rejects, truncate to `k`.
@@ -70,7 +72,26 @@ proptest! {
         let (pred_hits, _) = flat
             .search_filtered_with_stats(&query, k, &pred_filter)
             .unwrap();
-        prop_assert_eq!(pred_hits, reference);
+        prop_assert_eq!(&pred_hits, &reference);
+
+        // And as what the metadata store resolves predicates to: the ids'
+        // runs as sorted ranges, and the ids as a posting — alone and cut
+        // down by ranges that happen to cover it.
+        let mut sorted: Vec<u64> = allowed.iter().copied().collect();
+        sorted.sort_unstable();
+        let runs = IdRanges::new(sorted.iter().map(|&id| (id, id)).collect());
+        let posting = Arc::new(sorted.iter().copied().collect::<IdPosting>());
+        let resolved = [
+            IdFilter::Ranges { ranges: runs.clone(), matched: sorted.len() },
+            IdFilter::Postings { postings: vec![posting.clone()], within: None },
+            IdFilter::Postings { postings: vec![posting], within: Some(runs) },
+        ];
+        for filter in &resolved {
+            prop_assert_eq!(filter.matched(), Some(sorted.len()));
+            let (hits, stats) = flat.search_filtered_with_stats(&query, k, filter).unwrap();
+            prop_assert_eq!(&hits, &reference);
+            prop_assert_eq!(stats.vectors_scored, allowed.len());
+        }
     }
 }
 
@@ -119,6 +140,17 @@ fn ivf_filtered_equals_post_filter_under_full_refine() {
         IdFilter::from_predicate(|id| id < 400),
         IdFilter::from_predicate(|id| id % 3 == 0),
         IdFilter::from_ids((700..900).chain(100..150)),
+        IdFilter::Ranges {
+            ranges: IdRanges::new(vec![(700, 899), (100, 149), (1_499, 5_000)]),
+            matched: 251,
+        },
+        IdFilter::Postings {
+            postings: vec![
+                Arc::new((0..500u64).map(|i| i * 3).collect()),
+                Arc::new((0..50u64).map(|i| i * 30 + 1).collect()),
+            ],
+            within: Some(IdRanges::new(vec![(0, 400), (1_000, 1_300)])),
+        },
     ];
     for (which, filter) in filters.iter().enumerate() {
         for &probe in &[11usize, 502, 1203] {

@@ -30,10 +30,14 @@ proptest! {
     // Coarse integer scores force heavy ties, so the id tie-break is
     // exercised on nearly every case; ids are the (unique) insertion index.
     #[test]
+    // `k` runs from 0 past the number of offers, so the selector is seen
+    // rejecting everything, cutting its buffer many times, and never cutting.
     fn top_k_selection_matches_full_sort(
         raw_scores in prop::collection::vec(0u32..12, 1..180),
-        k in 0usize..16,
+        wide_k in 0usize..200,
+        tiny in any::<bool>(),
     ) {
+        let k = if tiny { wide_k % 4 } else { wide_k };
         let hits: Vec<SearchResult> = raw_scores
             .iter()
             .enumerate()
@@ -49,6 +53,16 @@ proptest! {
             top.push_hit(hit.id, hit.score);
         }
         prop_assert_eq!(top.pushes(), hits.len());
+        prop_assert_eq!(top.len(), reference.len());
+        // The unordered drain holds the same entries, in some order.
+        let mut drained: Vec<SearchResult> = top
+            .clone()
+            .into_unordered_entries()
+            .into_iter()
+            .map(|e| SearchResult { id: e.id, score: e.score })
+            .collect();
+        drained.sort_by_key(|hit| reference.iter().position(|r| r == hit));
+        prop_assert_eq!(&drained, &reference);
         prop_assert_eq!(top.into_sorted_results(), reference.clone());
 
         // Push order must not matter: feed the same hits in reverse.

@@ -10,10 +10,9 @@
 use crate::segment::{Segment, ZoneMap};
 use crate::Result;
 use lovo_index::{
-    IdFilter, IndexKind, QuantizationOptions, SearchResult, SearchStats, TopK, VectorId,
+    IdFilter, IdRanges, IndexKind, QuantizationOptions, SearchResult, SearchStats, TopK, VectorId,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default number of rows after which the growing segment seals.
@@ -108,27 +107,29 @@ pub struct CompactionResult {
 }
 
 /// A fully compiled pushed-down filter: the per-row id test every segment
-/// scan applies, plus (optionally) the id ranges the filter could accept,
-/// which the fan-out checks against segment zone maps to prune whole
-/// segments without probing them.
+/// scan applies, plus the id ranges the filter could accept, which the
+/// fan-out checks against segment zone maps to prune whole segments without
+/// probing them. A filter made of ranges ([`IdFilter::Ranges`], or postings
+/// bounded by ranges) prunes by those same ranges; any other filter prunes
+/// only when ranges are attached with [`PushdownFilter::with_ranges`].
 #[derive(Debug)]
 pub struct PushdownFilter {
     ids: IdFilter,
-    ranges: Option<Vec<(VectorId, VectorId)>>,
+    ranges: Option<IdRanges>,
 }
 
 impl PushdownFilter {
-    /// Wraps an id filter with no range information (no segment pruning).
+    /// Wraps an id filter, pruning by its own ranges if it has any.
     pub fn new(ids: IdFilter) -> Self {
         Self { ids, ranges: None }
     }
 
     /// Attaches the inclusive id ranges the filter can accept, in any order
-    /// (pruning tests each range against the zone map linearly — range lists
-    /// are one entry per constrained video, so small). An empty list means
-    /// the filter is provably empty: every segment is pruned.
+    /// (they are sorted and merged here, so pruning can binary-search them
+    /// however many there are). An empty list means the filter is provably
+    /// empty: every segment is pruned.
     pub fn with_ranges(mut self, ranges: Vec<(VectorId, VectorId)>) -> Self {
-        self.ranges = Some(ranges);
+        self.ranges = Some(IdRanges::new(ranges));
         self
     }
 
@@ -137,18 +138,22 @@ impl PushdownFilter {
         &self.ids
     }
 
-    /// The declared candidate id ranges, if any.
+    /// The ranges segments are pruned by: the attached ones, else the id
+    /// filter's own.
+    fn pruning_ranges(&self) -> Option<&IdRanges> {
+        self.ranges.as_ref().or_else(|| self.ids.ranges())
+    }
+
+    /// The candidate id ranges, ascending and disjoint, if any are known.
     pub fn ranges(&self) -> Option<&[(VectorId, VectorId)]> {
-        self.ranges.as_deref()
+        self.pruning_ranges().map(IdRanges::as_slice)
     }
 
     /// True when a segment with this zone map could hold a matching row.
     #[inline]
     pub fn might_match(&self, zone: &ZoneMap) -> bool {
-        match &self.ranges {
-            None => true,
-            Some(ranges) => ranges.iter().any(|&(start, end)| zone.overlaps(start, end)),
-        }
+        self.pruning_ranges()
+            .map_or(true, |ranges| ranges.overlaps(zone.min_id, zone.max_id))
     }
 }
 
@@ -561,40 +566,41 @@ impl SegmentedCollection {
             })?
         };
 
-        // Merge the per-thread folds query by query: best score per id across
-        // all threads, then one bounded top-k selection. The selector's
-        // (score desc, id asc) total order over now-unique ids makes the
-        // result independent of fold and map-iteration order.
+        // Merge the per-thread folds query by query: concatenate, keep one
+        // score per id where a row can have two, then one bounded top-k
+        // selection. The selector's (score desc, id asc) total order over
+        // unique ids makes the result independent of fold and claim order.
         let mut per_query: Vec<MergeScratch> = {
             let mut threads = per_thread.into_iter();
             let first = threads.next().expect("at least one fan-out worker");
             threads.fold(first, |mut acc, scratches| {
-                for (merged, scratch) in acc.iter_mut().zip(scratches) {
+                for (merged, mut scratch) in acc.iter_mut().zip(scratches) {
                     merged.stats.merge(&scratch.stats);
                     merged.probes += scratch.probes;
-                    for (id, score) in scratch.best {
-                        merged
-                            .best
-                            .entry(id)
-                            .and_modify(|best| *best = best.max(score))
-                            .or_insert(score);
-                    }
+                    merged.hits.append(&mut scratch.hits);
                 }
                 acc
             })
         };
+        // A replaced row still living in an older segment is the only way
+        // one id reaches the merge twice, and it takes two segments whose id
+        // ranges overlap. Ingest-ordered collections have none.
+        let unique_ids = zones_are_disjoint(&probes);
         Ok(per_query
             .drain(..)
             .zip(requests)
             .map(|(scratch, request)| {
                 let MergeScratch {
-                    best,
+                    mut hits,
                     mut stats,
                     probes: probed,
                 } = scratch;
+                if !unique_ids {
+                    keep_best_per_id(&mut hits);
+                }
                 let mut top = TopK::new(request.k);
-                for (id, score) in best {
-                    top.push_hit(id, score);
+                for hit in hits {
+                    top.push_hit(hit.id, hit.score);
                 }
                 stats.heap_pushes += top.pushes();
                 stats.segments_probed = probed;
@@ -644,31 +650,42 @@ fn scan_workers(requested: usize, probes: usize) -> usize {
     requested.clamp(1, probes.max(1))
 }
 
-/// Per-worker fan-out scratch: the best score seen per id (duplicate ids —
-/// e.g. a row replaced while its old copy still lives in a sealed segment —
-/// keep only their best-scored occurrence), merged work counters, and the
-/// number of segments this worker probed. One scratch lives per search
-/// thread and is reused across every segment in the worker's chunk, so the
-/// fan-out holds at most `k` hits per probed segment transiently instead of
-/// retaining every per-segment result vec until the final merge.
+/// True when no two of the segments' zone maps share an id, so no id can
+/// come back from two of them.
+fn zones_are_disjoint(segments: &[&Segment]) -> bool {
+    let mut zones: Vec<(VectorId, VectorId)> = segments
+        .iter()
+        .filter_map(|segment| segment.zone_map())
+        .map(|zone| (zone.min_id, zone.max_id))
+        .collect();
+    zones.sort_unstable();
+    zones.windows(2).all(|pair| pair[0].1 < pair[1].0)
+}
+
+/// Keeps each id's best-scored hit and drops the others, leaving the hits in
+/// id order.
+fn keep_best_per_id(hits: &mut Vec<SearchResult>) {
+    hits.sort_unstable_by(|a, b| a.id.cmp(&b.id).then(b.score.total_cmp(&a.score)));
+    hits.dedup_by_key(|hit| hit.id);
+}
+
+/// Per-worker fan-out scratch: every hit of every segment this worker
+/// probed, the merged work counters, and the number of segments probed. One
+/// scratch lives per search thread and query and is reused across the
+/// worker's segments.
 #[derive(Debug, Default)]
 struct MergeScratch {
-    best: HashMap<VectorId, f32>,
+    hits: Vec<SearchResult>,
     stats: SearchStats,
     probes: usize,
 }
 
 impl MergeScratch {
     /// Folds one segment's top-k (hits, stats) into the scratch.
-    fn fold(&mut self, (hits, stats): (Vec<SearchResult>, SearchStats)) {
+    fn fold(&mut self, (mut hits, stats): (Vec<SearchResult>, SearchStats)) {
         self.probes += 1;
         self.stats.merge(&stats);
-        for hit in hits {
-            self.best
-                .entry(hit.id)
-                .and_modify(|best| *best = best.max(hit.score))
-                .or_insert(hit.score);
-        }
+        self.hits.append(&mut hits);
     }
 }
 
@@ -879,6 +896,122 @@ mod tests {
         assert!(none.is_empty());
         assert_eq!(estats.segments_pruned, 4);
         assert_eq!(estats.segments_probed, 0);
+    }
+
+    /// The merge as it was before it concatenated and selected: one best
+    /// score per id in a hash map over every unpruned segment's hits, then a
+    /// bounded selection. Kept as the reference the merge must equal.
+    fn hash_merge_reference(
+        c: &SegmentedCollection,
+        query: &[f32],
+        k: usize,
+        filter: Option<&PushdownFilter>,
+    ) -> Vec<SearchResult> {
+        let query = lovo_index::metric::normalized(query);
+        let mut best: std::collections::HashMap<VectorId, f32> = Default::default();
+        for segment in c.sealed.iter().chain(std::iter::once(&c.growing)) {
+            let Some(zone) = segment.zone_map() else {
+                continue;
+            };
+            if filter.is_some_and(|f| !f.might_match(&zone)) {
+                continue;
+            }
+            let (hits, _) = segment
+                .search_filtered_with_stats(&query, k, filter.map(PushdownFilter::id_filter))
+                .unwrap();
+            for hit in hits {
+                best.entry(hit.id)
+                    .and_modify(|score| *score = score.max(hit.score))
+                    .or_insert(hit.score);
+            }
+        }
+        let mut top = TopK::new(k);
+        for (id, score) in best {
+            top.push_hit(id, score);
+        }
+        top.into_sorted_results()
+    }
+
+    #[test]
+    fn merge_equals_the_hash_merge_it_replaced() {
+        let vectors = sample_vectors(900, 16);
+        let bits = |hits: &[SearchResult]| -> Vec<(VectorId, u32)> {
+            hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+        };
+        for kind in IndexKind::ALL {
+            // One segment, several disjoint ones, and several plus a growing
+            // segment that re-inserts sealed ids with other vectors: the
+            // only shape in which one id reaches the merge twice.
+            for (capacity, replaced) in [(4096, false), (300, false), (300, true)] {
+                let cfg = CollectionConfig::new(16)
+                    .with_index_kind(kind)
+                    .with_segment_capacity(capacity);
+                let mut c = SegmentedCollection::new("merge", cfg).unwrap();
+                for (i, v) in vectors.iter().enumerate() {
+                    c.insert(i as u64, v).unwrap();
+                }
+                c.seal().unwrap();
+                if replaced {
+                    for i in [7u64, 310, 650] {
+                        c.insert(i, &vectors[(i as usize + 450) % 900]).unwrap();
+                    }
+                    assert!(!zones_are_disjoint(
+                        &c.sealed.iter().chain([&c.growing]).collect::<Vec<_>>()
+                    ));
+                }
+                let filters = [
+                    None,
+                    Some(PushdownFilter::new(IdFilter::Ranges {
+                        ranges: IdRanges::new(vec![(0, 49), (280, 420), (640, 700)]),
+                        matched: 252,
+                    })),
+                    Some(PushdownFilter::new(IdFilter::from_predicate(|id| {
+                        id % 3 != 1
+                    }))),
+                ];
+                for filter in &filters {
+                    for probe in [7usize, 310, 457, 650, 899] {
+                        for workers in [0, 3] {
+                            let request = BatchQuery {
+                                query: &vectors[probe],
+                                k: 25,
+                                filter: filter.as_ref(),
+                            };
+                            let (hits, _) = c
+                                .search_batch_with_stats_opts(&[request], workers)
+                                .unwrap()
+                                .pop()
+                                .unwrap();
+                            let expected =
+                                hash_merge_reference(&c, &vectors[probe], 25, filter.as_ref());
+                            assert_eq!(
+                                bits(&hits),
+                                bits(&expected),
+                                "{kind:?} capacity {capacity} replaced {replaced} \
+                                 filter {filter:?} probe {probe} workers {workers}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replaced_row_keeps_only_its_best_scored_copy() {
+        let cfg = CollectionConfig::new(4)
+            .with_index_kind(IndexKind::BruteForce)
+            .with_segment_capacity(2);
+        let mut c = SegmentedCollection::new("dup", cfg).unwrap();
+        c.insert(1, &[1.0, 0.0, 0.0, 0.0]).unwrap();
+        c.insert(2, &[0.0, 1.0, 0.0, 0.0]).unwrap();
+        // Id 1 again, now in the growing segment, pointing elsewhere.
+        c.insert(1, &[0.0, 0.0, 1.0, 0.0]).unwrap();
+        let (hits, stats) = search_one(&c, &[0.9, 0.1, 0.0, 0.0], 5, None);
+        assert_eq!(hits.iter().map(|h| h.id).collect::<Vec<_>>(), vec![1, 2]);
+        assert!(hits[0].score > 0.9);
+        // Two unique ids reach the selector, not three hits.
+        assert_eq!(stats.heap_pushes, 3 + 2);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::metadata::{MetadataStore, PatchPredicate, PatchRecord};
 use crate::patchid;
 use crate::segment::Segment;
 use crate::{Result, StoreError};
-use lovo_index::{IdFilter, SearchResult, SearchStats};
+use lovo_index::{SearchResult, SearchStats};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::Path;
@@ -123,9 +123,7 @@ impl VectorDatabase {
             let mut sealed = Vec::with_capacity(recovered.segments.len());
             for loaded in recovered.segments {
                 ids.extend(loaded.ids.iter().copied());
-                for record in loaded.meta {
-                    metadata.insert(record);
-                }
+                metadata.extend(loaded.meta);
                 // Rows were normalized before they were persisted; restore
                 // them verbatim. The restore path replays the exact
                 // insert-then-build sequence of the original seal, so the
@@ -162,11 +160,13 @@ impl VectorDatabase {
                 continue;
             };
             let known = sealed_ids.get(&record.collection);
-            for (vector, row) in &record.patches {
-                if known.is_some_and(|ids| ids.contains(&row.patch_id)) {
-                    continue;
-                }
-                metadata.insert(row.clone());
+            let fresh: Vec<&(Vec<f32>, PatchRecord)> = record
+                .patches
+                .iter()
+                .filter(|(_, row)| !known.is_some_and(|ids| ids.contains(&row.patch_id)))
+                .collect();
+            metadata.extend(fresh.iter().map(|(_, row)| row.clone()));
+            for (vector, row) in fresh {
                 collection.insert(row.patch_id, vector)?;
                 wal_rows_replayed += 1;
             }
@@ -366,12 +366,9 @@ impl VectorDatabase {
         // vector insert still fails, the orphaned metadata rows are benign —
         // the reverse (a searchable vector with no metadata row) would make
         // every query that surfaces it error.
-        {
-            let mut metadata = self.metadata.write();
-            for (_, record) in &batch {
-                metadata.insert(record.clone());
-            }
-        }
+        self.metadata
+            .write()
+            .extend(batch.iter().map(|(_, record)| record.clone()));
         let sealed_before = col.sealed_segment_count();
         for (vector, record) in &batch {
             col.insert(record.patch_id, vector)?;
@@ -444,42 +441,17 @@ impl VectorDatabase {
 
     /// Compiles a metadata predicate into the fully pushed-down filter the
     /// index scans consume: the id test every segment applies per row, plus
-    /// the candidate id ranges used to prune segments by zone map.
+    /// the candidate id ranges used to prune segments by zone map. Returns
+    /// `None` for an unconstrained predicate (the unfiltered fast path).
     ///
-    /// Video-only predicates compile to a bit test over the packed patch id —
-    /// no metadata access at all. Predicates involving timestamps or object
-    /// classes are joined against the metadata table in one sequential pass,
-    /// yielding an explicit allow-set. Returns `None` for an unconstrained
-    /// predicate (the unfiltered fast path).
+    /// This is [`MetadataStore::resolve`] under the metadata read lock: video
+    /// and time constraints become sorted id ranges read off the frame
+    /// directory (one per camera for a time window), class constraints the
+    /// classes' shared postings — work in proportion to the frames named, not
+    /// to the table, with the per-row join kept for tables whose ids are not
+    /// packed.
     pub fn resolve_filter(&self, predicate: &PatchPredicate) -> Option<PushdownFilter> {
-        if predicate.is_unconstrained() {
-            return None;
-        }
-        let video_ranges = |videos: &std::collections::BTreeSet<u32>| {
-            videos.iter().map(|&v| patchid::video_id_range(v)).collect()
-        };
-        if predicate.needs_metadata_join() {
-            let ids = self.metadata.read().matching_ids(predicate);
-            let ranges: Vec<(u64, u64)> = if ids.is_empty() {
-                Vec::new() // provably empty: prune every segment
-            } else if let Some(videos) = &predicate.video_ids {
-                video_ranges(videos)
-            } else {
-                let min = ids.iter().copied().min().expect("non-empty id set");
-                let max = ids.iter().copied().max().expect("non-empty id set");
-                vec![(min, max)]
-            };
-            Some(PushdownFilter::new(IdFilter::Set(ids)).with_ranges(ranges))
-        } else {
-            let videos = predicate
-                .video_ids
-                .clone()
-                .expect("a constrained join-free predicate constrains video ids");
-            let ranges = video_ranges(&videos);
-            let filter =
-                IdFilter::from_predicate(move |id| videos.contains(&patchid::video_of(id)));
-            Some(PushdownFilter::new(filter).with_ranges(ranges))
-        }
+        self.metadata.read().resolve(predicate)
     }
 
     /// Batched fast search: all queries fan out over the segment set together
@@ -811,8 +783,127 @@ mod tests {
         assert!(db.resolve_filter(&PatchPredicate::default()).is_none());
     }
 
+    /// Four videos of 64 one-patch frames with packed ids, sealed every 32
+    /// rows: two segments per video, the first holding frames 0..32.
+    fn packed_two_segments_per_video(kind: IndexKind) -> VectorDatabase {
+        let db = VectorDatabase::new();
+        let config = CollectionConfig::new(8)
+            .with_index_kind(kind)
+            .with_segment_capacity(32);
+        db.create_collection("p", config).unwrap();
+        for video in 0..4u32 {
+            for frame in 0..64u32 {
+                let id = patchid::patch_id(video, frame, 0);
+                let row = vector((video * 64 + frame) as usize, 8);
+                db.insert_patch("p", &row, record(id, video, frame))
+                    .unwrap();
+            }
+        }
+        db
+    }
+
     #[test]
-    fn metadata_join_predicates_build_an_allow_set() {
+    fn time_window_predicate_prunes_segments_and_keeps_the_answer() {
+        let db = packed_two_segments_per_video(IndexKind::BruteForce);
+        assert_eq!(db.collection_stats("p").unwrap().sealed_segments, 8);
+        // Frames 0..=31 of every video: exactly each video's first segment.
+        let window = PatchPredicate {
+            time_range: Some((0.0, 31.0 / 30.0)),
+            ..Default::default()
+        };
+        let filter = db.resolve_filter(&window).unwrap();
+        // One range per video, and the row test reports what it matches.
+        assert_eq!(filter.ranges().unwrap().len(), 4);
+        assert_eq!(filter.id_filter().matched(), Some(4 * 32));
+        let probe = vector(2 * 64 + 11, 8);
+        let (hits, stats) = search_one(&db, &probe, 10, Some(&filter));
+        assert_eq!(hits[0].patch_id, patchid::patch_id(2, 11, 0));
+        assert!(hits.iter().all(|h| h.record.frame_index < 32));
+        assert_eq!(stats.segments_pruned, 4);
+        assert_eq!(stats.segments_probed, 4);
+        assert_eq!(stats.filtered_out, 0);
+        // The same rows as an explicit allow-set with no ranges: nothing is
+        // pruned, and the answer is the same.
+        let ids = (0..4u32).flat_map(|v| (0..32u32).map(move |f| patchid::patch_id(v, f, 0)));
+        let unpruned = PushdownFilter::new(lovo_index::IdFilter::from_ids(ids));
+        let (reference, reference_stats) = search_one(&db, &probe, 10, Some(&unpruned));
+        assert_eq!(reference_stats.segments_pruned, 0);
+        assert_eq!(hits, reference);
+        // A window joined with one video keeps one segment of eight.
+        let one = PatchPredicate {
+            video_ids: Some([2u32].into_iter().collect()),
+            ..window.clone()
+        };
+        let filter = db.resolve_filter(&one).unwrap();
+        let (hits, stats) = search_one(&db, &probe, 10, Some(&filter));
+        assert!(hits
+            .iter()
+            .all(|h| h.record.video_id == 2 && h.record.frame_index < 32));
+        assert_eq!((stats.segments_pruned, stats.segments_probed), (7, 1));
+        // A window nothing satisfies resolves to no range: all pruned.
+        let never = PatchPredicate {
+            time_range: Some((100.0, 200.0)),
+            ..Default::default()
+        };
+        let filter = db.resolve_filter(&never).unwrap();
+        let (none, stats) = search_one(&db, &probe, 10, Some(&filter));
+        assert!(none.is_empty());
+        assert_eq!((stats.segments_pruned, stats.segments_probed), (8, 0));
+    }
+
+    #[test]
+    fn selective_time_window_over_hnsw_segments_answers_exactly() {
+        // 600 one-patch frames in one sealed segment per family; the window
+        // matches 30 of them — a twentieth, under the tenth at which a graph
+        // segment answers from its raw rows instead of its beam.
+        let build = |kind: IndexKind| {
+            let db = VectorDatabase::new();
+            db.create_collection("p", CollectionConfig::new(8).with_index_kind(kind))
+                .unwrap();
+            for frame in 0..600u32 {
+                let row = PatchRecord {
+                    class_code: Some((frame % 4) as u8),
+                    ..record(patchid::patch_id(3, frame, 0), 3, frame)
+                };
+                db.insert_patch("p", &vector(frame as usize, 8), row)
+                    .unwrap();
+            }
+            db.seal_collection("p").unwrap();
+            db
+        };
+        let graph = build(IndexKind::Hnsw);
+        let exact = build(IndexKind::BruteForce);
+        let window = PatchPredicate {
+            time_range: Some((10.0, 10.0 + 29.0 / 30.0)), // frames 300..=329
+            ..Default::default()
+        };
+        let class = PatchPredicate {
+            class_codes: Some([1u8].into_iter().collect()),
+            ..window.clone()
+        };
+        for (predicate, matched) in [(&window, 30), (&class, 8)] {
+            let filter = graph.resolve_filter(predicate).unwrap();
+            assert_eq!(filter.id_filter().matched(), Some(matched));
+            let reference = exact.resolve_filter(predicate).unwrap();
+            for probe in [5usize, 310, 599] {
+                let query = vector(probe, 8);
+                let (hits, stats) = search_one(&graph, &query, 12, Some(&filter));
+                let (expected, _) = search_one(&exact, &query, 12, Some(&reference));
+                assert_eq!(hits, expected, "probe {probe}");
+                assert_eq!(hits.len(), matched.min(12));
+                // Exhaustive over the matches, not a beam walk.
+                assert_eq!(stats.vectors_scored, matched);
+                assert_eq!(stats.filtered_out, 600 - matched);
+            }
+        }
+    }
+
+    #[test]
+    fn unpacked_ids_resolve_through_the_per_row_join() {
+        // Ids 0..120 over frames `i % 60`: every frame's two rows sit sixty
+        // ids apart, so no frame owns a run of the table and the directory
+        // cannot answer. The predicate is joined row by row into an
+        // allow-set, pruned by the set's id span.
         let db = VectorDatabase::new();
         db.create_collection(
             "p",

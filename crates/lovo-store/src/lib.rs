@@ -21,7 +21,8 @@
 //!   merges undersized sealed segments to bound the fan-out width;
 //! * [`metadata::MetadataStore`] — the relational side: one row per patch
 //!   (patch id, video id, frame index, patch grid position, bounding box,
-//!   timestamp), with per-frame secondary indexes;
+//!   timestamp), ordered by patch id, with a directory of key frames and
+//!   per-class postings that predicates resolve from;
 //! * [`database::VectorDatabase`] — the façade joining the two, which is what
 //!   `lovo-core` talks to, with batched patch insertion that takes the write
 //!   lock once per batch.

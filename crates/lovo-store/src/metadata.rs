@@ -3,13 +3,17 @@
 //! The vector database stores only embeddings and patch ids; everything
 //! needed to turn a hit back into a user-visible answer — which video, which
 //! key frame, which patch of the frame, which bounding box — lives in this
-//! relational side table, keyed by the shared patch id (§V-B). The store also
-//! maintains a per-frame secondary index so the rerank stage can fetch all
-//! patches of a candidate frame in one call.
+//! relational side table, keyed by the shared patch id (§V-B). Beside the
+//! rows the store keeps a directory of key frames and per-class postings, so
+//! the rerank stage can fetch all patches of a candidate frame in one call
+//! and a metadata predicate resolves to id ranges without reading the rows.
 
+use crate::collection::PushdownFilter;
 use crate::{Result, StoreError};
+use lovo_index::{IdFilter, IdPosting, IdRanges};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::sync::Arc;
 
 /// One row of the patch metadata table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -93,12 +97,62 @@ impl PatchPredicate {
     }
 }
 
-/// The relational metadata store: a primary table keyed by patch id and a
-/// secondary index keyed by frame.
+/// One key frame of the directory: where its rows sit in the id-ordered
+/// table, and the timestamp they share.
+#[derive(Debug, Clone, Copy)]
+struct FrameEntry {
+    /// Packed `(video, frame)` — the directory's sort key.
+    key: u64,
+    /// Timestamp of the frame's first row — of all its rows, unless the
+    /// store has marked itself inexact.
+    timestamp: f64,
+    /// Positions in the table of the frame's lowest- and highest-id rows.
+    first: usize,
+    last: usize,
+}
+
+/// The relational metadata store: the patch table, a directory of its key
+/// frames and one posting of ids per object class.
+///
+/// The table is a vector of rows ordered by patch id. Patch ids pack
+/// `(video, frame, patch)` ([`crate::patchid`]), so id order is
+/// `(video, frame)` order and every key frame owns one contiguous run of the
+/// table. The **frame directory** records that run and the frame's timestamp
+/// once per frame, ordered by `(video, frame)`; a video or time predicate is
+/// answered by walking the directory — 2 064 entries for 80 640 rows on the
+/// benchmark's large corpus — and coalescing the runs of adjacent matching
+/// frames into id ranges, which are exact: a stored id lies inside a
+/// frame's run exactly when the row belongs to that frame. The **class
+/// postings** hold, per class code, the sorted ids of the rows carrying it.
+/// Both are what [`MetadataStore::resolve`] hands the index scans, so a
+/// filtered query does work in proportion to the frames and rows it names,
+/// not to the table.
+///
+/// A row that arrives with an id above every stored one — what ingest does,
+/// frame after frame — is an O(1) append to all three. Any other arrival
+/// (a replacement, a video ingested after one with a larger id) merges into
+/// the table and rebuilds the directory and the postings in one pass over
+/// the rows, once per [`MetadataStore::extend`] call.
+///
+/// Nothing obliges a caller to pack its ids. When a frame's rows are not one
+/// run of the table in directory order, or disagree on their timestamp, the
+/// store notices on insert and [`MetadataStore::resolve`] takes the per-row
+/// pass ([`MetadataStore::matching_ids`]) instead; frame and row lookups
+/// stay correct either way.
 #[derive(Debug, Default, Clone)]
 pub struct MetadataStore {
-    rows: HashMap<u64, PatchRecord>,
-    by_frame: HashMap<u64, Vec<u64>>,
+    /// The table, ordered by patch id.
+    rows: Vec<PatchRecord>,
+    /// One entry per key frame, ordered by key.
+    frames: Vec<FrameEntry>,
+    /// Ids of the rows carrying each class code, ascending. Shared with the
+    /// filters resolved from them; an insert copies a posting only while
+    /// such a filter is still alive.
+    postings: BTreeMap<u8, Arc<IdPosting>>,
+    /// True once some frame's rows are not a single run of the table in
+    /// directory order, or carry different timestamps: the directory then
+    /// cannot stand in for the rows.
+    inexact: bool,
 }
 
 impl MetadataStore {
@@ -119,26 +173,95 @@ impl MetadataStore {
 
     /// Inserts (or replaces) a patch record.
     pub fn insert(&mut self, record: PatchRecord) {
-        let frame_key = record.frame_key();
-        let patch_id = record.patch_id;
-        if let Some(previous) = self.rows.insert(patch_id, record) {
-            // Replacement: drop the stale secondary-index entry if the frame changed.
-            let old_key = previous.frame_key();
-            if old_key != frame_key {
-                if let Some(ids) = self.by_frame.get_mut(&old_key) {
-                    ids.retain(|&id| id != patch_id);
-                }
+        self.extend(std::iter::once(record));
+    }
+
+    /// Inserts (or replaces) a batch of patch records; a later record
+    /// replaces an earlier one with the same id. Records arriving in
+    /// ascending id order above every stored id are appended one by one; the
+    /// first that does not sends the rest of the batch through one merge and
+    /// rebuild.
+    pub fn extend(&mut self, records: impl IntoIterator<Item = PatchRecord>) {
+        let mut merge = false;
+        for record in records {
+            merge = merge
+                || self
+                    .rows
+                    .last()
+                    .is_some_and(|last| record.patch_id <= last.patch_id);
+            if merge {
+                self.rows.push(record);
             } else {
-                return; // same frame, secondary index already correct
+                self.append(record);
             }
         }
-        self.by_frame.entry(frame_key).or_default().push(patch_id);
+        if merge {
+            // A stable sort keeps a replacement behind the row it replaces,
+            // so the swap below leaves the latest record in the kept slot.
+            let mut rows = std::mem::take(&mut self.rows);
+            rows.sort_by_key(|row| row.patch_id);
+            rows.dedup_by(|later, kept| {
+                let same = later.patch_id == kept.patch_id;
+                if same {
+                    std::mem::swap(later, kept);
+                }
+                same
+            });
+            *self = Self::default();
+            self.rows.reserve(rows.len());
+            for row in rows {
+                self.append(row);
+            }
+        }
+    }
+
+    /// Appends a row whose id exceeds every stored id, extending the
+    /// directory and the row's class posting.
+    fn append(&mut self, record: PatchRecord) {
+        let position = self.rows.len();
+        let key = record.frame_key();
+        // Where the row's frame is in the directory: the last entry (the
+        // frame being ingested) or a new one after it, unless id order and
+        // frame order disagree.
+        let slot = match self.frames.last() {
+            Some(newest) if newest.key == key => Ok(self.frames.len() - 1),
+            Some(newest) if newest.key > key => {
+                self.inexact = true;
+                self.frames.binary_search_by_key(&key, |frame| frame.key)
+            }
+            _ => Err(self.frames.len()),
+        };
+        match slot {
+            Ok(index) => {
+                if let Some(frame) = self.frames.get_mut(index) {
+                    self.inexact |= frame.timestamp.to_bits() != record.timestamp.to_bits();
+                    frame.last = position;
+                }
+            }
+            Err(index) => self.frames.insert(
+                index,
+                FrameEntry {
+                    key,
+                    timestamp: record.timestamp,
+                    first: position,
+                    last: position,
+                },
+            ),
+        }
+        if let Some(code) = record.class_code {
+            let posting = Arc::make_mut(self.postings.entry(code).or_default());
+            // Cannot refuse: the id exceeds every id in the table.
+            let _ = posting.push(record.patch_id);
+        }
+        self.rows.push(record);
     }
 
     /// Fetches the record for a patch id.
     pub fn get(&self, patch_id: u64) -> Result<&PatchRecord> {
         self.rows
-            .get(&patch_id)
+            .binary_search_by_key(&patch_id, |row| row.patch_id)
+            .ok()
+            .and_then(|position| self.rows.get(position))
             .ok_or(StoreError::MissingMetadata(patch_id))
     }
 
@@ -147,45 +270,153 @@ impl MetadataStore {
         patch_ids.iter().map(|&id| self.get(id)).collect()
     }
 
-    /// All patch records belonging to a `(video, frame)` pair.
+    /// The directory entries whose key lies in `from..=to`.
+    fn frames_between(&self, from: u64, to: u64) -> &[FrameEntry] {
+        let start = self.frames.partition_point(|frame| frame.key < from);
+        let end = self.frames.partition_point(|frame| frame.key <= to);
+        self.frames.get(start..end).unwrap_or_default()
+    }
+
+    /// All patch records belonging to a `(video, frame)` pair, in id order.
     pub fn patches_of_frame(&self, video_id: u32, frame_index: u32) -> Vec<&PatchRecord> {
         let key = (u64::from(video_id) << 32) | u64::from(frame_index);
-        self.by_frame
-            .get(&key)
-            .map(|ids| ids.iter().filter_map(|id| self.rows.get(id)).collect())
+        let Some(frame) = self.frames_between(key, key).first() else {
+            return Vec::new();
+        };
+        // The frame's rows are exactly the run `first..=last` when ids are
+        // packed; for ad-hoc ids other frames' rows can sit in between.
+        self.rows
+            .get(frame.first..=frame.last)
             .unwrap_or_default()
+            .iter()
+            .filter(|row| row.frame_key() == key)
+            .collect()
     }
 
     /// Number of distinct frames referenced by the store.
     pub fn frame_count(&self) -> usize {
-        self.by_frame.len()
+        self.frames.len()
     }
 
-    /// Ids of every row satisfying the predicate — the metadata half of
-    /// predicate pushdown. One sequential pass over the table; the result
-    /// becomes the allow-set the index scans filter on.
+    /// Ids of every row satisfying the predicate, by one pass over the
+    /// table: the reference the directory's answers are tested against, and
+    /// what [`MetadataStore::resolve`] falls back to for a table the
+    /// directory cannot describe exactly.
     pub fn matching_ids(&self, predicate: &PatchPredicate) -> HashSet<u64> {
         self.rows
-            .values()
+            .iter()
             .filter(|record| predicate.matches(record))
             .map(|record| record.patch_id)
             .collect()
     }
 
+    /// Compiles a predicate into the filter the index scans consume — the
+    /// per-row id test plus the id ranges segments are pruned by — or `None`
+    /// for an unconstrained predicate.
+    ///
+    /// Video and time constraints walk the frame directory (only the
+    /// requested videos' part of it) and become sorted id ranges, one per
+    /// run of adjacent matching frames: a time window is one range per
+    /// camera. The ranges are the row test *and* the pruning ranges. A class
+    /// constraint hands over the classes' postings, tested together with the
+    /// ranges when both are present. Nothing proportional to the table is
+    /// read or allocated.
+    ///
+    /// When the directory is inexact (see the type's documentation) the
+    /// predicate is evaluated row by row into an allow-set instead, pruned by
+    /// the set's id span.
+    pub fn resolve(&self, predicate: &PatchPredicate) -> Option<PushdownFilter> {
+        if predicate.is_unconstrained() {
+            return None;
+        }
+        if self.inexact {
+            let ids = self.matching_ids(predicate);
+            let span = ids.iter().copied().min().zip(ids.iter().copied().max());
+            return Some(PushdownFilter::new(IdFilter::Set(ids)).with_ranges(Vec::from_iter(span)));
+        }
+        let frames = (predicate.video_ids.is_some() || predicate.time_range.is_some())
+            .then(|| self.frame_ranges(predicate));
+        let Some(classes) = &predicate.class_codes else {
+            let (ranges, matched) = frames?;
+            return Some(PushdownFilter::new(IdFilter::Ranges { ranges, matched }));
+        };
+        let postings: Vec<Arc<IdPosting>> = classes
+            .iter()
+            .filter_map(|code| self.postings.get(code).cloned())
+            .collect();
+        // Segments are pruned by the frame ranges when there are any and by
+        // the span the postings cover otherwise — which is no span at all,
+        // pruning everything, when no row carries a requested class.
+        let span = postings
+            .iter()
+            .filter_map(|posting| posting.bounds())
+            .reduce(|(low, high), (first, last)| (low.min(first), high.max(last)));
+        let within = frames.map(|(ranges, _)| ranges);
+        let by_span = within.is_none() || span.is_none();
+        let filter = PushdownFilter::new(IdFilter::Postings { postings, within });
+        Some(if by_span {
+            filter.with_ranges(Vec::from_iter(span))
+        } else {
+            filter
+        })
+    }
+
+    /// Walks the directory for the predicate's video and time constraints:
+    /// the id ranges of the matching frames (adjacent frames coalesced) and
+    /// the number of rows they hold. Only meaningful while the directory is
+    /// exact.
+    fn frame_ranges(&self, predicate: &PatchPredicate) -> (IdRanges, usize) {
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        let mut walk = |frames: &[FrameEntry]| {
+            for frame in frames {
+                if let Some((start, end)) = predicate.time_range {
+                    // The test `PatchPredicate::matches` applies per row.
+                    if frame.timestamp < start || frame.timestamp > end {
+                        continue;
+                    }
+                }
+                match runs.last_mut() {
+                    Some(run) if run.1 + 1 == frame.first => run.1 = frame.last,
+                    _ => runs.push((frame.first, frame.last)),
+                }
+            }
+        };
+        match &predicate.video_ids {
+            None => walk(&self.frames),
+            Some(videos) => {
+                for &video in videos {
+                    let from = u64::from(video) << 32;
+                    walk(self.frames_between(from, from | u64::from(u32::MAX)));
+                }
+            }
+        }
+        let matched = runs.iter().map(|&(first, last)| last + 1 - first).sum();
+        let id_at = |position: usize| self.rows.get(position).map(|row| row.patch_id);
+        let ranges = runs
+            .iter()
+            .filter_map(|&(first, last)| id_at(first).zip(id_at(last)))
+            .collect();
+        (IdRanges::new(ranges), matched)
+    }
+
     /// Distinct video ids referenced by the table. Recovery uses this to
     /// rebuild the engine's ingested-video set from durable state.
     pub fn video_ids(&self) -> BTreeSet<u32> {
-        self.rows.values().map(|record| record.video_id).collect()
+        self.frames
+            .iter()
+            .map(|frame| (frame.key >> 32) as u32)
+            .collect()
     }
 
-    /// Approximate memory footprint in bytes (used by the storage ablation).
+    /// Approximate memory footprint in bytes (used by the storage ablation):
+    /// the rows, the directory and the postings.
     pub fn memory_bytes(&self) -> usize {
         self.rows.len() * std::mem::size_of::<PatchRecord>()
-            + self.by_frame.len() * std::mem::size_of::<u64>()
+            + self.frames.len() * std::mem::size_of::<FrameEntry>()
             + self
-                .by_frame
+                .postings
                 .values()
-                .map(|v| v.len() * std::mem::size_of::<u64>())
+                .map(|posting| posting.memory_bytes())
                 .sum::<usize>()
     }
 }

@@ -227,8 +227,8 @@ impl Segment {
     ///
     /// Graph escape hatch: HNSW's filtered-accept beam loses recall as
     /// selectivity drops (few accepted nodes ever enter the result beam), so
-    /// when a sealed graph segment faces an allow-set much smaller than its
-    /// row count, the search answers from the retained raw rows instead — an
+    /// when a sealed graph segment faces a filter matching far fewer rows than
+    /// it holds, the search answers from the retained raw rows instead — an
     /// exact filtered scan whose cost is one id test per row plus one dot
     /// per *matching* row, which at that selectivity is both cheaper and
     /// exact.
@@ -270,11 +270,14 @@ impl Segment {
     }
 }
 
-/// True when the filter is an explicit allow-set small enough (under a tenth
-/// of the segment) that a graph beam would mostly visit rejected nodes.
-/// Predicate filters have unknown cardinality and stay on the index path.
+/// True when the filter reports how many rows it matches and that is few
+/// enough (under a tenth of the segment) that a graph beam would mostly
+/// visit rejected nodes. Opaque predicates have unknown cardinality and stay
+/// on the index path.
 fn selective_allow_set(filter: &IdFilter, rows: usize) -> bool {
-    matches!(filter, IdFilter::Set(ids) if ids.len().saturating_mul(10) < rows)
+    filter
+        .matched()
+        .is_some_and(|matched| matched.saturating_mul(10) < rows)
 }
 
 #[cfg(test)]

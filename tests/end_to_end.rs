@@ -253,3 +253,139 @@ fn quickstart_answers_are_bit_identical_to_the_golden() {
         assert_eq!(answer, golden, "{query}");
     }
 }
+
+/// One frame of [`QUICKSTART_SCOPED_GOLDEN`]: video, frame, score bits.
+type ScopedHit = (u32, u32, u32);
+
+/// What `Lovo::query_spec` returned at commit 5d46c97 for the bus query over
+/// the quickstart collection under the six predicate scopes of the
+/// `coarse_large` benchmark workload — `(video, frame, score bits)` per
+/// frame — when predicates were still joined against every metadata row.
+/// Resolving them from the frame directory is exact, so the coarse stage
+/// must hand the rerank the same candidates and every bit must repeat.
+#[rustfmt::skip]
+const QUICKSTART_SCOPED_GOLDEN: [(&str, &[ScopedHit]); 6] = [
+    (
+        "any",
+        &[
+            (0, 188, 0x3f105803),
+            (0, 218, 0x3f105803),
+            (0, 248, 0x3f104fa3),
+            (0, 174, 0x3f104c82),
+            (0, 386, 0x3f1043e1),
+            (0, 414, 0x3f104371),
+            (0, 129, 0x3f103dc6),
+            (0, 99, 0x3f103da7),
+            (0, 69, 0x3f103c45),
+            (0, 587, 0x3ee9a3c8),
+            (0, 444, 0x3ee99ae8),
+            (0, 379, 0x3ee98d5e),
+        ],
+    ),
+    (
+        "one camera",
+        &[
+            (0, 188, 0x3f105803),
+            (0, 218, 0x3f105803),
+            (0, 248, 0x3f104fa3),
+            (0, 174, 0x3f104c82),
+            (0, 386, 0x3f1043e1),
+            (0, 414, 0x3f104371),
+            (0, 129, 0x3f103dc6),
+            (0, 99, 0x3f103da7),
+            (0, 69, 0x3f103c45),
+            (0, 587, 0x3ee9a3c8),
+            (0, 444, 0x3ee99ae8),
+            (0, 379, 0x3ee98d5e),
+        ],
+    ),
+    (
+        "four cameras",
+        &[
+            (0, 188, 0x3f105803),
+            (0, 218, 0x3f105803),
+            (0, 248, 0x3f104fa3),
+            (0, 174, 0x3f104c82),
+            (0, 386, 0x3f1043e1),
+            (0, 414, 0x3f104371),
+            (0, 129, 0x3f103dc6),
+            (0, 99, 0x3f103da7),
+            (0, 69, 0x3f103c45),
+            (0, 587, 0x3ee9a3c8),
+            (0, 444, 0x3ee99ae8),
+            (0, 379, 0x3ee98d5e),
+        ],
+    ),
+    (
+        "time window",
+        &[
+            (0, 188, 0x3f105803),
+            (0, 218, 0x3f105803),
+            (0, 248, 0x3f104fa3),
+            (0, 174, 0x3f104c82),
+        ],
+    ),
+    (
+        "class",
+        &[
+            (0, 188, 0x3f105803),
+            (0, 218, 0x3f105803),
+            (0, 248, 0x3f104fa3),
+            (0, 174, 0x3f104c82),
+            (0, 386, 0x3f1043e1),
+            (0, 414, 0x3f104371),
+            (0, 129, 0x3f103dc6),
+            (0, 99, 0x3f103da7),
+            (0, 69, 0x3f103c45),
+        ],
+    ),
+    (
+        "camera and time",
+        &[
+            (0, 188, 0x3f105803),
+            (0, 218, 0x3f105803),
+            (0, 248, 0x3f104fa3),
+            (0, 174, 0x3f104c82),
+            (0, 129, 0x3f103dc6),
+            (0, 99, 0x3f103da7),
+            (0, 69, 0x3f103c45),
+        ],
+    ),
+];
+
+#[test]
+fn quickstart_scoped_answers_are_bit_identical_to_the_golden() {
+    use lovo_core::QuerySpec;
+    use lovo_video::{ObjectClass, QueryPredicate};
+    let videos = VideoCollection::generate(
+        DatasetConfig::for_kind(DatasetKind::Bellevue).with_frames_per_video(600),
+    );
+    let lovo = Lovo::build(&videos, LovoConfig::default()).expect("build LOVO");
+    // One camera of twenty seconds: the scopes `scoped_plans` builds for it.
+    let scopes = [
+        ("any", QueryPredicate::Any),
+        ("one camera", QueryPredicate::videos([0])),
+        ("four cameras", QueryPredicate::videos([0])),
+        ("time window", QueryPredicate::time_range(5.0, 10.0)),
+        ("class", QueryPredicate::class(ObjectClass::Bus)),
+        (
+            "camera and time",
+            QueryPredicate::videos([0]).and(QueryPredicate::time_range(0.0, 10.0)),
+        ),
+    ];
+    for ((scope, predicate), (golden_scope, golden)) in
+        scopes.into_iter().zip(QUICKSTART_SCOPED_GOLDEN)
+    {
+        assert_eq!(scope, golden_scope);
+        let spec =
+            QuerySpec::new("a bus driving on the road with white roof and yellow-green body")
+                .with_predicate(predicate);
+        let result = lovo.query_spec(&spec).expect("query");
+        let answer: Vec<ScopedHit> = result
+            .frames
+            .iter()
+            .map(|hit| (hit.video_id, hit.frame_index, hit.score.to_bits()))
+            .collect();
+        assert_eq!(answer, golden, "{scope}");
+    }
+}
