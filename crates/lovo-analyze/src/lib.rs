@@ -105,9 +105,11 @@ pub struct Config {
 }
 
 /// The default configuration for this repository: panic-denied modules are
-/// the serve tier, the executor, the rerank scorer, the index scan kernels and the metadata table; the covered
-/// stats structs are `SearchStats`/`ServeStats`/`IngestStats`/`ShardStats`;
-/// the lock hierarchy is whatever `hierarchy` pairs the caller parsed from
+/// the serve tier, the executor, the rerank scorer, the index scan kernels,
+/// the metadata table and the ingest path (motion fields, key frames,
+/// k-means); the covered stats structs are
+/// `SearchStats`/`ServeStats`/`IngestStats`/`ShardStats`; the lock hierarchy
+/// is whatever `hierarchy` pairs the caller parsed from
 /// ARCHITECTURE.md (see [`parse_hierarchy_doc`]).
 pub fn default_config(hierarchy: &[(String, String)]) -> Config {
     Config {
@@ -140,6 +142,13 @@ pub fn default_config(hierarchy: &[(String, String)]) -> Config {
                 // resolve and every hit's join, and the postings it shares
                 // are tested inside the scans.
                 "lovo-store/src/metadata.rs".to_string(),
+                // Ingest: key-frame selection inside every `add_videos`, and
+                // the codebook training every seal runs — also on the
+                // `QueryService` maintenance thread (seal, compaction), where
+                // a panic would end maintenance for good.
+                "lovo-video/src/motion.rs".to_string(),
+                "lovo-video/src/keyframe.rs".to_string(),
+                "lovo-index/src/kmeans.rs".to_string(),
             ],
             index_paths: vec![
                 "lovo-serve/src/service.rs".to_string(),
@@ -151,6 +160,8 @@ pub fn default_config(hierarchy: &[(String, String)]) -> Config {
                 // Positions into the table come from its own directory, but
                 // a wrong one must cost an answer, not a worker.
                 "lovo-store/src/metadata.rs".to_string(),
+                // Noise-window and per-block claim lookups use `get`.
+                "lovo-video/src/motion.rs".to_string(),
             ],
         },
         locks: LockConfig {

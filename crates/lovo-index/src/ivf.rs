@@ -22,7 +22,7 @@
 //!   merged.
 
 use crate::fastscan::{FastScanCodes, FastScanKernel, QuantizedLut, FASTSCAN_CENTROIDS};
-use crate::kmeans::{lloyd, nearest_centroid, KMeansConfig};
+use crate::kmeans::{lloyd, BlockedCentroids, KMeansConfig};
 use crate::metric::dot;
 use crate::pq::{PqConfig, ProductQuantizer};
 use crate::quant::Int8Arena;
@@ -184,6 +184,9 @@ impl Cell {
 struct BuiltState {
     /// `coarse_codebooks[p][m]` is centroid `m` of coarse subspace `p`.
     coarse_codebooks: Vec<Vec<Vec<f32>>>,
+    /// The same codebooks in the assignment kernel's layout, laid out once
+    /// at build for cell assignment.
+    coarse_blocked: Vec<BlockedCentroids>,
     /// Residual product quantizer.
     pq: ProductQuantizer,
     /// Cells keyed by the packed per-subspace centroid codes.
@@ -205,6 +208,40 @@ struct BuiltState {
     /// Int8 mirror of `arena` (same row numbering) when the config enables
     /// the pre-rescore tier.
     arena_i8: Option<Int8Arena>,
+}
+
+/// Each codebook in the assignment kernel's layout.
+fn blocked_codebooks(codebooks: &[Vec<Vec<f32>>]) -> Vec<BlockedCentroids> {
+    codebooks.iter().map(|c| BlockedCentroids::new(c)).collect()
+}
+
+/// Nearest centroid of each `sub_dim`-long subvector of `vector`.
+fn nearest_codes(blocked: &[BlockedCentroids], vector: &[f32], sub_dim: usize) -> Vec<usize> {
+    vector
+        .chunks_exact(sub_dim)
+        .zip(blocked)
+        .map(|(sub, codebook)| codebook.nearest(sub))
+        .collect()
+}
+
+/// `vector` minus the concatenation of its nearest coarse centroids.
+fn residual_of(
+    codebooks: &[Vec<Vec<f32>>],
+    blocked: &[BlockedCentroids],
+    vector: &[f32],
+    sub_dim: usize,
+) -> Vec<f32> {
+    let mut residual = Vec::with_capacity(vector.len());
+    for ((sub, codebook), &code) in vector
+        .chunks_exact(sub_dim)
+        .zip(codebooks)
+        .zip(&nearest_codes(blocked, vector, sub_dim))
+    {
+        if let Some(c) = codebook.get(code) {
+            residual.extend(sub.iter().zip(c).map(|(a, b)| a - b));
+        }
+    }
+    residual
 }
 
 /// The inverted multi-index with PQ-compressed residuals.
@@ -245,15 +282,11 @@ impl IvfPqIndex {
 
     /// Assigns a vector to its cell: nearest coarse centroid per subspace.
     fn assign_cell(&self, built: &BuiltState, vector: &[f32]) -> (u64, Vec<usize>) {
-        let sub_dim = self.config.coarse_subspace_dim();
-        let codes: Vec<usize> = built
-            .coarse_codebooks
-            .iter()
-            .enumerate()
-            .map(|(p, codebook)| {
-                nearest_centroid(&vector[p * sub_dim..(p + 1) * sub_dim], codebook)
-            })
-            .collect();
+        let codes = nearest_codes(
+            &built.coarse_blocked,
+            vector,
+            self.config.coarse_subspace_dim(),
+        );
         (Self::pack_cell_key(&codes), codes)
     }
 
@@ -385,17 +418,10 @@ impl IvfPqIndex {
             )?;
             coarse_codebooks.push(km.centroids);
         }
+        let coarse_blocked = blocked_codebooks(&coarse_codebooks);
         let residual_sample: Vec<Vec<f32>> = sample
             .iter()
-            .map(|v| {
-                let mut residual = Vec::with_capacity(dim);
-                for (p, codebook) in coarse_codebooks.iter().enumerate() {
-                    let sub = &v[p * sub_dim..(p + 1) * sub_dim];
-                    let c = &codebook[nearest_centroid(sub, codebook)];
-                    residual.extend(sub.iter().zip(c.iter()).map(|(a, b)| a - b));
-                }
-                residual
-            })
+            .map(|v| residual_of(&coarse_codebooks, &coarse_blocked, v, sub_dim))
             .collect();
         let pq = ProductQuantizer::train(config.pq, &residual_sample)?;
 
@@ -408,13 +434,7 @@ impl IvfPqIndex {
         let mut arena_i8 = config.int8_rescore.then(|| Int8Arena::new(dim));
         for (i, &id) in ids.iter().enumerate() {
             let vector = &data[i * dim..(i + 1) * dim];
-            let codes: Vec<usize> = coarse_codebooks
-                .iter()
-                .enumerate()
-                .map(|(p, codebook)| {
-                    nearest_centroid(&vector[p * sub_dim..(p + 1) * sub_dim], codebook)
-                })
-                .collect();
+            let codes = nearest_codes(&coarse_blocked, vector, sub_dim);
             let key = Self::pack_cell_key(&codes);
             let mut residual = Vec::with_capacity(dim);
             for (p, &c) in codes.iter().enumerate() {
@@ -450,6 +470,7 @@ impl IvfPqIndex {
             pending: Vec::new(),
             built: Some(BuiltState {
                 coarse_codebooks,
+                coarse_blocked,
                 pq,
                 cells,
                 arena: rows,
@@ -532,24 +553,18 @@ impl VectorIndex for IvfPqIndex {
             )?;
             coarse_codebooks.push(km.centroids);
         }
+        let coarse_blocked = blocked_codebooks(&coarse_codebooks);
 
         // Compute residuals of the training sample and train the PQ on them.
         let residual_sample: Vec<Vec<f32>> = sample
             .iter()
-            .map(|v| {
-                let mut residual = Vec::with_capacity(self.config.dim);
-                for (p, codebook) in coarse_codebooks.iter().enumerate() {
-                    let sub = &v[p * sub_dim..(p + 1) * sub_dim];
-                    let c = &codebook[nearest_centroid(sub, codebook)];
-                    residual.extend(sub.iter().zip(c.iter()).map(|(a, b)| a - b));
-                }
-                residual
-            })
+            .map(|v| residual_of(&coarse_codebooks, &coarse_blocked, v, sub_dim))
             .collect();
         let pq = ProductQuantizer::train(self.config.pq, &residual_sample)?;
 
         self.built = Some(BuiltState {
             coarse_codebooks,
+            coarse_blocked,
             pq,
             cells: HashMap::new(),
             arena: RowStore::Owned(Vec::with_capacity(self.pending.len() * self.config.dim)),

@@ -8,7 +8,7 @@
 //! tabulated once, after which scoring any stored code is `P` table lookups —
 //! this is the "distance lookup-table" Algorithm 1 references.
 
-use crate::kmeans::{lloyd, nearest_centroid, KMeansConfig};
+use crate::kmeans::{lloyd, BlockedCentroids, KMeansConfig};
 use crate::metric::dot;
 use crate::{IndexError, Result};
 use serde::{Deserialize, Serialize};
@@ -94,6 +94,9 @@ pub struct ProductQuantizer {
     config: PqConfig,
     /// `codebooks[p][m]` is the `m`-th centroid of subspace `p` (length `subspace_dim`).
     codebooks: Vec<Vec<Vec<f32>>>,
+    /// The same codebooks in the assignment kernel's layout, laid out once
+    /// at training for [`ProductQuantizer::encode`].
+    blocked: Vec<BlockedCentroids>,
 }
 
 /// ADC lookup table for one query, stored as one contiguous strided buffer:
@@ -236,7 +239,12 @@ impl ProductQuantizer {
             )?;
             codebooks.push(km.centroids);
         }
-        Ok(Self { config, codebooks })
+        let blocked = codebooks.iter().map(|c| BlockedCentroids::new(c)).collect();
+        Ok(Self {
+            config,
+            codebooks,
+            blocked,
+        })
     }
 
     /// The configuration the quantizer was trained with.
@@ -253,11 +261,10 @@ impl ProductQuantizer {
             });
         }
         let sub_dim = self.config.subspace_dim();
-        let codes = (0..self.config.num_subspaces)
-            .map(|p| {
-                let sub = &vector[p * sub_dim..(p + 1) * sub_dim];
-                nearest_centroid(sub, &self.codebooks[p]) as u8
-            })
+        let codes = vector
+            .chunks_exact(sub_dim)
+            .zip(&self.blocked)
+            .map(|(sub, codebook)| codebook.nearest(sub) as u8)
             .collect();
         Ok(PqCode(codes))
     }

@@ -75,20 +75,6 @@ impl Frame {
         self.objects.len()
     }
 
-    /// Total motion energy of the frame: camera motion magnitude plus the sum
-    /// of object speeds weighted by their relative area. This is the quantity
-    /// the MVmed-style key-frame extractor thresholds on.
-    pub fn motion_energy(&self) -> f32 {
-        let frame_area = (self.width as f32) * (self.height as f32);
-        let camera = (self.camera_motion.0.powi(2) + self.camera_motion.1.powi(2)).sqrt();
-        let objects: f32 = self
-            .objects
-            .iter()
-            .map(|o| o.speed() * (o.bbox.area() / frame_area).min(1.0) * 20.0)
-            .sum();
-        camera + objects
-    }
-
     /// Returns the objects whose bounding boxes overlap the given patch region
     /// together with the fraction of the patch each covers, sorted by
     /// decreasing coverage.
@@ -111,11 +97,6 @@ impl Frame {
                 .then_with(|| a.0.track.cmp(&b.0.track))
         });
         hits
-    }
-
-    /// The object covering the largest share of the region, if any.
-    pub fn dominant_object_in_region(&self, region: &BoundingBox) -> Option<&SceneObject> {
-        self.objects_in_region(region).first().map(|(o, _)| *o)
     }
 }
 
@@ -163,22 +144,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_frame_has_zero_motion() {
+    fn empty_frame_has_no_objects() {
         let f = Frame::empty(0, 0.0, 1280, 720);
         assert_eq!(f.object_count(), 0);
-        assert_eq!(f.motion_energy(), 0.0);
-    }
-
-    #[test]
-    fn motion_energy_grows_with_speed_and_camera() {
-        let mut f = Frame::empty(0, 0.0, 1280, 720);
-        f.objects.push(object_at(100.0, 100.0, 200.0, 100.0, 5.0));
-        let slow = f.motion_energy();
-        f.objects[0].velocity = (15.0, 0.0);
-        let fast = f.motion_energy();
-        assert!(fast > slow);
-        f.camera_motion = (10.0, 0.0);
-        assert!(f.motion_energy() > fast);
+        assert_eq!(f.camera_motion, (0.0, 0.0));
     }
 
     #[test]
@@ -191,8 +160,7 @@ mod tests {
         assert_eq!(hits.len(), 2);
         assert!(hits[0].1 > hits[1].1);
         assert!((hits[0].1 - 1.0).abs() < 1e-6);
-        let dom = f.dominant_object_in_region(&region).unwrap();
-        assert_eq!(dom.bbox.w, 100.0);
+        assert_eq!(hits[0].0.bbox.w, 100.0);
     }
 
     #[test]
@@ -201,7 +169,6 @@ mod tests {
         f.objects.push(object_at(0.0, 0.0, 50.0, 50.0, 0.0));
         let region = BoundingBox::new(500.0, 500.0, 100.0, 100.0);
         assert!(f.objects_in_region(&region).is_empty());
-        assert!(f.dominant_object_in_region(&region).is_none());
     }
 
     #[test]
