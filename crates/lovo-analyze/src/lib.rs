@@ -124,8 +124,6 @@ pub fn default_config(hierarchy: &[(String, String)]) -> Config {
                 "lovo-index/src/ivf.rs".to_string(),
                 "lovo-index/src/hnsw.rs".to_string(),
                 "lovo-index/src/pq.rs".to_string(),
-                "lovo-index/src/fastscan.rs".to_string(),
-                "lovo-index/src/quant.rs".to_string(),
                 // The durability layer: recovery code that panics on a
                 // corrupt byte defeats its whole purpose — every parse
                 // failure must surface as a typed StorageError (quarantine,

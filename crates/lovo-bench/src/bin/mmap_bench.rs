@@ -10,8 +10,7 @@
 //!    docs/durability.md). The headline is `speedup_deferred`.
 //! 2. **Warm QPS, flat** — the same corpus opened heap vs mmap + warmup;
 //!    identical results required, QPS ratio reported.
-//! 3. **Warm QPS, IVF fast-scan** — same comparison over an IVF-PQ corpus
-//!    with fast-scan codes and the int8 rescore tier.
+//! 3. **Warm QPS, IVF-PQ** — same comparison over an IVF-PQ corpus.
 //! 4. **Larger-than-RAM emulation** — the flat corpus mapped without
 //!    populate under an artificial residency budget (a fraction of the
 //!    mapped bytes, standing in for a small-RAM box without needing a
@@ -20,7 +19,7 @@
 //!    result must match the heap twin — the degradation is demand-paging
 //!    latency, never wrong answers or OOM.
 
-use lovo_index::{IndexKind, QuantizationOptions};
+use lovo_index::IndexKind;
 use lovo_store::{
     patch_id, CollectionConfig, DurabilityConfig, OpenOptions, PatchRecord, VectorDatabase,
     MMAP_SUPPORTED,
@@ -60,21 +59,13 @@ fn record(i: u64) -> PatchRecord {
 
 /// Builds a durable corpus of `rows` vectors, sealed in segments of
 /// `capacity`, then drops it (everything on disk, nothing in memory).
-fn build_store(
-    root: &PathBuf,
-    rows: u64,
-    dim: usize,
-    kind: IndexKind,
-    quantization: QuantizationOptions,
-    capacity: usize,
-) -> f64 {
+fn build_store(root: &PathBuf, rows: u64, dim: usize, kind: IndexKind, capacity: usize) -> f64 {
     let start = Instant::now();
     let db = VectorDatabase::create_durable(root, DurabilityConfig::new()).expect("create");
     db.create_collection(
         COL,
         CollectionConfig::new(dim)
             .with_index_kind(kind)
-            .with_quantization(quantization)
             .with_segment_capacity(capacity),
     )
     .expect("collection");
@@ -291,14 +282,7 @@ fn main() {
 
     eprintln!("[mmap_bench] building flat corpus: {rows} rows, dim {dim}");
     let flat_root = scratch_root("flat");
-    let flat_build = build_store(
-        &flat_root,
-        rows,
-        dim,
-        IndexKind::BruteForce,
-        QuantizationOptions::none(),
-        capacity,
-    );
+    let flat_build = build_store(&flat_root, rows, dim, IndexKind::BruteForce, capacity);
 
     eprintln!("[mmap_bench] cold opens");
     let cold = bench_cold_open(&flat_root, &probe_set[..probe_set.len().min(4)]);
@@ -308,19 +292,12 @@ fn main() {
     let ltr = bench_larger_than_ram(&flat_root, &probe_set, rounds);
     let _ = std::fs::remove_dir_all(&flat_root);
 
-    eprintln!("[mmap_bench] building IVF fast-scan corpus: {ivf_rows} rows, dim {dim}");
+    eprintln!("[mmap_bench] building IVF-PQ corpus: {ivf_rows} rows, dim {dim}");
     let ivf_root = scratch_root("ivf");
-    let ivf_build = build_store(
-        &ivf_root,
-        ivf_rows,
-        dim,
-        IndexKind::IvfPq,
-        QuantizationOptions::all(),
-        ivf_capacity,
-    );
-    eprintln!("[mmap_bench] warm QPS, IVF fast-scan");
+    let ivf_build = build_store(&ivf_root, ivf_rows, dim, IndexKind::IvfPq, ivf_capacity);
+    eprintln!("[mmap_bench] warm QPS, IVF-PQ");
     let ivf_queries = queries(query_count, ivf_rows, dim);
-    let ivf_qps = bench_warm_qps(&ivf_root, "ivf_fastscan", &ivf_queries, rounds);
+    let ivf_qps = bench_warm_qps(&ivf_root, "ivf_pq", &ivf_queries, rounds);
     let _ = std::fs::remove_dir_all(&ivf_root);
 
     let json = format!(

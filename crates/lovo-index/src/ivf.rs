@@ -21,15 +21,17 @@
 //!   [`majority_patch_id`] and applied when per-subspace candidate lists are
 //!   merged.
 
-use crate::fastscan::{FastScanCodes, FastScanKernel, QuantizedLut, FASTSCAN_CENTROIDS};
 use crate::kmeans::{lloyd, BlockedCentroids, KMeansConfig};
 use crate::metric::dot;
 use crate::pq::{PqConfig, ProductQuantizer};
-use crate::quant::Int8Arena;
 use crate::store::RowStore;
 use crate::{IdFilter, IndexError, Result, SearchResult, SearchStats, TopK, VectorId, VectorIndex};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
+
+/// Most coarse subspaces a cell key can hold: one byte-wide centroid code
+/// per subspace, packed into a `u64` by [`IvfPqIndex::pack_cell_key`].
+const MAX_COARSE_SUBSPACES: usize = 8;
 
 /// Configuration of the inverted multi-index.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -52,15 +54,6 @@ pub struct IvfPqConfig {
     pub max_training_sample: usize,
     /// Seed for codebook training.
     pub seed: u64,
-    /// Store residual codes in the blocked 4-bit fast-scan layout and score
-    /// cells with the runtime-dispatched SIMD kernel
-    /// ([`crate::fastscan`]). Requires ≤ 16 centroids per PQ subspace;
-    /// [`IvfPqConfig::with_fastscan`] forces exactly 16.
-    pub fastscan: bool,
-    /// Narrow approximate candidates against an int8 arena before the exact
-    /// f32 re-score, cutting rescore memory traffic 4x at high refine
-    /// factors ([`crate::quant`]).
-    pub int8_rescore: bool,
 }
 
 impl IvfPqConfig {
@@ -76,8 +69,6 @@ impl IvfPqConfig {
             refine_factor: 4,
             max_training_sample: 20_000,
             seed: 0x1f5a,
-            fastscan: false,
-            int8_rescore: false,
         }
     }
 
@@ -99,22 +90,6 @@ impl IvfPqConfig {
         self
     }
 
-    /// Enables the 4-bit fast-scan layout, forcing the residual PQ to 16
-    /// centroids per subspace (the nibble-code requirement). The coarser
-    /// codebook costs some ADC fidelity; the exact re-score of the top
-    /// `k · refine_factor` keeps end-to-end recall on the measured curve.
-    pub fn with_fastscan(mut self) -> Self {
-        self.fastscan = true;
-        self.pq.centroids_per_subspace = FASTSCAN_CENTROIDS;
-        self
-    }
-
-    /// Enables the int8 pre-rescore tier.
-    pub fn with_int8_rescore(mut self) -> Self {
-        self.int8_rescore = true;
-        self
-    }
-
     /// Dimension of each coarse subspace.
     pub fn coarse_subspace_dim(&self) -> usize {
         self.dim / self.coarse_subspaces.max(1)
@@ -131,6 +106,14 @@ impl IvfPqConfig {
                 self.dim, self.coarse_subspaces
             )));
         }
+        if self.coarse_subspaces > MAX_COARSE_SUBSPACES {
+            return Err(IndexError::InvalidConfig(format!(
+                "coarse_subspaces {} exceeds {MAX_COARSE_SUBSPACES}: a cell key packs one \
+                 8-bit centroid code per subspace into a u64, so more subspaces would make \
+                 distinct cells collide",
+                self.coarse_subspaces
+            )));
+        }
         if self.coarse_centroids == 0 || self.coarse_centroids > 256 {
             return Err(IndexError::InvalidConfig(
                 "coarse_centroids must be in 1..=256".into(),
@@ -143,12 +126,6 @@ impl IvfPqConfig {
             return Err(IndexError::InvalidConfig(
                 "residual PQ dim must equal index dim".into(),
             ));
-        }
-        if self.fastscan && self.pq.centroids_per_subspace != FASTSCAN_CENTROIDS {
-            return Err(IndexError::InvalidConfig(format!(
-                "fast-scan codes are 4-bit: centroids_per_subspace must be exactly \
-                 {FASTSCAN_CENTROIDS} (use with_fastscan to set it)"
-            )));
         }
         self.pq.validate()
     }
@@ -164,13 +141,8 @@ struct Cell {
     ids: Vec<VectorId>,
     /// Row of each entry in the rescore arena.
     rows: Vec<u32>,
-    /// Concatenated PQ codes, stride = `pq.num_subspaces`. Kept even when a
-    /// fast-scan layout exists: the filtered path compacts matching entries
-    /// from this canonical buffer.
+    /// Concatenated PQ codes, stride = `pq.num_subspaces`.
     codes: Vec<u8>,
-    /// Blocked 4-bit layout of the same codes, present when the index was
-    /// configured with `fastscan` (entry order matches `ids`/`rows`).
-    packed: Option<FastScanCodes>,
 }
 
 impl Cell {
@@ -205,9 +177,6 @@ struct BuiltState {
     /// row in place, so every cell entry of that id rescores against the
     /// latest vector (the overwrite semantics of the HashMap this replaced).
     id_rows: HashMap<VectorId, u32>,
-    /// Int8 mirror of `arena` (same row numbering) when the config enables
-    /// the pre-rescore tier.
-    arena_i8: Option<Int8Arena>,
 }
 
 /// Each codebook in the assignment kernel's layout.
@@ -324,9 +293,6 @@ impl IvfPqIndex {
                 let row = *entry.get();
                 built.arena.to_mut()[row as usize * dim..(row as usize + 1) * dim]
                     .copy_from_slice(vector);
-                if let Some(int8) = built.arena_i8.as_mut() {
-                    int8.overwrite(row, vector)?;
-                }
                 row
             }
             std::collections::hash_map::Entry::Vacant(entry) => {
@@ -334,22 +300,13 @@ impl IvfPqIndex {
                 entry.insert(row);
                 built.arena_ids.push(id);
                 built.arena.to_mut().extend_from_slice(vector);
-                if let Some(int8) = built.arena_i8.as_mut() {
-                    int8.push(vector)?;
-                }
                 row
             }
         };
-        let stride = self.config.pq.num_subspaces;
         let cell = built.cells.entry(key).or_default();
         cell.ids.push(id);
         cell.rows.push(row);
         cell.codes.extend_from_slice(&code.0);
-        if self.config.fastscan {
-            cell.packed
-                .get_or_insert_with(|| FastScanCodes::new(stride))
-                .append(&code.0)?;
-        }
         Ok(())
     }
 
@@ -429,9 +386,7 @@ impl IvfPqIndex {
         // the arena writes (rows already live in the adopted store; unique
         // ids mean every insert takes the vacant path, so row numbers are
         // simply 0..n in order). ---
-        let pq_stride = config.pq.num_subspaces;
         let mut cells: HashMap<u64, Cell> = HashMap::new();
-        let mut arena_i8 = config.int8_rescore.then(|| Int8Arena::new(dim));
         for (i, &id) in ids.iter().enumerate() {
             let vector = &data[i * dim..(i + 1) * dim];
             let codes = nearest_codes(&coarse_blocked, vector, sub_dim);
@@ -451,14 +406,6 @@ impl IvfPqIndex {
             cell.ids.push(id);
             cell.rows.push(i as u32);
             cell.codes.extend_from_slice(&code.0);
-            if config.fastscan {
-                cell.packed
-                    .get_or_insert_with(|| FastScanCodes::new(pq_stride))
-                    .append(&code.0)?;
-            }
-            if let Some(int8) = arena_i8.as_mut() {
-                int8.push(vector)?;
-            }
         }
         let id_rows: HashMap<VectorId, u32> = ids
             .iter()
@@ -476,7 +423,6 @@ impl IvfPqIndex {
                 arena: rows,
                 arena_ids: ids,
                 id_rows,
-                arena_i8,
             }),
         })
     }
@@ -570,10 +516,6 @@ impl VectorIndex for IvfPqIndex {
             arena: RowStore::Owned(Vec::with_capacity(self.pending.len() * self.config.dim)),
             arena_ids: Vec::with_capacity(self.pending.len()),
             id_rows: HashMap::with_capacity(self.pending.len()),
-            arena_i8: self
-                .config
-                .int8_rescore
-                .then(|| Int8Arena::new(self.config.dim)),
         });
 
         // Move every pending vector into its cell.
@@ -614,7 +556,6 @@ impl VectorIndex for IvfPqIndex {
             .values()
             .map(|c| {
                 c.codes.len()
-                    + c.packed.as_ref().map_or(0, |p| p.memory_bytes())
                     + c.ids.len() * std::mem::size_of::<VectorId>()
                     + c.rows.len() * std::mem::size_of::<u32>()
             })
@@ -685,16 +626,6 @@ impl IvfPqIndex {
         // is scored in one ADC pass; candidates carry their rescore-arena row
         // through the bounded selector.
         let adc = built.pq.adc_table(query)?;
-        // Fast-scan tier: quantize the ADC table once per query and score
-        // whole cells with the runtime-selected kernel. The filtered arm
-        // below stays on the f32 table — it compacts a *subset* of a cell,
-        // which the blocked layout cannot address.
-        let kernel = FastScanKernel::detect();
-        let qlut = if self.config.fastscan {
-            Some(QuantizedLut::from_adc(&adc)?)
-        } else {
-            None
-        };
         let stride = self.config.pq.num_subspaces;
         let keep = k.saturating_mul(self.config.refine_factor).max(k);
         let mut approx: TopK<u32> = TopK::new(keep);
@@ -713,19 +644,7 @@ impl IvfPqIndex {
                 None => {
                     stats.vectors_scored += cell.len();
                     list_scores.clear();
-                    // In-register fast scan when the blocked layout is
-                    // present and consistent; the f32 ADC list kernel is the
-                    // always-correct fallback.
-                    let fast_scanned = match (&qlut, cell.packed.as_ref()) {
-                        (Some(lut), Some(packed)) if packed.len() == cell.len() => {
-                            packed.scores(lut, kernel, &mut list_scores).is_ok()
-                        }
-                        _ => false,
-                    };
-                    if !fast_scanned {
-                        list_scores.clear();
-                        adc.score_list(&cell.codes, stride, &mut list_scores);
-                    }
+                    adc.score_list(&cell.codes, stride, &mut list_scores);
                     for ((&id, &row), &adc_score) in
                         cell.ids.iter().zip(&cell.rows).zip(&list_scores)
                     {
@@ -764,33 +683,13 @@ impl IvfPqIndex {
 
         // --- Algorithm 1, lines 13–17: exact re-scoring and final ordering. ---
         // The arena rows of the kept candidates stream straight out of the
-        // row-major arena — no hash lookup per candidate. With the int8 tier
-        // enabled, candidates are first narrowed against the quantized arena
-        // (¼ the traffic) and only the top `2k` survivors touch f32 rows.
-        // The rescoring loop reads every kept candidate and the selector
-        // below orders them, so nothing here needs them sorted.
+        // row-major arena — no hash lookup per candidate. The rescoring loop
+        // reads every kept candidate and the selector below orders them, so
+        // nothing here needs them sorted.
         let dim = self.config.dim;
-        let mut entries = approx.into_unordered_entries();
-        if let Some(int8) = &built.arena_i8 {
-            let narrowed_k = k.saturating_mul(2).max(k);
-            if entries.len() > narrowed_k {
-                let query_sum: f32 = query.iter().sum();
-                let mut narrowed: TopK<u32> = TopK::new(narrowed_k);
-                for entry in entries {
-                    let row = entry.payload as usize;
-                    narrowed.push(
-                        entry.id,
-                        int8.score_row(query, query_sum, row),
-                        entry.payload,
-                    );
-                }
-                stats.heap_pushes += narrowed.pushes();
-                entries = narrowed.into_unordered_entries();
-            }
-        }
         let mut top = TopK::new(k);
         let arena = built.arena.as_slice();
-        for entry in entries {
+        for entry in approx.into_unordered_entries() {
             let row = entry.payload as usize;
             let exact = dot(query, &arena[row * dim..(row + 1) * dim]);
             stats.exact_rescored += 1;
@@ -1064,97 +963,32 @@ mod tests {
     }
 
     #[test]
-    fn fastscan_config_is_validated() {
-        let cfg = IvfPqConfig::for_dim(32).with_fastscan();
-        assert!(cfg.fastscan);
-        assert_eq!(cfg.pq.centroids_per_subspace, FASTSCAN_CENTROIDS);
-        assert!(cfg.validate().is_ok());
-        let mut bad = cfg;
-        bad.pq.centroids_per_subspace = 64;
-        assert!(bad.validate().is_err());
-    }
+    fn cell_keys_hold_at_most_eight_coarse_subspaces() {
+        // Eight byte-wide codes fill the u64 cell key exactly, so every
+        // probed combination is its own list. Two centroids probed two at a
+        // time visit all 2^8 combinations: each cell once, each row once.
+        let mut eight = IvfPqConfig::for_dim(16)
+            .with_coarse_centroids(2)
+            .with_nprobe(2);
+        eight.coarse_subspaces = 8;
+        assert!(eight.validate().is_ok());
+        let (ivf, vectors) = build_with_config(600, 16, 5, eight);
+        let (hits, stats) = ivf.search_with_stats(&vectors[3], 50).unwrap();
+        assert_eq!(hits[0].id, 3);
+        let distinct: HashSet<VectorId> = hits.iter().map(|h| h.id).collect();
+        assert_eq!(distinct.len(), 50, "an id came back twice");
+        assert_eq!(stats.cells_probed, ivf.cell_count(), "{stats:?}");
+        assert_eq!(stats.vectors_scored, 600, "{stats:?}");
 
-    #[test]
-    fn fastscan_recall_tracks_plain_ivf() {
-        let dim = 32;
-        let (fast, vectors) =
-            build_with_config(2_500, dim, 31, IvfPqConfig::for_dim(dim).with_fastscan());
-        let mut flat = FlatIndex::new(dim);
-        for (i, v) in vectors.iter().enumerate() {
-            flat.insert(i as u64, v).unwrap();
-        }
-        let mut rng = SmallRng::seed_from_u64(17);
-        let mut hits = 0usize;
-        let mut total = 0usize;
-        for _ in 0..20 {
-            let q = &vectors[rng.gen_range(0..vectors.len())];
-            let exact: Vec<u64> = flat.search(q, 10).unwrap().iter().map(|r| r.id).collect();
-            let approx: Vec<u64> = fast.search(q, 10).unwrap().iter().map(|r| r.id).collect();
-            total += exact.len();
-            hits += exact.iter().filter(|id| approx.contains(id)).count();
-        }
-        let recall = hits as f32 / total as f32;
-        assert!(recall > 0.6, "fast-scan recall@10 too low: {recall}");
-    }
-
-    #[test]
-    fn fastscan_self_query_and_incremental_insert() {
-        let dim = 32;
-        let (mut fast, vectors) =
-            build_with_config(1_500, dim, 77, IvfPqConfig::for_dim(dim).with_fastscan());
-        let hits = fast.search(&vectors[42], 1).unwrap();
-        assert_eq!(hits[0].id, 42);
-        // Appends after build extend the packed blocks incrementally.
-        let mut rng = SmallRng::seed_from_u64(5);
-        let fresh = random_unit(dim, &mut rng);
-        fast.insert(888_888, &fresh).unwrap();
-        let hits = fast.search(&fresh, 1).unwrap();
-        assert_eq!(hits[0].id, 888_888);
-    }
-
-    #[test]
-    fn fastscan_filtered_matches_all_pass_exactness() {
-        // The filtered arm compacts from the canonical byte codes (f32 ADC),
-        // so its exact-rescored results must agree with the unfiltered
-        // search on the returned ids' scores.
-        let dim = 32;
-        let (fast, vectors) =
-            build_with_config(1_200, dim, 13, IvfPqConfig::for_dim(dim).with_fastscan());
-        let all = IdFilter::from_predicate(|_| true);
-        let (filtered, _) = fast
-            .search_filtered_with_stats(&vectors[9], 10, &all)
-            .unwrap();
-        let (plain, _) = fast.search_with_stats(&vectors[9], 10).unwrap();
-        // Final scores are exact f32 rescored on both paths; candidate sets
-        // may differ slightly (u8 vs f32 approximate ordering), but the
-        // top hit is the exact self-match either way.
-        assert_eq!(filtered[0], plain[0]);
-        for h in &filtered {
-            if let Some(p) = plain.iter().find(|p| p.id == h.id) {
-                assert_eq!(h.score, p.score);
-            }
-        }
-    }
-
-    #[test]
-    fn int8_rescore_keeps_self_query_exact() {
-        let dim = 32;
-        let config = IvfPqConfig::for_dim(dim)
-            .with_int8_rescore()
-            .with_refine_factor(8);
-        let (ivf, vectors) = build_with_config(2_000, dim, 23, config);
-        for probe in [3usize, 700, 1999] {
-            let hits = ivf.search(&vectors[probe], 1).unwrap();
-            assert_eq!(hits[0].id, probe as u64);
-            assert!(hits[0].score > 0.999, "final scores stay exact f32");
-        }
-        // Re-inserting an id refreshes both arenas.
-        let mut ivf = ivf;
-        let mut rng = SmallRng::seed_from_u64(3);
-        let replacement = random_unit(dim, &mut rng);
-        ivf.insert(7, &replacement).unwrap();
-        let hits = ivf.search(&replacement, 1).unwrap();
-        assert_eq!(hits[0].id, 7);
+        // A ninth code would shift the first one out of the key.
+        let mut nine = IvfPqConfig::for_dim(18);
+        nine.coarse_subspaces = 9;
+        let refused = nine.validate().unwrap_err().to_string();
+        assert!(
+            refused.contains("coarse_subspaces 9 exceeds 8"),
+            "{refused}"
+        );
+        assert!(IvfPqIndex::new(nine).is_err());
     }
 
     #[test]

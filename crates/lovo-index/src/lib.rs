@@ -20,35 +20,30 @@
 //!   exact re-scoring of the top-k, and the patch-id majority vote;
 //! * [`hnsw`] — a hierarchical navigable small-world graph index;
 //! * [`flat`] — exhaustive (brute-force) search, the accuracy upper bound;
-//! * [`fastscan`] — 4-bit fast-scan PQ kernels: blocked nibble layout,
-//!   u8-quantized lookup tables, runtime-dispatched SIMD (`pshufb`) with a
-//!   bit-identical scalar fallback;
-//! * [`quant`] — int8 scalar quantization of row storage with per-row affine
-//!   parameters and exact-f32 re-scoring of final candidates.
+//! * [`store`] — the row storage the flat and IVF families scan and
+//!   rescore, heap-owned or a zero-copy view into a mapped segment file.
 //!
 //! All indexes implement the common [`VectorIndex`] trait so the storage layer
 //! (`lovo-store`) and LOVO itself can switch between them (the Table V
-//! experiment does exactly that).
+//! experiment does exactly that). Each family has one scan path; the int8,
+//! 4-bit fast-scan and int8-rescore tiers PR 7 added were removed in PR 22
+//! (no engine could reach them, and none paid; see `docs/benchmarks.md`).
 
 #![warn(missing_docs)]
 
-pub mod fastscan;
 pub mod flat;
 pub mod hnsw;
 pub mod ivf;
 pub mod kmeans;
 pub mod metric;
 pub mod pq;
-pub mod quant;
 pub mod store;
 
-pub use fastscan::{FastScanCodes, FastScanKernel, QuantizedLut, DISABLE_SIMD_ENV};
 pub use flat::FlatIndex;
 pub use hnsw::{HnswConfig, HnswIndex};
 pub use ivf::{IvfPqConfig, IvfPqIndex};
 pub use metric::Metric;
 pub use pq::{PqCode, PqConfig, ProductQuantizer};
-pub use quant::{Int8Arena, QuantizedFlatIndex};
 pub use store::{MappedSlice, RowStore};
 
 use serde::{Deserialize, Serialize};
@@ -337,7 +332,7 @@ impl FromIterator<VectorId> for IdPosting {
 
 /// A pushed-down predicate over external vector ids, evaluated inside every
 /// index scan so rejected rows never reach candidate selection (and, for the
-/// quantized and graph families, are never fully scored).
+/// IVF-PQ and graph families, are never fully scored).
 ///
 /// The storage layer compiles metadata predicates (video subsets, time
 /// windows, object classes) into one of these before fanning a query out to
@@ -709,47 +704,6 @@ impl IndexKind {
 /// build cost; segments below this threshold fall back to brute force.
 pub const MIN_TRAINED_SEGMENT_ROWS: usize = 256;
 
-/// Quantization tiers applied when a segment seals, carried on the storage
-/// layer's collection configuration. The selection rides *alongside*
-/// [`IndexKind`] rather than adding variants to it, so the Table V experiment
-/// loops over `IndexKind::ALL` are unaffected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct QuantizationOptions {
-    /// Seal brute-force segments as [`QuantizedFlatIndex`] (int8 rows with
-    /// exact-f32 re-scoring) instead of [`FlatIndex`]. Inner-product only.
-    pub int8_flat: bool,
-    /// Seal IVF-PQ segments with 4-bit fast-scan residual codes (16 centroids
-    /// per subspace, blocked nibble layout, SIMD LUT kernels).
-    pub fastscan_pq: bool,
-    /// Add an int8 pre-rescore tier to IVF-PQ segments: candidates are first
-    /// narrowed against the quantized arena, and only the survivors touch the
-    /// exact f32 arena.
-    pub int8_rescore: bool,
-}
-
-impl QuantizationOptions {
-    /// No quantization: the exact configuration previous releases shipped.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Every quantization tier enabled — the fastest configuration at 100k+
-    /// rows; quality is governed by the measured recall curve
-    /// (`fastscan_bench --curve`).
-    pub fn all() -> Self {
-        Self {
-            int8_flat: true,
-            fastscan_pq: true,
-            int8_rescore: true,
-        }
-    }
-
-    /// True when any tier is enabled.
-    pub fn any(&self) -> bool {
-        self.int8_flat || self.fastscan_pq || self.int8_rescore
-    }
-}
-
 /// Creates an index of the given family for `dim`-dimensional vectors using
 /// default parameters sized for the reproduction's workloads.
 pub fn create_index(kind: IndexKind, dim: usize) -> Result<Box<dyn VectorIndex>> {
@@ -774,85 +728,46 @@ pub fn create_segment_index(
     dim: usize,
     rows: usize,
 ) -> Result<Box<dyn VectorIndex>> {
-    create_segment_index_with(kind, dim, rows, QuantizationOptions::none())
-}
-
-/// [`create_segment_index`] with explicit seal-time quantization tiers: int8
-/// flat storage replaces the exact flat family (including the small-segment
-/// IVF fallback), and IVF-PQ segments can enable 4-bit fast-scan codes and/or
-/// the int8 pre-rescore arena.
-pub fn create_segment_index_with(
-    kind: IndexKind,
-    dim: usize,
-    rows: usize,
-    quantization: QuantizationOptions,
-) -> Result<Box<dyn VectorIndex>> {
-    let flat = |dim: usize| -> Box<dyn VectorIndex> {
-        if quantization.int8_flat {
-            Box::new(QuantizedFlatIndex::new(dim))
-        } else {
-            Box::new(FlatIndex::new(dim))
-        }
-    };
     match kind {
-        IndexKind::BruteForce => Ok(flat(dim)),
-        IndexKind::IvfPq if rows < MIN_TRAINED_SEGMENT_ROWS => Ok(flat(dim)),
-        IndexKind::IvfPq => {
-            let base = IvfPqConfig::for_dim(dim);
-            let centroids = (rows / 8).clamp(4, base.coarse_centroids);
-            let mut config = base.with_coarse_centroids(centroids);
-            if quantization.fastscan_pq {
-                config = config.with_fastscan();
-            }
-            if quantization.int8_rescore {
-                config = config.with_int8_rescore();
-            }
-            Ok(Box::new(IvfPqIndex::new(config)?))
+        IndexKind::IvfPq if rows >= MIN_TRAINED_SEGMENT_ROWS => {
+            Ok(Box::new(IvfPqIndex::new(segment_ivf_config(dim, rows))?))
         }
+        IndexKind::BruteForce | IndexKind::IvfPq => Ok(Box::new(FlatIndex::new(dim))),
         IndexKind::Hnsw => create_index(kind, dim),
     }
+}
+
+/// The IVF-PQ configuration of a trained segment of `rows` vectors.
+fn segment_ivf_config(dim: usize, rows: usize) -> IvfPqConfig {
+    let base = IvfPqConfig::for_dim(dim);
+    let centroids = (rows / 8).clamp(4, base.coarse_centroids);
+    base.with_coarse_centroids(centroids)
 }
 
 /// Reconstructs a sealed segment's index directly over already-stored rows
 /// (the storage layer's restore path): `ids[i]` owns `rows[i*dim..(i+1)*dim]`.
 ///
-/// Family selection and sizing are identical to [`create_segment_index_with`]
+/// Family selection and sizing are identical to [`create_segment_index`]
 /// for `rows = ids.len()`, and each family's restore constructor replicates
 /// its insert-then-build sequence over the same rows in the same order, so
 /// the restored index answers queries bit-identically to the one originally
 /// sealed — whether `rows` is heap-owned or a zero-copy view into a mapped
-/// segment file. The flat, int8-flat, and IVF families adopt the store as
-/// their scan/rescore arena without copying; HNSW builds its graph from the
-/// rows (graph construction is inherently heap-resident).
+/// segment file. The flat and IVF families adopt the store as their
+/// scan/rescore arena without copying; HNSW builds its graph from the rows
+/// (graph construction is inherently heap-resident).
 pub fn create_segment_index_from_rows(
     kind: IndexKind,
     dim: usize,
-    quantization: QuantizationOptions,
     ids: Vec<VectorId>,
     rows: RowStore,
 ) -> Result<Box<dyn VectorIndex>> {
-    let n = ids.len();
-    let flat = |ids: Vec<VectorId>, rows: RowStore| -> Result<Box<dyn VectorIndex>> {
-        if quantization.int8_flat {
-            Ok(Box::new(QuantizedFlatIndex::from_parts(dim, ids, rows)?))
-        } else {
-            Ok(Box::new(FlatIndex::from_parts(dim, ids, rows)?))
-        }
-    };
     match kind {
-        IndexKind::BruteForce => flat(ids, rows),
-        IndexKind::IvfPq if n < MIN_TRAINED_SEGMENT_ROWS => flat(ids, rows),
-        IndexKind::IvfPq => {
-            let base = IvfPqConfig::for_dim(dim);
-            let centroids = (n / 8).clamp(4, base.coarse_centroids);
-            let mut config = base.with_coarse_centroids(centroids);
-            if quantization.fastscan_pq {
-                config = config.with_fastscan();
-            }
-            if quantization.int8_rescore {
-                config = config.with_int8_rescore();
-            }
+        IndexKind::IvfPq if ids.len() >= MIN_TRAINED_SEGMENT_ROWS => {
+            let config = segment_ivf_config(dim, ids.len());
             Ok(Box::new(IvfPqIndex::build_from_rows(config, ids, rows)?))
+        }
+        IndexKind::BruteForce | IndexKind::IvfPq => {
+            Ok(Box::new(FlatIndex::from_parts(dim, ids, rows)?))
         }
         IndexKind::Hnsw => {
             if rows.len() != ids.len() * dim.max(1) {

@@ -170,36 +170,6 @@ impl AdcTable {
     pub fn subspace_score(&self, subspace: usize, code: u8) -> f32 {
         self.table[subspace * self.centroids_per_subspace + code as usize]
     }
-
-    /// The raw flat table: `num_subspaces * centroids_per_subspace` entries,
-    /// strided by [`AdcTable::stride`]. The fast-scan path re-quantizes this
-    /// buffer into its in-register u8 lookup tables.
-    pub fn raw_table(&self) -> &[f32] {
-        &self.table
-    }
-
-    /// Entries per subspace in [`AdcTable::raw_table`].
-    pub fn stride(&self) -> usize {
-        self.centroids_per_subspace
-    }
-
-    /// Builds a table directly from a flat entry buffer (`table.len()` must
-    /// be a multiple of `centroids_per_subspace`). Tests and benchmarks use
-    /// this to exercise scan kernels on synthetic tables without training a
-    /// quantizer first.
-    pub fn from_raw(table: Vec<f32>, centroids_per_subspace: usize) -> Result<Self> {
-        if centroids_per_subspace == 0 || table.len() % centroids_per_subspace != 0 {
-            return Err(IndexError::InvalidState(format!(
-                "ADC table of {} entries is not a multiple of {} centroids per subspace",
-                table.len(),
-                centroids_per_subspace
-            )));
-        }
-        Ok(AdcTable {
-            table,
-            centroids_per_subspace,
-        })
-    }
 }
 
 impl ProductQuantizer {

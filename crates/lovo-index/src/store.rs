@@ -3,8 +3,8 @@
 //! The zero-copy read path (PR 9) serves sealed segments straight out of
 //! memory-mapped `.lseg` files. The scan kernels don't care where their
 //! row-major `&[f32]` lives, so every arena that used to be a `Vec<f32>`
-//! ([`crate::FlatIndex`]'s data, [`crate::QuantizedFlatIndex`]'s exact rows,
-//! the IVF rescore arena) becomes a [`RowStore`]: either an owned heap
+//! ([`crate::FlatIndex`]'s data, the IVF rescore arena) becomes a
+//! [`RowStore`]: either an owned heap
 //! vector (the historical representation, still used for growing buffers
 //! and non-mmap opens) or a [`MappedSlice`] view into a mapping kept alive
 //! by an `Arc` owner.

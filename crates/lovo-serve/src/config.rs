@@ -127,6 +127,13 @@ impl ServeConfig {
         if self.cache_shards == 0 {
             return Err("cache_shards must be positive".into());
         }
+        if self.maintenance_interval == Some(Duration::ZERO) {
+            // A zero wait returns at once: the thread would seal and compact
+            // back to back, holding the store's locks in a loop.
+            return Err(
+                "maintenance_interval must be positive; use None to disable maintenance".into(),
+            );
+        }
         Ok(())
     }
 }
@@ -148,6 +155,11 @@ mod tests {
             .validate()
             .is_err());
         assert!(ServeConfig::default().with_max_batch(0).validate().is_err());
+        let spin = ServeConfig::default()
+            .with_maintenance_interval(Some(Duration::ZERO))
+            .validate()
+            .unwrap_err();
+        assert!(spin.contains("None"), "{spin}");
         // A zero cache capacity is legal: it disables caching.
         assert!(ServeConfig::default()
             .with_cache_capacity(0)

@@ -9,9 +9,7 @@
 
 use crate::segment::{Segment, ZoneMap};
 use crate::Result;
-use lovo_index::{
-    IdFilter, IdRanges, IndexKind, QuantizationOptions, SearchResult, SearchStats, TopK, VectorId,
-};
+use lovo_index::{IdFilter, IdRanges, IndexKind, SearchResult, SearchStats, TopK, VectorId};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -32,10 +30,6 @@ pub struct CollectionConfig {
     /// Bounds per-segment build cost; smaller values seal (and parallelize)
     /// more eagerly at the price of a wider search fan-out.
     pub segment_capacity: usize,
-    /// Quantized scan acceleration applied to segment indexes at seal time
-    /// (int8 flat stores, 4-bit fast-scan PQ, int8 rescore arenas). Off by
-    /// default; results stay exact-rescored when enabled.
-    pub quantization: QuantizationOptions,
 }
 
 impl CollectionConfig {
@@ -46,7 +40,6 @@ impl CollectionConfig {
             index_kind: IndexKind::IvfPq,
             normalize: true,
             segment_capacity: DEFAULT_SEGMENT_CAPACITY,
-            quantization: QuantizationOptions::none(),
         }
     }
 
@@ -59,12 +52,6 @@ impl CollectionConfig {
     /// Builder-style segment capacity override.
     pub fn with_segment_capacity(mut self, capacity: usize) -> Self {
         self.segment_capacity = capacity.max(1);
-        self
-    }
-
-    /// Builder-style quantization override, applied when segments seal.
-    pub fn with_quantization(mut self, quantization: QuantizationOptions) -> Self {
-        self.quantization = quantization;
         self
     }
 }
@@ -187,8 +174,7 @@ impl SegmentedCollection {
     pub fn new(name: impl Into<String>, config: CollectionConfig) -> Result<Self> {
         Ok(Self {
             name: name.into(),
-            growing: Segment::new(0, config.dim, config.index_kind)
-                .with_quantization(config.quantization),
+            growing: Segment::new(0, config.dim, config.index_kind),
             config,
             sealed: Vec::new(),
             next_segment_id: 1,
@@ -214,8 +200,7 @@ impl SegmentedCollection {
     ) -> Self {
         Self {
             name: name.into(),
-            growing: Segment::new(next_segment_id, config.dim, config.index_kind)
-                .with_quantization(config.quantization),
+            growing: Segment::new(next_segment_id, config.dim, config.index_kind),
             config,
             sealed,
             next_segment_id: next_segment_id + 1,
@@ -359,8 +344,7 @@ impl SegmentedCollection {
                 self.next_segment_id,
                 self.config.dim,
                 self.config.index_kind,
-            )
-            .with_quantization(self.config.quantization),
+            ),
         );
         self.next_segment_id += 1;
         self.index_builds += 1;
@@ -421,8 +405,7 @@ impl SegmentedCollection {
                 self.next_segment_id + merged_segments.len() as u64,
                 self.config.dim,
                 self.config.index_kind,
-            )
-            .with_quantization(self.config.quantization);
+            );
             for &position in group {
                 for (id, row) in self.sealed[position].raw_rows() {
                     // Rows were normalized on first insert; copy verbatim.
@@ -479,7 +462,7 @@ impl SegmentedCollection {
     /// `workers` sizes the scan pool: `0` applies the automatic rule (see
     /// `scan_workers` — the pass runs on the caller's thread), a non-zero
     /// count forces exactly that many — how the parallel path is exercised
-    /// deterministically on one-core CI, and what `fastscan_bench` sweeps.
+    /// deterministically on one-core CI.
     pub fn search_batch_with_stats_opts(
         &self,
         requests: &[BatchQuery<'_>],
@@ -1099,42 +1082,6 @@ mod tests {
         }];
         let one = c.search_batch_with_stats_opts(&batch, 1).unwrap();
         assert_eq!(one[0].1.parallel_segments, 0);
-    }
-
-    #[test]
-    fn quantized_collection_seals_quantized_segments_and_stays_accurate() {
-        use lovo_index::QuantizationOptions;
-        let cfg = CollectionConfig::new(16)
-            .with_index_kind(IndexKind::BruteForce)
-            .with_segment_capacity(100)
-            .with_quantization(QuantizationOptions {
-                int8_flat: true,
-                ..QuantizationOptions::none()
-            });
-        let mut c = SegmentedCollection::new("sq8", cfg).unwrap();
-        let vectors = sample_vectors(300, 16);
-        for (i, v) in vectors.iter().enumerate() {
-            c.insert(i as u64, v).unwrap();
-        }
-        c.seal().unwrap();
-        // Self-queries survive the int8 scan because the final candidates are
-        // rescored against exact f32 rows.
-        for probe in [0usize, 144, 299] {
-            let hits = c.search(&vectors[probe], 3).unwrap();
-            assert_eq!(hits[0].id, probe as u64, "probe {probe}");
-        }
-        // Compaction rebuilds also inherit the quantization options.
-        let cfg2 = cfg.with_segment_capacity(40);
-        let mut frag = SegmentedCollection::new("sq8-frag", cfg2).unwrap();
-        for (i, v) in vectors.iter().enumerate().take(60) {
-            frag.insert(i as u64, v).unwrap();
-            if (i + 1) % 15 == 0 {
-                frag.seal().unwrap();
-            }
-        }
-        assert!(frag.compact().unwrap().segments_created >= 1);
-        let hits = frag.search(&vectors[17], 1).unwrap();
-        assert_eq!(hits[0].id, 17);
     }
 
     #[test]

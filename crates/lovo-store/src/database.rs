@@ -133,7 +133,6 @@ impl VectorDatabase {
                     loaded.id,
                     recovered.config.dim,
                     recovered.config.index_kind,
-                    recovered.config.quantization,
                     loaded.zone,
                     loaded.ids,
                     loaded.rows,

@@ -15,11 +15,17 @@
 //! magic "LMAN" | version u32 | payload_len u32 | payload_crc u32 | payload
 //! payload: next_wal_id u64 | active_wal u64 | collection_count u32
 //!   per collection: name string
-//!     | dim u32 | index_kind u8 | normalize u8 | quantization u8
+//!     | dim u32 | index_kind u8 | normalize u8 | reserved u8
 //!     | segment_capacity u64 | next_segment_id u64 | wal_watermark u64
 //!     | segment_count u32
 //!     | per segment: id u64 | file string | rows u64 | min_id u64 | max_id u64
 //! ```
+//!
+//! The `reserved` byte held the quantization-tier bits until PR 22 removed
+//! the tiers. It is written as 0 and ignored on read, so the layout and
+//! `MANIFEST_VERSION` stay put: ANN indexes are derived data rebuilt at
+//! open, and a store written with a tier enabled reopens with the exact
+//! families.
 
 use super::codec::{ByteReader, ByteWriter, CodecError};
 use super::crc::crc32;
@@ -27,7 +33,7 @@ use super::fault::points;
 use super::io::{self, Faults};
 use super::StorageError;
 use crate::collection::CollectionConfig;
-use lovo_index::{IndexKind, QuantizationOptions};
+use lovo_index::IndexKind;
 use std::path::Path;
 
 pub(crate) const MANIFEST_MAGIC: [u8; 4] = *b"LMAN";
@@ -97,18 +103,6 @@ fn index_kind_from_code(code: u8) -> Option<IndexKind> {
     }
 }
 
-fn quantization_bits(q: QuantizationOptions) -> u8 {
-    u8::from(q.int8_flat) | (u8::from(q.fastscan_pq) << 1) | (u8::from(q.int8_rescore) << 2)
-}
-
-fn quantization_from_bits(bits: u8) -> QuantizationOptions {
-    QuantizationOptions {
-        int8_flat: bits & 1 != 0,
-        fastscan_pq: bits & 2 != 0,
-        int8_rescore: bits & 4 != 0,
-    }
-}
-
 impl Manifest {
     /// The manifest entry for `name`, if present.
     pub fn collection(&self, name: &str) -> Option<&ManifestCollection> {
@@ -130,7 +124,7 @@ impl Manifest {
             p.u32(col.config.dim as u32);
             p.u8(index_kind_code(col.config.index_kind));
             p.u8(u8::from(col.config.normalize));
-            p.u8(quantization_bits(col.config.quantization));
+            p.u8(0); // reserved
             p.u64(col.config.segment_capacity as u64);
             p.u64(col.next_segment_id);
             p.u64(col.wal_watermark);
@@ -193,7 +187,7 @@ impl Manifest {
             let index_kind = index_kind_from_code(kind_code)
                 .ok_or_else(|| corrupt(format!("unknown index kind code {kind_code}")))?;
             let normalize = p.u8("normalize flag").map_err(codec)? != 0;
-            let quantization = quantization_from_bits(p.u8("quantization bits").map_err(codec)?);
+            p.u8("reserved byte").map_err(codec)?;
             let segment_capacity = p.u64("segment capacity").map_err(codec)? as usize;
             let next_segment_id = p.u64("next segment id").map_err(codec)?;
             let wal_watermark = p.u64("wal watermark").map_err(codec)?;
@@ -215,7 +209,6 @@ impl Manifest {
                     index_kind,
                     normalize,
                     segment_capacity,
-                    quantization,
                 },
                 next_segment_id,
                 wal_watermark,
@@ -266,12 +259,7 @@ mod tests {
                 name: "lovo_patches".to_string(),
                 config: CollectionConfig::new(64)
                     .with_segment_capacity(512)
-                    .with_index_kind(IndexKind::Hnsw)
-                    .with_quantization(QuantizationOptions {
-                        int8_flat: true,
-                        fastscan_pq: false,
-                        int8_rescore: true,
-                    }),
+                    .with_index_kind(IndexKind::Hnsw),
                 next_segment_id: 3,
                 wal_watermark: 2,
                 segments: vec![
@@ -324,6 +312,32 @@ mod tests {
         assert_eq!(col.config, manifest.collections[0].config);
         assert_eq!(col.next_segment_id, 3);
         assert_eq!(col.segments, manifest.collections[0].segments);
+    }
+
+    #[test]
+    fn reserved_byte_is_ignored_on_read() {
+        // A store written while the quantization tiers existed carries their
+        // bits in the reserved byte; the decoded configuration must not
+        // depend on them.
+        let manifest = sample();
+        let mut bytes = manifest.encode();
+        let name_len = manifest.collections[0].name.len();
+        // Header (16), wal ids + collection count (20), name, dim (4),
+        // index kind and normalize (1 each).
+        let reserved = 16 + 20 + 4 + name_len + 4 + 2;
+        assert_eq!(
+            bytes[reserved - 2..=reserved],
+            [2, 1, 0],
+            "kind, normalize, reserved"
+        );
+        bytes[reserved] = 0b111;
+        let crc = crc32(&bytes[16..]);
+        bytes[12..16].copy_from_slice(&crc.to_le_bytes());
+        let decoded = Manifest::decode(&bytes, Path::new("m")).unwrap();
+        assert_eq!(
+            decoded.collections[0].config,
+            manifest.collections[0].config
+        );
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! in-memory [`crate::segment::Segment`] exactly: the raw (normalized) rows
 //! with their ids, the zone map, the metadata rows joined by patch id, and
 //! any auxiliary blobs (serialized key frames) whose frames have rows in
-//! the segment. ANN index payloads — IVF centroids, PQ/int8 code books —
-//! are *derived* data: they are rebuilt deterministically at open (k-means
-//! is fixed-seeded), so corruption of a derived cache can never corrupt a
-//! query result. The format reserves section kinds for them
-//! ([`SECTION_PQ_CODES`], [`SECTION_INT8_CODES`]) and the reader skips
-//! section kinds it does not consume, so a later writer can persist the
-//! caches without a version bump.
+//! the segment. ANN index payloads — IVF centroids, PQ code books — are
+//! *derived* data: they are rebuilt deterministically at open (k-means is
+//! fixed-seeded), so corruption of a derived cache can never corrupt a
+//! query result. The format reserves a section kind for them
+//! ([`SECTION_PQ_CODES`]; kind 5 is retired) and the reader skips section
+//! kinds it does not consume, so a later writer can persist the cache
+//! without a version bump.
 //!
 //! ## File layout (version 2)
 //!
@@ -70,8 +70,8 @@ pub const SECTION_META: u32 = 2;
 pub const SECTION_AUX: u32 = 3;
 /// Reserved: PQ code cache (derived; rebuilt at open today).
 pub const SECTION_PQ_CODES: u32 = 4;
-/// Reserved: int8 code cache (derived; rebuilt at open today).
-pub const SECTION_INT8_CODES: u32 = 5;
+// Kind 5 is retired: it was reserved for the int8 code cache of the
+// quantization tiers PR 22 removed and was never written. Never reuse it.
 /// Row ids, in row order (v2; v1 interleaves them into VECTORS).
 pub const SECTION_IDS: u32 = 6;
 

@@ -15,8 +15,8 @@
 
 use crate::{Result, StoreError};
 use lovo_index::{
-    create_segment_index_from_rows, create_segment_index_with, FlatIndex, IdFilter, IndexKind,
-    QuantizationOptions, RowStore, SearchResult, SearchStats, VectorId, VectorIndex,
+    create_segment_index, create_segment_index_from_rows, FlatIndex, IdFilter, IndexKind, RowStore,
+    SearchResult, SearchStats, VectorId, VectorIndex,
 };
 
 /// Zone map of a segment: the inclusive range of packed patch ids it holds
@@ -59,8 +59,6 @@ pub struct Segment {
     /// Index family used when the segment seals (the growing phase always
     /// scans the buffer).
     target_kind: IndexKind,
-    /// Quantized scan acceleration requested for the sealed index.
-    quantization: QuantizationOptions,
     /// The raw rows, kept after sealing for compaction. A flat index doubles
     /// as the append buffer and the growing phase's exact search.
     buffer: FlatIndex,
@@ -77,17 +75,10 @@ impl Segment {
             id,
             dim,
             target_kind,
-            quantization: QuantizationOptions::none(),
             buffer: FlatIndex::new(dim),
             index: None,
             zone: None,
         }
-    }
-
-    /// Builder-style quantization override, consulted when the segment seals.
-    pub fn with_quantization(mut self, quantization: QuantizationOptions) -> Self {
-        self.quantization = quantization;
-        self
     }
 
     /// Reconstructs a sealed segment directly from recovered parts — the
@@ -104,18 +95,16 @@ impl Segment {
         id: u64,
         dim: usize,
         target_kind: IndexKind,
-        quantization: QuantizationOptions,
         zone: Option<ZoneMap>,
         ids: Vec<VectorId>,
         rows: RowStore,
     ) -> Result<Self> {
         let buffer = FlatIndex::from_parts(dim, ids.clone(), rows.clone())?;
-        let index = create_segment_index_from_rows(target_kind, dim, quantization, ids, rows)?;
+        let index = create_segment_index_from_rows(target_kind, dim, ids, rows)?;
         Ok(Self {
             id,
             dim,
             target_kind,
-            quantization,
             buffer,
             index: Some(index),
             zone,
@@ -202,8 +191,7 @@ impl Segment {
         if self.is_sealed() {
             return Ok(());
         }
-        let mut index =
-            create_segment_index_with(self.target_kind, self.dim, self.len(), self.quantization)?;
+        let mut index = create_segment_index(self.target_kind, self.dim, self.len())?;
         for (id, row) in self.buffer.rows() {
             index.insert(id, row)?;
         }

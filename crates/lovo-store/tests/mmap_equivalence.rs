@@ -10,7 +10,7 @@
 //! insert + build sequence — and these tests pin that construction against
 //! regressions (a stray re-normalization, a lossy copy, an alignment slip).
 
-use lovo_index::{IndexKind, QuantizationOptions};
+use lovo_index::{IndexKind, SearchStats, MIN_TRAINED_SEGMENT_ROWS};
 use lovo_store::durability::{points, FaultAction, FaultPlan};
 use lovo_store::{
     patch_id, BatchQuery, CollectionConfig, DurabilityConfig, OpenOptions, PatchPredicate,
@@ -57,39 +57,35 @@ fn batch(video: u32, frame: u32, per_frame: u32) -> Vec<(Vec<f32>, PatchRecord)>
         .collect()
 }
 
-/// Every index family the segment writer can seal: flat f32, int8 flat,
-/// exact IVF-PQ, and fully quantized IVF-PQ (fast-scan codes + int8
-/// rescore tier).
-fn families() -> Vec<(&'static str, CollectionConfig)> {
+/// The flat family's configuration, which the fault, warm-up and
+/// compaction tests below use.
+fn flat_config() -> CollectionConfig {
+    CollectionConfig::new(DIM)
+        .with_index_kind(IndexKind::BruteForce)
+        .with_segment_capacity(64)
+}
+
+/// Every index family the segment writer can seal, with the rows each
+/// sealed segment gets: flat, IVF-PQ and HNSW. The IVF-PQ segments hold at
+/// least `MIN_TRAINED_SEGMENT_ROWS`, below which a segment seals flat
+/// instead and the trained restore path would go untested.
+fn families() -> Vec<(&'static str, CollectionConfig, u32)> {
+    let trained = MIN_TRAINED_SEGMENT_ROWS as u32 + 44;
     vec![
-        (
-            "flat",
-            CollectionConfig::new(DIM)
-                .with_index_kind(IndexKind::BruteForce)
-                .with_segment_capacity(64),
-        ),
-        (
-            "int8-flat",
-            CollectionConfig::new(DIM)
-                .with_index_kind(IndexKind::BruteForce)
-                .with_quantization(QuantizationOptions {
-                    int8_flat: true,
-                    ..QuantizationOptions::none()
-                })
-                .with_segment_capacity(64),
-        ),
+        ("flat", flat_config(), 40),
         (
             "ivf-pq",
             CollectionConfig::new(DIM)
                 .with_index_kind(IndexKind::IvfPq)
-                .with_segment_capacity(64),
+                .with_segment_capacity(2 * trained as usize),
+            trained,
         ),
         (
-            "ivf-fastscan",
+            "hnsw",
             CollectionConfig::new(DIM)
-                .with_index_kind(IndexKind::IvfPq)
-                .with_quantization(QuantizationOptions::all())
+                .with_index_kind(IndexKind::Hnsw)
                 .with_segment_capacity(64),
+            40,
         ),
     ]
 }
@@ -146,6 +142,20 @@ fn observe_filtered(
         .collect()
 }
 
+/// Work counters of one unfiltered search.
+fn stats(db: &VectorDatabase, query: &[f32], k: usize) -> SearchStats {
+    let request = BatchQuery {
+        query,
+        k,
+        filter: None,
+    };
+    db.search_batch_with_stats_opts(COL, &[request], 0)
+        .unwrap()
+        .pop()
+        .unwrap()
+        .1
+}
+
 /// The probe set: spread over both videos, plus off-manifold directions.
 fn probes() -> Vec<Vec<f32>> {
     let mut probes: Vec<Vec<f32>> = [0u64, 3, 17, 1000, 99_999]
@@ -193,9 +203,9 @@ fn predicates() -> Vec<PatchPredicate> {
 /// the heap-opened store — in eager and deferred verification modes.
 #[test]
 fn mmap_and_heap_reads_are_bit_identical_across_index_families() {
-    for (name, config) in families() {
+    for (name, config, rows_per_segment) in families() {
         let root = scratch_root(&format!("equiv-{name}"));
-        build_store(&root, config);
+        build_store_with(&root, config, rows_per_segment);
 
         let (heap, heap_report) = VectorDatabase::open_durable_with(
             &root,
@@ -225,6 +235,14 @@ fn mmap_and_heap_reads_are_bit_identical_across_index_families() {
                 "{name}: row counts diverge"
             );
             for (p, query) in probes().iter().enumerate() {
+                if config.index_kind == IndexKind::IvfPq {
+                    // The flat fallback probes no cells: a trained index
+                    // must serve both reads.
+                    for db in [&heap, &mapped] {
+                        let cells = stats(db, query, 10).cells_probed;
+                        assert!(cells > 0, "{name}: probe {p} fell back to flat");
+                    }
+                }
                 for k in [1usize, 10, 50] {
                     assert_eq!(
                         observe(&heap, query, k),
@@ -250,7 +268,7 @@ fn mmap_and_heap_reads_are_bit_identical_across_index_families() {
 #[test]
 fn warmup_faults_mappings_in_and_reports_bytes() {
     let root = scratch_root("warmup");
-    build_store(&root, families().remove(0).1);
+    build_store(&root, flat_config());
     let (db, _) = VectorDatabase::open_durable_with(
         &root,
         DurabilityConfig::new(),
@@ -273,7 +291,7 @@ fn warmup_faults_mappings_in_and_reports_bytes() {
 #[test]
 fn mmap_fault_falls_back_to_heap_read() {
     let root = scratch_root("fault-mmap");
-    build_store(&root, families().remove(0).1);
+    build_store(&root, flat_config());
     let plan = Arc::new(FaultPlan::new());
     // Faults are one-shot: arm one per sealed segment so every map fails.
     for _ in 0..3 {
@@ -309,7 +327,7 @@ fn mmap_fault_falls_back_to_heap_read() {
 #[test]
 fn madvise_fault_is_advisory_only() {
     let root = scratch_root("fault-madvise");
-    build_store(&root, families().remove(0).1);
+    build_store(&root, flat_config());
     let plan = Arc::new(FaultPlan::new());
     let (db, _) = VectorDatabase::open_durable_with(
         &root,
@@ -399,7 +417,7 @@ fn compaction_releases_input_mappings_and_preserves_results() {
     let root = scratch_root("compact");
     // 12-row segments: below the capacity/2 = 32 compaction threshold, so
     // one pass merges all three.
-    build_store_with(&root, families().remove(0).1, 12);
+    build_store_with(&root, flat_config(), 12);
     let (db, _) = VectorDatabase::open_durable_with(
         &root,
         DurabilityConfig::new(),
@@ -441,7 +459,7 @@ fn compaction_releases_input_mappings_and_preserves_results() {
 #[test]
 fn populate_changes_residency_not_results() {
     let root = scratch_root("populate");
-    build_store(&root, families().remove(0).1);
+    build_store(&root, flat_config());
     let (lazy, _) = VectorDatabase::open_durable_with(
         &root,
         DurabilityConfig::new(),
