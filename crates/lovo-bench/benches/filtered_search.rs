@@ -66,9 +66,7 @@ fn bench_selectivity_sweep(c: &mut Criterion) {
                         k: 10,
                         filter: Some(filter),
                     };
-                    collection
-                        .search_batch_with_stats_opts(&[request], 0)
-                        .unwrap()
+                    collection.search_batch_with_stats_opts(&[request]).unwrap()
                 })
             },
         );

@@ -1,9 +1,9 @@
 //! Hot-path microbenchmarks for the flat-storage + bounded-selection
 //! overhaul: distance kernels (`dot` vs `dot_batch`), flat-scan top-k, ADC
 //! list scoring over contiguous vs per-entry code storage, and end-to-end
-//! segmented search. `cargo bench --bench hot_path` reproduces the before /
-//! after comparison recorded in `BENCH_pr3.json` (the "before" numbers come
-//! from the same workloads run on the parent commit).
+//! segmented search. `cargo bench --bench hot_path` covers the workloads of
+//! the hot-path overhaul's before / after comparison (its headline numbers
+//! are in `docs/benchmarks.md`, "Retired emitters").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lovo_index::metric::{dot, dot_batch};

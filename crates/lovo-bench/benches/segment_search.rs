@@ -1,7 +1,7 @@
 //! Segment-count sweep: search latency of a `SegmentedCollection` as the
-//! same 20k-row corpus is split into 1, 4, 16 or 64 segments. Backs the
-//! claim that the parallel fan-out + k-way merge keeps multi-segment search
-//! competitive with a monolithic index, and shows where compaction pays off.
+//! same 20k-row corpus is split into 1, 4, 16 or 64 segments. Shows what
+//! the sequential fan-out + merge costs per extra segment against a
+//! monolithic index, and where compaction pays off.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lovo_store::{CollectionConfig, SegmentedCollection};

@@ -113,15 +113,13 @@ pub struct QueryResult {
 impl QueryResult {
     /// One-line per-stage latency breakdown, e.g.
     /// `wait 0.40ms | encode 0.12ms | prune 0.00ms | coarse 1.40ms |
-    /// rerank 3.25ms | segments 1 pruned / 3 probed / 0 parallel`. The
-    /// leading `wait` is the serve-side queue + batch-window latency — zero
-    /// unless the query went through a serving layer such as `lovo-serve`;
-    /// the trailing `parallel` counts segments scanned by intra-query
-    /// fan-out workers (zero for a sequential scan).
+    /// rerank 3.25ms | segments 1 pruned / 3 probed`. The leading `wait` is
+    /// the serve-side queue + batch-window latency — zero unless the query
+    /// went through a serving layer such as `lovo-serve`.
     pub fn breakdown(&self) -> String {
         format!(
             "wait {:.2}ms | encode {:.2}ms | prune {:.2}ms | coarse {:.2}ms | rerank {:.2}ms | \
-             segments {} pruned / {} probed / {} parallel",
+             segments {} pruned / {} probed",
             self.timings.wait_ms(),
             self.timings.encode_ms(),
             self.timings.prune_ms(),
@@ -129,7 +127,6 @@ impl QueryResult {
             self.timings.rerank_ms(),
             self.search_stats.segments_pruned,
             self.search_stats.segments_probed,
-            self.search_stats.parallel_segments,
         )
     }
 }

@@ -215,9 +215,8 @@ struct CoarseOutput {
 /// *distinct* predicate once, run one batched fan-out over the storage
 /// segments, and attach each candidate's key-frame timestamp. Outputs come
 /// back in plan order; provably-empty plans get no candidates and are never
-/// searched. `workers` goes to the store untouched (`0` = its automatic
-/// rule).
-fn coarse_stage(lovo: &Lovo, plans: &[QueryPlan], workers: usize) -> Result<Vec<CoarseOutput>> {
+/// searched.
+fn coarse_stage(lovo: &Lovo, plans: &[QueryPlan]) -> Result<Vec<CoarseOutput>> {
     // --- Encode every query text up front (§VI-A). ---
     let mut outputs: Vec<CoarseOutput> = Vec::with_capacity(plans.len());
     for plan in plans {
@@ -281,9 +280,9 @@ fn coarse_stage(lovo: &Lovo, plans: &[QueryPlan], workers: usize) -> Result<Vec<
         return Ok(outputs);
     }
     let search_start = Instant::now();
-    let results =
-        lovo.database
-            .search_batch_with_stats_opts(PATCH_COLLECTION, &requests, workers)?;
+    let results = lovo
+        .database
+        .search_batch_with_stats_opts(PATCH_COLLECTION, &requests, 0)?;
     let shared_seconds = search_start.elapsed().as_secs_f64() / requests.len() as f64;
 
     // A key frame this engine has not (yet) published — a query racing an
@@ -399,7 +398,7 @@ pub fn aggregate<E>(
 /// Executes a batch of plans: one shared coarse stage, then rerank +
 /// aggregation per plan. Results come back in plan order.
 pub(crate) fn execute(lovo: &Lovo, plans: &[QueryPlan]) -> Result<Vec<QueryResult>> {
-    coarse_stage(lovo, plans, 0)?
+    coarse_stage(lovo, plans)?
         .into_iter()
         .zip(plans)
         .map(|(coarse, plan)| {
@@ -429,14 +428,17 @@ impl Lovo {
     /// counters. Each hit carries its key frame's timestamp so a router can
     /// assemble rerank-disabled results without touching this engine again.
     /// Provably-empty plans return no candidates without searching.
-    /// `intra_query_threads` is the store's segment-scan worker count (`0` =
-    /// its automatic rule, which is what every executor in this crate uses).
+    ///
+    /// The trailing `usize` is accepted and ignored. It was a scan-thread
+    /// count, and stays only because the stand-alone end-to-end benchmark
+    /// package calls this signature; ROADMAP item 2f drops it together with
+    /// that package's call.
     pub fn coarse_plan(
         &self,
         plan: &QueryPlan,
-        intra_query_threads: usize,
+        _ignored: usize,
     ) -> Result<(Vec<CoarseHit>, SearchStats)> {
-        let output = coarse_stage(self, std::slice::from_ref(plan), intra_query_threads)?.pop();
+        let output = coarse_stage(self, std::slice::from_ref(plan))?.pop();
         Ok(output.map(|o| (o.hits, o.stats)).unwrap_or_default())
     }
 

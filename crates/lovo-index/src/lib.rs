@@ -120,12 +120,6 @@ pub struct SearchStats {
     /// codes skipped before ADC scoring, graph nodes visited but not
     /// accepted into the beam).
     pub filtered_out: usize,
-    /// Number of segments scanned by intra-query parallel workers. 0 for a
-    /// sequential walk; equal to `segments_probed` when the collection layer
-    /// split one query's segments across threads (each worker counts the
-    /// segments it claimed; the merge sums them, so the total is
-    /// deterministic regardless of work-stealing order).
-    pub parallel_segments: usize,
     /// Number of engine shards a routed query actually executed on. A
     /// single-engine search reports 0; the shard router sets this to the
     /// post-pruning fan-out width.
@@ -149,7 +143,6 @@ impl SearchStats {
         self.segments_pruned += other.segments_pruned;
         self.heap_pushes += other.heap_pushes;
         self.filtered_out += other.filtered_out;
-        self.parallel_segments += other.parallel_segments;
         self.shards_probed += other.shards_probed;
         self.shards_pruned += other.shards_pruned;
     }
@@ -818,7 +811,6 @@ mod tests {
             segments_pruned: 4,
             heap_pushes: 11,
             filtered_out: 2,
-            parallel_segments: 1,
             shards_probed: 2,
             shards_pruned: 6,
         };
@@ -830,7 +822,6 @@ mod tests {
             segments_pruned: 1,
             heap_pushes: 6,
             filtered_out: 3,
-            parallel_segments: 2,
             shards_probed: 1,
             shards_pruned: 3,
         });
@@ -841,7 +832,6 @@ mod tests {
         assert_eq!(a.segments_pruned, 5);
         assert_eq!(a.heap_pushes, 17);
         assert_eq!(a.filtered_out, 5);
-        assert_eq!(a.parallel_segments, 3);
         assert_eq!(a.shards_probed, 3);
         assert_eq!(a.shards_pruned, 9);
     }

@@ -602,7 +602,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
 }
 
 /// Sends one group's shared result to every waiter, stamping each copy with
-/// that submission's own queue + batch-window wait (taken in `next_batch`).
+/// that submission's own queue + batch-window wait (stamped in `close_batch`).
 fn reply_all(members: Vec<Pending>, result: &QueryResult, cache_hit: bool, coalesced_with: usize) {
     for pending in members {
         let mut copy = result.clone();
@@ -616,12 +616,12 @@ fn reply_all(members: Vec<Pending>, result: &QueryResult, cache_hit: bool, coale
     }
 }
 
-/// Maintenance body: on every tick, seal left-over growing rows (only past
-/// the configured floor — ingest seals its own batches) and merge undersized
-/// sealed segments, both off the query path.
 /// Longest maintenance backoff, as a multiple of the configured interval.
 const MAINTENANCE_BACKOFF_CAP: u32 = 32;
 
+/// Maintenance body: on every tick, seal left-over growing rows (only past
+/// the configured floor — ingest seals its own batches) and merge undersized
+/// sealed segments, both off the query path.
 fn maintenance_loop(shared: &Shared, stop: &(Mutex<bool>, Condvar), interval: Duration) {
     let (flag, signal) = stop;
     let mut stopped = flag.lock().unwrap_or_else(PoisonError::into_inner);

@@ -10,9 +10,8 @@
 //!    match the plan's video predicate — the zone-map idea lifted one level
 //!    up, recorded as `shards_pruned` in the merged
 //!    [`lovo_core::SearchStats`];
-//! 2. **scattering** the coarse stage to the surviving shards (claim-counter
-//!    work stealing, the same pool shape the storage layer's segment fan-out
-//!    uses) with per-shard admission control
+//! 2. **scattering** the coarse stage to the surviving shards (one thread
+//!    per target shard) with per-shard admission control
 //!    ([`ShardError::Rejected`]) and per-shard coarse-result caches keyed by
 //!    plan fingerprint + shard epoch (a router-level merged-result cache,
 //!    keyed by fingerprint + the target shards' epoch *vector*, absorbs

@@ -16,16 +16,12 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configuration of a [`ShardRouter`].
 #[derive(Clone)]
 pub struct ShardConfig {
-    /// Gather worker threads per scatter (`0` = one per contacted shard).
-    /// Workers claim shard legs off a shared counter — the same
-    /// work-stealing shape the storage layer's segment fan-out uses.
-    pub gather_threads: usize,
     /// Per-shard admission depth: at most this many queries may have a
     /// coarse leg in flight on one shard; the next is refused with
     /// [`ShardError::Rejected`].
@@ -42,8 +38,9 @@ pub struct ShardConfig {
     pub cache_shards: usize,
     /// Deadline for each gather phase. A shard that has not answered in
     /// time is treated as an outage (degraded result), not an error. `None`
-    /// waits indefinitely — only safe because every claimed leg sends
-    /// exactly one message even when the shard panics.
+    /// waits indefinitely — only safe because every leg's thread sends
+    /// exactly one message even when the shard panics. `Some(ZERO)` is
+    /// refused: no leg could ever answer in time.
     pub gather_timeout: Option<Duration>,
     /// Deterministic fault plan consulted at the `shard.gather` point
     /// (chaos tests); checks compile out of release builds without the
@@ -54,7 +51,6 @@ pub struct ShardConfig {
 impl std::fmt::Debug for ShardConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardConfig")
-            .field("gather_threads", &self.gather_threads)
             .field("shard_queue_depth", &self.shard_queue_depth)
             .field("cache_capacity", &self.cache_capacity)
             .field("result_cache_capacity", &self.result_cache_capacity)
@@ -68,7 +64,6 @@ impl std::fmt::Debug for ShardConfig {
 impl Default for ShardConfig {
     fn default() -> Self {
         Self {
-            gather_threads: 0,
             shard_queue_depth: 64,
             cache_capacity: 256,
             result_cache_capacity: 256,
@@ -80,12 +75,6 @@ impl Default for ShardConfig {
 }
 
 impl ShardConfig {
-    /// Builder-style gather-thread override (`0` = one per contacted shard).
-    pub fn with_gather_threads(mut self, threads: usize) -> Self {
-        self.gather_threads = threads;
-        self
-    }
-
     /// Builder-style per-shard admission-depth override.
     pub fn with_shard_queue_depth(mut self, depth: usize) -> Self {
         self.shard_queue_depth = depth;
@@ -123,6 +112,13 @@ impl ShardConfig {
         }
         if self.cache_shards == 0 {
             return Err("cache_shards must be positive".into());
+        }
+        if self.gather_timeout == Some(Duration::ZERO) {
+            return Err(
+                "gather_timeout must be positive: a zero deadline degrades every query \
+                 (use None to wait without a deadline)"
+                    .into(),
+            );
         }
         Ok(())
     }
@@ -218,7 +214,7 @@ impl ShardedResult {
     }
 }
 
-/// One claimed scatter leg: the shard index and the work to run on it.
+/// One scatter leg: the shard index and the work to run on it.
 type Leg<R> = (usize, Box<dyn FnOnce() -> Result<R, String> + Send>);
 
 /// What the merged-result cache stores: the full assembled answer of one
@@ -457,8 +453,8 @@ impl ShardRouter {
     }
 
     /// Coarse scatter: per-shard cache lookups, admission for the misses,
-    /// then a work-stealing gather. Returns per-shard responses (indexed by
-    /// shard), the cache-hit count, and the outages collected so far.
+    /// then a gather. Returns per-shard responses (indexed by shard), the
+    /// cache-hit count, and the outages collected so far.
     #[allow(clippy::type_complexity)]
     fn scatter_coarse(
         &self,
@@ -533,12 +529,7 @@ impl ShardRouter {
             .fetch_add(legs.len() as u64, Ordering::Relaxed);
 
         let mut outages = Vec::new();
-        let gathered = self.gather(legs, Some(Arc::clone(&self.in_flight)));
-        let mut answered: Vec<bool> = vec![false; self.shards.len()];
-        for (index, outcome) in gathered {
-            if let Some(flag) = answered.get_mut(index) {
-                *flag = true;
-            }
+        for (index, outcome) in self.gather(legs, Some(&self.in_flight)) {
             match outcome {
                 Ok(response) => {
                     if let Some(cache) = self.caches.get(index) {
@@ -552,17 +543,6 @@ impl ShardRouter {
                     shard: index,
                     reason,
                 }),
-            }
-        }
-        // Legs that never reported before the deadline are outages too; the
-        // detached worker still releases the admission slot when the slow
-        // shard eventually finishes — the shard really is still busy.
-        for &index in &misses {
-            if !answered.get(index).copied().unwrap_or(true) {
-                outages.push(ShardOutage {
-                    shard: index,
-                    reason: "gather deadline exceeded".into(),
-                });
             }
         }
         Ok((responses, cache_hits, outages))
@@ -609,14 +589,8 @@ impl ShardRouter {
         self.counters
             .rerank_requests
             .fetch_add(legs.len() as u64, Ordering::Relaxed);
-        let expected: Vec<usize> = legs.iter().map(|(index, _)| *index).collect();
-        let gathered = self.gather(legs, None);
-        let mut answered: Vec<bool> = vec![false; self.shards.len()];
         let mut lists = Vec::new();
-        for (index, outcome) in gathered {
-            if let Some(flag) = answered.get_mut(index) {
-                *flag = true;
-            }
+        for (index, outcome) in self.gather(legs, None) {
             match outcome {
                 Ok(list) => lists.push(list),
                 Err(reason) => outages.push(ShardOutage {
@@ -625,88 +599,60 @@ impl ShardRouter {
                 }),
             }
         }
-        for index in expected {
-            if !answered.get(index).copied().unwrap_or(true) {
-                outages.push(ShardOutage {
-                    shard: index,
-                    reason: "gather deadline exceeded".into(),
-                });
-            }
-        }
         lists
     }
 
-    /// Work-stealing gather: workers claim legs off a shared counter, run
-    /// each under `catch_unwind`, and send exactly one message per claimed
-    /// leg — so the receive loop below can never hang on a lost worker. A
-    /// panicking leg reports an outage string instead of poisoning the
-    /// router. When `permits` is given, the leg's shard slot is released
-    /// after the leg settles (success, error, or panic alike).
+    /// Runs every leg on a thread of its own under `catch_unwind`, and
+    /// returns one outcome per leg: a panicking leg reports an outage string
+    /// instead of poisoning the router. When `permits` is given, a leg's
+    /// thread releases its shard's admission slot once the leg settles
+    /// (success, error or panic alike). A leg that has not reported when the
+    /// gather deadline passes comes back as `gather deadline exceeded`; its
+    /// detached thread still releases the slot when the slow shard
+    /// eventually finishes — the shard really is still busy.
     fn gather<R: Send + 'static>(
         &self,
         legs: Vec<Leg<R>>,
-        permits: Option<Arc<Vec<AtomicUsize>>>,
+        permits: Option<&Arc<Vec<AtomicUsize>>>,
     ) -> Vec<(usize, Result<R, String>)> {
-        let total = legs.len();
-        if total == 0 {
-            return Vec::new();
-        }
-        let slots: Arc<Vec<Mutex<Option<Leg<R>>>>> =
-            Arc::new(legs.into_iter().map(|leg| Mutex::new(Some(leg))).collect());
-        let claim = Arc::new(AtomicUsize::new(0));
+        let expected: Vec<usize> = legs.iter().map(|(index, _)| *index).collect();
         let (sender, receiver) = mpsc::channel::<(usize, Result<R, String>)>();
-        let workers = if self.config.gather_threads == 0 {
-            total
-        } else {
-            self.config.gather_threads.clamp(1, total)
-        };
-        for _ in 0..workers {
-            let slots = Arc::clone(&slots);
-            let claim = Arc::clone(&claim);
+        for (index, work) in legs {
             let sender = sender.clone();
-            let permits = permits.clone();
+            let permits = permits.cloned();
             // Detached on purpose: a hung shard must not hang the router.
-            // The worker's only side effects after the deadline passes are
+            // The thread's only side effects after the deadline passes are
             // releasing the admission slot and a send into a channel whose
             // receiver may be gone (ignored).
-            std::thread::spawn(move || loop {
-                let index = claim.fetch_add(1, Ordering::SeqCst);
-                let Some(slot) = slots.get(index) else {
-                    break;
-                };
-                let Some((shard_index, work)) =
-                    slot.lock().unwrap_or_else(PoisonError::into_inner).take()
-                else {
-                    continue;
-                };
+            std::thread::spawn(move || {
                 let outcome = catch_unwind(AssertUnwindSafe(work))
                     .unwrap_or_else(|_| Err("shard leg panicked mid-gather".into()));
-                if let Some(permits) = &permits {
-                    if let Some(permit) = permits.get(shard_index) {
-                        permit.fetch_sub(1, Ordering::SeqCst);
-                    }
+                if let Some(permit) = permits.as_ref().and_then(|slots| slots.get(index)) {
+                    permit.fetch_sub(1, Ordering::SeqCst);
                 }
-                let _ = sender.send((shard_index, outcome));
+                let _ = sender.send((index, outcome));
             });
         }
         drop(sender);
 
-        let mut gathered = Vec::with_capacity(total);
-        match self.config.gather_timeout {
-            None => {
-                while let Ok(message) = receiver.recv() {
-                    gathered.push(message);
-                }
-            }
-            Some(timeout) => {
-                let deadline = Instant::now() + timeout;
-                while gathered.len() < total {
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    match receiver.recv_timeout(remaining) {
-                        Ok(message) => gathered.push(message),
-                        Err(_) => break,
-                    }
-                }
+        let deadline = self
+            .config
+            .gather_timeout
+            .map(|timeout| Instant::now() + timeout);
+        let mut gathered = Vec::with_capacity(expected.len());
+        while gathered.len() < expected.len() {
+            let message = match deadline {
+                None => receiver.recv().ok(),
+                Some(deadline) => receiver
+                    .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                    .ok(),
+            };
+            let Some(message) = message else { break };
+            gathered.push(message);
+        }
+        for index in expected {
+            if !gathered.iter().any(|(answered, _)| *answered == index) {
+                gathered.push((index, Err("gather deadline exceeded".into())));
             }
         }
         gathered
@@ -827,6 +773,16 @@ mod tests {
         // Zero cache capacity is legal: it disables the per-shard caches.
         assert!(ShardConfig::default()
             .with_cache_capacity(0)
+            .validate()
+            .is_ok());
+        // A zero gather deadline would degrade every query; `None` is the
+        // way to wait without one.
+        let zero = ShardConfig::default()
+            .with_gather_timeout(Some(Duration::ZERO))
+            .validate();
+        assert!(zero.is_err_and(|message| message.contains("None")));
+        assert!(ShardConfig::default()
+            .with_gather_timeout(None)
             .validate()
             .is_ok());
     }

@@ -11,7 +11,6 @@ use crate::segment::{Segment, ZoneMap};
 use crate::Result;
 use lovo_index::{IdFilter, IdRanges, IndexKind, SearchResult, SearchStats, TopK, VectorId};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default number of rows after which the growing segment seals.
 pub const DEFAULT_SEGMENT_CAPACITY: usize = 4096;
@@ -27,8 +26,8 @@ pub struct CollectionConfig {
     /// (the paper normalizes everything so dot product = cosine, §V-A).
     pub normalize: bool,
     /// Rows at which the growing segment seals and builds its ANN index.
-    /// Bounds per-segment build cost; smaller values seal (and parallelize)
-    /// more eagerly at the price of a wider search fan-out.
+    /// Bounds per-segment build cost; smaller values seal more eagerly at
+    /// the price of a wider search fan-out.
     pub segment_capacity: usize,
 }
 
@@ -442,7 +441,7 @@ impl SegmentedCollection {
             filter: None,
         };
         Ok(self
-            .search_batch_with_stats_opts(&[request], 0)?
+            .search_batch_with_stats_opts(&[request])?
             .pop()
             .unwrap_or_default()
             .0)
@@ -459,18 +458,14 @@ impl SegmentedCollection {
     /// into the collection top-k with a bounded [`TopK`] selection. Results
     /// come back in request order.
     ///
-    /// `workers` sizes the scan pool: `0` applies the automatic rule (see
-    /// `scan_workers` — the pass runs on the caller's thread), a non-zero
-    /// count forces exactly that many — how the parallel path is exercised
-    /// deterministically on one-core CI.
+    /// The pass runs on the caller's thread. Splitting it over spawned
+    /// threads was slower on every corpus it was measured on (2, 11 and 25
+    /// segments on a 2-vCPU host; `docs/benchmarks.md`, PR 18) and made a
+    /// query's latency depend on when the scheduler ran the helpers.
     pub fn search_batch_with_stats_opts(
         &self,
         requests: &[BatchQuery<'_>],
-        workers: usize,
     ) -> Result<Vec<(Vec<SearchResult>, SearchStats)>> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
         // Normalize every query once, up front.
         let normalized: Vec<Vec<f32>> = requests
             .iter()
@@ -487,90 +482,37 @@ impl SegmentedCollection {
         if !self.growing.is_empty() {
             probes.push(&self.growing);
         }
-        if probes.is_empty() {
-            return Ok(requests
-                .iter()
-                .map(|_| (Vec::new(), SearchStats::default()))
-                .collect());
-        }
 
-        // Fan out over scoped worker threads that *steal* segments from a
-        // shared atomic claim counter — static chunking stalls the whole
-        // fan-out on whichever chunk drew the largest segments, while
-        // claim-per-segment keeps every worker busy until the probe list is
-        // drained. One thread per segment would pay a spawn per probe, which
-        // dominates once appends fragment the collection into many small
-        // segments. Each worker keeps ONE reused merge scratch per query and
-        // folds segment hits in as they finish, instead of collecting a
-        // per-segment result vec.
-        let workers = scan_workers(workers, probes.len());
-        let next_probe = AtomicUsize::new(0);
-        let scan_claimed = |parallel: bool| -> Result<Vec<MergeScratch>> {
-            let mut scratches: Vec<MergeScratch> =
-                requests.iter().map(|_| MergeScratch::default()).collect();
-            loop {
-                let position = next_probe.fetch_add(1, Ordering::Relaxed);
-                let Some(segment) = probes.get(position) else {
-                    break;
-                };
-                for ((request, query), scratch) in
-                    requests.iter().zip(&normalized).zip(&mut scratches)
-                {
-                    match (request.filter, segment.zone_map()) {
-                        (Some(filter), Some(zone)) if !filter.might_match(&zone) => {
-                            scratch.stats.segments_pruned += 1;
-                        }
-                        _ => {
-                            scratch.fold(segment.search_filtered_with_stats(
-                                query,
-                                request.k,
-                                request.filter.map(PushdownFilter::id_filter),
-                            )?);
-                            if parallel {
-                                scratch.stats.parallel_segments += 1;
-                            }
-                        }
+        // One scratch per query, reused across the whole walk: segment hits
+        // are appended as each segment finishes instead of being collected
+        // into a per-segment result vec.
+        let mut scratches: Vec<MergeScratch> =
+            requests.iter().map(|_| MergeScratch::default()).collect();
+        for segment in &probes {
+            for ((request, query), scratch) in requests.iter().zip(&normalized).zip(&mut scratches)
+            {
+                match (request.filter, segment.zone_map()) {
+                    (Some(filter), Some(zone)) if !filter.might_match(&zone) => {
+                        scratch.stats.segments_pruned += 1;
                     }
+                    _ => scratch.fold(segment.search_filtered_with_stats(
+                        query,
+                        request.k,
+                        request.filter.map(PushdownFilter::id_filter),
+                    )?),
                 }
             }
-            Ok(scratches)
-        };
-        let per_thread: Vec<Vec<MergeScratch>> = if workers <= 1 {
-            vec![scan_claimed(false)?]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| scope.spawn(|| scan_claimed(true)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| handle.join().expect("segment search worker panicked"))
-                    .collect::<Result<Vec<_>>>()
-            })?
-        };
+        }
 
-        // Merge the per-thread folds query by query: concatenate, keep one
-        // score per id where a row can have two, then one bounded top-k
-        // selection. The selector's (score desc, id asc) total order over
-        // unique ids makes the result independent of fold and claim order.
-        let mut per_query: Vec<MergeScratch> = {
-            let mut threads = per_thread.into_iter();
-            let first = threads.next().expect("at least one fan-out worker");
-            threads.fold(first, |mut acc, scratches| {
-                for (merged, mut scratch) in acc.iter_mut().zip(scratches) {
-                    merged.stats.merge(&scratch.stats);
-                    merged.probes += scratch.probes;
-                    merged.hits.append(&mut scratch.hits);
-                }
-                acc
-            })
-        };
-        // A replaced row still living in an older segment is the only way
-        // one id reaches the merge twice, and it takes two segments whose id
-        // ranges overlap. Ingest-ordered collections have none.
+        // Per query: keep one score per id where a row can have two, then one
+        // bounded top-k selection. The selector's (score desc, id asc) total
+        // order over unique ids makes the result independent of segment
+        // order. A replaced row still living in an older segment is the only
+        // way one id reaches the merge twice, and it takes two segments whose
+        // id ranges overlap. Ingest-ordered collections have none.
         let unique_ids = zones_are_disjoint(&probes);
-        Ok(per_query
-            .drain(..)
+        Ok(scratches
+            .into_iter()
             .zip(requests)
             .map(|(scratch, request)| {
                 let MergeScratch {
@@ -614,25 +556,6 @@ impl SegmentedCollection {
     }
 }
 
-/// The segment-scan thread policy — the only place it is decided. Returns
-/// the number of threads one fan-out pass scans on (`1` = sequentially on the
-/// caller's thread) given the caller's `requested` count and the number of
-/// segments to probe.
-///
-/// `requested == 0` is the automatic rule, and the automatic rule is one
-/// thread. The parallel path spawns its scoped workers per pass and the
-/// caller sleeps until they are done; on the 2-vCPU reference host that was
-/// slower than the sequential scan at every measured size (2 segments of
-/// 10k rows: 248 against 183 µs a pass; 11 of 78k rows: 799 against 660; 25
-/// small ones: 1707 against 1015) and made a query's latency depend on
-/// where and when the scheduler ran the helpers (ROADMAP 3d's verdict). A
-/// non-zero `requested` forces that many workers. Either way a single
-/// segment is scanned in place and the pool never exceeds the segment
-/// count.
-fn scan_workers(requested: usize, probes: usize) -> usize {
-    requested.clamp(1, probes.max(1))
-}
-
 /// True when no two of the segments' zone maps share an id, so no id can
 /// come back from two of them.
 fn zones_are_disjoint(segments: &[&Segment]) -> bool {
@@ -652,10 +575,8 @@ fn keep_best_per_id(hits: &mut Vec<SearchResult>) {
     hits.dedup_by_key(|hit| hit.id);
 }
 
-/// Per-worker fan-out scratch: every hit of every segment this worker
-/// probed, the merged work counters, and the number of segments probed. One
-/// scratch lives per search thread and query and is reused across the
-/// worker's segments.
+/// Per-query fan-out scratch: every hit of every segment the query probed,
+/// the merged work counters, and the number of segments probed.
 #[derive(Debug, Default)]
 struct MergeScratch {
     hits: Vec<SearchResult>,
@@ -676,15 +597,14 @@ impl MergeScratch {
 mod tests {
     use super::*;
 
-    /// One (optionally filtered) query through the batched working function
-    /// under the automatic thread rule.
+    /// One (optionally filtered) query through the batched working function.
     fn search_one(
         c: &SegmentedCollection,
         query: &[f32],
         k: usize,
         filter: Option<&PushdownFilter>,
     ) -> (Vec<SearchResult>, SearchStats) {
-        c.search_batch_with_stats_opts(&[BatchQuery { query, k, filter }], 0)
+        c.search_batch_with_stats_opts(&[BatchQuery { query, k, filter }])
             .unwrap()
             .pop()
             .unwrap()
@@ -954,26 +874,24 @@ mod tests {
                 ];
                 for filter in &filters {
                     for probe in [7usize, 310, 457, 650, 899] {
-                        for workers in [0, 3] {
-                            let request = BatchQuery {
-                                query: &vectors[probe],
-                                k: 25,
-                                filter: filter.as_ref(),
-                            };
-                            let (hits, _) = c
-                                .search_batch_with_stats_opts(&[request], workers)
-                                .unwrap()
-                                .pop()
-                                .unwrap();
-                            let expected =
-                                hash_merge_reference(&c, &vectors[probe], 25, filter.as_ref());
-                            assert_eq!(
-                                bits(&hits),
-                                bits(&expected),
-                                "{kind:?} capacity {capacity} replaced {replaced} \
-                                 filter {filter:?} probe {probe} workers {workers}"
-                            );
-                        }
+                        let request = BatchQuery {
+                            query: &vectors[probe],
+                            k: 25,
+                            filter: filter.as_ref(),
+                        };
+                        let (hits, _) = c
+                            .search_batch_with_stats_opts(&[request])
+                            .unwrap()
+                            .pop()
+                            .unwrap();
+                        let expected =
+                            hash_merge_reference(&c, &vectors[probe], 25, filter.as_ref());
+                        assert_eq!(
+                            bits(&hits),
+                            bits(&expected),
+                            "{kind:?} capacity {capacity} replaced {replaced} \
+                             filter {filter:?} probe {probe}"
+                        );
                     }
                 }
             }
@@ -1025,7 +943,7 @@ mod tests {
                 filter: None,
             },
         ];
-        let batched = c.search_batch_with_stats_opts(&requests, 0).unwrap();
+        let batched = c.search_batch_with_stats_opts(&requests).unwrap();
         assert_eq!(batched.len(), 3);
         let single_a = search_one(&c, &vectors[7], 5, None);
         let single_b = search_one(&c, &vectors[120], 3, Some(&filter));
@@ -1034,54 +952,7 @@ mod tests {
         assert_eq!(batched[1], single_b);
         assert_eq!(batched[2], single_c);
         assert!(batched[1].0.iter().all(|h| h.id < 200));
-        assert!(c.search_batch_with_stats_opts(&[], 0).unwrap().is_empty());
-    }
-
-    #[test]
-    fn forced_intra_query_workers_match_sequential_results() {
-        // A single query over many sealed segments: automatic sizing scans
-        // sequentially, while an explicit worker count forces the
-        // work-stealing parallel path. Hits and merged counters must be
-        // identical either way (the claim order is nondeterministic, but the
-        // per-id best-score merge is order-free); only `parallel_segments`
-        // tells the two paths apart.
-        let cfg = CollectionConfig::new(16)
-            .with_index_kind(IndexKind::BruteForce)
-            .with_segment_capacity(25);
-        let mut c = SegmentedCollection::new("steal", cfg).unwrap();
-        let vectors = sample_vectors(400, 16);
-        for (i, v) in vectors.iter().enumerate() {
-            c.insert(i as u64, v).unwrap();
-        }
-        c.seal().unwrap();
-        assert_eq!(c.stats().sealed_segments, 16);
-        for probe in [3usize, 210, 388] {
-            let query = vectors[probe].clone();
-            let batch = [BatchQuery {
-                query: query.as_slice(),
-                k: 9,
-                filter: None,
-            }];
-            let sequential = c.search_batch_with_stats_opts(&batch, 0).unwrap();
-            let parallel = c.search_batch_with_stats_opts(&batch, 4).unwrap();
-            assert_eq!(sequential[0].0, parallel[0].0, "probe {probe}");
-            assert_eq!(sequential[0].1.parallel_segments, 0);
-            assert_eq!(parallel[0].1.parallel_segments, 16, "probe {probe}");
-            assert_eq!(
-                parallel[0].1.segments_probed,
-                sequential[0].1.segments_probed
-            );
-            assert_eq!(parallel[0].1.vectors_scored, sequential[0].1.vectors_scored);
-        }
-        // A forced worker count of 1 stays on the sequential path.
-        let query = vectors[3].clone();
-        let batch = [BatchQuery {
-            query: query.as_slice(),
-            k: 9,
-            filter: None,
-        }];
-        let one = c.search_batch_with_stats_opts(&batch, 1).unwrap();
-        assert_eq!(one[0].1.parallel_segments, 0);
+        assert!(c.search_batch_with_stats_opts(&[]).unwrap().is_empty());
     }
 
     #[test]

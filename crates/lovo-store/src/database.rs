@@ -457,21 +457,24 @@ impl VectorDatabase {
     /// (one collection read-lock acquisition, one segment walk shared by the
     /// whole batch), each with its own `k` and optional pushed-down filter
     /// (compile one with [`VectorDatabase::resolve_filter`]). Results come
-    /// back joined with metadata, in request order. `workers` sizes the
-    /// segment-scan pool exactly as in
-    /// [`SegmentedCollection::search_batch_with_stats_opts`]: `0` is the
-    /// store's automatic rule, `n` forces exactly `n` workers.
+    /// back joined with metadata, in request order; the walk runs on the
+    /// caller's thread ([`SegmentedCollection::search_batch_with_stats_opts`]).
+    ///
+    /// The trailing `usize` is accepted and ignored. It was a scan-thread
+    /// count, and stays only because the stand-alone end-to-end benchmark
+    /// package calls this signature; ROADMAP item 2f renames the function
+    /// and drops the argument together with that package's call.
     pub fn search_batch_with_stats_opts(
         &self,
         collection: &str,
         requests: &[BatchQuery<'_>],
-        workers: usize,
+        _ignored: usize,
     ) -> Result<Vec<(Vec<JoinedHit>, SearchStats)>> {
         let collections = self.collections.read();
         let col = collections
             .get(collection)
             .ok_or_else(|| StoreError::UnknownCollection(collection.to_string()))?;
-        let results = col.search_batch_with_stats_opts(requests, workers)?;
+        let results = col.search_batch_with_stats_opts(requests)?;
         results
             .into_iter()
             .map(|(hits, stats)| Ok((self.join_hits(hits)?, stats)))

@@ -4,7 +4,7 @@
 //! The segmented storage engine makes `Lovo::add_videos` cost proportional to
 //! the appended batch: new patches land in a growing segment that seals into
 //! its own ANN index, existing sealed segments are untouched, and queries fan
-//! out over all segments in parallel. After many small appends, `compact()`
+//! out over all segments in one pass. After many small appends, `compact()`
 //! merges undersized segments to bound the fan-out width.
 //!
 //! ```bash

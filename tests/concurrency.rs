@@ -14,8 +14,8 @@ fn build_engine(frames: usize) -> Lovo {
             .with_frames_per_video(frames)
             .with_seed(77),
     );
-    // A small segment capacity forces a multi-segment collection so the
-    // parallel fan-out path is what the query threads exercise.
+    // A small segment capacity forces a multi-segment collection, so every
+    // query thread walks many segments under the collection read lock.
     Lovo::build(&videos, LovoConfig::default().with_segment_capacity(300)).expect("build")
 }
 

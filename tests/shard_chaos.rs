@@ -141,8 +141,9 @@ mod injected {
         let degraded = router
             .query_spec(&QuerySpec::new("a bus driving on the road"))
             .expect("degraded gather still Ok");
-        // One-shot point, nondeterministic victim (work stealing): exactly
-        // one leg dies, whichever worker consulted the plan first.
+        // One-shot point, nondeterministic victim (legs run concurrently):
+        // exactly one leg dies, whichever leg's thread consulted the plan
+        // first.
         assert_eq!(degraded.outages.len(), 1);
         assert_eq!(faults.triggered(), vec![points::SHARD_GATHER.to_string()]);
         assert_eq!(faults.pending(), 0);
