@@ -304,12 +304,13 @@ impl Lovo {
     /// this run's statistics; [`Lovo::ingest_stats`] keeps the running total.
     ///
     /// Safe to call concurrently with queries (and with other appends —
-    /// batches land in the shared growing segment in arrival order). A query
-    /// racing an append may observe the batch's vectors a moment before its
-    /// key frames are merged; such frames are skipped from that query's
-    /// results. The ingest epoch is bumped once more *after* the key frames
-    /// merge, so an epoch-keyed result cache cannot keep serving a result
-    /// computed inside that window.
+    /// batches land in the shared growing segment in arrival order). The
+    /// batch's key frames are published, under one short write lock after
+    /// encoding, before the first of its vectors becomes searchable: a
+    /// racing query that finds a frame's patches also finds the frame to
+    /// rerank. Every insert and seal moves the ingest epoch, so an
+    /// epoch-keyed result cache never serves an answer computed before the
+    /// batch landed.
     pub fn add_videos(&self, videos: &VideoCollection) -> Result<IngestStats> {
         // Reserve the ids before ingesting: a mid-run failure can leave part
         // of the batch in the store, and a retry under the same ids would
@@ -321,20 +322,9 @@ impl Lovo {
             let batch_ids = unique_video_ids(videos, &ingested)?;
             ingested.extend(batch_ids);
         }
-        // Encode into a batch-local key-frame map so the shared map's write
-        // lock is held only for the final merge, not the (expensive)
-        // encoding — queries keep reranking against the pre-append map while
-        // the batch encodes.
-        let mut batch_keyframes = KeyframeMap::new();
         let run = self
             .summarizer
-            .ingest_into(videos, &self.database, &mut batch_keyframes)?;
-        self.keyframes.write().extend(batch_keyframes);
-        // The batch's vectors became searchable (and bumped the epoch)
-        // before its key frames merged; a result computed in that window is
-        // missing the new frames. One more bump now marks any such result
-        // stale for epoch-keyed caches.
-        self.database.touch_collection(PATCH_COLLECTION)?;
+            .ingest_into(videos, &self.database, &self.keyframes)?;
         self.ingest_stats.lock().accumulate(&run);
         Ok(run)
     }

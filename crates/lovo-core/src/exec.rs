@@ -42,7 +42,7 @@ use std::time::Instant;
 
 /// One coarse-stage candidate patch in shard-portable form: the packed patch
 /// id, its fast-search score, the patch's bounding box, and the owning key
-/// frame's timestamp when the producing engine has published that key frame.
+/// frame's timestamp.
 ///
 /// The shard router's coarse responses carry these across the router↔shard
 /// boundary and the single-engine executor builds the same values, so both
@@ -56,9 +56,9 @@ pub struct CoarseHit {
     pub score: f32,
     /// The patch's bounding box.
     pub bbox: BoundingBox,
-    /// Timestamp of the owning key frame in seconds, or `None` when the
-    /// producing engine has not (yet) published the key frame — consumers
-    /// skip such frames exactly as the single-engine ablation path does.
+    /// Timestamp of the owning key frame in seconds. The engine always fills
+    /// it, from the patch's stored record; a producer that leaves it `None`
+    /// has its frame skipped by [`assemble_unreranked`].
     pub timestamp: Option<f64>,
 }
 
@@ -179,9 +179,8 @@ pub fn group_hits_by_frame(hits: &[CoarseHit]) -> Vec<FrameSeed> {
 }
 
 /// Assembles the ablation (rerank-disabled) output from grouped frame seeds:
-/// frames whose timestamp is unknown (key frame unpublished on the producing
-/// engine) are skipped, the rest are sorted by [`unreranked_order`] and
-/// truncated to `output_frames`.
+/// frames whose timestamp is unknown are skipped, the rest are sorted by
+/// [`unreranked_order`] and truncated to `output_frames`.
 pub fn assemble_unreranked(seeds: &[FrameSeed], output_frames: usize) -> Vec<RankedObject> {
     let mut ranked: Vec<RankedObject> = seeds
         .iter()
@@ -285,9 +284,6 @@ fn coarse_stage(lovo: &Lovo, plans: &[QueryPlan]) -> Result<Vec<CoarseOutput>> {
         .search_batch_with_stats_opts(PATCH_COLLECTION, &requests, 0)?;
     let shared_seconds = search_start.elapsed().as_secs_f64() / requests.len() as f64;
 
-    // A key frame this engine has not (yet) published — a query racing an
-    // append, see `Lovo::add_videos` — leaves its hits' timestamp `None`.
-    let keyframes = lovo.keyframes.read();
     let searched = outputs
         .iter_mut()
         .zip(plans)
@@ -298,15 +294,13 @@ fn coarse_stage(lovo: &Lovo, plans: &[QueryPlan]) -> Result<Vec<CoarseOutput>> {
         output.hits = hits
             .iter()
             .map(|hit| {
-                let (video_id, frame_index, _) = split_patch_id(hit.patch_id);
                 let (x, y, w, h) = hit.record.bbox;
                 CoarseHit {
                     patch_id: hit.patch_id,
                     score: hit.score,
                     bbox: BoundingBox::new(x, y, w, h),
-                    timestamp: keyframes
-                        .get(&(video_id, frame_index))
-                        .map(|frame| frame.timestamp),
+                    // Ingest stamps the record with its key frame's timestamp.
+                    timestamp: Some(hit.record.timestamp),
                 }
             })
             .collect();
@@ -443,9 +437,8 @@ impl Lovo {
     }
 
     /// Runs a plan's rerank stage over the given candidate frames on this
-    /// engine: frames whose key frame this engine does not hold are skipped
-    /// (exactly as the single-engine path skips unpublished frames), and the
-    /// reranked list comes back sorted by [`reranked_order`] but
+    /// engine: frames whose key frame this engine does not hold are skipped,
+    /// and the reranked list comes back sorted by [`reranked_order`] but
     /// *untruncated* — the router applies the output budget globally after
     /// merging every shard's list.
     pub fn rerank_plan(&self, plan: &QueryPlan, seeds: &[FrameSeed]) -> Result<Vec<RankedObject>> {

@@ -141,6 +141,20 @@ impl QueryPlan {
         hasher.finish()
     }
 
+    /// True when `other` has the same result-relevant identity: field for
+    /// field what [`QueryPlan::fingerprint`] hashes, so the predicate is
+    /// compared as compiled, not as the user wrote it. Two plans that agree
+    /// here return the same answer from the same collection.
+    pub fn same_answer(&self, other: &QueryPlan) -> bool {
+        self.text == other.text
+            && self.fast_search_k == other.fast_search_k
+            && self.enable_rerank == other.enable_rerank
+            && self.rerank_frames == other.rerank_frames
+            && self.output_frames == other.output_frames
+            && self.provably_empty == other.provably_empty
+            && self.patch_predicate == other.patch_predicate
+    }
+
     /// The stages this plan executes, in order. Unconstrained plans skip
     /// `prune`; rerank-ablated plans skip `rerank`.
     pub fn stages(&self) -> Vec<PlanStage> {
@@ -389,6 +403,7 @@ mod tests {
         let direct =
             planner.plan(&QuerySpec::new("a red car").with_predicate(QueryPredicate::videos([2])));
         assert_eq!(folded.fingerprint(), direct.fingerprint());
+        assert!(folded != direct && folded.same_answer(&direct));
 
         // Anything result-relevant separates fingerprints.
         let other_text = planner.plan(&QuerySpec::new("a blue car"));
@@ -398,6 +413,7 @@ mod tests {
         assert_ne!(base.fingerprint(), other_text.fingerprint());
         assert_ne!(base.fingerprint(), other_k.fingerprint());
         assert_ne!(base.fingerprint(), other_pred.fingerprint());
+        assert!(!base.same_answer(&other_k) && !base.same_answer(&other_pred));
     }
 
     #[test]

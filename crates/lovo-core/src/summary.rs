@@ -21,6 +21,7 @@ use lovo_encoder::{FrameEncoding, VisualEncoder};
 use lovo_store::{PatchRecord, VectorDatabase};
 use lovo_video::keyframe::KeyframeExtractor;
 use lovo_video::{Frame, VideoCollection};
+use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -130,13 +131,16 @@ impl VideoSummarizer {
         videos: &VideoCollection,
         database: &VectorDatabase,
     ) -> Result<(IngestStats, KeyframeMap)> {
-        let mut keyframes = KeyframeMap::new();
-        let stats = self.ingest_into(videos, database, &mut keyframes)?;
-        Ok((stats, keyframes))
+        let keyframes = RwLock::new(KeyframeMap::new());
+        let stats = self.ingest_into(videos, database, &keyframes)?;
+        Ok((stats, keyframes.into_inner()))
     }
 
     /// Appends one batch of videos to `database`, extending `keyframes` with
-    /// the batch's retained key frames. The appended rows land in the
+    /// the batch's retained key frames. The key frames are published — under
+    /// one short write lock, after encoding — before the first of their
+    /// vectors is inserted, so a racing query that finds a frame's patches
+    /// also finds the frame to rerank. The appended rows land in the
     /// collection's growing segment(s) and are sealed at the end of the run;
     /// segments sealed by earlier runs are never rebuilt, which is what makes
     /// incremental ingest cost proportional to the batch.
@@ -144,7 +148,7 @@ impl VideoSummarizer {
         &self,
         videos: &VideoCollection,
         database: &VectorDatabase,
-        keyframes: &mut KeyframeMap,
+        keyframes: &RwLock<KeyframeMap>,
     ) -> Result<IngestStats> {
         for video in &videos.videos {
             if video.id > MAX_VIDEO_ID {
@@ -175,6 +179,13 @@ impl VideoSummarizer {
         let encode_start = Instant::now();
         let encodings = self.encode_parallel(&selected)?;
         stats.encoding_seconds = encode_start.elapsed().as_secs_f64();
+        // If an insert below fails, key frames without vectors stay
+        // published: harmless, as no lookup names them.
+        keyframes.write().extend(
+            selected
+                .iter()
+                .map(|(video_id, frame)| ((*video_id, frame.index as u32), (*frame).clone())),
+        );
 
         // --- vector collection + metadata construction (§IV-D, §V-B) ---
         let index_start = Instant::now();
@@ -191,11 +202,9 @@ impl VideoSummarizer {
             .map(|s| (s.sealed_segments, s.index_builds))
             .unwrap_or((0, 0));
 
-        keyframes.reserve(selected.len());
         let durable = database.is_durable();
         let mut frame_batch: Vec<(&[f32], PatchRecord)> = Vec::new();
         for ((video_id, frame), encoding) in selected.iter().zip(encodings.iter()) {
-            keyframes.insert((*video_id, frame.index as u32), (*frame).clone());
             frame_batch.clear();
             for patch in &encoding.patches {
                 if patch.objectness < self.min_objectness {
@@ -403,19 +412,17 @@ mod tests {
 
         let summarizer = VideoSummarizer::new(&LovoConfig::default()).unwrap();
         let db = VectorDatabase::new();
-        let mut keyframes = KeyframeMap::new();
-        let run1 = summarizer.ingest_into(&first, &db, &mut keyframes).unwrap();
+        let keyframes = RwLock::new(KeyframeMap::new());
+        let run1 = summarizer.ingest_into(&first, &db, &keyframes).unwrap();
         let builds_after_first = db.collection_stats(PATCH_COLLECTION).unwrap().index_builds;
-        let run2 = summarizer
-            .ingest_into(&second, &db, &mut keyframes)
-            .unwrap();
+        let run2 = summarizer.ingest_into(&second, &db, &keyframes).unwrap();
         let stats = db.collection_stats(PATCH_COLLECTION).unwrap();
 
         // The append sealed (and built) only its own segments.
         assert!(run2.segments_sealed >= 1);
         assert_eq!(stats.index_builds, builds_after_first + run2.index_builds);
         assert_eq!(stats.entities, run1.patches_indexed + run2.patches_indexed);
-        assert_eq!(keyframes.len(), run1.key_frames + run2.key_frames);
+        assert_eq!(keyframes.read().len(), run1.key_frames + run2.key_frames);
     }
 
     #[test]

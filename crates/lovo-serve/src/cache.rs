@@ -4,7 +4,8 @@
 //! ([`lovo_core::QueryPlan::fingerprint`]) — text, effective `k`, rerank and
 //! output budgets, and the *flattened* predicate — so syntactically different
 //! specs that normalize to the same plan share one entry. Every entry is
-//! stamped with the ingest epoch it was computed under; a lookup whose
+//! stamped with the epoch it was computed under (the backend's freshness
+//! token for that plan, see [`crate::Backend::epoch`]); a lookup whose
 //! current epoch differs evicts the entry and reports a miss, which is what
 //! makes stale hits across an ingest impossible: the epoch is bumped by every
 //! insert, seal and compaction *before* the mutation becomes searchable to a
@@ -15,77 +16,30 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-/// The result-relevant identity of a plan, kept alongside each entry to turn
-/// a (astronomically unlikely) 64-bit fingerprint collision into a miss
-/// instead of a wrong answer. Field-for-field what
-/// [`QueryPlan::fingerprint`] hashes.
-#[derive(Debug, Clone)]
-struct PlanKey {
-    text: String,
-    fast_search_k: usize,
-    enable_rerank: bool,
-    rerank_frames: usize,
-    output_frames: usize,
-    provably_empty: bool,
-    predicate: lovo_core::PatchPredicate,
-}
-
-impl PlanKey {
-    fn of(plan: &QueryPlan) -> Self {
-        Self {
-            text: plan.text.clone(),
-            fast_search_k: plan.fast_search_k,
-            enable_rerank: plan.enable_rerank,
-            rerank_frames: plan.rerank_frames,
-            output_frames: plan.output_frames,
-            provably_empty: plan.provably_empty,
-            predicate: plan.patch_predicate.clone(),
-        }
-    }
-
-    fn matches(&self, plan: &QueryPlan) -> bool {
-        self.text == plan.text
-            && self.fast_search_k == plan.fast_search_k
-            && self.enable_rerank == plan.enable_rerank
-            && self.rerank_frames == plan.rerank_frames
-            && self.output_frames == plan.output_frames
-            && self.provably_empty == plan.provably_empty
-            && self.predicate == plan.patch_predicate
-    }
-}
-
-struct Entry<V> {
-    key: PlanKey,
+struct Entry {
+    /// The plan the entry answers, kept to turn a (astronomically unlikely)
+    /// 64-bit fingerprint collision into a miss instead of a wrong answer.
+    plan: QueryPlan,
     epoch: u64,
-    result: V,
+    result: QueryResult,
     last_used: u64,
 }
 
-struct Shard<V> {
-    map: HashMap<u64, Entry<V>>,
+#[derive(Default)]
+struct Shard {
+    map: HashMap<u64, Entry>,
     tick: u64,
 }
 
-impl<V> Default for Shard<V> {
-    fn default() -> Self {
-        Self {
-            map: HashMap::new(),
-            tick: 0,
-        }
-    }
-}
-
-/// Sharded LRU of cached values keyed by plan fingerprint, invalidated by
-/// ingest epoch. Generic over the cached value so the serving layer stores
-/// whole [`QueryResult`]s while the shard router's per-shard caches store
-/// coarse-stage responses.
-pub(crate) struct ResultCache<V: Clone = QueryResult> {
-    shards: Vec<Mutex<Shard<V>>>,
+/// Sharded LRU of query results keyed by plan fingerprint, invalidated by
+/// epoch.
+pub(crate) struct ResultCache {
+    shards: Vec<Mutex<Shard>>,
     per_shard_capacity: usize,
     stale_evictions: AtomicU64,
 }
 
-impl<V: Clone> ResultCache<V> {
+impl ResultCache {
     /// A cache of `capacity` total entries over `shards` independently locked
     /// shards. `capacity == 0` disables the cache (every lookup misses,
     /// every insert is dropped).
@@ -98,7 +52,7 @@ impl<V: Clone> ResultCache<V> {
         }
     }
 
-    fn shard(&self, fingerprint: u64) -> &Mutex<Shard<V>> {
+    fn shard(&self, fingerprint: u64) -> &Mutex<Shard> {
         // lint:allow(index, in bounds by construction: fingerprint % len with len >= 1)
         &self.shards[(fingerprint % self.shards.len() as u64) as usize]
     }
@@ -106,7 +60,12 @@ impl<V: Clone> ResultCache<V> {
     /// Looks up the plan's cached result, valid only at `epoch`. An entry
     /// stamped with any other epoch is evicted on sight (the collection has
     /// changed since it was computed) and the lookup misses.
-    pub(crate) fn get(&self, fingerprint: u64, plan: &QueryPlan, epoch: u64) -> Option<V> {
+    pub(crate) fn get(
+        &self,
+        fingerprint: u64,
+        plan: &QueryPlan,
+        epoch: u64,
+    ) -> Option<QueryResult> {
         if self.per_shard_capacity == 0 {
             return None;
         }
@@ -117,7 +76,7 @@ impl<V: Clone> ResultCache<V> {
         shard.tick += 1;
         let tick = shard.tick;
         match shard.map.get_mut(&fingerprint) {
-            Some(entry) if entry.epoch == epoch && entry.key.matches(plan) => {
+            Some(entry) if entry.epoch == epoch && entry.plan.same_answer(plan) => {
                 entry.last_used = tick;
                 Some(entry.result.clone())
             }
@@ -136,7 +95,7 @@ impl<V: Clone> ResultCache<V> {
     /// least-recently-used entry when full. Eviction scans the shard
     /// linearly — shards are small (capacity / shard count), so this stays
     /// cheap without an intrusive list.
-    pub(crate) fn put(&self, fingerprint: u64, plan: &QueryPlan, epoch: u64, result: V) {
+    pub(crate) fn put(&self, fingerprint: u64, plan: &QueryPlan, epoch: u64, result: QueryResult) {
         if self.per_shard_capacity == 0 {
             return;
         }
@@ -154,7 +113,7 @@ impl<V: Clone> ResultCache<V> {
         shard.map.insert(
             fingerprint,
             Entry {
-                key: PlanKey::of(plan),
+                plan: plan.clone(),
                 epoch,
                 result,
                 last_used: tick,

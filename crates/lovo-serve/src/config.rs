@@ -25,30 +25,15 @@ pub struct ServeConfig {
     pub batch_window: Duration,
     /// Upper bound on submissions coalesced into one engine pass.
     pub max_batch: usize,
-    /// Total result-cache capacity in entries (split across
-    /// [`ServeConfig::cache_shards`]). `0` disables caching entirely.
+    /// Total result-cache capacity in entries (split evenly across 8
+    /// independently locked cache shards). `0` disables caching entirely.
     pub cache_capacity: usize,
-    /// Number of independently locked cache shards. More shards mean less
-    /// lock contention between unrelated queries; the capacity is divided
-    /// evenly among them.
-    pub cache_shards: usize,
     /// Background maintenance cadence. `None` disables the maintenance
-    /// thread; with `Some(interval)` the service periodically seals left-over
-    /// growing rows and compacts undersized sealed segments off the query
-    /// path.
+    /// thread; with `Some(interval)` the service calls
+    /// [`crate::Backend::maintain`] that often — for an engine, sealing
+    /// left-over growing rows and compacting undersized sealed segments off
+    /// the query path.
     pub maintenance_interval: Option<Duration>,
-    /// Minimum buffered growing rows before a maintenance tick seals them.
-    /// Ingest already seals after every batch, so this only mops up rows from
-    /// direct database writes; the floor avoids mass-producing tiny segments
-    /// that the next compaction would immediately re-merge.
-    pub maintenance_seal_min_rows: usize,
-    /// Pre-fault mapped sealed segments when the service starts. Only
-    /// meaningful when the engine was opened with the mmap read path and
-    /// without `MAP_POPULATE`: the service issues one `MADV_WILLNEED` pass
-    /// over every live mapping before accepting queries, trading a longer
-    /// start for no demand-paging stalls on the first requests. A no-op on
-    /// the heap read path.
-    pub warmup_on_start: bool,
 }
 
 impl Default for ServeConfig {
@@ -59,10 +44,7 @@ impl Default for ServeConfig {
             batch_window: Duration::from_micros(500),
             max_batch: 32,
             cache_capacity: 1024,
-            cache_shards: 8,
             maintenance_interval: Some(Duration::from_millis(500)),
-            maintenance_seal_min_rows: 256,
-            warmup_on_start: false,
         }
     }
 }
@@ -106,13 +88,6 @@ impl ServeConfig {
         self
     }
 
-    /// Builder-style start-time warm-up toggle (pre-fault mapped segments
-    /// before the first query; a no-op on the heap read path).
-    pub fn with_warmup_on_start(mut self, warmup: bool) -> Self {
-        self.warmup_on_start = warmup;
-        self
-    }
-
     /// Checks internal consistency.
     pub fn validate(&self) -> std::result::Result<(), String> {
         if self.workers == 0 {
@@ -123,9 +98,6 @@ impl ServeConfig {
         }
         if self.max_batch == 0 {
             return Err("max_batch must be positive".into());
-        }
-        if self.cache_shards == 0 {
-            return Err("cache_shards must be positive".into());
         }
         if self.maintenance_interval == Some(Duration::ZERO) {
             // A zero wait returns at once: the thread would seal and compact
@@ -175,14 +147,12 @@ mod tests {
             .with_batch_window(Duration::from_millis(2))
             .with_max_batch(16)
             .with_cache_capacity(64)
-            .with_maintenance_interval(None)
-            .with_warmup_on_start(true);
+            .with_maintenance_interval(None);
         assert_eq!(config.workers, 4);
         assert_eq!(config.queue_depth, 8);
         assert_eq!(config.batch_window, Duration::from_millis(2));
         assert_eq!(config.max_batch, 16);
         assert_eq!(config.cache_capacity, 64);
         assert_eq!(config.maintenance_interval, None);
-        assert!(config.warmup_on_start);
     }
 }

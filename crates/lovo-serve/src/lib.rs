@@ -20,16 +20,17 @@
 //! * **Micro-batch coalescing** — submissions that arrive within a small
 //!   window are executed as one [`lovo_core::Lovo::query_plans`] pass,
 //!   sharing one collection lock acquisition and one storage-segment walk.
-//!   Duplicate submissions (same plan fingerprint) inside a batch are
-//!   executed once and fanned back out to every waiter. The service calls
-//!   the engine exactly as a direct caller does — it has no scan-thread
-//!   option, so a served plan and a direct `query_spec` do the same scan.
+//!   Submissions compiling to one plan (same fingerprint, and
+//!   [`lovo_core::QueryPlan::same_answer`]) inside a batch are executed once
+//!   and fanned back out to every waiter. The service calls the engine
+//!   exactly as a direct caller does — it has no scan-thread option, so a
+//!   served plan and a direct `query_spec` do the same scan.
 //! * **Plan-keyed result cache** — a sharded LRU keyed by the normalized
 //!   [`lovo_core::QueryPlan::fingerprint`] (text + effective `k` + flattened
-//!   predicate), invalidated by the engine's ingest epoch
-//!   ([`lovo_core::Lovo::ingest_epoch`]): any insert, seal or compaction
-//!   makes every older entry stale, so a cache hit is always as fresh as a
-//!   recomputation would have been at lookup time.
+//!   predicate), invalidated by the backend's epoch for the plan
+//!   ([`lovo_core::Lovo::ingest_epoch`] for an engine): any insert, seal or
+//!   compaction makes every older entry stale, so a cache hit is always as
+//!   fresh as a recomputation would have been at lookup time.
 //!
 //! The service also owns a **background maintenance thread** that seals
 //! left-over growing rows and compacts undersized sealed segments off the
@@ -39,7 +40,10 @@
 //! videos are placed onto N engine shards and a [`ShardRouter`]
 //! scatter-gathers each query across them, pruning shards the plan provably
 //! cannot match and merging per-shard answers bit-identically to a single
-//! engine holding the whole corpus.
+//! engine holding the whole corpus. The service is generic over its
+//! [`Backend`], so a router is served exactly as an engine is: one
+//! admission queue, one micro-batch, one cache, whose freshness token for a
+//! routed plan is the epochs of just the shards that plan targets.
 //!
 //! ```
 //! use lovo_core::{Lovo, LovoConfig, QuerySpec};
@@ -72,11 +76,11 @@ mod service;
 pub mod shard;
 
 pub use config::ServeConfig;
-pub use service::{QueryService, ServeStats, Served};
+pub use service::{Backend, MaintenanceTick, QueryService, ServeStats, Served};
 pub use shard::{
     partition_videos, CoarseRequest, CoarseResponse, EngineShard, HashPlacement, LocalShard,
-    Placement, RerankRequest, RerankResponse, ShardConfig, ShardError, ShardOutage, ShardRouter,
-    ShardStats, ShardedResult,
+    RerankRequest, RerankResponse, ShardConfig, ShardError, ShardOutage, ShardRouter, ShardStats,
+    ShardedResult,
 };
 
 /// Errors surfaced by the query service.

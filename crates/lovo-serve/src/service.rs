@@ -1,18 +1,95 @@
 //! The query service: admission-controlled worker pool, micro-batch
-//! coalescing, result caching, and background maintenance.
+//! coalescing, result caching, and background maintenance — over any
+//! [`Backend`]: one engine, or a shard router in front of many.
 //!
 //! An engine pass — batch window, execution, replies — runs on whichever
 //! thread holds one of the `workers` pass slots: a pool worker, or the
 //! submitting thread itself when it finds the service idle.
 
 use crate::cache::ResultCache;
-use crate::{Result, ServeConfig, ServeError};
+use crate::{Result, ServeConfig, ServeError, ShardOutage, ShardedResult};
 use lovo_core::{Lovo, QueryPlan, QueryResult, QuerySpec};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// What a [`QueryService`] serves: something that compiles specs, stamps
+/// each plan's freshness, and answers a batch of distinct plans. Implemented
+/// by [`Lovo`] (one engine) and [`crate::ShardRouter`] (a sharded fleet).
+pub trait Backend: Send + Sync + 'static {
+    /// Compiles a spec into the plan the service dedupes and caches on.
+    fn plan(&self, spec: &QuerySpec) -> QueryPlan;
+
+    /// The freshness token of `plan`'s answer: it moves whenever anything the
+    /// plan can see changes. A cached answer is served only while the token
+    /// it was stamped with is still current.
+    fn epoch(&self, plan: &QueryPlan) -> u64;
+
+    /// Answers distinct plans, in order. An answer with outages is partial:
+    /// the service serves it but never caches it.
+    fn answer(&self, plans: &[QueryPlan]) -> std::result::Result<Vec<ShardedResult>, String>;
+
+    /// One background maintenance tick (see
+    /// [`ServeConfig::maintenance_interval`]). Does nothing by default.
+    fn maintain(&self) -> MaintenanceTick {
+        MaintenanceTick::default()
+    }
+}
+
+/// What one [`Backend::maintain`] tick did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct MaintenanceTick {
+    /// Growing segments sealed.
+    pub seals: u64,
+    /// Sealed segments merged away by compaction.
+    pub segments_merged: u64,
+    /// True when a seal or compaction failed; the service backs off.
+    pub failed: bool,
+}
+
+/// Buffered growing rows below which an engine's maintenance tick does not
+/// seal. Ingest already seals after every batch, so maintenance only mops up
+/// rows from direct database writes; the floor avoids mass-producing tiny
+/// segments that the next compaction would immediately re-merge.
+const MAINTENANCE_SEAL_MIN_ROWS: usize = 256;
+
+impl Backend for Lovo {
+    fn plan(&self, spec: &QuerySpec) -> QueryPlan {
+        Lovo::plan(self, spec)
+    }
+
+    fn epoch(&self, _plan: &QueryPlan) -> u64 {
+        self.ingest_epoch()
+    }
+
+    fn answer(&self, plans: &[QueryPlan]) -> std::result::Result<Vec<ShardedResult>, String> {
+        let results = self.query_plans(plans).map_err(|error| error.to_string())?;
+        Ok(results
+            .into_iter()
+            .map(|result| ShardedResult {
+                result,
+                outages: Vec::new(),
+            })
+            .collect())
+    }
+
+    fn maintain(&self) -> MaintenanceTick {
+        let mut tick = MaintenanceTick::default();
+        if self.collection_stats().growing_rows >= MAINTENANCE_SEAL_MIN_ROWS {
+            match self.seal() {
+                Ok(()) => tick.seals = 1,
+                Err(_) => tick.failed = true,
+            }
+        }
+        match self.compact() {
+            Ok(result) => tick.segments_merged = result.segments_merged as u64,
+            Err(_) => tick.failed = true,
+        }
+        tick
+    }
+}
 
 /// One answered submission.
 #[derive(Debug, Clone)]
@@ -28,6 +105,10 @@ pub struct Served {
     /// nonzero only when micro-batching coalesced concurrent arrivals.
     /// Zero for cache hits and solo executions.
     pub coalesced_with: usize,
+    /// Shards lost while answering (see [`ShardedResult::outages`]); always
+    /// empty for a single engine and for cache hits. A degraded answer is
+    /// served but never cached.
+    pub outages: Vec<ShardOutage>,
 }
 
 /// Point-in-time service counters (all lifetime totals).
@@ -136,8 +217,12 @@ struct QueueState {
     shutdown: bool,
 }
 
-struct Shared {
-    engine: Arc<Lovo>,
+/// Independently locked result-cache shards: more shards mean less lock
+/// contention between unrelated queries.
+const CACHE_SHARDS: usize = 8;
+
+struct Shared<B> {
+    engine: Arc<B>,
     config: ServeConfig,
     state: Mutex<QueueState>,
     work_ready: Condvar,
@@ -145,20 +230,21 @@ struct Shared {
     counters: Counters,
 }
 
-impl Shared {
+impl<B> Shared<B> {
     fn lock_state(&self) -> MutexGuard<'_, QueueState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// A concurrent query front end over an [`Arc<Lovo>`] engine.
+/// A concurrent query front end over an [`Arc`]-shared [`Backend`] — by
+/// default one [`Lovo`] engine.
 ///
 /// Submissions go through [`QueryService::submit`]; the service owns its
 /// worker threads (and optionally a maintenance thread) and joins them on
 /// drop, draining any queued submissions first. See the crate docs for the
 /// serving model and a usage example.
-pub struct QueryService {
-    shared: Arc<Shared>,
+pub struct QueryService<B: Backend = Lovo> {
+    shared: Arc<Shared<B>>,
     workers: Vec<std::thread::JoinHandle<()>>,
     maintenance: Option<MaintenanceHandle>,
 }
@@ -168,20 +254,16 @@ struct MaintenanceHandle {
     thread: std::thread::JoinHandle<()>,
 }
 
-impl QueryService {
+impl<B: Backend> QueryService<B> {
     /// Starts the service: spawns the worker pool (and the maintenance
-    /// thread when configured) over the shared engine. Fails on an invalid
-    /// configuration.
-    pub fn start(engine: Arc<Lovo>, config: ServeConfig) -> Result<Self> {
+    /// thread when configured) over the shared backend. Fails on an invalid
+    /// configuration. To pre-fault an mmap-opened engine's segments before
+    /// the first query, call [`Lovo::warmup`] before starting.
+    pub fn start(engine: Arc<B>, config: ServeConfig) -> Result<Self> {
         config.validate().map_err(ServeError::Engine)?;
-        if config.warmup_on_start {
-            // Pre-fault mapped sealed segments before the first query can
-            // hit a demand-paging stall; advisory, so nothing to surface.
-            let _ = engine.warmup();
-        }
         let shared = Arc::new(Shared {
-            cache: ResultCache::new(config.cache_capacity, config.cache_shards),
-            engine: Arc::clone(&engine),
+            cache: ResultCache::new(config.cache_capacity, CACHE_SHARDS),
+            engine,
             config,
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
@@ -271,7 +353,7 @@ impl QueryService {
         let submitted = Instant::now();
         let plan = self.shared.engine.plan(&spec);
         let fingerprint = plan.fingerprint();
-        let epoch = self.shared.engine.ingest_epoch();
+        let epoch = self.shared.engine.epoch(&plan);
         if let Some(mut result) = self.shared.cache.get(fingerprint, &plan, epoch) {
             self.shared
                 .counters
@@ -286,6 +368,7 @@ impl QueryService {
                 result,
                 cache_hit: true,
                 coalesced_with: 0,
+                outages: Vec::new(),
             });
         }
 
@@ -330,8 +413,8 @@ impl QueryService {
         response.recv().map_err(|_| ServeError::WorkerLost)?
     }
 
-    /// The engine this service fronts.
-    pub fn engine(&self) -> &Arc<Lovo> {
+    /// The backend this service fronts.
+    pub fn engine(&self) -> &Arc<B> {
         &self.shared.engine
     }
 
@@ -363,25 +446,9 @@ impl QueryService {
     pub fn cached_results(&self) -> usize {
         self.shared.cache.len()
     }
-
-    /// Total bytes of mapped sealed segments behind this service (0 on the
-    /// heap read path). Point-in-time storage gauges rather than
-    /// [`ServeStats`] counters: they describe the engine's current mappings,
-    /// not accumulated service activity.
-    pub fn mapped_bytes(&self) -> usize {
-        self.shared.engine.mapped_bytes()
-    }
-
-    /// Bytes of mapped sealed segments currently resident in page cache —
-    /// how warm the mapped corpus is right now. Falls under memory pressure
-    /// as the kernel evicts cold segment pages (the degradation mode that
-    /// keeps larger-than-RAM corpora serving).
-    pub fn resident_bytes(&self) -> usize {
-        self.shared.engine.resident_bytes()
-    }
 }
 
-impl Drop for QueryService {
+impl<B: Backend> Drop for QueryService<B> {
     /// Graceful shutdown: stop admitting, let the workers drain every queued
     /// submission, then join all service-owned threads.
     fn drop(&mut self) {
@@ -406,7 +473,7 @@ impl Drop for QueryService {
 
 /// Worker body: wait for work, assemble a micro-batch, execute, fan out,
 /// until shutdown with an empty queue.
-fn worker_loop(shared: &Shared) {
+fn worker_loop<B: Backend>(shared: &Shared<B>) {
     while let Some(batch) = next_batch(shared) {
         run_pass(shared, batch);
     }
@@ -414,7 +481,7 @@ fn worker_loop(shared: &Shared) {
 
 /// Executes one closed micro-batch on the calling thread — a worker, or the
 /// submitter leading it — and gives its pass slot back.
-fn run_pass(shared: &Shared, batch: Vec<Pending>) {
+fn run_pass<B: Backend>(shared: &Shared<B>, batch: Vec<Pending>) {
     // A panicking engine pass must not kill the thread it runs on: the pool
     // is fixed-size, so a dead worker would (once all are dead) leave queued
     // waiters blocked forever, and a submitter must get its typed error.
@@ -451,7 +518,7 @@ const WINDOW_POLL: Duration = Duration::from_millis(1);
 /// slot and returns the micro-batch that submission opens. Returns `None` on
 /// shutdown once the queue is empty — queued submissions are always drained
 /// before workers exit.
-fn next_batch(shared: &Shared) -> Option<Vec<Pending>> {
+fn next_batch<B>(shared: &Shared<B>) -> Option<Vec<Pending>> {
     let mut state = shared.lock_state();
     loop {
         if state.passes < shared.config.workers {
@@ -473,8 +540,8 @@ fn next_batch(shared: &Shared) -> Option<Vec<Pending>> {
 /// Keeps the batch `first` opens open for the configured window (or until
 /// `max_batch`) so concurrent arrivals coalesce, and stamps each member's
 /// wait as the batch closes. The caller holds a pass slot.
-fn close_batch<'a>(
-    shared: &'a Shared,
+fn close_batch<'a, B>(
+    shared: &'a Shared<B>,
     mut state: MutexGuard<'a, QueueState>,
     first: Pending,
 ) -> Vec<Pending> {
@@ -520,22 +587,18 @@ fn close_batch<'a>(
     batch
 }
 
-/// Executes one micro-batch: dedupes identical plans, re-checks the cache,
-/// runs the distinct remainder as one engine pass, fills the cache, and
-/// replies to every waiter with its own wait time stamped in.
-fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
-    // The epoch is read BEFORE executing: a mutation that lands mid-pass
-    // bumps the live epoch past this stamp, so the entries filled below are
-    // already stale for later lookups — conservative, never wrong.
-    let epoch = shared.engine.ingest_epoch();
-
-    // Group submissions by fingerprint; each group executes (or hits) once.
-    // Each group carries its exemplar plan alongside the member list so the
-    // later stages never index into it.
+/// Executes one micro-batch: dedupes plans with the same answer, re-checks
+/// the cache, runs the distinct remainder as one backend pass, caches every
+/// complete answer, and replies to every waiter with its own wait time
+/// stamped in.
+fn execute_batch<B: Backend>(shared: &Shared<B>, batch: Vec<Pending>) {
+    // Group submissions by the plan identity the cache keys on; each group
+    // executes (or hits) once. Each group carries its exemplar plan alongside
+    // the member list so the later stages never index into it.
     let mut groups: Vec<(u64, QueryPlan, Vec<Pending>)> = Vec::new();
     for pending in batch {
         match groups.iter_mut().find(|(fingerprint, plan, _)| {
-            *fingerprint == pending.fingerprint && *plan == pending.plan
+            *fingerprint == pending.fingerprint && plan.same_answer(&pending.plan)
         }) {
             Some((_, _, members)) => members.push(pending),
             None => {
@@ -547,24 +610,29 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
 
     // Re-check the cache per group: another worker (or an earlier batch of
     // this one) may have filled the entry while we waited in the window.
-    let mut run: Vec<(u64, QueryPlan, Vec<Pending>)> = Vec::new();
+    // Each group's epoch is read BEFORE the backend runs: a mutation that
+    // lands mid-pass moves the live epoch past this stamp, so the entry
+    // filled below is already stale for later lookups — conservative, never
+    // wrong.
+    let mut run: Vec<(u64, QueryPlan, u64, Vec<Pending>)> = Vec::new();
     for (fingerprint, plan, members) in groups {
+        let epoch = shared.engine.epoch(&plan);
         match shared.cache.get(fingerprint, &plan, epoch) {
             Some(result) => {
                 shared
                     .counters
                     .cache_hits
                     .fetch_add(members.len() as u64, Ordering::Relaxed);
-                reply_all(members, &result, true, 0);
+                reply_all(members, &result, &[], true, 0);
             }
-            None => run.push((fingerprint, plan, members)),
+            None => run.push((fingerprint, plan, epoch, members)),
         }
     }
     if run.is_empty() {
         return;
     }
 
-    let plans: Vec<QueryPlan> = run.iter().map(|(_, plan, _)| plan.clone()).collect();
+    let plans: Vec<QueryPlan> = run.iter().map(|(_, plan, _, _)| plan.clone()).collect();
     shared
         .counters
         .engine_batches
@@ -573,9 +641,9 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
         .counters
         .engine_queries
         .fetch_add(plans.len() as u64, Ordering::Relaxed);
-    // Only submissions the engine pass actually answers count as coalesced —
+    // Only submissions the backend pass actually answers count as coalesced —
     // group members peeled off by the cache re-check above do not.
-    let executed: usize = run.iter().map(|(_, _, members)| members.len()).sum();
+    let executed: usize = run.iter().map(|(_, _, _, members)| members.len()).sum();
     if executed > 1 {
         shared
             .counters
@@ -583,16 +651,27 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
             .fetch_add(executed as u64, Ordering::Relaxed);
     }
 
-    match shared.engine.query_plans(&plans) {
-        Ok(results) => {
-            for ((fingerprint, plan, members), result) in run.into_iter().zip(results) {
-                shared.cache.put(fingerprint, &plan, epoch, result.clone());
-                reply_all(members, &result, false, executed - 1);
+    match shared.engine.answer(&plans) {
+        Ok(answers) => {
+            for ((fingerprint, plan, epoch, members), answer) in run.into_iter().zip(answers) {
+                // A degraded answer is partial: serving it from the cache
+                // after the lost shard recovers would be a lie.
+                if answer.outages.is_empty() {
+                    shared
+                        .cache
+                        .put(fingerprint, &plan, epoch, answer.result.clone());
+                }
+                reply_all(
+                    members,
+                    &answer.result,
+                    &answer.outages,
+                    false,
+                    executed - 1,
+                );
             }
         }
-        Err(error) => {
-            let message = error.to_string();
-            for (_, _, members) in run {
+        Err(message) => {
+            for (_, _, _, members) in run {
                 for pending in members {
                     let _ = pending.reply.send(Err(ServeError::Engine(message.clone())));
                 }
@@ -603,7 +682,13 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
 
 /// Sends one group's shared result to every waiter, stamping each copy with
 /// that submission's own queue + batch-window wait (stamped in `close_batch`).
-fn reply_all(members: Vec<Pending>, result: &QueryResult, cache_hit: bool, coalesced_with: usize) {
+fn reply_all(
+    members: Vec<Pending>,
+    result: &QueryResult,
+    outages: &[ShardOutage],
+    cache_hit: bool,
+    coalesced_with: usize,
+) {
     for pending in members {
         let mut copy = result.clone();
         copy.timings.queue_seconds = pending.queue_seconds;
@@ -612,6 +697,7 @@ fn reply_all(members: Vec<Pending>, result: &QueryResult, cache_hit: bool, coale
             result: copy,
             cache_hit,
             coalesced_with,
+            outages: outages.to_vec(),
         }));
     }
 }
@@ -619,10 +705,13 @@ fn reply_all(members: Vec<Pending>, result: &QueryResult, cache_hit: bool, coale
 /// Longest maintenance backoff, as a multiple of the configured interval.
 const MAINTENANCE_BACKOFF_CAP: u32 = 32;
 
-/// Maintenance body: on every tick, seal left-over growing rows (only past
-/// the configured floor — ingest seals its own batches) and merge undersized
-/// sealed segments, both off the query path.
-fn maintenance_loop(shared: &Shared, stop: &(Mutex<bool>, Condvar), interval: Duration) {
+/// Maintenance body: one [`Backend::maintain`] call per tick, off the query
+/// path, backing off while ticks fail.
+fn maintenance_loop<B: Backend>(
+    shared: &Shared<B>,
+    stop: &(Mutex<bool>, Condvar),
+    interval: Duration,
+) {
     let (flag, signal) = stop;
     let mut stopped = flag.lock().unwrap_or_else(PoisonError::into_inner);
     // Backoff multiplier applied to the wait interval. Doubles (capped) after
@@ -641,37 +730,17 @@ fn maintenance_loop(shared: &Shared, stop: &(Mutex<bool>, Condvar), interval: Du
         if *stopped {
             return;
         }
-        shared
-            .counters
-            .maintenance_ticks
-            .fetch_add(1, Ordering::Relaxed);
-        let mut tick_failed = false;
-        let stats = shared.engine.collection_stats();
-        if stats.growing_rows >= shared.config.maintenance_seal_min_rows {
-            match shared.engine.seal() {
-                Ok(()) => {
-                    shared
-                        .counters
-                        .maintenance_seals
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                Err(_) => tick_failed = true,
-            }
-        }
-        match shared.engine.compact() {
-            Ok(result) => {
-                if result.segments_merged > 0 {
-                    shared
-                        .counters
-                        .maintenance_segments_merged
-                        .fetch_add(result.segments_merged as u64, Ordering::Relaxed);
-                }
-            }
-            Err(_) => tick_failed = true,
-        }
-        if tick_failed {
-            shared
-                .counters
+        let counters = &shared.counters;
+        counters.maintenance_ticks.fetch_add(1, Ordering::Relaxed);
+        let tick = shared.engine.maintain();
+        counters
+            .maintenance_seals
+            .fetch_add(tick.seals, Ordering::Relaxed);
+        counters
+            .maintenance_segments_merged
+            .fetch_add(tick.segments_merged, Ordering::Relaxed);
+        if tick.failed {
+            counters
                 .maintenance_io_errors
                 .fetch_add(1, Ordering::Relaxed);
             backoff = (backoff.saturating_mul(2)).min(MAINTENANCE_BACKOFF_CAP);
@@ -786,6 +855,41 @@ mod tests {
         let hit = service.submit(direct).unwrap();
         assert!(hit.cache_hit);
         assert_eq!(hit.result.frames, miss.result.frames);
+    }
+
+    #[test]
+    fn specs_normalizing_to_one_plan_share_a_batch_execution() {
+        // The batch dedupe uses the cache's plan identity: the two specs
+        // below compile to one plan, so one pass answers both with a single
+        // execution. The second submission must land inside the first's
+        // window; retry on a fresh service until both rode one pass.
+        use lovo_video::QueryPredicate;
+        let engine = engine(90);
+        let folded = QuerySpec::new("a bus")
+            .with_predicate(QueryPredicate::videos([0, 1]).and(QueryPredicate::videos([1, 2])));
+        let direct = QuerySpec::new("a bus").with_predicate(QueryPredicate::videos([1]));
+        let config = ServeConfig::default()
+            .with_workers(1)
+            .with_max_batch(2)
+            .with_batch_window(Duration::from_millis(200))
+            .with_cache_capacity(0)
+            .with_maintenance_interval(None);
+        for _ in 0..20 {
+            let service = QueryService::start(Arc::clone(&engine), config).unwrap();
+            let (first, second) = std::thread::scope(|scope| {
+                let first = scope.spawn(|| service.submit(folded.clone()).unwrap());
+                std::thread::sleep(Duration::from_millis(20));
+                let second = service.submit(direct.clone()).unwrap();
+                (first.join().unwrap(), second)
+            });
+            let stats = service.stats();
+            if stats.engine_batches == 1 {
+                assert_eq!(stats.engine_queries, 1, "{stats:?}");
+                assert_eq!(first.result.frames, second.result.frames);
+                return;
+            }
+        }
+        panic!("the two submissions never shared a pass");
     }
 
     #[test]

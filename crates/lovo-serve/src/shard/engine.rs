@@ -21,17 +21,13 @@ pub struct CoarseRequest {
 }
 
 /// Coarse-stage response: the shard's local top-k candidates, in the global
-/// candidate order (score desc, patch id asc), plus the work counters and
-/// the shard epoch the answer was computed under.
+/// candidate order (score desc, patch id asc), plus the work counters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CoarseResponse {
     /// The shard's local top-`fast_search_k` candidate patches, best-first.
     pub hits: Vec<CoarseHit>,
     /// Work counters of the shard-local search.
     pub stats: SearchStats,
-    /// The shard's ingest epoch, read *before* the search ran — so a cache
-    /// entry keyed on it is conservatively stale, never falsely fresh.
-    pub epoch: u64,
 }
 
 /// Rerank-stage request: re-score these candidate frames (all owned by the
@@ -60,7 +56,8 @@ pub struct RerankResponse {
 /// report errors as values — a shard that panics instead is treated as an
 /// outage by the gather, not an excuse to take the router down.
 pub trait EngineShard: Send + Sync {
-    /// The shard's current ingest epoch (cache-invalidation token).
+    /// The shard's current ingest epoch (the router folds its targets'
+    /// epochs into the cache-invalidation token of a plan).
     fn epoch(&self) -> u64;
 
     /// Inclusive video-id range of the shard's stored corpus, or `None`
@@ -104,16 +101,12 @@ impl EngineShard for LocalShard {
     }
 
     fn coarse(&self, request: &CoarseRequest) -> Result<CoarseResponse, String> {
-        // Epoch before the search: if an ingest lands mid-search the
-        // response is stamped with the pre-ingest epoch and any cache entry
-        // keyed on it goes stale immediately — conservative, never wrong.
-        let epoch = self.engine.ingest_epoch();
         // `0`: the store's automatic scan-thread rule, as for a direct query.
         let (hits, stats) = self
             .engine
             .coarse_plan(&request.plan, 0)
             .map_err(|e| e.to_string())?;
-        Ok(CoarseResponse { hits, stats, epoch })
+        Ok(CoarseResponse { hits, stats })
     }
 
     fn rerank(&self, request: &RerankRequest) -> Result<RerankResponse, String> {

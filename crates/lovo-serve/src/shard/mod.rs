@@ -1,9 +1,9 @@
 //! Sharded scatter-gather serving: N engine shards behind one router.
 //!
-//! `lovo-serve`'s [`crate::QueryService`] scales one engine to many clients;
-//! this module scales the *corpus* past one engine. Videos are placed onto N
-//! engine shards by a pluggable [`Placement`] (the default hashes the video
-//! id), and a [`ShardRouter`] answers each [`lovo_core::QuerySpec`] by:
+//! `lovo-serve`'s [`crate::QueryService`] scales one backend to many
+//! clients; this module scales the *corpus* past one engine. Videos are
+//! placed onto N engine shards by a [`HashPlacement`] of the video id, and a
+//! [`ShardRouter`] answers each [`lovo_core::QuerySpec`] by:
 //!
 //! 1. **compiling the plan once** (the same [`lovo_core::QueryPlanner`] the
 //!    engines use), then **pruning** shards whose placement provably cannot
@@ -11,11 +11,11 @@
 //!    up, recorded as `shards_pruned` in the merged
 //!    [`lovo_core::SearchStats`];
 //! 2. **scattering** the coarse stage to the surviving shards (one thread
-//!    per target shard) with per-shard admission control
-//!    ([`ShardError::Rejected`]) and per-shard coarse-result caches keyed by
-//!    plan fingerprint + shard epoch (a router-level merged-result cache,
-//!    keyed by fingerprint + the target shards' epoch *vector*, absorbs
-//!    whole repeat queries before any scatter);
+//!    per target shard) under a per-shard bound on legs in flight
+//!    ([`ShardError::Rejected`]). Admission, batching, dedupe and the result
+//!    cache are not the router's: serve it behind a [`crate::QueryService`],
+//!    whose cache keys a plan's freshness on the epochs of exactly the
+//!    shards it targets;
 //! 3. **merging** per-shard top-k under the same score-desc / id-asc total
 //!    order the segment merge uses, grouping candidate frames through the
 //!    engine's own `group_hits_by_frame`, and **gathering** the rerank stage
@@ -40,17 +40,17 @@ mod router;
 pub use engine::{
     CoarseRequest, CoarseResponse, EngineShard, LocalShard, RerankRequest, RerankResponse,
 };
-pub use placement::{HashPlacement, Placement};
+pub use placement::HashPlacement;
 pub use router::{ShardConfig, ShardRouter, ShardStats, ShardedResult};
 
 /// Errors surfaced by the shard router.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardError {
-    /// One target shard's admission slots were all in flight: the router
-    /// refused the query instead of queueing unboundedly — the shard-level
-    /// analogue of [`crate::ServeError::Rejected`].
+    /// One target shard already had its bound of legs in flight (see
+    /// [`ShardConfig::shard_queue_depth`]): the router refused the query
+    /// instead of piling more threads onto it.
     Rejected {
-        /// The shard whose admission queue was full.
+        /// The shard whose in-flight bound was full.
         shard: usize,
         /// The configured per-shard in-flight depth that was exceeded.
         queue_depth: usize,
@@ -58,10 +58,6 @@ pub enum ShardError {
     /// The router-side configuration was invalid (shard count / placement
     /// mismatch, zeroed knobs).
     Config(String),
-    /// The router itself failed before any shard was contacted (e.g. the
-    /// merge stage could not run). Per-shard failures do *not* produce this
-    /// — they degrade into [`ShardOutage`] markers on a partial result.
-    Internal(String),
 }
 
 impl std::fmt::Display for ShardError {
@@ -69,10 +65,9 @@ impl std::fmt::Display for ShardError {
         match self {
             ShardError::Rejected { shard, queue_depth } => write!(
                 f,
-                "shard {shard} rejected the query: admission queue full (depth {queue_depth})"
+                "shard {shard} rejected the query: {queue_depth} legs already in flight"
             ),
             ShardError::Config(msg) => write!(f, "shard configuration error: {msg}"),
-            ShardError::Internal(msg) => write!(f, "shard router error: {msg}"),
         }
     }
 }
@@ -103,7 +98,7 @@ impl std::fmt::Display for ShardOutage {
 /// the original — the precondition for the router's bit-identical merge.
 pub fn partition_videos(
     videos: &lovo_video::VideoCollection,
-    placement: &dyn Placement,
+    placement: HashPlacement,
 ) -> Vec<lovo_video::VideoCollection> {
     let mut parts: Vec<lovo_video::VideoCollection> = (0..placement.shard_count())
         .map(|_| lovo_video::VideoCollection {

@@ -1,30 +1,15 @@
 //! Video → shard placement.
 //!
-//! A [`Placement`] is the one piece of state the router and the ingest path
+//! The placement is the one piece of state the router and the ingest path
 //! must agree on: ingest builds shard `s` from exactly the videos
-//! [`Placement::shard_of`] assigns to `s` (see [`crate::shard::partition_videos`]),
-//! and the router prunes and gathers under the same function. Placements are
-//! pure functions of the video id, so the router can compute a predicate's
-//! target shards without contacting any shard.
+//! [`HashPlacement::shard_of`] assigns to `s` (see
+//! [`crate::shard::partition_videos`]), and the router prunes and gathers
+//! under the same function. It is a pure function of the video id, so the
+//! router can compute a predicate's target shards without contacting any
+//! shard.
 
-/// Assigns every video id to one of `shard_count` engine shards.
-///
-/// Implementations must be pure (the same id always maps to the same shard
-/// while a deployment is live) and total (`shard_of` returns a value below
-/// [`Placement::shard_count`] for every id). The trait exists so hash
-/// placement can later be swapped for e.g. time-partitioned placement of
-/// live camera feeds without touching the router.
-pub trait Placement: Send + Sync {
-    /// Number of shards ids are placed onto (at least 1).
-    fn shard_count(&self) -> usize;
-
-    /// The shard owning `video_id`; strictly less than
-    /// [`Placement::shard_count`].
-    fn shard_of(&self, video_id: u32) -> usize;
-}
-
-/// The default placement: a multiplicative hash of the video id, modulo the
-/// shard count. Spreads consecutive camera ids evenly and is deterministic
+/// Assigns every video id to one of `shard_count` engine shards: a
+/// multiplicative hash of the video id, modulo the shard count. Spreads consecutive camera ids evenly and is deterministic
 /// across processes (no per-process seeding), so routers and ingest jobs on
 /// different machines agree on ownership.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,14 +24,16 @@ impl HashPlacement {
             shards: shards.max(1),
         }
     }
-}
 
-impl Placement for HashPlacement {
-    fn shard_count(&self) -> usize {
+    /// Number of shards ids are placed onto (at least 1).
+    pub fn shard_count(&self) -> usize {
         self.shards
     }
 
-    fn shard_of(&self, video_id: u32) -> usize {
+    /// The shard owning `video_id`; strictly less than
+    /// [`HashPlacement::shard_count`], and the same for an id as long as
+    /// the shard count is.
+    pub fn shard_of(&self, video_id: u32) -> usize {
         // Fibonacci multiplicative hashing: one multiply spreads the id's
         // entropy into the high bits, which the modulo then samples. The
         // constant is 2^64 / φ, the standard choice.

@@ -1,12 +1,13 @@
 //! The [`ShardRouter`]: compiles each spec once, prunes shards the plan
 //! provably cannot match, scatter-gathers the two query stages across the
 //! surviving shards, and merges per-shard answers into the single-engine
-//! result order.
+//! result order. Admission, batching, dedupe and caching are
+//! [`crate::QueryService`]'s, which serves a router as it serves an engine.
 
 use super::engine::{CoarseRequest, CoarseResponse, EngineShard, RerankRequest};
-use super::placement::Placement;
+use super::placement::HashPlacement;
 use super::{ShardError, ShardOutage};
-use crate::cache::ResultCache;
+use crate::service::Backend;
 use lovo_core::{
     aggregate, CoarseHit, FrameSeed, LovoConfig, QueryPlan, QueryPlanner, QueryResult, QuerySpec,
     QueryTimings, RankedObject, SearchStats,
@@ -22,20 +23,13 @@ use std::time::{Duration, Instant};
 /// Configuration of a [`ShardRouter`].
 #[derive(Clone)]
 pub struct ShardConfig {
-    /// Per-shard admission depth: at most this many queries may have a
-    /// coarse leg in flight on one shard; the next is refused with
-    /// [`ShardError::Rejected`].
+    /// Per-shard bound on coarse legs in flight: the next query that needs
+    /// a full shard is refused with [`ShardError::Rejected`]. A safety bound,
+    /// not request admission (that is [`crate::QueryService`]'s queue): a
+    /// leg that overruns the gather deadline keeps running on its detached
+    /// thread, which nothing in front of the router can see, so without
+    /// this bound a hung shard would pile up threads without limit.
     pub shard_queue_depth: usize,
-    /// Capacity (entries) of each shard-local coarse-result cache, keyed by
-    /// plan fingerprint + that shard's epoch. `0` disables caching.
-    pub cache_capacity: usize,
-    /// Capacity (entries) of the router-level merged-result cache, keyed by
-    /// plan fingerprint + the epoch vector of the plan's target shards —
-    /// a repeat query over unchanged shards skips the scatter (and the
-    /// rerank) entirely. Degraded results are never cached. `0` disables it.
-    pub result_cache_capacity: usize,
-    /// Independently locked shards *within* each per-shard cache.
-    pub cache_shards: usize,
     /// Deadline for each gather phase. A shard that has not answered in
     /// time is treated as an outage (degraded result), not an error. `None`
     /// waits indefinitely — only safe because every leg's thread sends
@@ -52,9 +46,6 @@ impl std::fmt::Debug for ShardConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardConfig")
             .field("shard_queue_depth", &self.shard_queue_depth)
-            .field("cache_capacity", &self.cache_capacity)
-            .field("result_cache_capacity", &self.result_cache_capacity)
-            .field("cache_shards", &self.cache_shards)
             .field("gather_timeout", &self.gather_timeout)
             .field("faults", &self.faults.is_some())
             .finish()
@@ -65,9 +56,6 @@ impl Default for ShardConfig {
     fn default() -> Self {
         Self {
             shard_queue_depth: 64,
-            cache_capacity: 256,
-            result_cache_capacity: 256,
-            cache_shards: 4,
             gather_timeout: None,
             faults: None,
         }
@@ -75,21 +63,9 @@ impl Default for ShardConfig {
 }
 
 impl ShardConfig {
-    /// Builder-style per-shard admission-depth override.
+    /// Builder-style per-shard in-flight bound override.
     pub fn with_shard_queue_depth(mut self, depth: usize) -> Self {
         self.shard_queue_depth = depth;
-        self
-    }
-
-    /// Builder-style per-shard cache-capacity override (`0` disables).
-    pub fn with_cache_capacity(mut self, entries: usize) -> Self {
-        self.cache_capacity = entries;
-        self
-    }
-
-    /// Builder-style merged-result cache-capacity override (`0` disables).
-    pub fn with_result_cache_capacity(mut self, entries: usize) -> Self {
-        self.result_cache_capacity = entries;
         self
     }
 
@@ -110,9 +86,6 @@ impl ShardConfig {
         if self.shard_queue_depth == 0 {
             return Err("shard_queue_depth must be positive".into());
         }
-        if self.cache_shards == 0 {
-            return Err("cache_shards must be positive".into());
-        }
         if self.gather_timeout == Some(Duration::ZERO) {
             return Err(
                 "gather_timeout must be positive: a zero deadline degrades every query \
@@ -130,24 +103,15 @@ impl ShardConfig {
 pub struct ShardStats {
     /// Queries routed (including provably-empty short-circuits).
     pub queries: u64,
-    /// Coarse legs dispatched to shards (cache misses that passed
-    /// admission).
+    /// Coarse legs dispatched to shards.
     pub coarse_requests: u64,
     /// Rerank legs dispatched to shards.
     pub rerank_requests: u64,
-    /// Coarse legs answered from a shard-local cache.
-    pub cache_hits: u64,
-    /// Coarse legs that missed their shard-local cache.
-    pub cache_misses: u64,
-    /// Queries answered whole from the merged-result cache (no scatter ran).
-    pub result_hits: u64,
-    /// Queries that missed the merged-result cache and were scattered.
-    pub result_misses: u64,
     /// Shards skipped by placement/zone pruning, summed over queries.
     pub shards_pruned: u64,
     /// Shard legs lost mid-gather (fault, panic, error, or timeout).
     pub outages: u64,
-    /// Queries refused because a target shard's admission queue was full.
+    /// Queries refused because a target shard's in-flight bound was full.
     pub rejected: u64,
 }
 
@@ -161,10 +125,6 @@ impl ShardStats {
         self.queries = self.queries.saturating_add(other.queries);
         self.coarse_requests = self.coarse_requests.saturating_add(other.coarse_requests);
         self.rerank_requests = self.rerank_requests.saturating_add(other.rerank_requests);
-        self.cache_hits = self.cache_hits.saturating_add(other.cache_hits);
-        self.cache_misses = self.cache_misses.saturating_add(other.cache_misses);
-        self.result_hits = self.result_hits.saturating_add(other.result_hits);
-        self.result_misses = self.result_misses.saturating_add(other.result_misses);
         self.shards_pruned = self.shards_pruned.saturating_add(other.shards_pruned);
         self.outages = self.outages.saturating_add(other.outages);
         self.rejected = self.rejected.saturating_add(other.rejected);
@@ -176,10 +136,6 @@ struct Counters {
     queries: AtomicU64,
     coarse_requests: AtomicU64,
     rerank_requests: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    result_hits: AtomicU64,
-    result_misses: AtomicU64,
     shards_pruned: AtomicU64,
     outages: AtomicU64,
     rejected: AtomicU64,
@@ -195,16 +151,6 @@ pub struct ShardedResult {
     pub result: QueryResult,
     /// Shards lost mid-gather, with causes. Empty on a healthy gather.
     pub outages: Vec<ShardOutage>,
-    /// Shards that contributed an answer (live or cached).
-    pub shards_probed: usize,
-    /// Shards skipped by placement/zone pruning.
-    pub shards_pruned: usize,
-    /// Coarse legs served from shard-local caches.
-    pub coarse_cache_hits: usize,
-    /// True when the whole answer came from the merged-result cache (no
-    /// shard was contacted; `shards_probed` reports the original gather's
-    /// fan-out).
-    pub result_cache_hit: bool,
 }
 
 impl ShardedResult {
@@ -217,19 +163,10 @@ impl ShardedResult {
 /// One scatter leg: the shard index and the work to run on it.
 type Leg<R> = (usize, Box<dyn FnOnce() -> Result<R, String> + Send>);
 
-/// What the merged-result cache stores: the full assembled answer of one
-/// healthy (outage-free) gather, plus its fan-out accounting.
-#[derive(Clone)]
-struct CachedRouted {
-    result: QueryResult,
-    shards_probed: usize,
-    shards_pruned: usize,
-}
-
 /// Folds the (shard index, epoch) pairs of a plan's target set into the
-/// single `u64` the [`ResultCache`] keys on (FNV-style). Any shard entering
-/// or leaving the target set, or any target's epoch moving, changes the fold
-/// — so a stale entry can never be served as fresh.
+/// single `u64` the service's result cache keys on (FNV-style). Any shard
+/// entering or leaving the target set, or any target's epoch moving, changes
+/// the fold — so a stale entry can never be served as fresh.
 fn fold_target_epochs(targets: &[usize], epochs: &[u64]) -> u64 {
     let mut fold = 0xcbf2_9ce4_8422_2325u64;
     for (&shard, &epoch) in targets.iter().zip(epochs) {
@@ -245,11 +182,9 @@ fn fold_target_epochs(targets: &[usize], epochs: &[u64]) -> u64 {
 /// data flow. Cheap to share behind an `Arc`: all state is interior.
 pub struct ShardRouter {
     shards: Vec<Arc<dyn EngineShard>>,
-    placement: Arc<dyn Placement>,
+    placement: HashPlacement,
     planner: QueryPlanner,
     config: ShardConfig,
-    caches: Vec<ResultCache<CoarseResponse>>,
-    results: ResultCache<CachedRouted>,
     in_flight: Arc<Vec<AtomicUsize>>,
     counters: Counters,
 }
@@ -262,7 +197,7 @@ impl ShardRouter {
     /// shard executes is the plan a single engine would have compiled.
     pub fn new(
         shards: Vec<Arc<dyn EngineShard>>,
-        placement: Arc<dyn Placement>,
+        placement: HashPlacement,
         engine_config: LovoConfig,
         config: ShardConfig,
     ) -> Result<Self, ShardError> {
@@ -277,18 +212,12 @@ impl ShardRouter {
                 shards.len()
             )));
         }
-        let caches = (0..shards.len())
-            .map(|_| ResultCache::new(config.cache_capacity, config.cache_shards))
-            .collect();
-        let results = ResultCache::new(config.result_cache_capacity, config.cache_shards);
         let in_flight = Arc::new((0..shards.len()).map(|_| AtomicUsize::new(0)).collect());
         Ok(Self {
             shards,
             placement,
             planner: QueryPlanner::new(engine_config),
             config,
-            caches,
-            results,
             in_flight,
             counters: Counters::default(),
         })
@@ -313,10 +242,6 @@ impl ShardRouter {
             queries: self.counters.queries.load(Ordering::Relaxed),
             coarse_requests: self.counters.coarse_requests.load(Ordering::Relaxed),
             rerank_requests: self.counters.rerank_requests.load(Ordering::Relaxed),
-            cache_hits: self.counters.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.counters.cache_misses.load(Ordering::Relaxed),
-            result_hits: self.counters.result_hits.load(Ordering::Relaxed),
-            result_misses: self.counters.result_misses.load(Ordering::Relaxed),
             shards_pruned: self.counters.shards_pruned.load(Ordering::Relaxed),
             outages: self.counters.outages.load(Ordering::Relaxed),
             rejected: self.counters.rejected.load(Ordering::Relaxed),
@@ -333,7 +258,7 @@ impl ShardRouter {
     /// scatter rerank → merge. Returns a degraded partial result (never an
     /// error) when shards are lost mid-gather; returns
     /// [`ShardError::Rejected`] without touching any shard when a target
-    /// shard's admission queue is full.
+    /// shard's in-flight bound is full.
     pub fn query_plan(&self, plan: &QueryPlan) -> Result<ShardedResult, ShardError> {
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
         let mut timings = QueryTimings::default();
@@ -344,40 +269,16 @@ impl ShardRouter {
             .shards_pruned
             .fetch_add(pruned as u64, Ordering::Relaxed);
 
-        // --- Merged-result cache: a repeat plan over unchanged target
-        // shards skips the scatter (and the rerank) entirely. Epochs are
-        // read before any shard work, so an ingest landing mid-gather makes
-        // the stored key conservatively stale, never falsely fresh. ---
-        let fingerprint = plan.fingerprint();
-        let target_epochs: Vec<u64> = targets
-            .iter()
-            .filter_map(|&index| self.shards.get(index).map(|shard| shard.epoch()))
-            .collect();
-        let epoch_key = fold_target_epochs(&targets, &target_epochs);
-        if let Some(cached) = self.results.get(fingerprint, plan, epoch_key) {
-            self.counters.result_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(ShardedResult {
-                result: cached.result,
-                outages: Vec::new(),
-                shards_probed: cached.shards_probed,
-                shards_pruned: cached.shards_pruned,
-                coarse_cache_hits: 0,
-                result_cache_hit: true,
-            });
-        }
-        self.counters.result_misses.fetch_add(1, Ordering::Relaxed);
-
-        // --- Scatter the coarse stage (cache, admission, gather). ---
+        // --- Scatter the coarse stage (in-flight bound, gather). ---
         let coarse_start = Instant::now();
-        let (responses, coarse_cache_hits, mut outages) = self.scatter_coarse(plan, &targets)?;
+        let (responses, mut outages) = self.scatter_coarse(plan, &targets)?;
         timings.fast_search_seconds = coarse_start.elapsed().as_secs_f64();
 
-        let shards_probed = responses.iter().filter(|r| r.is_some()).count();
         let mut search_stats = SearchStats::default();
         for response in responses.iter().flatten() {
             search_stats.merge(&response.stats);
         }
-        search_stats.shards_probed = shards_probed;
+        search_stats.shards_probed = responses.iter().flatten().count();
         search_stats.shards_pruned = pruned;
 
         // --- Aggregate through the engine's own implementation: merge the
@@ -396,29 +297,7 @@ impl ShardRouter {
         self.counters
             .outages
             .fetch_add(outages.len() as u64, Ordering::Relaxed);
-
-        // Only healthy answers are cacheable: a degraded result is partial,
-        // and serving it after the lost shard recovers would be a lie.
-        if outages.is_empty() {
-            self.results.put(
-                fingerprint,
-                plan,
-                epoch_key,
-                CachedRouted {
-                    result: result.clone(),
-                    shards_probed,
-                    shards_pruned: pruned,
-                },
-            );
-        }
-        Ok(ShardedResult {
-            result,
-            outages,
-            shards_probed,
-            shards_pruned: pruned,
-            coarse_cache_hits,
-            result_cache_hit: false,
-        })
+        Ok(ShardedResult { result, outages })
     }
 
     /// The shards a plan must visit, and how many were pruned. A shard
@@ -452,46 +331,22 @@ impl ShardRouter {
         (targets, pruned)
     }
 
-    /// Coarse scatter: per-shard cache lookups, admission for the misses,
-    /// then a gather. Returns per-shard responses (indexed by shard), the
-    /// cache-hit count, and the outages collected so far.
-    #[allow(clippy::type_complexity)]
+    /// Coarse scatter: the in-flight bound for every target, then a gather.
+    /// Returns per-shard responses (indexed by shard) and the outages
+    /// collected so far.
     fn scatter_coarse(
         &self,
         plan: &QueryPlan,
         targets: &[usize],
-    ) -> Result<(Vec<Option<CoarseResponse>>, usize, Vec<ShardOutage>), ShardError> {
-        let fingerprint = plan.fingerprint();
+    ) -> Result<(Vec<Option<CoarseResponse>>, Vec<ShardOutage>), ShardError> {
         let mut responses: Vec<Option<CoarseResponse>> =
             (0..self.shards.len()).map(|_| None).collect();
-        let mut cache_hits = 0usize;
-        let mut misses: Vec<usize> = Vec::new();
 
-        for &index in targets {
-            let Some((shard, cache)) = self.shards.get(index).zip(self.caches.get(index)) else {
-                continue;
-            };
-            let epoch = shard.epoch();
-            match cache.get(fingerprint, plan, epoch) {
-                Some(hit) => {
-                    self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    cache_hits += 1;
-                    if let Some(slot) = responses.get_mut(index) {
-                        *slot = Some(hit);
-                    }
-                }
-                None => {
-                    self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-                    misses.push(index);
-                }
-            }
-        }
-
-        // Admission: acquire every missing shard's slot up front, releasing
-        // whatever was already acquired on the first refusal — a rejected
-        // query does zero shard work.
+        // Acquire every target's slot up front, releasing whatever was
+        // already acquired on the first refusal — a rejected query does zero
+        // shard work.
         let mut acquired: Vec<usize> = Vec::new();
-        for &index in &misses {
+        for &index in targets {
             if self.try_admit(index) {
                 acquired.push(index);
             } else {
@@ -506,7 +361,7 @@ impl ShardRouter {
             }
         }
 
-        let legs: Vec<Leg<CoarseResponse>> = misses
+        let legs: Vec<Leg<CoarseResponse>> = targets
             .iter()
             .map(|&index| {
                 let shard = self.shards.get(index).cloned();
@@ -532,9 +387,6 @@ impl ShardRouter {
         for (index, outcome) in self.gather(legs, Some(&self.in_flight)) {
             match outcome {
                 Ok(response) => {
-                    if let Some(cache) = self.caches.get(index) {
-                        cache.put(fingerprint, plan, response.epoch, response.clone());
-                    }
                     if let Some(slot) = responses.get_mut(index) {
                         *slot = Some(response);
                     }
@@ -545,7 +397,7 @@ impl ShardRouter {
                 }),
             }
         }
-        Ok((responses, cache_hits, outages))
+        Ok((responses, outages))
     }
 
     /// Rerank scatter: partitions the surviving candidate frames by owning
@@ -605,7 +457,7 @@ impl ShardRouter {
     /// Runs every leg on a thread of its own under `catch_unwind`, and
     /// returns one outcome per leg: a panicking leg reports an outage string
     /// instead of poisoning the router. When `permits` is given, a leg's
-    /// thread releases its shard's admission slot once the leg settles
+    /// thread releases its shard's in-flight slot once the leg settles
     /// (success, error or panic alike). A leg that has not reported when the
     /// gather deadline passes comes back as `gather deadline exceeded`; its
     /// detached thread still releases the slot when the slow shard
@@ -622,7 +474,7 @@ impl ShardRouter {
             let permits = permits.cloned();
             // Detached on purpose: a hung shard must not hang the router.
             // The thread's only side effects after the deadline passes are
-            // releasing the admission slot and a send into a channel whose
+            // releasing the in-flight slot and a send into a channel whose
             // receiver may be gone (ignored).
             std::thread::spawn(move || {
                 let outcome = catch_unwind(AssertUnwindSafe(work))
@@ -676,6 +528,32 @@ impl ShardRouter {
     }
 }
 
+/// A router served behind [`crate::QueryService`]: the plan is compiled by the
+/// router's planner, its epoch is the fold of its target shards' epochs (an
+/// ingest invalidates exactly the plans that can see it), and a batch is
+/// answered one plan after another.
+impl Backend for ShardRouter {
+    fn plan(&self, spec: &QuerySpec) -> QueryPlan {
+        self.planner.plan(spec)
+    }
+
+    fn epoch(&self, plan: &QueryPlan) -> u64 {
+        let (targets, _) = self.target_shards(plan);
+        let epochs: Vec<u64> = targets
+            .iter()
+            .filter_map(|&index| self.shards.get(index).map(|shard| shard.epoch()))
+            .collect();
+        fold_target_epochs(&targets, &epochs)
+    }
+
+    fn answer(&self, plans: &[QueryPlan]) -> Result<Vec<ShardedResult>, String> {
+        plans
+            .iter()
+            .map(|plan| self.query_plan(plan).map_err(|error| error.to_string()))
+            .collect()
+    }
+}
+
 /// Consults the fault plan at the `shard.gather` point: first the
 /// shard-targeted name (`shard.gather.<index>`, letting chaos tests pick
 /// their victim deterministically), then the generic point. Compiled out of
@@ -712,10 +590,6 @@ mod tests {
             queries: 1,
             coarse_requests: 2,
             rerank_requests: 3,
-            cache_hits: 4,
-            cache_misses: 5,
-            result_hits: 6,
-            result_misses: 7,
             shards_pruned: 8,
             outages: 9,
             rejected: 10,
@@ -724,10 +598,6 @@ mod tests {
             queries: 10,
             coarse_requests: 20,
             rerank_requests: 30,
-            cache_hits: 40,
-            cache_misses: 50,
-            result_hits: 60,
-            result_misses: 70,
             shards_pruned: 80,
             outages: 90,
             rejected: 100,
@@ -739,10 +609,6 @@ mod tests {
                 queries: 11,
                 coarse_requests: 22,
                 rerank_requests: 33,
-                cache_hits: 44,
-                cache_misses: 55,
-                result_hits: 66,
-                result_misses: 77,
                 shards_pruned: 88,
                 outages: 99,
                 rejected: 110,
@@ -770,11 +636,6 @@ mod tests {
             .with_shard_queue_depth(0)
             .validate()
             .is_err());
-        // Zero cache capacity is legal: it disables the per-shard caches.
-        assert!(ShardConfig::default()
-            .with_cache_capacity(0)
-            .validate()
-            .is_ok());
         // A zero gather deadline would degrade every query; `None` is the
         // way to wait without one.
         let zero = ShardConfig::default()

@@ -283,15 +283,6 @@ impl SegmentedCollection {
         self.generation
     }
 
-    /// Explicitly advances the content generation without mutating rows.
-    /// For callers whose query results depend on state *outside* the
-    /// collection (e.g. the engine's key-frame map, merged after the
-    /// vectors publish): bumping after that state settles marks any result
-    /// computed during the window stale for epoch-keyed caches.
-    pub fn bump_generation(&mut self) {
-        self.generation += 1;
-    }
-
     /// Inserts one embedding into the growing segment, sealing it first if it
     /// is full. Vectors are L2-normalized when the configuration requests it.
     pub fn insert(&mut self, id: VectorId, vector: &[f32]) -> Result<()> {
@@ -1036,12 +1027,6 @@ mod tests {
         let settled = c.generation();
         c.compact().unwrap();
         assert_eq!(c.generation(), settled);
-
-        // An explicit bump advances without touching rows.
-        let entities = c.stats().entities;
-        c.bump_generation();
-        assert_eq!(c.generation(), settled + 1);
-        assert_eq!(c.stats().entities, entities);
     }
 
     #[test]

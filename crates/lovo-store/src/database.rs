@@ -511,19 +511,6 @@ impl VectorDatabase {
         self.metadata.read().get(patch_id).cloned()
     }
 
-    /// Explicitly advances the named collection's content generation without
-    /// mutating rows — see
-    /// [`crate::collection::SegmentedCollection::bump_generation`] for when
-    /// that is the right tool.
-    pub fn touch_collection(&self, collection: &str) -> Result<()> {
-        let mut collections = self.collections.write();
-        let col = collections
-            .get_mut(collection)
-            .ok_or_else(|| StoreError::UnknownCollection(collection.to_string()))?;
-        col.bump_generation();
-        Ok(())
-    }
-
     /// Content generation of the named collection: bumped by every insert,
     /// seal and compaction. Serving layers key cache invalidation off this —
     /// a result cached at generation `g` is stale once the collection reports
@@ -740,10 +727,6 @@ mod tests {
         let result = db.compact_collection("p").unwrap();
         assert!(db.collection_generation("p").unwrap() > generation_before);
         assert!(db.collection_generation("missing").is_err());
-        let touched = db.collection_generation("p").unwrap();
-        db.touch_collection("p").unwrap();
-        assert_eq!(db.collection_generation("p").unwrap(), touched + 1);
-        assert!(db.touch_collection("missing").is_err());
         assert_eq!(result.segments_merged, 3);
         assert_eq!(db.collection_stats("p").unwrap().sealed_segments, 1);
         let hits = db.search("p", &vector(42, 8), 1).unwrap();

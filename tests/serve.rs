@@ -11,7 +11,7 @@ use lovo::serve::{
     partition_videos, HashPlacement, LocalShard, QueryService, ServeConfig, ServeError,
     ShardConfig, ShardRouter,
 };
-use lovo::video::{DatasetConfig, DatasetKind, VideoCollection};
+use lovo::video::{DatasetConfig, DatasetKind, QueryPredicate, VideoCollection};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -414,76 +414,124 @@ fn served_stage_timings_fit_inside_the_callers_wall_clock() {
     );
 }
 
-#[test]
-fn sharded_epochs_and_caches_move_per_shard() {
-    // The per-shard generalization of the freshness invariant above: with
-    // two shards behind a router, ingesting into one shard moves exactly
-    // that shard's entry in `ShardRouter::epochs` and invalidates exactly
-    // that shard's coarse cache — the other shard keeps answering from its
-    // cache across the ingest.
-    let videos = VideoCollection::generate(
-        DatasetConfig::for_kind(DatasetKind::Bellevue)
-            .with_num_videos(4)
-            .with_frames_per_video(60)
-            .with_seed(21),
-    );
-    let config = LovoConfig::default();
-    let placement = Arc::new(HashPlacement::new(2));
-    let engines: Vec<Arc<Lovo>> = partition_videos(&videos, placement.as_ref())
-        .iter()
-        .map(|part| Arc::new(Lovo::build(part, config).expect("build shard engine")))
-        .collect();
-    assert_eq!(engines.len(), 2, "two shard engines expected");
-    let shards: Vec<Arc<dyn lovo::serve::EngineShard>> = engines
-        .iter()
-        .map(|engine| {
-            Arc::new(LocalShard::new(Arc::clone(engine))) as Arc<dyn lovo::serve::EngineShard>
-        })
-        .collect();
-    // The merged-result cache is disabled here so the *per-shard* coarse
-    // caches are observable; the result layer has its own test below.
-    let router = ShardRouter::new(
-        shards,
-        Arc::clone(&placement) as _,
-        config,
-        ShardConfig::default().with_result_cache_capacity(0),
-    )
-    .expect("build router");
+/// Two shard engines over a four-video Bellevue collection, a router over
+/// them, and a `QueryService` serving that router. Maintenance is off: a
+/// background compaction would move an epoch between a test's assertions.
+struct TwoShardService {
+    videos: VideoCollection,
+    placement: HashPlacement,
+    engines: Vec<Arc<Lovo>>,
+    router: Arc<ShardRouter>,
+    service: QueryService<ShardRouter>,
+}
 
-    let spec = QuerySpec::new("a car on the road");
-    let first = router.query_spec(&spec).expect("first query");
-    assert_eq!(first.coarse_cache_hits, 0);
-    let second = router.query_spec(&spec).expect("second query");
-    assert_eq!(
-        second.coarse_cache_hits, 2,
-        "both shards should answer the repeat from cache"
-    );
-    assert_eq!(second.result.frames, first.result.frames);
+impl TwoShardService {
+    fn start(seed: u64) -> Self {
+        let videos = VideoCollection::generate(
+            DatasetConfig::for_kind(DatasetKind::Bellevue)
+                .with_num_videos(4)
+                .with_frames_per_video(60)
+                .with_seed(seed),
+        );
+        let config = LovoConfig::default();
+        let placement = HashPlacement::new(2);
+        let engines: Vec<Arc<Lovo>> = partition_videos(&videos, placement)
+            .iter()
+            .map(|part| Arc::new(Lovo::build(part, config).expect("build shard engine")))
+            .collect();
+        assert_eq!(engines.len(), 2, "two shard engines expected");
+        let shards: Vec<Arc<dyn lovo::serve::EngineShard>> = engines
+            .iter()
+            .map(|engine| {
+                Arc::new(LocalShard::new(Arc::clone(engine))) as Arc<dyn lovo::serve::EngineShard>
+            })
+            .collect();
+        let router = Arc::new(
+            ShardRouter::new(shards, placement, config, ShardConfig::default())
+                .expect("build router"),
+        );
+        let service = QueryService::start(
+            Arc::clone(&router),
+            ServeConfig::default().with_maintenance_interval(None),
+        )
+        .expect("start service");
+        Self {
+            videos,
+            placement,
+            engines,
+            router,
+            service,
+        }
+    }
 
-    // Ingest new footage into shard 0 only — respecting the placement, so
-    // the router's ownership map stays truthful.
-    let epochs_before = router.epochs();
-    assert_eq!(epochs_before.len(), 2);
-    let batch = {
+    /// Submits through the service and returns whether it hit the cache. A
+    /// hit must not reach any shard, a miss must, and either way the answer
+    /// is the router's direct answer.
+    fn submit(&self, spec: &QuerySpec) -> bool {
+        let before = self.router.stats().coarse_requests;
+        let served = self.service.submit(spec.clone()).expect("submit");
+        let scattered = self.router.stats().coarse_requests - before;
+        assert!(served.outages.is_empty());
+        assert_eq!(served.cache_hit, scattered == 0, "{scattered} coarse legs");
+        let direct = self.router.query_spec(spec).expect("direct query");
+        assert_eq!(served.result.frames, direct.result.frames);
+        served.cache_hit
+    }
+
+    /// Ingests eight fresh videos into shard 0 only — respecting the
+    /// placement, so the router's ownership map stays truthful.
+    fn ingest_into_shard0(&self, seed: u64, id_offset: u32) {
         let mut fresh = VideoCollection::generate(
             DatasetConfig::for_kind(DatasetKind::Bellevue)
                 .with_num_videos(8)
                 .with_frames_per_video(45)
-                .with_seed(77),
+                .with_seed(seed),
         );
         for video in &mut fresh.videos {
-            video.id += 1000;
+            video.id += id_offset;
         }
-        let part = partition_videos(&fresh, placement.as_ref()).swap_remove(0);
+        let batch = partition_videos(&fresh, self.placement).swap_remove(0);
         assert!(
-            !part.videos.is_empty(),
+            !batch.videos.is_empty(),
             "batch must place videos on shard 0"
         );
-        part
-    };
-    engines[0].add_videos(&batch).expect("ingest into shard 0");
+        self.engines[0]
+            .add_videos(&batch)
+            .expect("ingest into shard 0");
+    }
+}
 
-    let epochs_after = router.epochs();
+#[test]
+fn sharded_epochs_and_caches_move_per_shard() {
+    // The per-shard generalization of the freshness invariant above: a
+    // `QueryService` serves a two-shard router the way it serves an engine.
+    // Ingesting into shard 0 moves exactly that shard's entry in
+    // `ShardRouter::epochs` and stales exactly the plans that target it: a
+    // plan scoped to shard 1 keeps answering from the cache across the
+    // ingest.
+    let fleet = TwoShardService::start(21);
+    let unfiltered = QuerySpec::new("a car on the road");
+    let shard1_video = fleet
+        .videos
+        .videos
+        .iter()
+        .map(|video| video.id)
+        .find(|&id| fleet.placement.shard_of(id) == 1)
+        .expect("shard 1 holds at least one video");
+    let scoped = QuerySpec::new("a bus driving on the road")
+        .with_predicate(QueryPredicate::videos([shard1_video]));
+    assert!(!fleet.submit(&unfiltered));
+    assert!(
+        fleet.submit(&unfiltered),
+        "repeat should hit the service cache"
+    );
+    assert!(!fleet.submit(&scoped));
+    assert!(fleet.submit(&scoped), "repeat should hit the service cache");
+
+    let epochs_before = fleet.router.epochs();
+    assert_eq!(epochs_before.len(), 2);
+    fleet.ingest_into_shard0(77, 1000);
+    let epochs_after = fleet.router.epochs();
     assert!(
         epochs_after[0] > epochs_before[0],
         "ingesting shard's epoch must advance: {epochs_before:?} -> {epochs_after:?}"
@@ -493,85 +541,37 @@ fn sharded_epochs_and_caches_move_per_shard() {
         "idle shard's epoch must not move: {epochs_before:?} -> {epochs_after:?}"
     );
 
-    // Same spec again: shard 0's cache entry is stale (epoch moved) and is
-    // recomputed; shard 1 still hits.
-    let stats_before = router.stats();
-    let third = router.query_spec(&spec).expect("post-ingest query");
-    let stats_after = router.stats();
-    assert_eq!(
-        third.coarse_cache_hits, 1,
-        "only the idle shard should answer from cache after the ingest"
+    // The unfiltered plan sees shard 0: stale, recomputed, then cached
+    // again. The scoped plan sees only shard 1: still fresh.
+    assert!(
+        !fleet.submit(&unfiltered),
+        "shard 0 moved under the unfiltered plan"
     );
-    assert_eq!(stats_after.cache_hits - stats_before.cache_hits, 1);
-    assert_eq!(
-        stats_after.coarse_requests - stats_before.coarse_requests,
-        1
+    assert!(fleet.submit(&unfiltered));
+    assert!(
+        fleet.submit(&scoped),
+        "shard 1 did not move under the scoped plan"
     );
-    assert!(third.outages.is_empty());
 }
 
 #[test]
 fn sharded_result_cache_serves_repeats_until_a_shard_ingests() {
-    // The router-level merged-result cache: a repeat plan over unchanged
-    // shards is answered without any scatter, and an ingest into *either*
-    // shard changes the epoch vector and forces a recompute.
-    let videos = VideoCollection::generate(
-        DatasetConfig::for_kind(DatasetKind::Bellevue)
-            .with_num_videos(4)
-            .with_frames_per_video(60)
-            .with_seed(33),
-    );
-    let config = LovoConfig::default();
-    let placement = Arc::new(HashPlacement::new(2));
-    let engines: Vec<Arc<Lovo>> = partition_videos(&videos, placement.as_ref())
-        .iter()
-        .map(|part| Arc::new(Lovo::build(part, config).expect("build shard engine")))
-        .collect();
-    let shards: Vec<Arc<dyn lovo::serve::EngineShard>> = engines
-        .iter()
-        .map(|engine| {
-            Arc::new(LocalShard::new(Arc::clone(engine))) as Arc<dyn lovo::serve::EngineShard>
-        })
-        .collect();
-    let router = ShardRouter::new(
-        shards,
-        Arc::clone(&placement) as _,
-        config,
-        ShardConfig::default(),
-    )
-    .expect("build router");
-
+    // The service's result cache in front of a router: a repeat plan over
+    // unchanged shards is answered without any scatter, and an ingest into
+    // a shard the plan targets forces a recompute.
+    let fleet = TwoShardService::start(33);
     let spec = QuerySpec::new("a bus driving on the road");
-    let first = router.query_spec(&spec).expect("first query");
-    assert!(!first.result_cache_hit);
-    let second = router.query_spec(&spec).expect("repeat query");
-    assert!(second.result_cache_hit, "repeat should skip the scatter");
-    assert_eq!(second.result.frames, first.result.frames);
-    assert_eq!(second.shards_probed, first.shards_probed);
-    assert_eq!(router.stats().result_hits, 1);
+    assert!(!fleet.submit(&spec));
+    assert!(fleet.submit(&spec), "repeat should skip the scatter");
+    assert_eq!(fleet.service.stats().cache_hits, 1);
 
-    // Ingest into shard 0 (placement-respecting): the target epoch vector
-    // changes, so the cached answer is stale and the next query recomputes.
-    let batch = {
-        let mut fresh = VideoCollection::generate(
-            DatasetConfig::for_kind(DatasetKind::Bellevue)
-                .with_num_videos(8)
-                .with_frames_per_video(45)
-                .with_seed(91),
-        );
-        for video in &mut fresh.videos {
-            video.id += 2000;
-        }
-        partition_videos(&fresh, placement.as_ref()).swap_remove(0)
-    };
-    assert!(!batch.videos.is_empty());
-    engines[0].add_videos(&batch).expect("ingest into shard 0");
-
-    let third = router.query_spec(&spec).expect("post-ingest query");
+    fleet.ingest_into_shard0(91, 2000);
     assert!(
-        !third.result_cache_hit,
-        "epoch vector moved — the cached result must not be served"
+        !fleet.submit(&spec),
+        "shard 0's epoch moved — the cached result must not be served"
     );
-    assert_eq!(router.stats().result_hits, 1);
-    assert_eq!(router.stats().result_misses, 2);
+    let stats = fleet.service.stats();
+    assert_eq!(stats.cache_hits, 1);
+    assert_eq!(stats.cache_stale_evictions, 1);
+    assert_eq!(stats.engine_queries, 2);
 }

@@ -7,7 +7,7 @@
 use lovo::core::{Lovo, LovoConfig, QuerySpec};
 use lovo::serve::{
     partition_videos, CoarseRequest, CoarseResponse, EngineShard, HashPlacement, LocalShard,
-    Placement, RerankRequest, RerankResponse, ShardConfig, ShardRouter,
+    QueryService, RerankRequest, RerankResponse, ServeConfig, ShardConfig, ShardRouter,
 };
 use lovo::video::{DatasetConfig, DatasetKind, QueryPredicate, VideoCollection};
 use std::sync::Arc;
@@ -28,7 +28,7 @@ fn exact_config() -> LovoConfig {
 
 /// Builds shard engines from a hash partition of `videos`.
 fn shard_engines(videos: &VideoCollection, shards: usize) -> Vec<Arc<Lovo>> {
-    partition_videos(videos, &HashPlacement::new(shards))
+    partition_videos(videos, HashPlacement::new(shards))
         .iter()
         .map(|part| Arc::new(Lovo::build(part, exact_config()).expect("build shard engine")))
         .collect()
@@ -70,7 +70,7 @@ mod injected {
         );
         let router = ShardRouter::new(
             local_shards(&shard_engines(&videos, shards)),
-            Arc::new(HashPlacement::new(shards)),
+            HashPlacement::new(shards),
             exact_config(),
             ShardConfig::default().with_faults(Arc::clone(&faults)),
         )
@@ -112,12 +112,11 @@ mod injected {
             expected.fast_search_candidates
         );
 
-        // The fault was one-shot: the next identical query heals — survivors
-        // answer from their caches, the victim is re-queried live, and the
-        // result is the full-corpus answer again.
+        // The fault was one-shot: the next identical query heals — the
+        // victim is re-queried live, and the result is the full-corpus
+        // answer again.
         let healed = router.query_spec(&spec).expect("healed gather");
         assert!(!healed.is_degraded());
-        assert!(healed.coarse_cache_hits > 0, "survivors should hit cache");
         let full = Lovo::build(&videos, exact_config()).expect("build full twin");
         assert_eq!(
             healed.result.frames,
@@ -132,7 +131,7 @@ mod injected {
         faults.inject(points::SHARD_GATHER, FaultAction::Fail);
         let router = ShardRouter::new(
             local_shards(&shard_engines(&videos, 4)),
-            Arc::new(HashPlacement::new(4)),
+            HashPlacement::new(4),
             exact_config(),
             ShardConfig::default().with_faults(Arc::clone(&faults)),
         )
@@ -147,6 +146,44 @@ mod injected {
         assert_eq!(degraded.outages.len(), 1);
         assert_eq!(faults.triggered(), vec![points::SHARD_GATHER.to_string()]);
         assert_eq!(faults.pending(), 0);
+    }
+
+    #[test]
+    fn served_degraded_answer_is_never_cached() {
+        // Behind a `QueryService`, a partial answer is served with its
+        // outage marker but never cached: the repeat after the one-shot
+        // fault is recomputed (and healed), and only that healthy answer is
+        // served from the cache.
+        let videos = corpus(7);
+        let faults = Arc::new(FaultPlan::new());
+        faults.inject(&format!("{}.1", points::SHARD_GATHER), FaultAction::Fail);
+        let router = ShardRouter::new(
+            local_shards(&shard_engines(&videos, 4)),
+            HashPlacement::new(4),
+            exact_config(),
+            ShardConfig::default().with_faults(Arc::clone(&faults)),
+        )
+        .expect("build router");
+        let service = QueryService::start(
+            Arc::new(router),
+            ServeConfig::default().with_maintenance_interval(None),
+        )
+        .expect("start service");
+
+        let spec = QuerySpec::new("a red car driving in the center of the road");
+        let degraded = service
+            .submit(spec.clone())
+            .expect("degraded answer served");
+        assert!(!degraded.cache_hit);
+        assert_eq!(degraded.outages.len(), 1);
+        assert_eq!(degraded.outages[0].shard, 1);
+        let healed = service.submit(spec.clone()).expect("healed answer");
+        assert!(!healed.cache_hit, "a degraded answer must not be cached");
+        assert!(healed.outages.is_empty());
+        let repeat = service.submit(spec).expect("cached answer");
+        assert!(repeat.cache_hit);
+        assert!(repeat.outages.is_empty());
+        assert_eq!(repeat.result.frames, healed.result.frames);
     }
 }
 
@@ -179,7 +216,7 @@ fn panicking_shard_is_an_outage_not_a_router_crash() {
     shards[2] = Arc::new(PanickingShard);
     let router = ShardRouter::new(
         shards,
-        Arc::new(HashPlacement::new(3)),
+        HashPlacement::new(3),
         exact_config(),
         // Depth-1 admission: if a panicked leg leaked its slot, the second
         // query below would be rejected instead of served.
@@ -247,7 +284,7 @@ fn slow_shard_times_out_into_an_outage_without_stalling_the_router() {
     shards[1] = slow;
     let router = ShardRouter::new(
         shards,
-        Arc::new(HashPlacement::new(2)),
+        HashPlacement::new(2),
         exact_config(),
         ShardConfig::default().with_gather_timeout(Some(Duration::from_secs(5))),
     )
@@ -307,7 +344,7 @@ fn rerank_stage_failure_degrades_like_a_coarse_one() {
     });
     let router = ShardRouter::new(
         shards,
-        Arc::new(HashPlacement::new(2)),
+        HashPlacement::new(2),
         exact_config(),
         ShardConfig::default(),
     )

@@ -12,9 +12,7 @@
 //! configurations are covered by their own recall gates elsewhere.
 
 use lovo::core::{Lovo, LovoConfig, QuerySpec};
-use lovo::serve::{
-    partition_videos, HashPlacement, LocalShard, Placement, ShardConfig, ShardRouter,
-};
+use lovo::serve::{partition_videos, HashPlacement, LocalShard, ShardConfig, ShardRouter};
 use lovo::video::{DatasetConfig, DatasetKind, ObjectClass, QueryPredicate, VideoCollection};
 use std::sync::Arc;
 
@@ -39,15 +37,14 @@ fn exact_config() -> LovoConfig {
 /// Builds the sharded side of the differential pair: partition the corpus
 /// under a hash placement, one engine per part, one router over them.
 fn build_router(videos: &VideoCollection, shards: usize, config: LovoConfig) -> ShardRouter {
-    let placement = Arc::new(HashPlacement::new(shards));
-    let engines: Vec<Arc<dyn lovo::serve::EngineShard>> =
-        partition_videos(videos, placement.as_ref())
-            .iter()
-            .map(|part| {
-                let engine = Lovo::build(part, config).expect("build shard engine");
-                Arc::new(LocalShard::new(Arc::new(engine))) as Arc<dyn lovo::serve::EngineShard>
-            })
-            .collect();
+    let placement = HashPlacement::new(shards);
+    let engines: Vec<Arc<dyn lovo::serve::EngineShard>> = partition_videos(videos, placement)
+        .iter()
+        .map(|part| {
+            let engine = Lovo::build(part, config).expect("build shard engine");
+            Arc::new(LocalShard::new(Arc::new(engine))) as Arc<dyn lovo::serve::EngineShard>
+        })
+        .collect();
     ShardRouter::new(engines, placement, config, ShardConfig::default()).expect("build router")
 }
 
@@ -173,7 +170,7 @@ fn partition_is_a_disjoint_cover_under_every_placement() {
     let videos = corpus(5);
     for shards in [1usize, 2, 4, 7] {
         let placement = HashPlacement::new(shards);
-        let parts = partition_videos(&videos, &placement);
+        let parts = partition_videos(&videos, placement);
         assert_eq!(parts.len(), shards);
         let total: usize = parts.iter().map(|part| part.videos.len()).sum();
         assert_eq!(total, videos.videos.len());

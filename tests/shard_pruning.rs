@@ -6,7 +6,7 @@
 use lovo::core::{Lovo, LovoConfig, QuerySpec};
 use lovo::serve::{
     partition_videos, CoarseRequest, CoarseResponse, EngineShard, HashPlacement, LocalShard,
-    Placement, RerankRequest, RerankResponse, ShardConfig, ShardRouter,
+    RerankRequest, RerankResponse, ShardConfig, ShardRouter,
 };
 use lovo::video::{DatasetConfig, DatasetKind, QueryPredicate, VideoCollection};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -59,14 +59,14 @@ impl EngineShard for CountingShard {
 }
 
 /// Builds an N-shard router whose shards count the requests they receive.
-/// Caching is disabled so every query's fan-out is visible in the counters.
+/// The router has no cache, so every query's fan-out is visible in the counters.
 fn counting_router(
     videos: &VideoCollection,
     shards: usize,
 ) -> (ShardRouter, Vec<Arc<CountingShard>>, HashPlacement) {
     let config = LovoConfig::ablation_without_anns();
     let placement = HashPlacement::new(shards);
-    let counters: Vec<Arc<CountingShard>> = partition_videos(videos, &placement)
+    let counters: Vec<Arc<CountingShard>> = partition_videos(videos, placement)
         .iter()
         .map(|part| {
             let engine = Lovo::build(part, config).expect("build shard engine");
@@ -79,9 +79,9 @@ fn counting_router(
         .collect();
     let router = ShardRouter::new(
         engines,
-        Arc::new(HashPlacement::new(shards)),
+        HashPlacement::new(shards),
         config,
-        ShardConfig::default().with_cache_capacity(0),
+        ShardConfig::default(),
     )
     .expect("build router");
     (router, counters, placement)
@@ -104,8 +104,6 @@ fn one_shard_video_predicate_prunes_the_rest() {
         .expect("routed query");
 
     assert!(sharded.outages.is_empty());
-    assert_eq!(sharded.shards_probed, 1);
-    assert_eq!(sharded.shards_pruned, 3);
     // The merged SearchStats carry the same shard-level pruning counters the
     // segment-level zone maps report one layer down.
     assert_eq!(sharded.result.search_stats.shards_probed, 1);
@@ -142,8 +140,8 @@ fn unfiltered_queries_probe_every_populated_shard() {
         .query_spec(&QuerySpec::new("a bus driving on the road"))
         .expect("routed query");
     assert!(sharded.outages.is_empty());
-    assert_eq!(sharded.shards_probed, populated);
-    assert_eq!(sharded.shards_pruned, 4 - populated);
+    assert_eq!(sharded.result.search_stats.shards_probed, populated);
+    assert_eq!(sharded.result.search_stats.shards_pruned, 4 - populated);
     let contacted = counters
         .iter()
         .filter(|shard| shard.coarse_calls.load(Ordering::SeqCst) > 0)
@@ -161,8 +159,8 @@ fn provably_empty_plans_touch_no_shard() {
         .expect("routed query");
     assert!(sharded.outages.is_empty());
     assert!(sharded.result.frames.is_empty());
-    assert_eq!(sharded.shards_probed, 0);
-    assert_eq!(sharded.shards_pruned, 4);
+    assert_eq!(sharded.result.search_stats.shards_probed, 0);
+    assert_eq!(sharded.result.search_stats.shards_pruned, 4);
     for shard in &counters {
         assert_eq!(shard.coarse_calls.load(Ordering::SeqCst), 0);
         assert_eq!(shard.rerank_calls.load(Ordering::SeqCst), 0);
@@ -185,8 +183,8 @@ fn predicate_for_absent_videos_prunes_by_stored_range() {
         )
         .expect("routed query");
     assert!(sharded.result.frames.is_empty());
-    assert_eq!(sharded.shards_probed, 0);
-    assert_eq!(sharded.shards_pruned, 4);
+    assert_eq!(sharded.result.search_stats.shards_probed, 0);
+    assert_eq!(sharded.result.search_stats.shards_pruned, 4);
     for shard in &counters {
         assert_eq!(shard.coarse_calls.load(Ordering::SeqCst), 0);
     }
