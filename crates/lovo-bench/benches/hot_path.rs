@@ -56,7 +56,7 @@ fn bench_flat_topk(c: &mut Criterion) {
         }
         let query = vectors[42].clone();
         group.bench_with_input(BenchmarkId::from_parameter(n), &flat, |b, flat| {
-            b.iter(|| flat.search(black_box(&query), 10).unwrap())
+            b.iter(|| flat.search(black_box(&query), 10, None).unwrap())
         });
     }
     group.finish();

@@ -51,16 +51,14 @@ fn bench_pq(c: &mut Criterion) {
 fn bench_search_families(c: &mut Criterion) {
     let vectors = random_unit_vectors(N, 11);
     let mut flat = FlatIndex::new(DIM);
-    let mut ivf = IvfPqIndex::new(IvfPqConfig::for_dim(DIM)).unwrap();
     let mut hnsw = HnswIndex::new(HnswConfig::for_dim(DIM)).unwrap();
     for (i, v) in vectors.iter().enumerate() {
         flat.insert(i as u64, v).unwrap();
-        ivf.insert(i as u64, v).unwrap();
         hnsw.insert(i as u64, v).unwrap();
     }
-    flat.build().unwrap();
-    ivf.build().unwrap();
-    hnsw.build().unwrap();
+    let ids = (0..vectors.len() as u64).collect();
+    let ivf = IvfPqIndex::build_from_rows(IvfPqConfig::for_dim(DIM), ids, vectors.concat().into())
+        .unwrap();
     let query = &vectors[42];
 
     let mut group = c.benchmark_group("ann_search_top10");
@@ -71,7 +69,7 @@ fn bench_search_families(c: &mut Criterion) {
         ("HNSW", &hnsw as &dyn VectorIndex),
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &index, |b, index| {
-            b.iter(|| index.search(black_box(query), 10).unwrap())
+            b.iter(|| index.search(black_box(query), 10, None).unwrap())
         });
     }
     group.finish();

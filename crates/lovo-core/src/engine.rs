@@ -164,22 +164,7 @@ impl Lovo {
     /// stores the vector collection and metadata, and prepares the query-time
     /// models.
     pub fn build(videos: &VideoCollection, config: LovoConfig) -> Result<Self> {
-        config.validate().map_err(LovoError::InvalidState)?;
-        let ingested_videos = unique_video_ids(videos, &std::collections::HashSet::new())?;
-        let summarizer = VideoSummarizer::new(&config)?;
-        let database = VectorDatabase::new();
-        let (ingest_stats, keyframes) = summarizer.ingest(videos, &database)?;
-        Ok(Self {
-            text_encoder: TextEncoder::new(config.text)?,
-            rerank: CrossModalityTransformer::new(config.cross_modality)?,
-            planner: QueryPlanner::new(config),
-            ingested_videos: Mutex::new(ingested_videos),
-            summarizer,
-            config,
-            database,
-            keyframes: RwLock::new(keyframes),
-            ingest_stats: Mutex::new(ingest_stats),
-        })
+        Self::ingest_into(videos, config, || Ok(VectorDatabase::new()))
     }
 
     /// [`Lovo::build`] over a durable store rooted at `root`: every ingested
@@ -193,11 +178,43 @@ impl Lovo {
         root: impl AsRef<std::path::Path>,
         durability: DurabilityConfig,
     ) -> Result<Self> {
+        Self::ingest_into(videos, config, || {
+            Ok(VectorDatabase::create_durable(root, durability)?)
+        })
+    }
+
+    /// Runs the video-summary pipeline over `videos` into the database
+    /// `open` creates once the input has been checked.
+    fn ingest_into(
+        videos: &VideoCollection,
+        config: LovoConfig,
+        open: impl FnOnce() -> Result<VectorDatabase>,
+    ) -> Result<Self> {
         config.validate().map_err(LovoError::InvalidState)?;
         let ingested_videos = unique_video_ids(videos, &std::collections::HashSet::new())?;
         let summarizer = VideoSummarizer::new(&config)?;
-        let database = VectorDatabase::create_durable(root, durability)?;
+        let database = open()?;
         let (ingest_stats, keyframes) = summarizer.ingest(videos, &database)?;
+        Self::assemble(
+            config,
+            summarizer,
+            database,
+            keyframes,
+            ingest_stats,
+            ingested_videos,
+        )
+    }
+
+    /// The engine over an already-populated database: the query-time models
+    /// are built from `config`, everything else is handed in.
+    fn assemble(
+        config: LovoConfig,
+        summarizer: VideoSummarizer,
+        database: VectorDatabase,
+        keyframes: KeyframeMap,
+        ingest_stats: IngestStats,
+        ingested_videos: std::collections::HashSet<u32>,
+    ) -> Result<Self> {
         Ok(Self {
             text_encoder: TextEncoder::new(config.text)?,
             rerank: CrossModalityTransformer::new(config.cross_modality)?,
@@ -266,35 +283,32 @@ impl Lovo {
             }
         }
         // Rebuild the rerank frame map from the recovered blobs. A blob that
-        // fails to decode is skipped rather than fatal — queries touching
-        // that frame lose their rerank candidate (the executor already
-        // tolerates missing key frames), which mirrors how the storage layer
-        // quarantines rather than refuses.
+        // fails to decode is counted and skipped rather than fatal — queries
+        // touching that frame lose their rerank candidate (the executor
+        // already tolerates missing key frames), which mirrors how the
+        // storage layer quarantines rather than refuses.
         let mut keyframes = KeyframeMap::new();
         for (frame_key, blob) in std::mem::take(&mut report.aux_blobs) {
             let (video_id, frame_index) = ((frame_key >> 32) as u32, frame_key as u32);
-            if let Ok(frame) = lovo_video::wire::decode_frame(&blob) {
-                keyframes.insert((video_id, frame_index), frame);
+            match lovo_video::wire::decode_frame(&blob) {
+                Ok(frame) => {
+                    keyframes.insert((video_id, frame_index), frame);
+                }
+                Err(_) => report.frames_undecodable += 1,
             }
         }
         // Video ids must stay reserved across restarts — re-ingesting an id
         // would collide patch ids with the recovered rows.
-        let ingested_videos: std::collections::HashSet<u32> =
-            database.video_ids().into_iter().collect();
-        Ok((
-            Self {
-                text_encoder: TextEncoder::new(config.text)?,
-                rerank: CrossModalityTransformer::new(config.cross_modality)?,
-                planner: QueryPlanner::new(config),
-                ingested_videos: Mutex::new(ingested_videos),
-                summarizer,
-                config,
-                database,
-                keyframes: RwLock::new(keyframes),
-                ingest_stats: Mutex::new(IngestStats::default()),
-            },
-            report,
-        ))
+        let ingested_videos = database.video_ids().into_iter().collect();
+        let lovo = Self::assemble(
+            config,
+            summarizer,
+            database,
+            keyframes,
+            IngestStats::default(),
+            ingested_videos,
+        )?;
+        Ok((lovo, report))
     }
 
     /// Incrementally ingests a new batch of videos: encodes only the new

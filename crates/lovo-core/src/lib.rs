@@ -68,7 +68,7 @@ pub use lovo_store::PatchPredicate;
 
 // Durable-store vocabulary used by `Lovo::build_durable` / `Lovo::open`,
 // re-exported for the same reason.
-pub use lovo_store::{DurabilityConfig, FsyncPolicy, QuarantinedSegment, RecoveryReport};
+pub use lovo_store::{DurabilityConfig, QuarantinedSegment, RecoveryReport};
 
 /// Errors surfaced by the LOVO system.
 #[derive(Debug)]

@@ -520,30 +520,32 @@ pub fn fig11_modules(scale: f64) -> Report {
         use lovo_index::VectorIndex as _;
         let entities = ((entities as f64) * scale).round().max(500.0) as usize;
         let dim = 32;
-        let mut index = lovo_index::IvfPqIndex::new(lovo_index::IvfPqConfig::for_dim(dim)).unwrap();
         let mut rng_state = 1u64;
         let mut next = || {
             rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
             ((rng_state >> 33) as f32 / u32::MAX as f32) - 0.5
         };
-        let mut query = vec![0.0f32; dim];
-        for i in 0..entities {
+        let mut rows: Vec<f32> = Vec::with_capacity(entities * dim);
+        for _ in 0..entities {
             let mut v: Vec<f32> = (0..dim).map(|_| next()).collect();
             lovo_index::metric::normalize(&mut v);
-            if i == 0 {
-                query = v.clone();
-            }
-            index.insert(i as u64, &v).unwrap();
+            rows.extend_from_slice(&v);
         }
-        lovo_index::VectorIndex::build(&mut index).unwrap();
+        let query = rows[..dim].to_vec();
+        let index = lovo_index::IvfPqIndex::build_from_rows(
+            lovo_index::IvfPqConfig::for_dim(dim),
+            (0..entities as u64).collect(),
+            rows.into(),
+        )
+        .unwrap();
         let start = std::time::Instant::now();
-        let _ = lovo_index::VectorIndex::search(&index, &query, 50).unwrap();
+        let _ = index.search(&query, 50, None).unwrap();
         let elapsed = start.elapsed().as_secs_f64();
         report.push_row(
             format!("(b) {entities} entities"),
             vec![format!(
                 "index {:.1} MB, fast search {:.4}s",
-                lovo_index::VectorIndex::memory_bytes(&index) as f64 / 1e6,
+                index.memory_bytes() as f64 / 1e6,
                 elapsed
             )],
         );

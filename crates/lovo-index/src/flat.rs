@@ -59,9 +59,23 @@ impl FlatIndex {
         })
     }
 
-    /// True when the row arena is a zero-copy view into a mapped file.
-    pub fn is_mapped(&self) -> bool {
-        self.data.is_mapped()
+    /// Appends a row (the growing segment's append path).
+    pub fn insert(&mut self, id: VectorId, vector: &[f32]) -> Result<()> {
+        if vector.len() != self.dim {
+            return Err(IndexError::DimensionMismatch {
+                expected: self.dim,
+                actual: vector.len(),
+            });
+        }
+        self.ids.push(id);
+        self.data.to_mut().extend_from_slice(vector);
+        Ok(())
+    }
+
+    /// The ids and the rows they own, the shape [`FlatIndex::from_parts`]
+    /// takes: `ids[i]` owns `rows[i*dim..(i+1)*dim]`.
+    pub fn parts(&self) -> (&[VectorId], &RowStore) {
+        (&self.ids, &self.data)
     }
 
     /// Borrow the stored vector for an id, if present (linear scan; test helper).
@@ -74,7 +88,7 @@ impl FlatIndex {
 
     /// Iterator over the stored `(id, vector)` rows in insertion order. The
     /// segmented storage layer uses a flat index as its append buffer and
-    /// reads the raw rows back when sealing or compacting a segment.
+    /// reads the raw rows back when compacting or persisting a segment.
     pub fn rows(&self) -> impl Iterator<Item = (VectorId, &[f32])> {
         let data = self.data.as_slice();
         self.ids
@@ -93,70 +107,18 @@ impl VectorIndex for FlatIndex {
         self.ids.len()
     }
 
-    fn insert(&mut self, id: VectorId, vector: &[f32]) -> Result<()> {
-        if vector.len() != self.dim {
-            return Err(IndexError::DimensionMismatch {
-                expected: self.dim,
-                actual: vector.len(),
-            });
-        }
-        self.ids.push(id);
-        self.data.to_mut().extend_from_slice(vector);
-        Ok(())
-    }
-
-    fn build(&mut self) -> Result<()> {
-        Ok(())
-    }
-
-    fn search_with_stats(
+    /// Block scan. A filter masks rows *before* they are scored, so at low
+    /// selectivity the scan skips most of its dot products instead of
+    /// discarding them afterwards. The metric dispatches once per block, not
+    /// once per row: a block whose rows all pass streams through the batch
+    /// kernel in place, and the passing rows of a mixed block are gathered
+    /// into one contiguous run first ([`Metric::score_batch`] delegates to
+    /// the per-row kernel, so both score bit-identically).
+    fn search(
         &self,
         query: &[f32],
         k: usize,
-    ) -> Result<(Vec<SearchResult>, SearchStats)> {
-        if query.len() != self.dim {
-            return Err(IndexError::DimensionMismatch {
-                expected: self.dim,
-                actual: query.len(),
-            });
-        }
-        // The metric dispatches once per block (not once per row), each block
-        // streams through the row-major arena with the batch kernel, and a
-        // bounded TopK replaces the collect-all + sort + truncate pattern.
-        let mut top = TopK::new(k);
-        let mut scores: Vec<f32> = Vec::with_capacity(SCAN_BLOCK_ROWS.min(self.ids.len()));
-        let data = self.data.as_slice();
-        if !data.is_empty() {
-            let mut base_row = 0usize;
-            for block in data.chunks(SCAN_BLOCK_ROWS * self.dim) {
-                scores.clear();
-                self.metric.score_batch(query, block, self.dim, &mut scores);
-                for (offset, &score) in scores.iter().enumerate() {
-                    top.push_hit(self.ids[base_row + offset], score);
-                }
-                base_row += scores.len();
-            }
-        }
-        let stats = SearchStats {
-            vectors_scored: self.ids.len(),
-            cells_probed: 1,
-            exact_rescored: top.len(),
-            heap_pushes: top.pushes(),
-            ..SearchStats::default()
-        };
-        Ok((top.into_sorted_results(), stats))
-    }
-
-    /// Filtered scan: the filter masks rows *before* they are scored, so at
-    /// low selectivity the scan skips most of its dot products instead of
-    /// discarding them afterwards. Blocks whose rows all pass keep the batch
-    /// kernel ([`Metric::score_batch`] delegates to the same per-row kernel,
-    /// so scores are bit-identical between the two paths).
-    fn search_filtered_with_stats(
-        &self,
-        query: &[f32],
-        k: usize,
-        filter: &IdFilter,
+        filter: Option<&IdFilter>,
     ) -> Result<(Vec<SearchResult>, SearchStats)> {
         if query.len() != self.dim {
             return Err(IndexError::DimensionMismatch {
@@ -166,10 +128,7 @@ impl VectorIndex for FlatIndex {
         }
         let mut top = TopK::new(k);
         let mut scores: Vec<f32> = Vec::with_capacity(SCAN_BLOCK_ROWS.min(self.ids.len()));
-        let mut mask: Vec<bool> = Vec::with_capacity(SCAN_BLOCK_ROWS);
-        // Masked-batch scratch for mixed blocks: the passing rows compact
-        // into one contiguous run so the batch kernel streams them exactly
-        // like an all-pass block.
+        let mut mask: Vec<bool> = Vec::new();
         let mut gathered: Vec<f32> = Vec::new();
         let mut gathered_ids: Vec<VectorId> = Vec::new();
         let mut scored = 0usize;
@@ -179,42 +138,41 @@ impl VectorIndex for FlatIndex {
             let mut base_row = 0usize;
             for block in data.chunks(SCAN_BLOCK_ROWS * self.dim) {
                 let rows = block.len() / self.dim;
-                mask.clear();
-                mask.extend((0..rows).map(|offset| filter.accepts(self.ids[base_row + offset])));
-                let pass = mask.iter().filter(|&&keep| keep).count();
+                let ids = &self.ids[base_row..base_row + rows];
+                base_row += rows;
+                let pass = match filter {
+                    None => rows,
+                    Some(filter) => {
+                        mask.clear();
+                        mask.extend(ids.iter().map(|&id| filter.accepts(id)));
+                        mask.iter().filter(|&&keep| keep).count()
+                    }
+                };
                 filtered_out += rows - pass;
                 scored += pass;
-                if pass == rows {
-                    // Fully-passing block: stream it through the batch kernel.
-                    scores.clear();
-                    self.metric.score_batch(query, block, self.dim, &mut scores);
-                    for (offset, &score) in scores.iter().enumerate() {
-                        top.push_hit(self.ids[base_row + offset], score);
-                    }
+                let (block, ids) = if pass == rows {
+                    (block, ids)
                 } else if pass > 0 {
-                    // Mixed block: gather the passing rows and run the batch
-                    // kernel once — the metric dispatch is hoisted out of the
-                    // row loop, and `score_batch` delegates to the same
-                    // per-row kernel, so scores are bit-identical to the
-                    // per-row path this replaced.
                     gathered.clear();
                     gathered_ids.clear();
-                    for (offset, &keep) in mask.iter().enumerate() {
-                        if keep {
-                            gathered.extend_from_slice(
-                                &block[offset * self.dim..(offset + 1) * self.dim],
-                            );
-                            gathered_ids.push(self.ids[base_row + offset]);
-                        }
+                    for ((row, &id), _) in block
+                        .chunks_exact(self.dim)
+                        .zip(ids)
+                        .zip(&mask)
+                        .filter(|(_, &keep)| keep)
+                    {
+                        gathered.extend_from_slice(row);
+                        gathered_ids.push(id);
                     }
-                    scores.clear();
-                    self.metric
-                        .score_batch(query, &gathered, self.dim, &mut scores);
-                    for (&id, &score) in gathered_ids.iter().zip(&scores) {
-                        top.push_hit(id, score);
-                    }
+                    (gathered.as_slice(), gathered_ids.as_slice())
+                } else {
+                    continue;
+                };
+                scores.clear();
+                self.metric.score_batch(query, block, self.dim, &mut scores);
+                for (&id, &score) in ids.iter().zip(&scores) {
+                    top.push_hit(id, score);
                 }
-                base_row += rows;
             }
         }
         let stats = SearchStats {
@@ -236,6 +194,10 @@ impl VectorIndex for FlatIndex {
         // Mapped rows are file-backed page cache, not heap, so they report 0.
         self.data.heap_bytes() + self.ids.len() * std::mem::size_of::<VectorId>()
     }
+
+    fn row_store(&self) -> Option<&RowStore> {
+        Some(&self.data)
+    }
 }
 
 #[cfg(test)]
@@ -253,8 +215,7 @@ mod tests {
         idx.insert(1, &unit(&[1.0, 0.0, 0.0])).unwrap();
         idx.insert(2, &unit(&[0.0, 1.0, 0.0])).unwrap();
         idx.insert(3, &unit(&[0.9, 0.1, 0.0])).unwrap();
-        idx.build().unwrap();
-        let hits = idx.search(&unit(&[1.0, 0.0, 0.0]), 2).unwrap();
+        let (hits, _) = idx.search(&unit(&[1.0, 0.0, 0.0]), 2, None).unwrap();
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].id, 1);
         assert_eq!(hits[1].id, 3);
@@ -265,7 +226,7 @@ mod tests {
     fn k_larger_than_len_returns_everything() {
         let mut idx = FlatIndex::new(2);
         idx.insert(7, &[1.0, 0.0]).unwrap();
-        let hits = idx.search(&[1.0, 0.0], 10).unwrap();
+        let (hits, _) = idx.search(&[1.0, 0.0], 10, None).unwrap();
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].id, 7);
     }
@@ -275,7 +236,7 @@ mod tests {
         let mut idx = FlatIndex::new(4);
         assert!(idx.insert(1, &[1.0, 2.0]).is_err());
         idx.insert(1, &[1.0, 0.0, 0.0, 0.0]).unwrap();
-        assert!(idx.search(&[1.0, 0.0], 1).is_err());
+        assert!(idx.search(&[1.0, 0.0], 1, None).is_err());
     }
 
     #[test]
@@ -284,7 +245,7 @@ mod tests {
         for i in 0..50 {
             idx.insert(i, &unit(&[i as f32 + 1.0, 1.0])).unwrap();
         }
-        let (_, stats) = idx.search_with_stats(&unit(&[1.0, 1.0]), 5).unwrap();
+        let (_, stats) = idx.search(&unit(&[1.0, 1.0]), 5, None).unwrap();
         assert_eq!(stats.vectors_scored, 50);
         assert_eq!(stats.exact_rescored, 5);
     }
@@ -311,7 +272,7 @@ mod tests {
         let mut idx = FlatIndex::with_metric(2, Metric::L2);
         idx.insert(1, &[0.0, 0.0]).unwrap();
         idx.insert(2, &[5.0, 5.0]).unwrap();
-        let hits = idx.search(&[0.5, 0.5], 2).unwrap();
+        let (hits, _) = idx.search(&[0.5, 0.5], 2, None).unwrap();
         assert_eq!(hits[0].id, 1);
         assert_eq!(idx.family(), "BF");
     }
@@ -323,9 +284,7 @@ mod tests {
             idx.insert(i, &unit(&[i as f32 + 1.0, 1.0])).unwrap();
         }
         let filter = IdFilter::from_predicate(|id| id % 4 == 0);
-        let (hits, stats) = idx
-            .search_filtered_with_stats(&unit(&[50.0, 1.0]), 5, &filter)
-            .unwrap();
+        let (hits, stats) = idx.search(&unit(&[50.0, 1.0]), 5, Some(&filter)).unwrap();
         assert_eq!(hits.len(), 5);
         assert!(hits.iter().all(|h| h.id % 4 == 0));
         assert_eq!(stats.vectors_scored, 10);
@@ -334,8 +293,8 @@ mod tests {
         // An all-pass filter is score-identical to the unfiltered scan.
         let all = IdFilter::from_predicate(|_| true);
         let q = unit(&[3.0, 2.0]);
-        let (filtered, fstats) = idx.search_filtered_with_stats(&q, 7, &all).unwrap();
-        let (plain, _) = idx.search_with_stats(&q, 7).unwrap();
+        let (filtered, fstats) = idx.search(&q, 7, Some(&all)).unwrap();
+        let (plain, _) = idx.search(&q, 7, None).unwrap();
         assert_eq!(filtered, plain);
         assert_eq!(fstats.filtered_out, 0);
     }
@@ -345,7 +304,7 @@ mod tests {
         let mut idx = FlatIndex::new(2);
         idx.insert(9, &[1.0, 0.0]).unwrap();
         idx.insert(3, &[1.0, 0.0]).unwrap();
-        let hits = idx.search(&[1.0, 0.0], 2).unwrap();
+        let (hits, _) = idx.search(&[1.0, 0.0], 2, None).unwrap();
         assert_eq!(hits[0].id, 3);
         assert_eq!(hits[1].id, 9);
     }

@@ -48,12 +48,6 @@ impl HnswConfig {
         self
     }
 
-    /// Builder-style override of the connectivity parameter.
-    pub fn with_m(mut self, m: usize) -> Self {
-        self.m = m.max(2);
-        self
-    }
-
     /// Validates the configuration.
     pub fn validate(&self) -> Result<()> {
         if self.dim == 0 {
@@ -165,6 +159,72 @@ impl HnswIndex {
     /// The index configuration.
     pub fn config(&self) -> &HnswConfig {
         &self.config
+    }
+
+    /// Adds a vector, linking it into the graph on every layer up to its
+    /// randomly drawn level (the graph is built incrementally by inserts).
+    pub fn insert(&mut self, id: VectorId, vector: &[f32]) -> Result<()> {
+        if vector.len() != self.config.dim {
+            return Err(IndexError::DimensionMismatch {
+                expected: self.config.dim,
+                actual: vector.len(),
+            });
+        }
+        let level = self.random_level();
+        let new_index = self.nodes.len() as u32;
+        self.nodes.push(Node {
+            id,
+            vector: vector.to_vec(),
+            neighbors: vec![Vec::new(); level + 1],
+        });
+
+        let Some(mut current) = self.entry_point else {
+            self.entry_point = Some(new_index);
+            self.max_level = level;
+            return Ok(());
+        };
+
+        let mut scratch = SearchScratch::default();
+        // Descend through the layers above the new node's level greedily.
+        for layer in (level + 1..=self.max_level).rev() {
+            loop {
+                self.search_layer(vector, current, 1, layer, &mut scratch, None);
+                let best = scratch.out[0];
+                if best.node == current {
+                    break;
+                }
+                if best.score > self.score(vector, current) {
+                    current = best.node;
+                } else {
+                    break;
+                }
+            }
+        }
+        // Connect on every layer from min(level, max_level) down to 0. The
+        // chosen neighbours are copied out of the scratch so `link` can take
+        // `&mut self` while the next layer reuses the same buffers.
+        let mut selected: Vec<u32> = Vec::with_capacity(self.config.m);
+        for layer in (0..=level.min(self.max_level)).rev() {
+            self.search_layer(
+                vector,
+                current,
+                self.config.ef_construction,
+                layer,
+                &mut scratch,
+                None,
+            );
+            current = scratch.out.first().map(|s| s.node).unwrap_or(current);
+            selected.clear();
+            selected.extend(scratch.out.iter().take(self.config.m).map(|s| s.node));
+            for &neighbor in &selected {
+                self.link(new_index, neighbor, layer);
+            }
+        }
+        if level > self.max_level {
+            self.max_level = level;
+            self.entry_point = Some(new_index);
+        }
+        Ok(())
     }
 
     fn random_level(&mut self) -> usize {
@@ -317,116 +377,10 @@ impl VectorIndex for HnswIndex {
         self.nodes.len()
     }
 
-    fn insert(&mut self, id: VectorId, vector: &[f32]) -> Result<()> {
-        if vector.len() != self.config.dim {
-            return Err(IndexError::DimensionMismatch {
-                expected: self.config.dim,
-                actual: vector.len(),
-            });
-        }
-        let level = self.random_level();
-        let new_index = self.nodes.len() as u32;
-        self.nodes.push(Node {
-            id,
-            vector: vector.to_vec(),
-            neighbors: vec![Vec::new(); level + 1],
-        });
-
-        let Some(mut current) = self.entry_point else {
-            self.entry_point = Some(new_index);
-            self.max_level = level;
-            return Ok(());
-        };
-
-        let mut scratch = SearchScratch::default();
-        // Descend through the layers above the new node's level greedily.
-        for layer in (level + 1..=self.max_level).rev() {
-            loop {
-                self.search_layer(vector, current, 1, layer, &mut scratch, None);
-                let best = scratch.out[0];
-                if best.node == current {
-                    break;
-                }
-                if best.score > self.score(vector, current) {
-                    current = best.node;
-                } else {
-                    break;
-                }
-            }
-        }
-        // Connect on every layer from min(level, max_level) down to 0. The
-        // chosen neighbours are copied out of the scratch so `link` can take
-        // `&mut self` while the next layer reuses the same buffers.
-        let mut selected: Vec<u32> = Vec::with_capacity(self.config.m);
-        for layer in (0..=level.min(self.max_level)).rev() {
-            self.search_layer(
-                vector,
-                current,
-                self.config.ef_construction,
-                layer,
-                &mut scratch,
-                None,
-            );
-            current = scratch.out.first().map(|s| s.node).unwrap_or(current);
-            selected.clear();
-            selected.extend(scratch.out.iter().take(self.config.m).map(|s| s.node));
-            for &neighbor in &selected {
-                self.link(new_index, neighbor, layer);
-            }
-        }
-        if level > self.max_level {
-            self.max_level = level;
-            self.entry_point = Some(new_index);
-        }
-        Ok(())
-    }
-
-    fn build(&mut self) -> Result<()> {
-        // HNSW builds incrementally on insert.
-        Ok(())
-    }
-
-    fn search_with_stats(
-        &self,
-        query: &[f32],
-        k: usize,
-    ) -> Result<(Vec<SearchResult>, SearchStats)> {
-        self.search_impl(query, k, None)
-    }
-
-    fn search_filtered_with_stats(
-        &self,
-        query: &[f32],
-        k: usize,
-        filter: &IdFilter,
-    ) -> Result<(Vec<SearchResult>, SearchStats)> {
-        self.search_impl(query, k, Some(filter))
-    }
-
-    fn family(&self) -> &'static str {
-        "HNSW"
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| {
-                n.vector.len() * std::mem::size_of::<f32>()
-                    + n.neighbors
-                        .iter()
-                        .map(|l| l.len() * std::mem::size_of::<u32>())
-                        .sum::<usize>()
-                    + std::mem::size_of::<VectorId>()
-            })
-            .sum()
-    }
-}
-
-impl HnswIndex {
-    /// Query descent shared by the filtered and unfiltered paths. The upper
-    /// layers are pure navigation and always run unfiltered; the filter (if
-    /// any) applies only to the layer-0 beam that produces the candidate set.
-    fn search_impl(
+    /// Greedy descent: the upper layers are pure navigation and always run
+    /// unfiltered; the filter (if any) applies only to the layer-0 beam that
+    /// produces the candidate set.
+    fn search(
         &self,
         query: &[f32],
         k: usize,
@@ -465,6 +419,24 @@ impl HnswIndex {
         stats.exact_rescored = results.len();
         Ok((results, stats))
     }
+
+    fn family(&self) -> &'static str {
+        "HNSW"
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.nodes
+            .iter()
+            .map(|n| {
+                n.vector.len() * std::mem::size_of::<f32>()
+                    + n.neighbors
+                        .iter()
+                        .map(|l| l.len() * std::mem::size_of::<u32>())
+                        .sum::<usize>()
+                    + std::mem::size_of::<VectorId>()
+            })
+            .sum()
+    }
 }
 
 #[cfg(test)]
@@ -496,7 +468,7 @@ mod tests {
     #[test]
     fn empty_index_returns_no_results() {
         let idx = HnswIndex::new(HnswConfig::for_dim(8)).unwrap();
-        assert!(idx.search(&[0.0; 8], 5).unwrap().is_empty());
+        assert!(idx.search(&[0.0; 8], 5, None).unwrap().0.is_empty());
         assert!(idx.is_empty());
     }
 
@@ -504,7 +476,7 @@ mod tests {
     fn single_element_is_found() {
         let mut idx = HnswIndex::new(HnswConfig::for_dim(4)).unwrap();
         idx.insert(42, &[1.0, 0.0, 0.0, 0.0]).unwrap();
-        let hits = idx.search(&[1.0, 0.0, 0.0, 0.0], 3).unwrap();
+        let hits = idx.search(&[1.0, 0.0, 0.0, 0.0], 3, None).unwrap().0;
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].id, 42);
     }
@@ -514,7 +486,7 @@ mod tests {
         let (hnsw, _, vectors) = build(1_500, 32, 5);
         let mut hit = 0;
         for probe in (0..1_500).step_by(100) {
-            let res = hnsw.search(&vectors[probe], 1).unwrap();
+            let res = hnsw.search(&vectors[probe], 1, None).unwrap().0;
             if res[0].id == probe as u64 {
                 hit += 1;
             }
@@ -530,8 +502,20 @@ mod tests {
         let mut total = 0usize;
         for _ in 0..20 {
             let q = &vectors[rng.gen_range(0..vectors.len())];
-            let exact: Vec<u64> = flat.search(q, 10).unwrap().iter().map(|r| r.id).collect();
-            let approx: Vec<u64> = hnsw.search(q, 10).unwrap().iter().map(|r| r.id).collect();
+            let exact: Vec<u64> = flat
+                .search(q, 10, None)
+                .unwrap()
+                .0
+                .iter()
+                .map(|r| r.id)
+                .collect();
+            let approx: Vec<u64> = hnsw
+                .search(q, 10, None)
+                .unwrap()
+                .0
+                .iter()
+                .map(|r| r.id)
+                .collect();
             total += exact.len();
             recall_hits += exact.iter().filter(|id| approx.contains(id)).count();
         }
@@ -542,8 +526,8 @@ mod tests {
     #[test]
     fn probes_fewer_vectors_than_brute_force() {
         let (hnsw, flat, vectors) = build(4_000, 32, 3);
-        let (_, h_stats) = hnsw.search_with_stats(&vectors[100], 10).unwrap();
-        let (_, f_stats) = flat.search_with_stats(&vectors[100], 10).unwrap();
+        let (_, h_stats) = hnsw.search(&vectors[100], 10, None).unwrap();
+        let (_, f_stats) = flat.search(&vectors[100], 10, None).unwrap();
         assert!(h_stats.vectors_scored < f_stats.vectors_scored / 2);
     }
 
@@ -557,15 +541,15 @@ mod tests {
             small.insert(i as u64, v).unwrap();
             large.insert(i as u64, v).unwrap();
         }
-        let (_, s) = small.search_with_stats(&vectors[0], 5).unwrap();
-        let (_, l) = large.search_with_stats(&vectors[0], 5).unwrap();
+        let (_, s) = small.search(&vectors[0], 5, None).unwrap();
+        let (_, l) = large.search(&vectors[0], 5, None).unwrap();
         assert!(s.vectors_scored < l.vectors_scored);
     }
 
     #[test]
     fn results_sorted_descending_and_k_respected() {
         let (hnsw, _, vectors) = build(800, 16, 1);
-        let hits = hnsw.search(&vectors[3], 7).unwrap();
+        let hits = hnsw.search(&vectors[3], 7, None).unwrap().0;
         assert_eq!(hits.len(), 7);
         for pair in hits.windows(2) {
             assert!(pair[0].score >= pair[1].score);
@@ -577,16 +561,14 @@ mod tests {
         let mut idx = HnswIndex::new(HnswConfig::for_dim(16)).unwrap();
         assert!(idx.insert(0, &[0.0; 8]).is_err());
         idx.insert(0, &[0.1; 16]).unwrap();
-        assert!(idx.search(&[0.0; 8], 1).is_err());
+        assert!(idx.search(&[0.0; 8], 1, None).is_err());
     }
 
     #[test]
     fn filtered_beam_accepts_only_matching_nodes() {
         let (hnsw, flat, vectors) = build(2_000, 32, 13);
         let filter = IdFilter::from_predicate(|id| id % 2 == 0);
-        let (hits, stats) = hnsw
-            .search_filtered_with_stats(&vectors[100], 10, &filter)
-            .unwrap();
+        let (hits, stats) = hnsw.search(&vectors[100], 10, Some(&filter)).unwrap();
         assert!(!hits.is_empty());
         assert!(hits.iter().all(|h| h.id % 2 == 0));
         assert!(stats.filtered_out > 0);
@@ -596,8 +578,9 @@ mod tests {
         // Recall against the exact filtered reference stays reasonable at
         // 50% selectivity.
         let exact: Vec<u64> = flat
-            .search_filtered(&vectors[100], 10, &filter)
+            .search(&vectors[100], 10, Some(&filter))
             .unwrap()
+            .0
             .iter()
             .map(|r| r.id)
             .collect();
@@ -609,10 +592,8 @@ mod tests {
 
         // An all-pass filter must reproduce the unfiltered search exactly.
         let all = IdFilter::from_predicate(|_| true);
-        let (filtered, _) = hnsw
-            .search_filtered_with_stats(&vectors[3], 7, &all)
-            .unwrap();
-        let (plain, _) = hnsw.search_with_stats(&vectors[3], 7).unwrap();
+        let (filtered, _) = hnsw.search(&vectors[3], 7, Some(&all)).unwrap();
+        let (plain, _) = hnsw.search(&vectors[3], 7, None).unwrap();
         assert_eq!(filtered, plain);
     }
 

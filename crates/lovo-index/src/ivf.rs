@@ -27,7 +27,7 @@ use crate::pq::{PqConfig, ProductQuantizer};
 use crate::store::RowStore;
 use crate::{IdFilter, IndexError, Result, SearchResult, SearchStats, TopK, VectorId, VectorIndex};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Most coarse subspaces a cell key can hold: one byte-wide centroid code
 /// per subspace, packed into a `u64` by [`IvfPqIndex::pack_cell_key`].
@@ -151,86 +151,47 @@ impl Cell {
     }
 }
 
-/// The trained portion of the index.
-#[derive(Debug, Clone)]
-struct BuiltState {
-    /// `coarse_codebooks[p][m]` is centroid `m` of coarse subspace `p`.
-    coarse_codebooks: Vec<Vec<Vec<f32>>>,
-    /// The same codebooks in the assignment kernel's layout, laid out once
-    /// at build for cell assignment.
-    coarse_blocked: Vec<BlockedCentroids>,
-    /// Residual product quantizer.
-    pq: ProductQuantizer,
-    /// Cells keyed by the packed per-subspace centroid codes.
-    cells: HashMap<u64, Cell>,
-    /// Row-major arena of the original vectors for exact re-scoring:
-    /// `arena_ids[row]` owns `arena[row * dim..(row + 1) * dim]`. Candidates
-    /// carry their arena row, so the rescore loop streams contiguous memory
-    /// with no per-candidate hash lookup (this replaced a
-    /// `HashMap<VectorId, Vec<f32>>`). On the mmap restore path this is a
-    /// zero-copy view into the segment file; post-restore inserts convert
-    /// it to a heap copy via [`RowStore::to_mut`].
-    arena: RowStore,
-    arena_ids: Vec<VectorId>,
-    /// Arena row of each id. Touched only on the **insert** path, never
-    /// during search: re-inserting an id after build overwrites its arena
-    /// row in place, so every cell entry of that id rescores against the
-    /// latest vector (the overwrite semantics of the HashMap this replaced).
-    id_rows: HashMap<VectorId, u32>,
-}
-
-/// Each codebook in the assignment kernel's layout.
-fn blocked_codebooks(codebooks: &[Vec<Vec<f32>>]) -> Vec<BlockedCentroids> {
-    codebooks.iter().map(|c| BlockedCentroids::new(c)).collect()
-}
-
-/// Nearest centroid of each `sub_dim`-long subvector of `vector`.
-fn nearest_codes(blocked: &[BlockedCentroids], vector: &[f32], sub_dim: usize) -> Vec<usize> {
-    vector
-        .chunks_exact(sub_dim)
-        .zip(blocked)
-        .map(|(sub, codebook)| codebook.nearest(sub))
-        .collect()
-}
-
-/// `vector` minus the concatenation of its nearest coarse centroids.
-fn residual_of(
+/// Nearest coarse centroid of each `sub_dim`-long subvector of `vector`,
+/// and `vector` minus the concatenation of those centroids.
+fn assign(
     codebooks: &[Vec<Vec<f32>>],
     blocked: &[BlockedCentroids],
     vector: &[f32],
     sub_dim: usize,
-) -> Vec<f32> {
-    let mut residual = Vec::with_capacity(vector.len());
-    for ((sub, codebook), &code) in vector
+) -> (Vec<usize>, Vec<f32>) {
+    let codes: Vec<usize> = vector
         .chunks_exact(sub_dim)
-        .zip(codebooks)
-        .zip(&nearest_codes(blocked, vector, sub_dim))
-    {
+        .zip(blocked)
+        .map(|(sub, codebook)| codebook.nearest(sub))
+        .collect();
+    let mut residual = Vec::with_capacity(vector.len());
+    for ((sub, codebook), &code) in vector.chunks_exact(sub_dim).zip(codebooks).zip(&codes) {
         if let Some(c) = codebook.get(code) {
             residual.extend(sub.iter().zip(c).map(|(a, b)| a - b));
         }
     }
-    residual
+    (codes, residual)
 }
 
-/// The inverted multi-index with PQ-compressed residuals.
+/// The inverted multi-index with PQ-compressed residuals, trained once over
+/// the rows it is built from and searched thereafter.
 pub struct IvfPqIndex {
     config: IvfPqConfig,
-    pending: Vec<(VectorId, Vec<f32>)>,
-    built: Option<BuiltState>,
+    /// `coarse_codebooks[p][m]` is centroid `m` of coarse subspace `p`.
+    coarse_codebooks: Vec<Vec<Vec<f32>>>,
+    /// Residual product quantizer.
+    pq: ProductQuantizer,
+    /// Cells keyed by the packed per-subspace centroid codes.
+    cells: HashMap<u64, Cell>,
+    /// Row-major arena of the original vectors for exact re-scoring: row
+    /// `r` is `arena[r * dim..(r + 1) * dim]`. Candidates carry their arena
+    /// row, so the rescore loop streams contiguous memory with no
+    /// per-candidate lookup. It is the store the index was built from —
+    /// the sealed segment's own rows, heap or mapped — not a copy.
+    arena: RowStore,
 }
 
 impl IvfPqIndex {
-    /// Creates an empty index with the given configuration.
-    pub fn new(config: IvfPqConfig) -> Result<Self> {
-        config.validate()?;
-        Ok(Self {
-            config,
-            pending: Vec::new(),
-            built: None,
-        })
-    }
-
     /// The index configuration.
     pub fn config(&self) -> &IvfPqConfig {
         &self.config
@@ -238,7 +199,7 @@ impl IvfPqIndex {
 
     /// Number of non-empty cells (diagnostic).
     pub fn cell_count(&self) -> usize {
-        self.built.as_ref().map(|b| b.cells.len()).unwrap_or(0)
+        self.cells.len()
     }
 
     fn pack_cell_key(codes: &[usize]) -> u64 {
@@ -249,78 +210,15 @@ impl IvfPqIndex {
         key
     }
 
-    /// Assigns a vector to its cell: nearest coarse centroid per subspace.
-    fn assign_cell(&self, built: &BuiltState, vector: &[f32]) -> (u64, Vec<usize>) {
-        let codes = nearest_codes(
-            &built.coarse_blocked,
-            vector,
-            self.config.coarse_subspace_dim(),
-        );
-        (Self::pack_cell_key(&codes), codes)
-    }
-
-    /// Concatenated coarse centroid for a set of per-subspace codes.
-    fn cell_centroid(&self, built: &BuiltState, codes: &[usize]) -> Vec<f32> {
-        let mut centroid = Vec::with_capacity(self.config.dim);
-        for (p, &c) in codes.iter().enumerate() {
-            centroid.extend_from_slice(&built.coarse_codebooks[p][c]);
-        }
-        centroid
-    }
-
-    fn insert_built(&mut self, id: VectorId, vector: &[f32]) -> Result<()> {
-        let built = self
-            .built
-            .as_ref()
-            .ok_or_else(|| IndexError::InvalidState("insert_built called before build".into()))?;
-        let (key, codes) = self.assign_cell(built, vector);
-        let centroid = self.cell_centroid(built, &codes);
-        let residual: Vec<f32> = vector
-            .iter()
-            .zip(centroid.iter())
-            .map(|(v, c)| v - c)
-            .collect();
-        let built = self
-            .built
-            .as_mut()
-            .ok_or_else(|| IndexError::InvalidState("insert_built called before build".into()))?;
-        let code = built.pq.encode(&residual)?;
-        let dim = self.config.dim;
-        let row = match built.id_rows.entry(id) {
-            std::collections::hash_map::Entry::Occupied(entry) => {
-                // Same id inserted again: refresh its arena row in place so
-                // earlier cell entries also rescore against the new vector.
-                let row = *entry.get();
-                built.arena.to_mut()[row as usize * dim..(row as usize + 1) * dim]
-                    .copy_from_slice(vector);
-                row
-            }
-            std::collections::hash_map::Entry::Vacant(entry) => {
-                let row = built.arena_ids.len() as u32;
-                entry.insert(row);
-                built.arena_ids.push(id);
-                built.arena.to_mut().extend_from_slice(vector);
-                row
-            }
-        };
-        let cell = built.cells.entry(key).or_default();
-        cell.ids.push(id);
-        cell.rows.push(row);
-        cell.codes.extend_from_slice(&code.0);
-        Ok(())
-    }
-
-    /// Builds an index directly over already-stored rows (the segment
-    /// restore path): `ids[i]` owns `rows[i*dim..(i+1)*dim]`, and the store
-    /// itself — owned or a zero-copy mapped view — becomes the exact-rescore
-    /// arena without a heap copy.
+    /// Trains the index over `rows` and assigns every row to its cell:
+    /// `ids[i]` owns `rows[i*dim..(i+1)*dim]`, and the store itself — a heap
+    /// store shared with its caller, or a zero-copy mapped view — becomes
+    /// the exact-rescore arena.
     ///
-    /// Training (sampling stride, k-means seeds, PQ codebooks) and cell
-    /// assignment replicate [`VectorIndex::build`] over the same rows in the
-    /// same order exactly, so a restored index scores bit-identically to the
-    /// one originally sealed. Duplicate ids fall back to the legacy
-    /// insert-then-build path (which heap-copies) because their overwrite
-    /// semantics cannot be expressed over a read-only arena.
+    /// Training is deterministic in the rows and their order: a stride
+    /// sample of at most `max_training_sample` rows trains one k-means
+    /// codebook per coarse subspace (seeded per subspace) and then the
+    /// residual PQ, so the same rows always build the same index.
     pub fn build_from_rows(
         config: IvfPqConfig,
         ids: Vec<VectorId>,
@@ -330,7 +228,7 @@ impl IvfPqIndex {
         let dim = config.dim;
         if rows.len() != ids.len() * dim {
             return Err(IndexError::InvalidState(format!(
-                "IVF restore shape mismatch: {} values for {} rows of dim {dim}",
+                "IVF build shape mismatch: {} values for {} rows of dim {dim}",
                 rows.len(),
                 ids.len()
             )));
@@ -340,26 +238,16 @@ impl IvfPqIndex {
                 "cannot build an IVF-PQ index with no vectors".into(),
             ));
         }
-        let unique: HashSet<VectorId> = ids.iter().copied().collect();
-        if unique.len() != ids.len() {
-            let mut index = Self::new(config)?;
-            let data = rows.as_slice();
-            for (i, &id) in ids.iter().enumerate() {
-                index.insert(id, &data[i * dim..(i + 1) * dim])?;
-            }
-            index.build()?;
-            return Ok(index);
-        }
 
-        // --- Training: the exact sequence of `build()` over these rows. ---
+        // --- Training over a deterministic stride sample. ---
         let data = rows.as_slice();
         let sub_dim = config.coarse_subspace_dim();
         let sample_len = ids.len().min(config.max_training_sample);
         let stride = (ids.len() / sample_len).max(1);
-        let sample: Vec<&[f32]> = (0..ids.len())
+        let sample: Vec<&[f32]> = data
+            .chunks_exact(dim)
             .step_by(stride)
             .take(sample_len)
-            .map(|i| &data[i * dim..(i + 1) * dim])
             .collect();
         let mut coarse_codebooks = Vec::with_capacity(config.coarse_subspaces);
         for p in 0..config.coarse_subspaces {
@@ -375,65 +263,33 @@ impl IvfPqIndex {
             )?;
             coarse_codebooks.push(km.centroids);
         }
-        let coarse_blocked = blocked_codebooks(&coarse_codebooks);
+        let blocked: Vec<BlockedCentroids> = coarse_codebooks
+            .iter()
+            .map(|c| BlockedCentroids::new(c))
+            .collect();
         let residual_sample: Vec<Vec<f32>> = sample
             .iter()
-            .map(|v| residual_of(&coarse_codebooks, &coarse_blocked, v, sub_dim))
+            .map(|v| assign(&coarse_codebooks, &blocked, v, sub_dim).1)
             .collect();
         let pq = ProductQuantizer::train(config.pq, &residual_sample)?;
 
-        // --- Cell assignment: `insert_built` for each row in order, minus
-        // the arena writes (rows already live in the adopted store; unique
-        // ids mean every insert takes the vacant path, so row numbers are
-        // simply 0..n in order). ---
+        // --- Cell assignment: every row, in order, into its cell. ---
         let mut cells: HashMap<u64, Cell> = HashMap::new();
-        for (i, &id) in ids.iter().enumerate() {
-            let vector = &data[i * dim..(i + 1) * dim];
-            let codes = nearest_codes(&coarse_blocked, vector, sub_dim);
-            let key = Self::pack_cell_key(&codes);
-            let mut residual = Vec::with_capacity(dim);
-            for (p, &c) in codes.iter().enumerate() {
-                let centroid = &coarse_codebooks[p][c];
-                residual.extend(
-                    vector[p * sub_dim..(p + 1) * sub_dim]
-                        .iter()
-                        .zip(centroid.iter())
-                        .map(|(v, c)| v - c),
-                );
-            }
+        for (row, (&id, vector)) in ids.iter().zip(data.chunks_exact(dim)).enumerate() {
+            let (codes, residual) = assign(&coarse_codebooks, &blocked, vector, sub_dim);
             let code = pq.encode(&residual)?;
-            let cell = cells.entry(key).or_default();
+            let cell = cells.entry(Self::pack_cell_key(&codes)).or_default();
             cell.ids.push(id);
-            cell.rows.push(i as u32);
+            cell.rows.push(row as u32);
             cell.codes.extend_from_slice(&code.0);
         }
-        let id_rows: HashMap<VectorId, u32> = ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i as u32))
-            .collect();
         Ok(Self {
             config,
-            pending: Vec::new(),
-            built: Some(BuiltState {
-                coarse_codebooks,
-                coarse_blocked,
-                pq,
-                cells,
-                arena: rows,
-                arena_ids: ids,
-                id_rows,
-            }),
+            coarse_codebooks,
+            pq,
+            cells,
+            arena: rows,
         })
-    }
-
-    /// True when the exact-rescore arena is a zero-copy view into a mapped
-    /// file.
-    pub fn is_mapped(&self) -> bool {
-        self.built
-            .as_ref()
-            .map(|b| b.arena.is_mapped())
-            .unwrap_or(false)
     }
 }
 
@@ -443,141 +299,15 @@ impl VectorIndex for IvfPqIndex {
     }
 
     fn len(&self) -> usize {
-        self.pending.len() + self.built.as_ref().map(|b| b.arena_ids.len()).unwrap_or(0)
+        self.arena.len() / self.config.dim
     }
 
-    fn insert(&mut self, id: VectorId, vector: &[f32]) -> Result<()> {
-        if vector.len() != self.config.dim {
-            return Err(IndexError::DimensionMismatch {
-                expected: self.config.dim,
-                actual: vector.len(),
-            });
-        }
-        if self.built.is_some() {
-            // Incremental insertion into an already-built index: assign to the
-            // nearest existing cell (the paper's future-work incremental path).
-            self.insert_built(id, vector)
-        } else {
-            self.pending.push((id, vector.to_vec()));
-            Ok(())
-        }
-    }
-
-    fn build(&mut self) -> Result<()> {
-        if self.built.is_some() {
-            return Ok(());
-        }
-        if self.pending.is_empty() {
-            return Err(IndexError::InvalidState(
-                "cannot build an IVF-PQ index with no vectors".into(),
-            ));
-        }
-        let sub_dim = self.config.coarse_subspace_dim();
-        let sample_len = self.pending.len().min(self.config.max_training_sample);
-        // Deterministic stride sampling keeps training cheap on huge inserts.
-        let stride = (self.pending.len() / sample_len).max(1);
-        let sample: Vec<&Vec<f32>> = self
-            .pending
-            .iter()
-            .step_by(stride)
-            .take(sample_len)
-            .map(|(_, v)| v)
-            .collect();
-
-        // Train the coarse codebook of each subspace.
-        let mut coarse_codebooks = Vec::with_capacity(self.config.coarse_subspaces);
-        for p in 0..self.config.coarse_subspaces {
-            let sub_points: Vec<Vec<f32>> = sample
-                .iter()
-                .map(|v| v[p * sub_dim..(p + 1) * sub_dim].to_vec())
-                .collect();
-            let km = lloyd(
-                &sub_points,
-                sub_dim,
-                &KMeansConfig::new(self.config.coarse_centroids)
-                    .with_seed(self.config.seed ^ (p as u64 + 1).wrapping_mul(0xABCD)),
-            )?;
-            coarse_codebooks.push(km.centroids);
-        }
-        let coarse_blocked = blocked_codebooks(&coarse_codebooks);
-
-        // Compute residuals of the training sample and train the PQ on them.
-        let residual_sample: Vec<Vec<f32>> = sample
-            .iter()
-            .map(|v| residual_of(&coarse_codebooks, &coarse_blocked, v, sub_dim))
-            .collect();
-        let pq = ProductQuantizer::train(self.config.pq, &residual_sample)?;
-
-        self.built = Some(BuiltState {
-            coarse_codebooks,
-            coarse_blocked,
-            pq,
-            cells: HashMap::new(),
-            arena: RowStore::Owned(Vec::with_capacity(self.pending.len() * self.config.dim)),
-            arena_ids: Vec::with_capacity(self.pending.len()),
-            id_rows: HashMap::with_capacity(self.pending.len()),
-        });
-
-        // Move every pending vector into its cell.
-        let pending = std::mem::take(&mut self.pending);
-        for (id, vector) in pending {
-            self.insert_built(id, &vector)?;
-        }
-        Ok(())
-    }
-
-    fn search_with_stats(
-        &self,
-        query: &[f32],
-        k: usize,
-    ) -> Result<(Vec<SearchResult>, SearchStats)> {
-        self.search_impl(query, k, None)
-    }
-
-    fn search_filtered_with_stats(
-        &self,
-        query: &[f32],
-        k: usize,
-        filter: &IdFilter,
-    ) -> Result<(Vec<SearchResult>, SearchStats)> {
-        self.search_impl(query, k, Some(filter))
-    }
-
-    fn family(&self) -> &'static str {
-        "IVF-PQ"
-    }
-
-    fn memory_bytes(&self) -> usize {
-        let Some(built) = &self.built else {
-            return self.pending.len() * self.config.dim * std::mem::size_of::<f32>();
-        };
-        let code_bytes: usize = built
-            .cells
-            .values()
-            .map(|c| {
-                c.codes.len()
-                    + c.ids.len() * std::mem::size_of::<VectorId>()
-                    + c.rows.len() * std::mem::size_of::<u32>()
-            })
-            .sum();
-        let centroid_bytes = self.config.coarse_subspaces
-            * self.config.coarse_centroids
-            * self.config.coarse_subspace_dim()
-            * std::mem::size_of::<f32>();
-        // The originals kept for exact re-scoring live in the storage layer in
-        // a real deployment; they are counted separately so experiments can
-        // report the compressed index size the way the paper does.
-        code_bytes + centroid_bytes
-    }
-}
-
-impl IvfPqIndex {
     /// Algorithm 1 with optional predicate pushdown: when a filter is
     /// present, non-matching entries are dropped *before* ADC scoring — the
     /// matching subset of each probed cell is compacted into one contiguous
     /// code run so the list kernel still streams sequentially — and only
     /// matching candidates are ever exactly re-scored.
-    fn search_impl(
+    fn search(
         &self,
         query: &[f32],
         k: usize,
@@ -589,13 +319,9 @@ impl IvfPqIndex {
                 actual: query.len(),
             });
         }
-        let built = self.built.as_ref().ok_or_else(|| {
-            IndexError::InvalidState("IVF-PQ index must be built before searching".into())
-        })?;
         if k == 0 {
             return Ok((Vec::new(), SearchStats::default()));
         }
-
         let sub_dim = self.config.coarse_subspace_dim();
         let mut stats = SearchStats::default();
 
@@ -604,7 +330,7 @@ impl IvfPqIndex {
         // matches the stable sort this replaced (ties kept ascending index).
         let mut top_per_subspace: Vec<Vec<(usize, f32)>> =
             Vec::with_capacity(self.config.coarse_subspaces);
-        for (p, codebook) in built.coarse_codebooks.iter().enumerate() {
+        for (p, codebook) in self.coarse_codebooks.iter().enumerate() {
             let q_sub = &query[p * sub_dim..(p + 1) * sub_dim];
             let mut top = TopK::new(self.config.nprobe);
             for (m, c) in codebook.iter().enumerate() {
@@ -625,7 +351,7 @@ impl IvfPqIndex {
         // need no best-first sort. Each non-empty cell's contiguous code list
         // is scored in one ADC pass; candidates carry their rescore-arena row
         // through the bounded selector.
-        let adc = built.pq.adc_table(query)?;
+        let adc = self.pq.adc_table(query)?;
         let stride = self.config.pq.num_subspaces;
         let keep = k.saturating_mul(self.config.refine_factor).max(k);
         let mut approx: TopK<u32> = TopK::new(keep);
@@ -636,7 +362,7 @@ impl IvfPqIndex {
         let mut kept_rows: Vec<u32> = Vec::new();
         let mut kept_codes: Vec<u8> = Vec::new();
         enumerate_cells(&top_per_subspace, &mut |codes, coarse_score| {
-            let Some(cell) = built.cells.get(&Self::pack_cell_key(codes)) else {
+            let Some(cell) = self.cells.get(&Self::pack_cell_key(codes)) else {
                 return;
             };
             stats.cells_probed += 1;
@@ -688,7 +414,7 @@ impl IvfPqIndex {
         // nothing here needs them sorted.
         let dim = self.config.dim;
         let mut top = TopK::new(k);
-        let arena = built.arena.as_slice();
+        let arena = self.arena.as_slice();
         for entry in approx.into_unordered_entries() {
             let row = entry.payload as usize;
             let exact = dot(query, &arena[row * dim..(row + 1) * dim]);
@@ -697,6 +423,34 @@ impl IvfPqIndex {
         }
         stats.heap_pushes += top.pushes();
         Ok((top.into_sorted_results(), stats))
+    }
+
+    fn family(&self) -> &'static str {
+        "IVF-PQ"
+    }
+
+    fn memory_bytes(&self) -> usize {
+        let code_bytes: usize = self
+            .cells
+            .values()
+            .map(|c| {
+                c.codes.len()
+                    + c.ids.len() * std::mem::size_of::<VectorId>()
+                    + c.rows.len() * std::mem::size_of::<u32>()
+            })
+            .sum();
+        let centroid_bytes = self.config.coarse_subspaces
+            * self.config.coarse_centroids
+            * self.config.coarse_subspace_dim()
+            * std::mem::size_of::<f32>();
+        // The originals kept for exact re-scoring are the storage layer's
+        // rows; they are counted there so experiments can report the
+        // compressed index size the way the paper does.
+        code_bytes + centroid_bytes
+    }
+
+    fn row_store(&self) -> Option<&RowStore> {
+        Some(&self.arena)
     }
 }
 
@@ -749,6 +503,7 @@ mod tests {
     use crate::metric::normalize;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
 
     fn random_unit(dim: usize, rng: &mut SmallRng) -> Vec<f32> {
         let mut v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
@@ -756,18 +511,25 @@ mod tests {
         v
     }
 
+    /// Builds over `vectors` with ids `0..n`.
+    fn build(config: IvfPqConfig, vectors: &[Vec<f32>]) -> Result<IvfPqIndex> {
+        let ids = (0..vectors.len() as u64).collect();
+        IvfPqIndex::build_from_rows(config, ids, vectors.concat().into())
+    }
+
+    fn flat_over(vectors: &[Vec<f32>]) -> FlatIndex {
+        let mut flat = FlatIndex::new(vectors[0].len());
+        for (i, v) in vectors.iter().enumerate() {
+            flat.insert(i as u64, v).unwrap();
+        }
+        flat
+    }
+
     fn build_index(n: usize, dim: usize, seed: u64) -> (IvfPqIndex, FlatIndex, Vec<Vec<f32>>) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let vectors: Vec<Vec<f32>> = (0..n).map(|_| random_unit(dim, &mut rng)).collect();
-        let mut ivf = IvfPqIndex::new(IvfPqConfig::for_dim(dim)).unwrap();
-        let mut flat = FlatIndex::new(dim);
-        for (i, v) in vectors.iter().enumerate() {
-            ivf.insert(i as u64, v).unwrap();
-            flat.insert(i as u64, v).unwrap();
-        }
-        ivf.build().unwrap();
-        flat.build().unwrap();
-        (ivf, flat, vectors)
+        let ivf = build(IvfPqConfig::for_dim(dim), &vectors).unwrap();
+        (ivf, flat_over(&vectors), vectors)
     }
 
     #[test]
@@ -785,23 +547,15 @@ mod tests {
     }
 
     #[test]
-    fn search_before_build_fails() {
-        let mut idx = IvfPqIndex::new(IvfPqConfig::for_dim(16)).unwrap();
-        idx.insert(0, &[0.25; 16]).unwrap();
-        assert!(idx.search(&[0.25; 16], 1).is_err());
-    }
-
-    #[test]
     fn build_with_no_vectors_fails() {
-        let mut idx = IvfPqIndex::new(IvfPqConfig::for_dim(16)).unwrap();
-        assert!(idx.build().is_err());
+        assert!(build(IvfPqConfig::for_dim(16), &[]).is_err());
     }
 
     #[test]
     fn self_query_returns_itself() {
         let (ivf, _, vectors) = build_index(2_000, 32, 42);
         for probe in [0usize, 500, 1500] {
-            let hits = ivf.search(&vectors[probe], 1).unwrap();
+            let hits = ivf.search(&vectors[probe], 1, None).unwrap().0;
             assert_eq!(hits[0].id, probe as u64, "self-query missed for {probe}");
             assert!(hits[0].score > 0.999);
         }
@@ -832,20 +586,27 @@ mod tests {
         // worst case for any inverted index).
         let dim = 32;
         let vectors = clustered_unit_vectors(3_000, dim, 40, 7);
-        let mut ivf = IvfPqIndex::new(IvfPqConfig::for_dim(dim)).unwrap();
-        let mut flat = FlatIndex::new(dim);
-        for (i, v) in vectors.iter().enumerate() {
-            ivf.insert(i as u64, v).unwrap();
-            flat.insert(i as u64, v).unwrap();
-        }
-        ivf.build().unwrap();
+        let ivf = build(IvfPqConfig::for_dim(dim), &vectors).unwrap();
+        let flat = flat_over(&vectors);
         let mut rng = SmallRng::seed_from_u64(99);
         let mut recall_hits = 0usize;
         let mut total = 0usize;
         for _ in 0..20 {
             let q = &vectors[rng.gen_range(0..vectors.len())];
-            let exact: Vec<u64> = flat.search(q, 10).unwrap().iter().map(|r| r.id).collect();
-            let approx: Vec<u64> = ivf.search(q, 10).unwrap().iter().map(|r| r.id).collect();
+            let exact: Vec<u64> = flat
+                .search(q, 10, None)
+                .unwrap()
+                .0
+                .iter()
+                .map(|r| r.id)
+                .collect();
+            let approx: Vec<u64> = ivf
+                .search(q, 10, None)
+                .unwrap()
+                .0
+                .iter()
+                .map(|r| r.id)
+                .collect();
             total += exact.len();
             recall_hits += exact.iter().filter(|id| approx.contains(id)).count();
         }
@@ -856,8 +617,8 @@ mod tests {
     #[test]
     fn search_probes_fewer_vectors_than_brute_force() {
         let (ivf, flat, vectors) = build_index(4_000, 32, 3);
-        let (_, ivf_stats) = ivf.search_with_stats(&vectors[17], 10).unwrap();
-        let (_, flat_stats) = flat.search_with_stats(&vectors[17], 10).unwrap();
+        let (_, ivf_stats) = ivf.search(&vectors[17], 10, None).unwrap();
+        let (_, flat_stats) = flat.search(&vectors[17], 10, None).unwrap();
         assert!(
             ivf_stats.vectors_scored < flat_stats.vectors_scored / 2,
             "IVF probed {} of {}",
@@ -872,44 +633,12 @@ mod tests {
         let dim = 32;
         let mut rng = SmallRng::seed_from_u64(21);
         let vectors: Vec<Vec<f32>> = (0..3_000).map(|_| random_unit(dim, &mut rng)).collect();
-        let mut narrow = IvfPqIndex::new(IvfPqConfig::for_dim(dim).with_nprobe(1)).unwrap();
-        let mut wide = IvfPqIndex::new(IvfPqConfig::for_dim(dim).with_nprobe(16)).unwrap();
-        for (i, v) in vectors.iter().enumerate() {
-            narrow.insert(i as u64, v).unwrap();
-            wide.insert(i as u64, v).unwrap();
-        }
-        narrow.build().unwrap();
-        wide.build().unwrap();
-        let (_, narrow_stats) = narrow.search_with_stats(&vectors[5], 10).unwrap();
-        let (_, wide_stats) = wide.search_with_stats(&vectors[5], 10).unwrap();
+        let narrow = build(IvfPqConfig::for_dim(dim).with_nprobe(1), &vectors).unwrap();
+        let wide = build(IvfPqConfig::for_dim(dim).with_nprobe(16), &vectors).unwrap();
+        let (_, narrow_stats) = narrow.search(&vectors[5], 10, None).unwrap();
+        let (_, wide_stats) = wide.search(&vectors[5], 10, None).unwrap();
         assert!(narrow_stats.vectors_scored <= wide_stats.vectors_scored);
         assert!(narrow_stats.cells_probed <= wide_stats.cells_probed);
-    }
-
-    #[test]
-    fn incremental_insert_after_build_is_searchable() {
-        let (mut ivf, _, _) = build_index(1_000, 32, 11);
-        let mut rng = SmallRng::seed_from_u64(123);
-        let new_vec = random_unit(32, &mut rng);
-        ivf.insert(999_999, &new_vec).unwrap();
-        let hits = ivf.search(&new_vec, 1).unwrap();
-        assert_eq!(hits[0].id, 999_999);
-    }
-
-    #[test]
-    fn reinserting_an_existing_id_refreshes_its_vector() {
-        // Post-build re-insertion of an id must behave like the overwrite it
-        // historically was: len() still counts distinct ids, and every cell
-        // entry of that id rescores against the latest vector.
-        let (mut ivf, _, _) = build_index(1_000, 32, 77);
-        let len_before = ivf.len();
-        let mut rng = SmallRng::seed_from_u64(321);
-        let replacement = random_unit(32, &mut rng);
-        ivf.insert(123, &replacement).unwrap();
-        assert_eq!(ivf.len(), len_before);
-        let hits = ivf.search(&replacement, 1).unwrap();
-        assert_eq!(hits[0].id, 123);
-        assert!(hits[0].score > 0.999);
     }
 
     #[test]
@@ -934,17 +663,18 @@ mod tests {
     }
 
     #[test]
-    fn dimension_mismatch_checked_on_insert_and_search() {
-        let mut idx = IvfPqIndex::new(IvfPqConfig::for_dim(32)).unwrap();
-        assert!(idx.insert(0, &[0.0; 16]).is_err());
+    fn dimension_mismatch_checked_on_build_and_search() {
+        let ragged =
+            IvfPqIndex::build_from_rows(IvfPqConfig::for_dim(32), vec![0], vec![0.0; 16].into());
+        assert!(ragged.is_err());
         let (built, _, _) = build_index(500, 32, 17);
-        assert!(built.search(&[0.0; 16], 5).is_err());
+        assert!(built.search(&[0.0; 16], 5, None).is_err());
     }
 
     #[test]
     fn zero_k_returns_empty() {
         let (ivf, _, vectors) = build_index(500, 32, 19);
-        assert!(ivf.search(&vectors[0], 0).unwrap().is_empty());
+        assert!(ivf.search(&vectors[0], 0, None).unwrap().0.is_empty());
     }
 
     fn build_with_config(
@@ -954,12 +684,7 @@ mod tests {
         config: IvfPqConfig,
     ) -> (IvfPqIndex, Vec<Vec<f32>>) {
         let vectors = clustered_unit_vectors(n, dim, 30, seed);
-        let mut ivf = IvfPqIndex::new(config).unwrap();
-        for (i, v) in vectors.iter().enumerate() {
-            ivf.insert(i as u64, v).unwrap();
-        }
-        ivf.build().unwrap();
-        (ivf, vectors)
+        (build(config, &vectors).unwrap(), vectors)
     }
 
     #[test]
@@ -973,7 +698,7 @@ mod tests {
         eight.coarse_subspaces = 8;
         assert!(eight.validate().is_ok());
         let (ivf, vectors) = build_with_config(600, 16, 5, eight);
-        let (hits, stats) = ivf.search_with_stats(&vectors[3], 50).unwrap();
+        let (hits, stats) = ivf.search(&vectors[3], 50, None).unwrap();
         assert_eq!(hits[0].id, 3);
         let distinct: HashSet<VectorId> = hits.iter().map(|h| h.id).collect();
         assert_eq!(distinct.len(), 50, "an id came back twice");
@@ -988,22 +713,20 @@ mod tests {
             refused.contains("coarse_subspaces 9 exceeds 8"),
             "{refused}"
         );
-        assert!(IvfPqIndex::new(nine).is_err());
+        assert!(build(nine, &clustered_unit_vectors(300, 18, 3, 1)).is_err());
     }
 
     #[test]
     fn filtered_search_skips_codes_and_matches_all_pass() {
         let (ivf, _, vectors) = build_index(2_000, 32, 55);
         let filter = IdFilter::from_predicate(|id| id < 500);
-        let (hits, stats) = ivf
-            .search_filtered_with_stats(&vectors[123], 10, &filter)
-            .unwrap();
+        let (hits, stats) = ivf.search(&vectors[123], 10, Some(&filter)).unwrap();
         assert!(!hits.is_empty());
         assert!(hits.iter().all(|h| h.id < 500));
         assert_eq!(hits[0].id, 123);
         assert!(stats.filtered_out > 0, "{stats:?}");
         // Only matching candidates are scored and rescored.
-        let (_, unfiltered_stats) = ivf.search_with_stats(&vectors[123], 10).unwrap();
+        let (_, unfiltered_stats) = ivf.search(&vectors[123], 10, None).unwrap();
         assert_eq!(
             stats.vectors_scored + stats.filtered_out,
             unfiltered_stats.vectors_scored
@@ -1013,10 +736,8 @@ mod tests {
         // An all-pass filter goes through the compaction path yet must stay
         // bit-identical to the unfiltered search.
         let all = IdFilter::from_predicate(|_| true);
-        let (filtered, fstats) = ivf
-            .search_filtered_with_stats(&vectors[7], 10, &all)
-            .unwrap();
-        let (plain, _) = ivf.search_with_stats(&vectors[7], 10).unwrap();
+        let (filtered, fstats) = ivf.search(&vectors[7], 10, Some(&all)).unwrap();
+        let (plain, _) = ivf.search(&vectors[7], 10, None).unwrap();
         assert_eq!(filtered, plain);
         assert_eq!(fstats.filtered_out, 0);
     }

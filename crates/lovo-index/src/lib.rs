@@ -23,11 +23,15 @@
 //! * [`store`] — the row storage the flat and IVF families scan and
 //!   rescore, heap-owned or a zero-copy view into a mapped segment file.
 //!
-//! All indexes implement the common [`VectorIndex`] trait so the storage layer
-//! (`lovo-store`) and LOVO itself can switch between them (the Table V
-//! experiment does exactly that). Each family has one scan path; the int8,
-//! 4-bit fast-scan and int8-rescore tiers PR 7 added were removed in PR 22
-//! (no engine could reach them, and none paid; see `docs/benchmarks.md`).
+//! All indexes implement the query-side [`VectorIndex`] trait — one
+//! `search`, with an optional pushed-down [`IdFilter`] — so the storage
+//! layer (`lovo-store`) and LOVO itself can switch between them (the Table V
+//! experiment does exactly that). A sealed segment's index has one
+//! constructor, [`create_segment_index_from_rows`], over the segment's own
+//! [`RowStore`]: seal, compaction and reopen all build through it, and the
+//! flat and IVF-PQ families scan and rescore those very rows. Each family
+//! has one scan path (the quantized int8 and 4-bit tiers no engine reached
+//! are gone; see `docs/benchmarks.md`).
 
 #![warn(missing_docs)]
 
@@ -597,7 +601,9 @@ impl TopK<()> {
     }
 }
 
-/// Common interface over all index families (Flat, IVF-PQ, HNSW).
+/// Query side shared by every index family (Flat, IVF-PQ, HNSW). Each
+/// family is built by its own constructor — a sealed segment's index by
+/// [`create_segment_index_from_rows`] — and only searched afterwards.
 pub trait VectorIndex: Send + Sync {
     /// Dimensionality of indexed vectors.
     fn dim(&self) -> usize;
@@ -610,55 +616,31 @@ pub trait VectorIndex: Send + Sync {
         self.len() == 0
     }
 
-    /// Adds a vector with the given external id. Vectors are expected to be
-    /// L2-normalized by the caller (the storage layer enforces this).
-    fn insert(&mut self, id: VectorId, vector: &[f32]) -> Result<()>;
-
-    /// Builds / trains any internal structures (codebooks, graphs). Indexes
-    /// that need no training treat this as a no-op. Must be called after the
-    /// final insert and before `search` for training-based indexes.
-    fn build(&mut self) -> Result<()>;
-
-    /// Returns the `k` most similar vectors to `query`, best first.
-    fn search(&self, query: &[f32], k: usize) -> Result<Vec<SearchResult>> {
-        Ok(self.search_with_stats(query, k)?.0)
-    }
-
-    /// Like [`VectorIndex::search`] but also reports work statistics.
-    fn search_with_stats(
-        &self,
-        query: &[f32],
-        k: usize,
-    ) -> Result<(Vec<SearchResult>, SearchStats)>;
-
-    /// Returns the `k` most similar vectors whose ids pass `filter`, best
-    /// first. Every family evaluates the filter *inside* its scan so rejected
+    /// Returns the `k` most similar vectors to `query` whose ids pass
+    /// `filter` (every id when `None`), best first, with the work the search
+    /// did. Every family evaluates the filter *inside* its scan so rejected
     /// vectors are skipped as early as the layout allows: flat masks rows
     /// during the block scan, IVF-PQ skips non-matching codes before ADC
     /// scoring and rescores only matching candidates, HNSW visits the graph
     /// unfiltered but accepts only matching nodes into the result beam.
-    fn search_filtered_with_stats(
+    fn search(
         &self,
         query: &[f32],
         k: usize,
-        filter: &IdFilter,
+        filter: Option<&IdFilter>,
     ) -> Result<(Vec<SearchResult>, SearchStats)>;
-
-    /// [`VectorIndex::search_filtered_with_stats`] without the statistics.
-    fn search_filtered(
-        &self,
-        query: &[f32],
-        k: usize,
-        filter: &IdFilter,
-    ) -> Result<Vec<SearchResult>> {
-        Ok(self.search_filtered_with_stats(query, k, filter)?.0)
-    }
 
     /// Human-readable name of the index family (for reports).
     fn family(&self) -> &'static str;
 
     /// Approximate memory footprint of the index payload in bytes.
     fn memory_bytes(&self) -> usize;
+
+    /// The row arena the index scans (flat) or rescores (IVF-PQ), when it
+    /// reads its rows from one; HNSW keeps its rows in its graph nodes.
+    fn row_store(&self) -> Option<&RowStore> {
+        None
+    }
 }
 
 /// Index families the system can be configured with (Table V).
@@ -684,70 +666,32 @@ impl IndexKind {
 
     /// All index kinds.
     pub const ALL: [IndexKind; 3] = [IndexKind::BruteForce, IndexKind::IvfPq, IndexKind::Hnsw];
-
-    /// True when the family requires an explicit [`VectorIndex::build`]
-    /// (codebook training) before it can be searched. Families that answer
-    /// queries straight after insertion return false.
-    pub fn needs_build(&self) -> bool {
-        matches!(self, IndexKind::IvfPq)
-    }
 }
 
 /// Minimum number of rows for which training-based families are worth their
 /// build cost; segments below this threshold fall back to brute force.
 pub const MIN_TRAINED_SEGMENT_ROWS: usize = 256;
 
-/// Creates an index of the given family for `dim`-dimensional vectors using
-/// default parameters sized for the reproduction's workloads.
-pub fn create_index(kind: IndexKind, dim: usize) -> Result<Box<dyn VectorIndex>> {
-    match kind {
-        IndexKind::BruteForce => Ok(Box::new(FlatIndex::new(dim))),
-        IndexKind::IvfPq => Ok(Box::new(IvfPqIndex::new(IvfPqConfig::for_dim(dim))?)),
-        IndexKind::Hnsw => Ok(Box::new(HnswIndex::new(HnswConfig::for_dim(dim))?)),
-    }
-}
-
-/// Segment-aware index construction: creates an index of the requested family
-/// sized for a segment of `rows` vectors.
-///
-/// Training-based families degrade on tiny segments (Lloyd's iteration with
-/// more centroids than points, PQ codebooks trained on a handful of samples),
-/// so segments below [`MIN_TRAINED_SEGMENT_ROWS`] fall back to brute force —
-/// which is also faster to both build and scan at that size. Larger IVF-PQ
-/// segments shrink their coarse codebooks to keep at least ~8 vectors per
-/// coarse centroid.
-pub fn create_segment_index(
-    kind: IndexKind,
-    dim: usize,
-    rows: usize,
-) -> Result<Box<dyn VectorIndex>> {
-    match kind {
-        IndexKind::IvfPq if rows >= MIN_TRAINED_SEGMENT_ROWS => {
-            Ok(Box::new(IvfPqIndex::new(segment_ivf_config(dim, rows))?))
-        }
-        IndexKind::BruteForce | IndexKind::IvfPq => Ok(Box::new(FlatIndex::new(dim))),
-        IndexKind::Hnsw => create_index(kind, dim),
-    }
-}
-
-/// The IVF-PQ configuration of a trained segment of `rows` vectors.
+/// The IVF-PQ configuration of a trained segment of `rows` vectors: the
+/// coarse codebooks shrink to keep at least ~8 vectors per centroid.
 fn segment_ivf_config(dim: usize, rows: usize) -> IvfPqConfig {
     let base = IvfPqConfig::for_dim(dim);
     let centroids = (rows / 8).clamp(4, base.coarse_centroids);
     base.with_coarse_centroids(centroids)
 }
 
-/// Reconstructs a sealed segment's index directly over already-stored rows
-/// (the storage layer's restore path): `ids[i]` owns `rows[i*dim..(i+1)*dim]`.
+/// Builds a sealed segment's index over its rows: `ids[i]` owns
+/// `rows[i*dim..(i+1)*dim]`. The one constructor of a segment index — seal,
+/// compaction and reopen all come through here, so they cannot diverge.
 ///
-/// Family selection and sizing are identical to [`create_segment_index`]
-/// for `rows = ids.len()`, and each family's restore constructor replicates
-/// its insert-then-build sequence over the same rows in the same order, so
-/// the restored index answers queries bit-identically to the one originally
-/// sealed — whether `rows` is heap-owned or a zero-copy view into a mapped
-/// segment file. The flat and IVF families adopt the store as their
-/// scan/rescore arena without copying; HNSW builds its graph from the rows
-/// (graph construction is inherently heap-resident).
+/// Training-based families degrade on tiny segments (Lloyd's iteration with
+/// more centroids than points, PQ codebooks trained on a handful of
+/// samples), so an IVF-PQ segment below [`MIN_TRAINED_SEGMENT_ROWS`] falls
+/// back to brute force, which is also faster to build and scan at that
+/// size. The flat and IVF families adopt `rows` as their scan/rescore arena
+/// without copying — a clone of a heap store shares its allocation, a
+/// mapped store stays a view into the segment file — while HNSW copies the
+/// rows into its graph nodes as it links them.
 pub fn create_segment_index_from_rows(
     kind: IndexKind,
     dim: usize,
@@ -770,13 +714,11 @@ pub fn create_segment_index_from_rows(
                     ids.len()
                 )));
             }
-            let mut index = create_index(kind, dim)?;
-            let data = rows.as_slice();
-            for (i, &id) in ids.iter().enumerate() {
-                index.insert(id, &data[i * dim..(i + 1) * dim])?;
+            let mut index = HnswIndex::new(HnswConfig::for_dim(dim))?;
+            for (&id, row) in ids.iter().zip(rows.as_slice().chunks_exact(dim)) {
+                index.insert(id, row)?;
             }
-            index.build()?;
-            Ok(index)
+            Ok(Box::new(index))
         }
     }
 }
@@ -792,12 +734,32 @@ mod tests {
         assert_eq!(IndexKind::Hnsw.name(), "HNSW");
     }
 
+    /// `rows` seeded-random unit vectors of `dim`, row-major.
+    fn unit_rows(rows: usize, dim: usize) -> Vec<f32> {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x5eed);
+        (0..rows)
+            .flat_map(|_| {
+                let mut v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                metric::normalize(&mut v);
+                v
+            })
+            .collect()
+    }
+
+    fn segment_index(kind: IndexKind, dim: usize, rows: usize) -> Box<dyn VectorIndex> {
+        let ids = (0..rows as u64).collect();
+        create_segment_index_from_rows(kind, dim, ids, unit_rows(rows, dim).into()).unwrap()
+    }
+
     #[test]
     fn create_index_produces_each_family() {
         for kind in IndexKind::ALL {
-            let idx = create_index(kind, 32).unwrap();
+            let idx = segment_index(kind, 32, MIN_TRAINED_SEGMENT_ROWS);
             assert_eq!(idx.dim(), 32);
-            assert!(idx.is_empty());
+            assert_eq!(idx.len(), MIN_TRAINED_SEGMENT_ROWS);
+            assert_eq!(idx.family(), kind.name());
         }
     }
 
@@ -1069,44 +1031,32 @@ mod tests {
     }
 
     #[test]
-    fn only_ivf_pq_needs_build() {
-        assert!(IndexKind::IvfPq.needs_build());
-        assert!(!IndexKind::BruteForce.needs_build());
-        assert!(!IndexKind::Hnsw.needs_build());
-    }
-
-    #[test]
     fn tiny_ivf_segment_falls_back_to_brute_force() {
-        let small = create_segment_index(IndexKind::IvfPq, 32, 50).unwrap();
-        assert_eq!(small.family(), "BF");
-        let large = create_segment_index(IndexKind::IvfPq, 32, 10_000).unwrap();
-        assert_eq!(large.family(), "IVF-PQ");
-        let hnsw = create_segment_index(IndexKind::Hnsw, 32, 50).unwrap();
-        assert_eq!(hnsw.family(), "HNSW");
+        assert_eq!(segment_index(IndexKind::IvfPq, 32, 50).family(), "BF");
+        assert_eq!(
+            segment_index(IndexKind::IvfPq, 32, 1_000).family(),
+            "IVF-PQ"
+        );
+        assert_eq!(segment_index(IndexKind::Hnsw, 32, 50).family(), "HNSW");
     }
 
     #[test]
     fn segment_index_round_trips_small_and_large() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
+        let dim = 32;
         for rows in [40usize, 600] {
-            let dim = 32;
-            let mut idx = create_segment_index(IndexKind::IvfPq, dim, rows).unwrap();
-            let mut rng = SmallRng::seed_from_u64(0x5eed);
-            let vectors: Vec<Vec<f32>> = (0..rows)
-                .map(|_| {
-                    let mut v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-                    metric::normalize(&mut v);
-                    v
-                })
-                .collect();
-            for (i, v) in vectors.iter().enumerate() {
-                idx.insert(i as u64, v).unwrap();
-            }
-            idx.build().unwrap();
-            let hits = idx.search(&vectors[7], 3).unwrap();
+            let idx = segment_index(IndexKind::IvfPq, dim, rows);
+            let vectors = unit_rows(rows, dim);
+            let (hits, _) = idx.search(&vectors[7 * dim..8 * dim], 3, None).unwrap();
             assert_eq!(hits[0].id, 7, "rows={rows}");
             assert!((hits[0].score - 1.0).abs() < 1e-4);
+        }
+    }
+
+    #[test]
+    fn segment_index_shape_mismatch_is_refused() {
+        for kind in IndexKind::ALL {
+            let short = RowStore::from(vec![0.5f32; 31]);
+            assert!(create_segment_index_from_rows(kind, 32, vec![1], short).is_err());
         }
     }
 

@@ -1,13 +1,12 @@
-//! Borrowed-or-owned row storage for index arenas.
+//! Borrowed-or-shared row storage for index arenas.
 //!
-//! The zero-copy read path (PR 9) serves sealed segments straight out of
-//! memory-mapped `.lseg` files. The scan kernels don't care where their
-//! row-major `&[f32]` lives, so every arena that used to be a `Vec<f32>`
-//! ([`crate::FlatIndex`]'s data, the IVF rescore arena) becomes a
-//! [`RowStore`]: either an owned heap
-//! vector (the historical representation, still used for growing buffers
-//! and non-mmap opens) or a [`MappedSlice`] view into a mapping kept alive
-//! by an `Arc` owner.
+//! The scan kernels don't care where their row-major `&[f32]` lives, so a
+//! sealed segment's rows, the flat scan arena and the IVF rescore arena are
+//! all one [`RowStore`]: either a heap vector behind an `Arc`, shared
+//! copy-on-write, or a [`MappedSlice`] view into a memory-mapped `.lseg`
+//! file kept alive by an `Arc` owner. Cloning either variant clones an
+//! `Arc`, never the payload, so a segment's retained rows and the index
+//! built over them are one allocation on both paths.
 //!
 //! This crate knows nothing about files or `mmap` — the storage layer
 //! (which owns the mapping type) constructs [`MappedSlice`]s and hands them
@@ -99,29 +98,29 @@ impl std::fmt::Debug for MappedSlice {
     }
 }
 
-/// Row-major `f32` storage that is either heap-owned or a view into a
-/// memory-mapped file. The scan paths only ever call [`RowStore::as_slice`],
-/// so both representations score bit-identically; mutation goes through
-/// [`RowStore::to_mut`], which transparently copies a mapped store onto the
-/// heap first (mapped segments are sealed, so this only happens on the rare
-/// post-restore insert paths).
+/// Row-major `f32` storage that is either a shared heap vector or a view
+/// into a memory-mapped file. The scan paths only ever call
+/// [`RowStore::as_slice`], so both representations score bit-identically;
+/// mutation goes through [`RowStore::to_mut`], which copies first when the
+/// rows are shared or mapped (only a growing buffer is ever written, and it
+/// is the sole holder of its rows until it seals).
 #[derive(Debug, Clone)]
 pub enum RowStore {
-    /// Heap-owned rows — the historical `Vec<f32>` arena.
-    Owned(Vec<f32>),
+    /// Heap rows, shared copy-on-write between the clones of this store.
+    Owned(Arc<Vec<f32>>),
     /// Zero-copy view into a mapping.
     Mapped(MappedSlice),
 }
 
 impl Default for RowStore {
     fn default() -> Self {
-        RowStore::Owned(Vec::new())
+        RowStore::Owned(Arc::default())
     }
 }
 
 impl From<Vec<f32>> for RowStore {
     fn from(rows: Vec<f32>) -> Self {
-        RowStore::Owned(rows)
+        RowStore::Owned(Arc::new(rows))
     }
 }
 
@@ -159,21 +158,23 @@ impl RowStore {
         matches!(self, RowStore::Mapped(_))
     }
 
-    /// Mutable access as a heap vector. A mapped store is first copied onto
-    /// the heap (and stays owned thereafter) — mappings are read-only.
+    /// Mutable access as a heap vector. Rows shared with another clone are
+    /// copied first, and a mapped store is copied onto the heap (and stays
+    /// owned thereafter) — mappings are read-only.
     pub fn to_mut(&mut self) -> &mut Vec<f32> {
         if let RowStore::Mapped(view) = self {
-            *self = RowStore::Owned(view.as_slice().to_vec());
+            *self = RowStore::from(view.as_slice().to_vec());
         }
         match self {
-            RowStore::Owned(rows) => rows,
+            RowStore::Owned(rows) => Arc::make_mut(rows),
             // lint:allow(panic, the arm above replaced any Mapped variant)
             RowStore::Mapped(_) => unreachable!("mapped store was just converted to owned"),
         }
     }
 
-    /// Heap bytes held by this store: the full payload when owned, zero
-    /// when mapped (mapped rows are file-backed page cache, not heap).
+    /// Heap bytes held by this store: the full payload when owned (whether
+    /// or not a clone shares it), zero when mapped (mapped rows are
+    /// file-backed page cache, not heap).
     pub fn heap_bytes(&self) -> usize {
         match self {
             RowStore::Owned(rows) => rows.len() * std::mem::size_of::<f32>(),
@@ -211,7 +212,7 @@ mod tests {
     #[test]
     fn owned_and_mapped_expose_identical_slices() {
         let values = [1.0f32, -2.5, 3.25, 0.0, f32::MIN_POSITIVE];
-        let owned = RowStore::Owned(values.to_vec());
+        let owned = RowStore::from(values.to_vec());
         let (_owner, view) = mapped_from_f32s(&values);
         let mapped = RowStore::Mapped(view);
         assert_eq!(owned.as_slice(), mapped.as_slice());
@@ -230,6 +231,16 @@ mod tests {
         store.to_mut().push(7.0);
         assert!(!store.is_mapped());
         assert_eq!(store.as_slice(), &[4.0, 5.0, 6.0, 7.0]);
+    }
+
+    #[test]
+    fn owned_clones_share_rows_until_one_is_written() {
+        let mut written = RowStore::from(vec![1.0f32, 2.0]);
+        let kept = written.clone();
+        assert_eq!(written.as_slice().as_ptr(), kept.as_slice().as_ptr());
+        written.to_mut().push(3.0);
+        assert_eq!(kept.as_slice(), &[1.0, 2.0]);
+        assert_eq!(written.as_slice(), &[1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Property tests for predicate pushdown: `search_filtered(pred)` must be
+//! Property tests for predicate pushdown: `search(.., Some(pred))` must be
 //! indistinguishable from "unfiltered search over everything + post-filter +
 //! truncate" — score- and tie-break-identical for the exact paths (Flat, and
 //! IVF-PQ when the refine budget covers every probed candidate), and
@@ -7,7 +7,7 @@
 use lovo_index::metric::{dot, normalize};
 use lovo_index::{
     FlatIndex, HnswConfig, HnswIndex, IdFilter, IdPosting, IdRanges, IvfPqConfig, IvfPqIndex,
-    SearchResult, VectorIndex,
+    RowStore, SearchResult, VectorIndex,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -23,8 +23,9 @@ fn post_filter_reference(
     filter: &IdFilter,
 ) -> Vec<SearchResult> {
     index
-        .search(query, index.len())
+        .search(query, index.len(), None)
         .unwrap()
+        .0
         .into_iter()
         .filter(|hit| filter.accepts(hit.id))
         .take(k)
@@ -60,7 +61,7 @@ proptest! {
         let reference = post_filter_reference(&flat, &query, k, &set_filter);
 
         let (set_hits, set_stats) = flat
-            .search_filtered_with_stats(&query, k, &set_filter)
+            .search(&query, k, Some(&set_filter))
             .unwrap();
         prop_assert_eq!(&set_hits, &reference);
         prop_assert_eq!(set_stats.vectors_scored, allowed.len());
@@ -70,7 +71,7 @@ proptest! {
         let moved = allowed.clone();
         let pred_filter = IdFilter::from_predicate(move |id| moved.contains(&id));
         let (pred_hits, _) = flat
-            .search_filtered_with_stats(&query, k, &pred_filter)
+            .search(&query, k, Some(&pred_filter))
             .unwrap();
         prop_assert_eq!(&pred_hits, &reference);
 
@@ -88,7 +89,7 @@ proptest! {
         ];
         for filter in &resolved {
             prop_assert_eq!(filter.matched(), Some(sorted.len()));
-            let (hits, stats) = flat.search_filtered_with_stats(&query, k, filter).unwrap();
+            let (hits, stats) = flat.search(&query, k, Some(filter)).unwrap();
             prop_assert_eq!(&hits, &reference);
             prop_assert_eq!(stats.vectors_scored, allowed.len());
         }
@@ -130,11 +131,8 @@ fn ivf_filtered_equals_post_filter_under_full_refine() {
     let n = 1_500;
     let vectors = clustered_unit_vectors(n, dim, 30, 0x1f11);
     let config = IvfPqConfig::for_dim(dim).with_refine_factor(n);
-    let mut ivf = IvfPqIndex::new(config).unwrap();
-    for (i, v) in vectors.iter().enumerate() {
-        ivf.insert(i as u64, v).unwrap();
-    }
-    ivf.build().unwrap();
+    let ids = (0..n as u64).collect();
+    let ivf = IvfPqIndex::build_from_rows(config, ids, RowStore::from(vectors.concat())).unwrap();
 
     let filters: Vec<IdFilter> = vec![
         IdFilter::from_predicate(|id| id < 400),
@@ -156,7 +154,7 @@ fn ivf_filtered_equals_post_filter_under_full_refine() {
         for &probe in &[11usize, 502, 1203] {
             let query = &vectors[probe];
             let reference = post_filter_reference(&ivf, query, 10, filter);
-            let (hits, stats) = ivf.search_filtered_with_stats(query, 10, filter).unwrap();
+            let (hits, stats) = ivf.search(query, 10, Some(filter)).unwrap();
             assert_eq!(hits, reference, "filter {which}, probe {probe}");
             assert!(hits.iter().all(|h| filter.accepts(h.id)));
             assert_eq!(
@@ -189,7 +187,7 @@ fn hnsw_filtered_is_recall_bounded() {
     let mut total = 0usize;
     for &probe in &[3usize, 401, 777, 1200, 1999] {
         let query = &vectors[probe];
-        let (hits, _) = hnsw.search_filtered_with_stats(query, 10, &filter).unwrap();
+        let (hits, _) = hnsw.search(query, 10, Some(&filter)).unwrap();
         for hit in &hits {
             assert_eq!(hit.id % 2, 1, "filtered-out id escaped the beam");
             // Scores are exact inner products of the stored vector.

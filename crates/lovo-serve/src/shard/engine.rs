@@ -101,7 +101,7 @@ impl EngineShard for LocalShard {
     }
 
     fn coarse(&self, request: &CoarseRequest) -> Result<CoarseResponse, String> {
-        // `0`: the store's automatic scan-thread rule, as for a direct query.
+        // The trailing argument is ignored (see `Lovo::coarse_plan`).
         let (hits, stats) = self
             .engine
             .coarse_plan(&request.plan, 0)

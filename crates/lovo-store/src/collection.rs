@@ -486,7 +486,7 @@ impl SegmentedCollection {
                     (Some(filter), Some(zone)) if !filter.might_match(&zone) => {
                         scratch.stats.segments_pruned += 1;
                     }
-                    _ => scratch.fold(segment.search_filtered_with_stats(
+                    _ => scratch.fold(segment.search(
                         query,
                         request.k,
                         request.filter.map(PushdownFilter::id_filter),
@@ -811,7 +811,7 @@ mod tests {
                 continue;
             }
             let (hits, _) = segment
-                .search_filtered_with_stats(&query, k, filter.map(PushdownFilter::id_filter))
+                .search(&query, k, filter.map(PushdownFilter::id_filter))
                 .unwrap();
             for hit in hits {
                 best.entry(hit.id)

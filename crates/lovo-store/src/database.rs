@@ -317,7 +317,7 @@ impl VectorDatabase {
     /// they describe; without a durable store the blobs are ignored.
     ///
     /// Durability contract: with a durable store attached, the batch is
-    /// appended to the WAL (and fsynced, under the default policy) *before*
+    /// appended to the WAL and fsynced *before*
     /// anything is applied in memory. `Ok` therefore means the batch
     /// survives `kill -9`; an `Err` from the WAL append means nothing was
     /// applied at all — never partially.
@@ -345,7 +345,7 @@ impl VectorDatabase {
                 ));
             }
         }
-        // Write-ahead: the WAL record commits (per the fsync policy) before
+        // Write-ahead: the WAL record commits (written and fsynced) before
         // any in-memory state changes. A failed append leaves both the log
         // (rolled back to the last record) and memory untouched.
         if let Some(store) = durable.as_mut() {

@@ -9,7 +9,7 @@
 //!   seal/compaction time via temp-file + fsync + atomic rename.
 //! * **The write-ahead log** ([`wal`]) — protects the growing append
 //!   buffer; one length-prefixed, checksummed record per ingest batch,
-//!   fsynced per [`FsyncPolicy`] before the batch is acknowledged.
+//!   fsynced before the batch is acknowledged.
 //! * **The manifest** ([`manifest`]) — the atomically-swapped root of
 //!   truth listing collections, sealed segment files, and the active WAL.
 //!
@@ -138,26 +138,11 @@ impl std::error::Error for StorageError {
     }
 }
 
-/// When WAL appends reach the platter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FsyncPolicy {
-    /// Fsync after every WAL record, before the write is acknowledged.
-    /// A batch that returned `Ok` survives `kill -9`. The default.
-    #[default]
-    Always,
-    /// Never fsync the WAL from the write path; the OS flushes on its own
-    /// schedule. Far higher ingest throughput, but a crash may lose the
-    /// most recent acknowledged batches (never torn ones — replay still
-    /// truncates partial records). Segment files and the manifest are
-    /// always fsynced regardless — this knob only governs the WAL tail.
-    OsBuffered,
-}
-
-/// Configuration of the durability layer.
+/// Configuration of the durability layer. Every WAL record is fsynced
+/// before the batch it carries is acknowledged, so a batch that returned
+/// `Ok` survives `kill -9`.
 #[derive(Debug, Clone, Default)]
 pub struct DurabilityConfig {
-    /// WAL fsync policy (see [`FsyncPolicy`]).
-    pub fsync: FsyncPolicy,
     /// Armed fault plan for crash testing. `None` (the default) in
     /// production; checks compile out of release builds entirely unless
     /// the `failpoints` feature is on.
@@ -165,15 +150,9 @@ pub struct DurabilityConfig {
 }
 
 impl DurabilityConfig {
-    /// The production default: fsync-always, no faults.
+    /// The production default: no faults.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Builder-style fsync policy override.
-    pub fn with_fsync(mut self, fsync: FsyncPolicy) -> Self {
-        self.fsync = fsync;
-        self
     }
 
     /// Builder-style fault plan, for crash-recovery tests.
@@ -299,13 +278,18 @@ pub struct RecoveryReport {
     /// records, keyed by frame key. The engine drains this to rebuild its
     /// key-frame map; entries left here were recovered but unclaimed.
     pub aux_blobs: HashMap<u64, Vec<u8>>,
+    /// Recovered key-frame blobs the engine failed to decode and dropped
+    /// when it rebuilt its key-frame map (each such frame loses its rerank
+    /// candidate). The storage layer leaves this 0; `lovo-core`'s reopen
+    /// counts it.
+    pub frames_undecodable: usize,
 }
 
 impl RecoveryReport {
-    /// True when recovery lost nothing: no quarantined segments and no
-    /// truncated WAL tail.
+    /// True when recovery lost nothing: no quarantined segments, no
+    /// truncated WAL tail and no undecodable key frame.
     pub fn is_clean(&self) -> bool {
-        self.quarantined.is_empty() && self.wal_bytes_truncated == 0
+        self.quarantined.is_empty() && self.wal_bytes_truncated == 0 && self.frames_undecodable == 0
     }
 
     /// Total rows known to be lost (quarantined segments' row counts).
@@ -621,12 +605,11 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Appends one ingest batch to the WAL and fsyncs per policy. THE
+    /// Appends one ingest batch to the WAL and fsyncs it. THE
     /// acknowledgement point: once this returns `Ok`, the batch survives
-    /// `kill -9` (under [`FsyncPolicy::Always`]).
+    /// `kill -9`.
     pub(crate) fn append_batch(&mut self, record: &WalRecord) -> Result<(), StorageError> {
-        self.wal
-            .append(record, self.config.fsync, &self.config.faults)?;
+        self.wal.append(record, &self.config.faults)?;
         for (key, blob) in &record.aux {
             self.pending_aux.entry(*key).or_insert_with(|| blob.clone());
         }

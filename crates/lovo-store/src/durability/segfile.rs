@@ -454,7 +454,7 @@ pub(crate) fn read_segment_file(path: &Path) -> Result<LoadedSegment, StorageErr
         dim: raw.dim,
         zone: raw.zone,
         ids,
-        rows: RowStore::Owned(values),
+        rows: RowStore::from(values),
         meta,
         aux,
     })
@@ -518,7 +518,7 @@ pub(crate) fn map_segment_file(
         dim: raw.dim,
         zone: raw.zone,
         ids,
-        rows: RowStore::Owned(values),
+        rows: RowStore::from(values),
         meta,
         aux,
     };

@@ -3,7 +3,7 @@
 //! One WAL file protects every collection's unsealed rows. Each
 //! [`WalRecord`] is one ingest batch (the engine batches per key frame) and
 //! is the unit of atomicity: a batch is acknowledged only after its record
-//! is fully written and — under [`FsyncPolicy::Always`] — fsynced. Replay
+//! is fully written and fsynced. Replay
 //! on open applies complete records in order, and the first torn or
 //! corrupt record truncates the log there: everything before it was
 //! acknowledged (or at least fully committed), everything at and after it
@@ -26,7 +26,7 @@ use super::codec::{decode_patch_record, encode_patch_record, ByteReader, ByteWri
 use super::crc::crc32;
 use super::fault::points;
 use super::io::{self, Faults};
-use super::{FsyncPolicy, StorageError};
+use super::StorageError;
 use crate::metadata::PatchRecord;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Read, Seek, SeekFrom};
@@ -297,15 +297,14 @@ impl Wal {
         &self.path
     }
 
-    /// Appends one record. Under [`FsyncPolicy::Always`] the record is
-    /// fsynced before this returns — the acknowledgement point. On any
+    /// Appends one record and fsyncs it before returning — the
+    /// acknowledgement point. On any
     /// error the in-memory committed length is NOT advanced, so a torn
     /// append is invisible to later appends in the same process and
     /// truncated by replay in the next one.
     pub(crate) fn append(
         &mut self,
         record: &WalRecord,
-        policy: FsyncPolicy,
         faults: &Faults,
     ) -> Result<(), StorageError> {
         let payload = record.encode();
@@ -320,13 +319,7 @@ impl Wal {
             points::WAL_APPEND,
             faults,
         )
-        .and_then(|()| {
-            if matches!(policy, FsyncPolicy::Always) {
-                io::sync_file(&self.file, &self.path, points::WAL_SYNC, faults)
-            } else {
-                Ok(())
-            }
-        });
+        .and_then(|()| io::sync_file(&self.file, &self.path, points::WAL_SYNC, faults));
         if let Err(e) = result {
             // Roll the file back to the last committed record so a retried
             // append in this process does not land after torn bytes (a crash
@@ -412,7 +405,7 @@ mod tests {
         let mut wal = Wal::create(&dir, 0, &None).unwrap();
         let records = [record("a", 0, 3), record("b", 100, 1)];
         for r in &records {
-            wal.append(r, FsyncPolicy::Always, &None).unwrap();
+            wal.append(r, &None).unwrap();
         }
         assert_eq!(wal.record_count(), 2);
         drop(wal);
@@ -429,11 +422,9 @@ mod tests {
     fn torn_tail_is_truncated_and_appendable() {
         let dir = scratch_dir("torn");
         let mut wal = Wal::create(&dir, 3, &None).unwrap();
-        wal.append(&record("a", 0, 2), FsyncPolicy::Always, &None)
-            .unwrap();
+        wal.append(&record("a", 0, 2), &None).unwrap();
         let good_len = wal.len();
-        wal.append(&record("a", 50, 2), FsyncPolicy::Always, &None)
-            .unwrap();
+        wal.append(&record("a", 50, 2), &None).unwrap();
         let path = wal.path().to_path_buf();
         drop(wal);
         // Tear the second record: cut it 5 bytes short.
@@ -449,8 +440,7 @@ mod tests {
         assert_eq!(seen.len(), 1);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), good_len);
         // The log still accepts appends after truncation.
-        wal.append(&record("a", 90, 1), FsyncPolicy::Always, &None)
-            .unwrap();
+        wal.append(&record("a", 90, 1), &None).unwrap();
         drop(wal);
         let mut seen = Vec::new();
         let (_, replay) = Wal::open_replay(&dir, 3, &None, |r| seen.push(r)).unwrap();
@@ -463,13 +453,10 @@ mod tests {
     fn bit_flip_in_record_truncates_from_there() {
         let dir = scratch_dir("flip");
         let mut wal = Wal::create(&dir, 0, &None).unwrap();
-        wal.append(&record("a", 0, 2), FsyncPolicy::Always, &None)
-            .unwrap();
+        wal.append(&record("a", 0, 2), &None).unwrap();
         let first_end = wal.len();
-        wal.append(&record("a", 10, 2), FsyncPolicy::Always, &None)
-            .unwrap();
-        wal.append(&record("a", 20, 2), FsyncPolicy::Always, &None)
-            .unwrap();
+        wal.append(&record("a", 10, 2), &None).unwrap();
+        wal.append(&record("a", 20, 2), &None).unwrap();
         let path = wal.path().to_path_buf();
         drop(wal);
         // Flip one payload byte of the second record.

@@ -42,8 +42,7 @@ pub use collection::{
 };
 pub use database::{JoinedHit, VectorDatabase};
 pub use durability::{
-    DurabilityConfig, FsyncPolicy, OpenOptions, QuarantinedSegment, RecoveryReport, StorageError,
-    MMAP_SUPPORTED,
+    DurabilityConfig, OpenOptions, QuarantinedSegment, RecoveryReport, StorageError, MMAP_SUPPORTED,
 };
 pub use metadata::{MetadataStore, PatchPredicate, PatchRecord};
 pub use patchid::{patch_id, split_patch_id, MAX_PATCH_INDEX, MAX_VIDEO_ID};

@@ -9,14 +9,16 @@
 //! becomes. Sealed segments are immutable; appending more data never touches
 //! them, which is what makes incremental ingest cheap.
 //!
-//! Segments retain their raw (normalized) rows alongside the built index so
-//! that compaction can merge undersized sealed segments into one without
-//! re-encoding anything upstream.
+//! Segments retain their raw (normalized) rows after sealing so that
+//! compaction can merge undersized sealed segments into one without
+//! re-encoding anything upstream. The flat and IVF-PQ indexes scan and
+//! rescore those same rows: sealing hands the index a clone of the buffer's
+//! [`RowStore`], which shares its allocation rather than copying it.
 
 use crate::{Result, StoreError};
 use lovo_index::{
-    create_segment_index, create_segment_index_from_rows, FlatIndex, IdFilter, IndexKind, RowStore,
-    SearchResult, SearchStats, VectorId, VectorIndex,
+    create_segment_index_from_rows, FlatIndex, IdFilter, IndexKind, RowStore, SearchResult,
+    SearchStats, VectorId, VectorIndex,
 };
 
 /// Zone map of a segment: the inclusive range of packed patch ids it holds
@@ -60,7 +62,8 @@ pub struct Segment {
     /// scans the buffer).
     target_kind: IndexKind,
     /// The raw rows, kept after sealing for compaction. A flat index doubles
-    /// as the append buffer and the growing phase's exact search.
+    /// as the append buffer and the growing phase's exact search; once
+    /// sealed, its row store is the index's scan/rescore arena as well.
     buffer: FlatIndex,
     /// Present once the segment is sealed.
     index: Option<Box<dyn VectorIndex>>,
@@ -81,16 +84,11 @@ impl Segment {
         }
     }
 
-    /// Reconstructs a sealed segment directly from recovered parts — the
-    /// row store may be a zero-copy view into a mapped segment file, in
-    /// which case the retained raw rows (the `buffer`) and the rebuilt
-    /// index's rescore arena *share* that mapping (cloning a mapped store
-    /// clones an `Arc`, not the payload).
-    ///
-    /// Equivalent to inserting every `(id, row)` pair in order and sealing:
-    /// the index constructors replay the exact insert-then-build sequence,
-    /// so the restored segment answers queries bit-identically to one
-    /// rebuilt through the insert path.
+    /// Reconstructs a sealed segment from recovered parts: the rows become
+    /// the segment's buffer and [`Segment::seal`] builds the index over
+    /// them, exactly as it does for a segment filled by inserts. A mapped
+    /// `rows` stays a zero-copy view into its segment file, shared by the
+    /// buffer and the index.
     pub fn restore_sealed(
         id: u64,
         dim: usize,
@@ -99,21 +97,16 @@ impl Segment {
         ids: Vec<VectorId>,
         rows: RowStore,
     ) -> Result<Self> {
-        let buffer = FlatIndex::from_parts(dim, ids.clone(), rows.clone())?;
-        let index = create_segment_index_from_rows(target_kind, dim, ids, rows)?;
-        Ok(Self {
+        let mut segment = Self {
             id,
             dim,
             target_kind,
-            buffer,
-            index: Some(index),
+            buffer: FlatIndex::from_parts(dim, ids, rows)?,
+            index: None,
             zone,
-        })
-    }
-
-    /// True when the retained raw rows are served from a file mapping.
-    pub fn is_mapped(&self) -> bool {
-        self.buffer.is_mapped()
+        };
+        segment.seal()?;
+        Ok(segment)
     }
 
     /// Segment identifier (unique within its collection).
@@ -191,27 +184,17 @@ impl Segment {
         if self.is_sealed() {
             return Ok(());
         }
-        let mut index = create_segment_index(self.target_kind, self.dim, self.len())?;
-        for (id, row) in self.buffer.rows() {
-            index.insert(id, row)?;
-        }
-        index.build()?;
+        let (ids, rows) = self.buffer.parts();
+        let index =
+            create_segment_index_from_rows(self.target_kind, self.dim, ids.to_vec(), rows.clone())?;
         self.index = Some(index);
         Ok(())
     }
 
-    /// Searches the segment: through the built index when sealed, by exact
-    /// brute-force scan of the append buffer while growing.
-    pub fn search_with_stats(
-        &self,
-        query: &[f32],
-        k: usize,
-    ) -> Result<(Vec<SearchResult>, SearchStats)> {
-        self.search_filtered_with_stats(query, k, None)
-    }
-
-    /// Like [`Segment::search_with_stats`], pushing an id filter into the
-    /// underlying scan when one is given.
+    /// Searches the segment for the `k` rows most similar to `query`,
+    /// pushing `filter` into the scan when one is given: through the built
+    /// index when sealed, by exact brute-force scan of the append buffer
+    /// while growing.
     ///
     /// Graph escape hatch: HNSW's filtered-accept beam loses recall as
     /// selectivity drops (few accepted nodes ever enter the result beam), so
@@ -220,25 +203,23 @@ impl Segment {
     /// exact filtered scan whose cost is one id test per row plus one dot
     /// per *matching* row, which at that selectivity is both cheaper and
     /// exact.
-    pub fn search_filtered_with_stats(
+    pub fn search(
         &self,
         query: &[f32],
         k: usize,
         filter: Option<&IdFilter>,
     ) -> Result<(Vec<SearchResult>, SearchStats)> {
         let index: &dyn VectorIndex = match &self.index {
+            Some(index)
+                if index.family() == "HNSW"
+                    && filter.is_some_and(|filter| selective_allow_set(filter, self.len())) =>
+            {
+                &self.buffer
+            }
             Some(index) => index.as_ref(),
             None => &self.buffer,
         };
-        match filter {
-            Some(filter) => {
-                if index.family() == "HNSW" && selective_allow_set(filter, self.len()) {
-                    return Ok(self.buffer.search_filtered_with_stats(query, k, filter)?);
-                }
-                Ok(index.search_filtered_with_stats(query, k, filter)?)
-            }
-            None => Ok(index.search_with_stats(query, k)?),
-        }
+        Ok(index.search(query, k, filter)?)
     }
 
     /// Iterator over the raw rows, used by compaction to rebuild a merged
@@ -250,11 +231,6 @@ impl Segment {
     /// Approximate memory footprint of the built index payload in bytes.
     pub fn index_bytes(&self) -> usize {
         self.index.as_ref().map_or(0, |index| index.memory_bytes())
-    }
-
-    /// Approximate raw-row payload in bytes.
-    pub fn raw_bytes(&self) -> usize {
-        self.buffer.memory_bytes()
     }
 }
 
@@ -288,7 +264,7 @@ mod tests {
         }
         assert_eq!(seg.state(), SegmentState::Growing);
         assert_eq!(seg.family(), "BF");
-        let (hits, stats) = seg.search_with_stats(&unit(3, 8), 2).unwrap();
+        let (hits, stats) = seg.search(&unit(3, 8), 2, None).unwrap();
         assert_eq!(hits[0].id, 3);
         assert_eq!(stats.vectors_scored, 20);
     }
@@ -302,7 +278,7 @@ mod tests {
         seg.seal().unwrap();
         assert_eq!(seg.state(), SegmentState::Sealed);
         assert!(seg.insert(99, &unit(99, 8)).is_err());
-        let (hits, _) = seg.search_with_stats(&unit(10, 8), 1).unwrap();
+        let (hits, _) = seg.search(&unit(10, 8), 1, None).unwrap();
         assert_eq!(hits[0].id, 10);
         // Sealing again is a no-op.
         seg.seal().unwrap();
@@ -328,7 +304,48 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].0, 7);
         assert_eq!(rows[0].1, &[1.0, 0.0, 0.0, 0.0]);
-        assert!(seg.raw_bytes() > 0);
+    }
+
+    /// True when the sealed index scans or rescores the very allocation
+    /// the segment retains its rows in.
+    fn index_shares_the_retained_rows(seg: &Segment) -> bool {
+        let retained = seg.buffer.parts().1.as_slice();
+        seg.index
+            .as_ref()
+            .and_then(|index| index.row_store())
+            .is_some_and(|arena| std::ptr::eq(arena.as_slice(), retained))
+    }
+
+    #[test]
+    fn sealed_rows_and_index_arena_are_one_allocation() {
+        let cases = [
+            (IndexKind::IvfPq, 300, "IVF-PQ"),
+            (IndexKind::BruteForce, 300, "BF"),
+            (IndexKind::IvfPq, 40, "BF"),
+        ];
+        for (kind, rows, family) in cases {
+            let mut seg = Segment::new(0, 8, kind);
+            for i in 0..rows {
+                seg.insert(i as u64, &unit(i, 8)).unwrap();
+            }
+            seg.seal().unwrap();
+            assert_eq!(seg.family(), family);
+            assert!(index_shares_the_retained_rows(&seg), "{kind:?} x {rows}");
+
+            let (ids, stored) = seg.buffer.parts();
+            let restored =
+                Segment::restore_sealed(1, 8, kind, seg.zone_map(), ids.to_vec(), stored.clone())
+                    .unwrap();
+            assert!(
+                index_shares_the_retained_rows(&restored),
+                "{kind:?} x {rows}"
+            );
+            let query = unit(7, 8);
+            assert_eq!(
+                restored.search(&query, 5, None).unwrap(),
+                seg.search(&query, 5, None).unwrap()
+            );
+        }
     }
 
     #[test]
@@ -336,7 +353,7 @@ mod tests {
         let mut seg = Segment::new(4, 4, IndexKind::BruteForce);
         assert!(seg.insert(0, &[1.0, 2.0]).is_err());
         seg.insert(0, &[1.0, 0.0, 0.0, 0.0]).unwrap();
-        assert!(seg.search_with_stats(&[1.0, 0.0], 1).is_err());
+        assert!(seg.search(&[1.0, 0.0], 1, None).is_err());
     }
 
     #[test]
@@ -370,9 +387,7 @@ mod tests {
         assert_eq!(seg.family(), "HNSW");
         let allowed: std::collections::HashSet<u64> = [3u64, 99, 250, 400, 577].into();
         let filter = IdFilter::Set(allowed.clone());
-        let (hits, stats) = seg
-            .search_filtered_with_stats(&unit(42, 8), 5, Some(&filter))
-            .unwrap();
+        let (hits, stats) = seg.search(&unit(42, 8), 5, Some(&filter)).unwrap();
         // Exhaustive over the allow-set: every allowed id comes back.
         assert_eq!(hits.len(), 5);
         assert!(hits.iter().all(|h| allowed.contains(&h.id)));
@@ -381,9 +396,7 @@ mod tests {
         // A large predicate filter stays on the graph path (beam stats, not
         // a 600-row exhaustive scan).
         let wide = IdFilter::from_predicate(|id| id % 2 == 0);
-        let (_, wide_stats) = seg
-            .search_filtered_with_stats(&unit(42, 8), 5, Some(&wide))
-            .unwrap();
+        let (_, wide_stats) = seg.search(&unit(42, 8), 5, Some(&wide)).unwrap();
         assert!(wide_stats.vectors_scored < 600);
     }
 
@@ -398,9 +411,7 @@ mod tests {
             if sealed {
                 seg.seal().unwrap();
             }
-            let (hits, stats) = seg
-                .search_filtered_with_stats(&unit(10, 8), 5, Some(&filter))
-                .unwrap();
+            let (hits, stats) = seg.search(&unit(10, 8), 5, Some(&filter)).unwrap();
             assert!(!hits.is_empty(), "sealed={sealed}");
             assert!(hits.iter().all(|h| h.id >= 30), "sealed={sealed}");
             assert!(stats.filtered_out > 0, "sealed={sealed}");

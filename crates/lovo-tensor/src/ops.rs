@@ -54,12 +54,6 @@ pub fn gelu(x: f32) -> f32 {
     0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044_715 * x * x * x)).tanh())
 }
 
-/// Rectified linear unit.
-#[inline]
-pub fn relu(x: f32) -> f32 {
-    x.max(0.0)
-}
-
 /// L2 norm of a vector.
 #[inline]
 pub fn l2_norm(v: &[f32]) -> f32 {

@@ -132,12 +132,6 @@ impl DatasetConfig {
         self
     }
 
-    /// Builder-style override of object density.
-    pub fn with_object_density(mut self, density: f32) -> Self {
-        self.object_density = density.max(0.0);
-        self
-    }
-
     /// Sets the total duration (seconds) of the collection by adjusting the
     /// per-video frame count, keeping the number of videos fixed.
     pub fn with_total_duration_seconds(mut self, seconds: f64) -> Self {
@@ -164,13 +158,6 @@ pub struct Video {
     pub id: u32,
     /// Frames in presentation order.
     pub frames: Vec<Frame>,
-}
-
-impl Video {
-    /// Duration of the video in seconds (0.0 for an empty video).
-    pub fn duration_seconds(&self) -> f64 {
-        self.frames.last().map(|f| f.timestamp).unwrap_or(0.0)
-    }
 }
 
 /// A generated collection of videos plus the configuration that produced it.

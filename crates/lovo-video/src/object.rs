@@ -303,14 +303,6 @@ impl Activity {
             .position(|c| c == self)
             .expect("activity listed in ALL")
     }
-
-    /// Whether the activity implies motion (drives key-frame selection).
-    pub fn is_moving(&self) -> bool {
-        matches!(
-            self,
-            Activity::Walking | Activity::RidingBicycle | Activity::Driving | Activity::Dancing
-        )
-    }
 }
 
 /// Where the object is in the scene.

@@ -112,3 +112,28 @@ fn open_rejects_a_mismatched_embedding_dimensionality() {
     assert!(Lovo::open(config, &root, DurabilityConfig::new()).is_ok());
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn undecodable_key_frame_blob_is_counted_at_reopen() {
+    let root = scratch_root("undecodable");
+    let config = LovoConfig::default();
+    {
+        let lovo =
+            Lovo::build_durable(&videos(7, 90), config, &root, DurabilityConfig::new()).unwrap();
+        // A batch of no rows whose one key-frame blob is not a wire frame,
+        // keyed to a frame no video holds.
+        lovo.database()
+            .insert_patches_with_aux(
+                lovo_core::summary::PATCH_COLLECTION,
+                std::iter::empty(),
+                vec![(u64::MAX, vec![0xde, 0xad])],
+            )
+            .unwrap();
+    }
+    let (reopened, report) = Lovo::open(config, &root, DurabilityConfig::new()).unwrap();
+    assert_eq!(report.frames_undecodable, 1, "{report:?}");
+    assert!(!report.is_clean());
+    let result = reopened.query("a bus on the road").unwrap();
+    assert!(!result.frames.is_empty());
+    let _ = std::fs::remove_dir_all(&root);
+}
