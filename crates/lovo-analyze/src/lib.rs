@@ -108,7 +108,7 @@ pub struct Config {
 /// the serve tier, the executor, the rerank scorer, the index scan kernels,
 /// the metadata table and the ingest path (motion fields, key frames,
 /// k-means); the covered stats structs are
-/// `SearchStats`/`ServeStats`/`IngestStats`/`ShardStats`; the lock hierarchy
+/// `SearchStats`/`ServeStats`/`IngestStats`; the lock hierarchy
 /// is whatever `hierarchy` pairs the caller parsed from
 /// ARCHITECTURE.md (see [`parse_hierarchy_doc`]).
 pub fn default_config(hierarchy: &[(String, String)]) -> Config {
@@ -118,7 +118,7 @@ pub fn default_config(hierarchy: &[(String, String)]) -> Config {
                 "lovo-serve/src".to_string(),
                 "lovo-core/src/exec.rs".to_string(),
                 // The rerank scorer runs where the executor runs: on
-                // `QueryService` and shard rerank workers.
+                // `QueryService` workers and submitting threads.
                 "lovo-encoder/src/cross_modality.rs".to_string(),
                 "lovo-index/src/flat.rs".to_string(),
                 "lovo-index/src/ivf.rs".to_string(),
@@ -151,9 +151,6 @@ pub fn default_config(hierarchy: &[(String, String)]) -> Config {
             index_paths: vec![
                 "lovo-serve/src/service.rs".to_string(),
                 "lovo-serve/src/cache.rs".to_string(),
-                // The shard router and its gather loop: a slice index that
-                // panics here takes down a scatter worker mid-gather.
-                "lovo-serve/src/shard".to_string(),
                 "lovo-core/src/exec.rs".to_string(),
                 // Positions into the table come from its own directory, but
                 // a wrong one must cost an answer, not a worker.
@@ -177,10 +174,6 @@ pub fn default_config(hierarchy: &[(String, String)]) -> Config {
             StatsPair {
                 struct_name: "IngestStats".to_string(),
                 merge_fn: "accumulate".to_string(),
-            },
-            StatsPair {
-                struct_name: "ShardStats".to_string(),
-                merge_fn: "merge".to_string(),
             },
         ],
     }

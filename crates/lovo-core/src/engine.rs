@@ -379,15 +379,6 @@ impl Lovo {
             .unwrap_or(0)
     }
 
-    /// Inclusive video-id range covered by the stored patch collection —
-    /// the segment zone maps folded up to engine level — or `None` while
-    /// nothing is indexed. A shard router reads this as a zone map one level
-    /// up: an engine whose range cannot intersect a plan's video predicate
-    /// is pruned from the scatter without being searched.
-    pub fn video_id_range(&self) -> Option<(u32, u32)> {
-        self.database.collection_video_range(PATCH_COLLECTION)
-    }
-
     /// Storage statistics of the patch collection (segment counts, build
     /// counts, byte sizes).
     pub fn collection_stats(&self) -> lovo_store::CollectionStats {

@@ -2,28 +2,28 @@
 //! [`crate::planner::QueryPlanner`] against a built [`Lovo`] system.
 //!
 //! Each stage of [`crate::planner::PlanStage`] is written here exactly once,
-//! and every executor is a composition of the same three functions:
+//! and the executor is a composition of the same three functions:
 //!
-//! 1. **coarse stage** (crate-private, batched) — **encode** every text in
-//!    the batch, **prune** by resolving each *distinct* compiled predicate
-//!    once into a pushed-down filter (video-only predicates compile to an id
-//!    bit test; time/class predicates join the metadata table once;
-//!    provably-empty plans are never searched), then run the **coarse**
-//!    search for all remaining queries in one batched fan-out over the
-//!    storage segments (one collection lock acquisition, one segment walk
-//!    shared by the batch), each with its own filter;
-//! 2. **rerank stage** (crate-private) — the cross-modality transformer
-//!    re-scores a list of candidate frames against one parsed query;
-//! 3. [`aggregate`] — merges per-source coarse lists, groups them into
-//!    candidate frames, truncates to the rerank budget, calls a *rerank
-//!    callback*, and assembles the [`QueryResult`] with per-stage timings.
+//! 1. **coarse stage** (batched) — **encode** every text in the batch,
+//!    **prune** by resolving each *distinct* compiled predicate once into a
+//!    pushed-down filter (video-only predicates compile to an id bit test;
+//!    time/class predicates join the metadata table once; provably-empty
+//!    plans are never searched), then run the **coarse** search for all
+//!    remaining queries in one batched fan-out over the storage segments
+//!    (one collection lock acquisition, one segment walk shared by the
+//!    batch), each with its own filter;
+//! 2. **rerank stage** — the cross-modality transformer re-scores a list of
+//!    candidate frames against one parsed query;
+//! 3. **aggregate** — groups the coarse list into candidate frames,
+//!    truncates to the rerank budget, reranks, and assembles the
+//!    [`QueryResult`] with per-stage timings.
 //!
-//! [`Lovo::query_plans`] is the coarse stage over the batch followed by
-//! [`aggregate`] per plan with a local rerank callback; [`Lovo::coarse_plan`]
-//! and [`Lovo::rerank_plan`] are the coarse stage over a batch of one and the
-//! rerank stage — the halves an engine exposes as a *shard* — and the shard
-//! router calls the same [`aggregate`] with one coarse list per shard and a
-//! callback that scatters the rerank to each frame's owning shard.
+//! [`Lovo::query_plans`] is the coarse stage over the batch followed by the
+//! aggregation per plan. [`Lovo::coarse_plan`] and [`Lovo::rerank_plan`]
+//! expose the coarse stage over a batch of one and the rerank stage, and
+//! [`group_hits_by_frame`], [`merge_reranked`] and [`assemble_unreranked`]
+//! the pieces of the aggregation, so a caller can run a query stage by stage
+//! and time each stage on its own.
 
 use crate::engine::{Lovo, QueryResult, QueryTimings, RankedObject};
 use crate::planner::QueryPlan;
@@ -40,14 +40,8 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// One coarse-stage candidate patch in shard-portable form: the packed patch
-/// id, its fast-search score, the patch's bounding box, and the owning key
-/// frame's timestamp.
-///
-/// The shard router's coarse responses carry these across the router↔shard
-/// boundary and the single-engine executor builds the same values, so both
-/// feed one [`aggregate`] — which is what makes sharded answers bit-identical
-/// to single-engine ones.
+/// One coarse-stage candidate patch: the packed patch id, its fast-search
+/// score, the patch's bounding box, and the owning key frame's timestamp.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CoarseHit {
     /// Packed patch id (video / frame / patch, see `lovo_store::patch_id`).
@@ -64,9 +58,8 @@ pub struct CoarseHit {
 
 /// One candidate key frame after coarse hits are grouped: the frame key, its
 /// best fast-search score and box (the rerank seed), and the frame's
-/// timestamp when known. Produced by [`group_hits_by_frame`]; the shard
-/// router ships these back to each frame's owning shard for the rerank
-/// stage.
+/// timestamp when known. Produced by [`group_hits_by_frame`] and consumed by
+/// the rerank stage ([`Lovo::rerank_plan`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FrameSeed {
     /// Video the frame belongs to.
@@ -81,22 +74,10 @@ pub struct FrameSeed {
     pub timestamp: Option<f64>,
 }
 
-/// The coarse candidate order: score descending, packed patch id ascending —
-/// the same total order the segment-level top-k merge uses, exposed as a
-/// comparator so the shard router can merge concatenated per-shard lists
-/// into exactly the sequence a single engine's fast search would return.
-pub fn coarse_hit_order(a: &CoarseHit, b: &CoarseHit) -> Ordering {
-    b.score
-        .partial_cmp(&a.score)
-        .unwrap_or(Ordering::Equal)
-        .then_with(|| a.patch_id.cmp(&b.patch_id))
-}
-
 /// The reranked output order: cross-modality score descending, then frame
 /// index, then video id — the exact sort `rerank_with_constraints` applies
-/// internally, exposed so the shard router's merge of per-shard reranked
-/// lists reproduces the single-engine sequence.
-pub fn reranked_order(a: &RankedObject, b: &RankedObject) -> Ordering {
+/// internally.
+fn reranked_order(a: &RankedObject, b: &RankedObject) -> Ordering {
     b.score
         .partial_cmp(&a.score)
         .unwrap_or(Ordering::Equal)
@@ -106,30 +87,18 @@ pub fn reranked_order(a: &RankedObject, b: &RankedObject) -> Ordering {
 
 /// The ablation (rerank-disabled) output order: fast-search score
 /// descending, then `(video id, frame index)` ascending.
-pub fn unreranked_order(a: &RankedObject, b: &RankedObject) -> Ordering {
+fn unreranked_order(a: &RankedObject, b: &RankedObject) -> Ordering {
     b.score
         .partial_cmp(&a.score)
         .unwrap_or(Ordering::Equal)
         .then_with(|| (a.video_id, a.frame_index).cmp(&(b.video_id, b.frame_index)))
 }
 
-/// Merges per-shard coarse top-k lists into the global top-`k`, in the order
-/// a single engine's fast search would return them ([`coarse_hit_order`]).
-/// Correct because each shard returns *its* top-`k` under the same total
-/// order, and every member of the global top-`k` residing on shard `s` is
-/// necessarily in `s`'s local top-`k`.
-pub fn merge_coarse(lists: Vec<Vec<CoarseHit>>, k: usize) -> Vec<CoarseHit> {
-    let mut merged: Vec<CoarseHit> = lists.into_iter().flatten().collect();
-    merged.sort_by(coarse_hit_order);
-    merged.truncate(k);
-    merged
-}
-
-/// Merges per-shard reranked result lists into the global output
-/// ([`reranked_order`], truncated to `output_frames`). Exact because the
-/// cross-modality model scores each frame independently and frames are
-/// partitioned across shards, so the union of per-shard sorted lists is a
-/// permutation-free merge of the single-engine list.
+/// Merges reranked result lists into one output (cross-modality score
+/// descending, then frame index, then video id; truncated to
+/// `output_frames`). The cross-modality model scores each frame
+/// independently, so lists that rerank disjoint frame sets merge into the
+/// list one rerank of their union would return.
 pub fn merge_reranked(lists: Vec<Vec<RankedObject>>, output_frames: usize) -> Vec<RankedObject> {
     let mut merged: Vec<RankedObject> = lists.into_iter().flatten().collect();
     merged.sort_by(reranked_order);
@@ -180,7 +149,8 @@ pub fn group_hits_by_frame(hits: &[CoarseHit]) -> Vec<FrameSeed> {
 
 /// Assembles the ablation (rerank-disabled) output from grouped frame seeds:
 /// frames whose timestamp is unknown are skipped, the rest are sorted by
-/// [`unreranked_order`] and truncated to `output_frames`.
+/// fast-search score descending, then `(video id, frame index)` ascending,
+/// and truncated to `output_frames`.
 pub fn assemble_unreranked(seeds: &[FrameSeed], output_frames: usize) -> Vec<RankedObject> {
     let mut ranked: Vec<RankedObject> = seeds
         .iter()
@@ -347,45 +317,39 @@ fn rerank_stage(
         .collect())
 }
 
-/// The aggregation stage, shared by every executor: merges the per-source
-/// coarse lists (one for a single engine, one per shard behind a router)
-/// into the global candidate order, groups them into candidate frames, and
-/// either hands the strongest `rerank_frames` of them to `rerank` and merges
-/// the reranked lists it returns, or — rerank disabled — assembles the
-/// fast-search frame order directly. `timings` arrives with the caller's
-/// coarse-stage times filled in; the rerank time is measured here.
-///
-/// `rerank` receives the candidate frames in global rank order and returns
-/// one [`reranked_order`]-sorted list per source that scored some of them.
-/// Because the single engine and the shard router differ *only* in that
-/// callback, their answers agree by construction.
-pub fn aggregate<E>(
-    plan: &QueryPlan,
-    coarse: Vec<Vec<CoarseHit>>,
-    search_stats: SearchStats,
-    mut timings: QueryTimings,
-    rerank: impl FnOnce(&[FrameSeed]) -> std::result::Result<Vec<Vec<RankedObject>>, E>,
-) -> std::result::Result<QueryResult, E> {
-    let merged = merge_coarse(coarse, plan.fast_search_k);
-    let mut seeds = group_hits_by_frame(&merged);
+/// The aggregation stage: groups the coarse list into candidate frames and
+/// either reranks the strongest `rerank_frames` of them or — rerank disabled
+/// — assembles the fast-search frame order directly. The collection's top-k
+/// merge already returns the hits best-first (score descending, patch id
+/// ascending) and at most `fast_search_k` of them, so they are grouped as
+/// they come. The coarse timings arrive filled in; the rerank time is
+/// measured here.
+fn aggregate(lovo: &Lovo, plan: &QueryPlan, coarse: CoarseOutput) -> Result<QueryResult> {
+    let CoarseOutput {
+        embedding,
+        hits,
+        stats,
+        mut timings,
+    } = coarse;
+    let mut seeds = group_hits_by_frame(&hits);
     let frames = if plan.enable_rerank {
         // Bound the expensive stage: `seeds` lists frames in order of their
         // best patch's fast-search rank, so truncation keeps the strongest.
         seeds.truncate(plan.rerank_frames);
         let start = Instant::now();
-        let lists = rerank(&seeds)?;
+        let ranked = rerank_stage(lovo, &embedding.parsed, &seeds)?;
         timings.rerank_seconds = start.elapsed().as_secs_f64();
-        merge_reranked(lists, plan.output_frames)
+        merge_reranked(vec![ranked], plan.output_frames)
     } else {
         assemble_unreranked(&seeds, plan.output_frames)
     };
     Ok(QueryResult {
         query: plan.text.clone(),
         frames,
-        fast_search_candidates: merged.len(),
+        fast_search_candidates: hits.len(),
         reranked_frames: if plan.enable_rerank { seeds.len() } else { 0 },
         timings,
-        search_stats,
+        search_stats: stats,
     })
 }
 
@@ -395,32 +359,19 @@ pub(crate) fn execute(lovo: &Lovo, plans: &[QueryPlan]) -> Result<Vec<QueryResul
     coarse_stage(lovo, plans)?
         .into_iter()
         .zip(plans)
-        .map(|(coarse, plan)| {
-            aggregate(
-                plan,
-                vec![coarse.hits],
-                coarse.stats,
-                coarse.timings,
-                |seeds| Ok(vec![rerank_stage(lovo, &coarse.embedding.parsed, seeds)?]),
-            )
-        })
+        .map(|(coarse, plan)| aggregate(lovo, plan, coarse))
         .collect()
 }
 
-/// The stage halves one engine exposes when it acts as a *shard*: a router
-/// runs a plan's coarse stage against each shard's local segments, then the
-/// rerank stage over the frames it assigns back to their owning shard, and
-/// aggregates through [`aggregate`]. Both take an already-compiled
-/// [`QueryPlan`] (compiled once at the router), and both read the query
-/// text locally — the coarse stage encodes it, the rerank stage only parses
-/// it: both are content-deterministic, so every shard derives what the
-/// router's twin engine would.
+/// The two stages a caller can run on its own: both take an already-compiled
+/// [`QueryPlan`]; the coarse stage encodes its text, the rerank stage only
+/// parses it (both are content-deterministic, so the two agree with what
+/// [`Lovo::query_plans`] derives).
 impl Lovo {
-    /// Runs a plan's encode + prune + coarse stages against this engine
-    /// only — the batched coarse stage over a batch of one — returning
-    /// candidate patches in fast-search order together with the work
-    /// counters. Each hit carries its key frame's timestamp so a router can
-    /// assemble rerank-disabled results without touching this engine again.
+    /// Runs a plan's encode + prune + coarse stages — the batched coarse
+    /// stage over a batch of one — returning candidate patches in
+    /// fast-search order together with the work counters. Each hit carries
+    /// its key frame's timestamp, which [`assemble_unreranked`] needs.
     /// Provably-empty plans return no candidates without searching.
     ///
     /// The trailing `usize` is accepted and ignored. It was a scan-thread
@@ -436,11 +387,10 @@ impl Lovo {
         Ok(output.map(|o| (o.hits, o.stats)).unwrap_or_default())
     }
 
-    /// Runs a plan's rerank stage over the given candidate frames on this
-    /// engine: frames whose key frame this engine does not hold are skipped,
-    /// and the reranked list comes back sorted by [`reranked_order`] but
-    /// *untruncated* — the router applies the output budget globally after
-    /// merging every shard's list.
+    /// Runs a plan's rerank stage over the given candidate frames: frames
+    /// whose key frame this engine does not hold are skipped, and the
+    /// reranked list comes back best-first but *untruncated* —
+    /// [`merge_reranked`] applies the output budget.
     pub fn rerank_plan(&self, plan: &QueryPlan, seeds: &[FrameSeed]) -> Result<Vec<RankedObject>> {
         rerank_stage(self, &TextEncoder::parse(&plan.text), seeds)
     }

@@ -21,9 +21,10 @@
 //!    classes) down through the storage fan-out into every index scan.
 //!    [`Lovo::query_plans`] is the one function that executes — a batch of
 //!    plans in one shared fan-out pass; [`Lovo::query_spec`] and
-//!    [`Lovo::query`] are its one-plan conveniences, and the stage functions
-//!    it is made of ([`Lovo::coarse_plan`], [`Lovo::rerank_plan`],
-//!    [`exec::aggregate`]) are what a shard router composes instead.
+//!    [`Lovo::query`] are its one-plan conveniences. The stages it is made
+//!    of are public too ([`Lovo::coarse_plan`], [`group_hits_by_frame`],
+//!    [`Lovo::rerank_plan`], [`merge_reranked`], [`assemble_unreranked`]),
+//!    so a caller can run one query stage by stage and time each stage.
 //!
 //! The entry point is [`Lovo`]: build it once over a video collection, then
 //! issue as many queries as you like.
@@ -50,15 +51,12 @@ pub mod summary;
 
 pub use config::LovoConfig;
 pub use engine::{Lovo, QueryResult, QueryTimings, RankedObject};
-pub use exec::{
-    aggregate, assemble_unreranked, coarse_hit_order, group_hits_by_frame, merge_coarse,
-    merge_reranked, reranked_order, unreranked_order, CoarseHit, FrameSeed,
-};
+pub use exec::{assemble_unreranked, group_hits_by_frame, merge_reranked, CoarseHit, FrameSeed};
 pub use planner::{PlanStage, QueryPlan, QueryPlanner, QuerySpec};
 pub use summary::{IngestStats, VideoSummarizer};
 
-/// Re-exported so serving layers can aggregate per-shard work counters
-/// without depending on `lovo-index` directly.
+/// Re-exported because [`QueryResult`] and [`Lovo::coarse_plan`] carry the
+/// search work counters; callers need not depend on `lovo-index` directly.
 pub use lovo_index::SearchStats;
 
 // The compiled storage-level predicate is a public field of `QueryPlan`;

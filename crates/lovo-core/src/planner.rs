@@ -81,10 +81,6 @@ impl PlanStage {
 }
 
 /// A compiled, executable query plan.
-///
-/// Serializable so a routing layer can compile a spec once and ship the same
-/// plan to every engine shard as a message (the shard router's
-/// coarse/rerank requests embed one of these).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QueryPlan {
     /// The query text (encoded in the first stage).

@@ -253,10 +253,10 @@ impl VideoSummarizer {
         }
         if stats.patches_indexed == 0 {
             if videos.videos.is_empty() {
-                // An empty batch is legal: a freshly provisioned engine
-                // shard starts with no videos and receives its corpus
-                // through later ingests. The (empty) collection above still
-                // exists, so queries answer empty instead of erroring.
+                // An empty batch is legal: an engine built over no videos
+                // receives its corpus through later ingests. The (empty)
+                // collection above still exists, so queries answer empty
+                // instead of erroring.
                 return Ok(stats);
             }
             // Non-empty footage yielding zero embeddings is a real pipeline

@@ -402,7 +402,7 @@ mod tests {
         assert_eq!(t, vec!["a", "red", "car", "side-by-side"]);
     }
 
-    /// The rerank stage of a shard parses the text instead of encoding it
+    /// The stand-alone rerank stage parses the text instead of encoding it
     /// (`Lovo::rerank_plan`); that is only right while `encode` attaches
     /// exactly what `parse` returns. The texts are the end-to-end benchmark's
     /// twelve.

@@ -124,15 +124,6 @@ pub struct SearchStats {
     /// codes skipped before ADC scoring, graph nodes visited but not
     /// accepted into the beam).
     pub filtered_out: usize,
-    /// Number of engine shards a routed query actually executed on. A
-    /// single-engine search reports 0; the shard router sets this to the
-    /// post-pruning fan-out width.
-    pub shards_probed: usize,
-    /// Number of engine shards skipped entirely because their video
-    /// placement could not intersect the plan's video predicate — the
-    /// zone-map pruning idea lifted one level up. A single-engine search
-    /// reports 0.
-    pub shards_pruned: usize,
 }
 
 impl SearchStats {
@@ -147,8 +138,6 @@ impl SearchStats {
         self.segments_pruned += other.segments_pruned;
         self.heap_pushes += other.heap_pushes;
         self.filtered_out += other.filtered_out;
-        self.shards_probed += other.shards_probed;
-        self.shards_pruned += other.shards_pruned;
     }
 }
 
@@ -773,8 +762,6 @@ mod tests {
             segments_pruned: 4,
             heap_pushes: 11,
             filtered_out: 2,
-            shards_probed: 2,
-            shards_pruned: 6,
         };
         a.merge(&SearchStats {
             vectors_scored: 7,
@@ -784,8 +771,6 @@ mod tests {
             segments_pruned: 1,
             heap_pushes: 6,
             filtered_out: 3,
-            shards_probed: 1,
-            shards_pruned: 3,
         });
         assert_eq!(a.vectors_scored, 17);
         assert_eq!(a.cells_probed, 5);
@@ -794,8 +779,6 @@ mod tests {
         assert_eq!(a.segments_pruned, 5);
         assert_eq!(a.heap_pushes, 17);
         assert_eq!(a.filtered_out, 5);
-        assert_eq!(a.shards_probed, 3);
-        assert_eq!(a.shards_pruned, 9);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! ([`lovo_core::QueryPlan::fingerprint`]) — text, effective `k`, rerank and
 //! output budgets, and the *flattened* predicate — so syntactically different
 //! specs that normalize to the same plan share one entry. Every entry is
-//! stamped with the epoch it was computed under (the backend's freshness
-//! token for that plan, see [`crate::Backend::epoch`]); a lookup whose
+//! stamped with the engine's ingest epoch it was computed under
+//! ([`lovo_core::Lovo::ingest_epoch`]); a lookup whose
 //! current epoch differs evicts the entry and reports a miss, which is what
 //! makes stale hits across an ingest impossible: the epoch is bumped by every
 //! insert, seal and compaction *before* the mutation becomes searchable to a

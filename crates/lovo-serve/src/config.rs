@@ -29,10 +29,9 @@ pub struct ServeConfig {
     /// independently locked cache shards). `0` disables caching entirely.
     pub cache_capacity: usize,
     /// Background maintenance cadence. `None` disables the maintenance
-    /// thread; with `Some(interval)` the service calls
-    /// [`crate::Backend::maintain`] that often — for an engine, sealing
-    /// left-over growing rows and compacting undersized sealed segments off
-    /// the query path.
+    /// thread; with `Some(interval)` the service seals left-over growing
+    /// rows and compacts undersized sealed segments that often, off the
+    /// query path.
     pub maintenance_interval: Option<Duration>,
 }
 

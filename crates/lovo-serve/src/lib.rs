@@ -27,23 +27,14 @@
 //!   served plan and a direct `query_spec` do the same scan.
 //! * **Plan-keyed result cache** — a sharded LRU keyed by the normalized
 //!   [`lovo_core::QueryPlan::fingerprint`] (text + effective `k` + flattened
-//!   predicate), invalidated by the backend's epoch for the plan
-//!   ([`lovo_core::Lovo::ingest_epoch`] for an engine): any insert, seal or
-//!   compaction makes every older entry stale, so a cache hit is always as
-//!   fresh as a recomputation would have been at lookup time.
+//!   predicate), invalidated by [`lovo_core::Lovo::ingest_epoch`]: any
+//!   insert, seal or compaction makes every older entry stale, so a cache
+//!   hit is always as fresh as a recomputation would have been at lookup
+//!   time.
 //!
 //! The service also owns a **background maintenance thread** that seals
 //! left-over growing rows and compacts undersized sealed segments off the
 //! query path, so steady query traffic never pays for index builds.
-//!
-//! For corpora larger than one engine, the [`shard`] module scales *out*:
-//! videos are placed onto N engine shards and a [`ShardRouter`]
-//! scatter-gathers each query across them, pruning shards the plan provably
-//! cannot match and merging per-shard answers bit-identically to a single
-//! engine holding the whole corpus. The service is generic over its
-//! [`Backend`], so a router is served exactly as an engine is: one
-//! admission queue, one micro-batch, one cache, whose freshness token for a
-//! routed plan is the epochs of just the shards that plan targets.
 //!
 //! ```
 //! use lovo_core::{Lovo, LovoConfig, QuerySpec};
@@ -73,15 +64,9 @@
 mod cache;
 mod config;
 mod service;
-pub mod shard;
 
 pub use config::ServeConfig;
-pub use service::{Backend, MaintenanceTick, QueryService, ServeStats, Served};
-pub use shard::{
-    partition_videos, CoarseRequest, CoarseResponse, EngineShard, HashPlacement, LocalShard,
-    RerankRequest, RerankResponse, ShardConfig, ShardError, ShardOutage, ShardRouter, ShardStats,
-    ShardedResult,
-};
+pub use service::{QueryService, ServeStats, Served};
 
 /// Errors surfaced by the query service.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,13 +1,13 @@
 //! The query service: admission-controlled worker pool, micro-batch
-//! coalescing, result caching, and background maintenance — over any
-//! [`Backend`]: one engine, or a shard router in front of many.
+//! coalescing, result caching, and background maintenance over one
+//! [`Arc`]-shared [`Lovo`] engine.
 //!
 //! An engine pass — batch window, execution, replies — runs on whichever
 //! thread holds one of the `workers` pass slots: a pool worker, or the
 //! submitting thread itself when it finds the service idle.
 
 use crate::cache::ResultCache;
-use crate::{Result, ServeConfig, ServeError, ShardOutage, ShardedResult};
+use crate::{Result, ServeConfig, ServeError};
 use lovo_core::{Lovo, QueryPlan, QueryResult, QuerySpec};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,81 +15,11 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// What a [`QueryService`] serves: something that compiles specs, stamps
-/// each plan's freshness, and answers a batch of distinct plans. Implemented
-/// by [`Lovo`] (one engine) and [`crate::ShardRouter`] (a sharded fleet).
-pub trait Backend: Send + Sync + 'static {
-    /// Compiles a spec into the plan the service dedupes and caches on.
-    fn plan(&self, spec: &QuerySpec) -> QueryPlan;
-
-    /// The freshness token of `plan`'s answer: it moves whenever anything the
-    /// plan can see changes. A cached answer is served only while the token
-    /// it was stamped with is still current.
-    fn epoch(&self, plan: &QueryPlan) -> u64;
-
-    /// Answers distinct plans, in order. An answer with outages is partial:
-    /// the service serves it but never caches it.
-    fn answer(&self, plans: &[QueryPlan]) -> std::result::Result<Vec<ShardedResult>, String>;
-
-    /// One background maintenance tick (see
-    /// [`ServeConfig::maintenance_interval`]). Does nothing by default.
-    fn maintain(&self) -> MaintenanceTick {
-        MaintenanceTick::default()
-    }
-}
-
-/// What one [`Backend::maintain`] tick did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MaintenanceTick {
-    /// Growing segments sealed.
-    pub seals: u64,
-    /// Sealed segments merged away by compaction.
-    pub segments_merged: u64,
-    /// True when a seal or compaction failed; the service backs off.
-    pub failed: bool,
-}
-
-/// Buffered growing rows below which an engine's maintenance tick does not
-/// seal. Ingest already seals after every batch, so maintenance only mops up
-/// rows from direct database writes; the floor avoids mass-producing tiny
+/// Buffered growing rows below which a maintenance tick does not seal.
+/// Ingest already seals after every batch, so maintenance only mops up rows
+/// from direct database writes; the floor avoids mass-producing tiny
 /// segments that the next compaction would immediately re-merge.
 const MAINTENANCE_SEAL_MIN_ROWS: usize = 256;
-
-impl Backend for Lovo {
-    fn plan(&self, spec: &QuerySpec) -> QueryPlan {
-        Lovo::plan(self, spec)
-    }
-
-    fn epoch(&self, _plan: &QueryPlan) -> u64 {
-        self.ingest_epoch()
-    }
-
-    fn answer(&self, plans: &[QueryPlan]) -> std::result::Result<Vec<ShardedResult>, String> {
-        let results = self.query_plans(plans).map_err(|error| error.to_string())?;
-        Ok(results
-            .into_iter()
-            .map(|result| ShardedResult {
-                result,
-                outages: Vec::new(),
-            })
-            .collect())
-    }
-
-    fn maintain(&self) -> MaintenanceTick {
-        let mut tick = MaintenanceTick::default();
-        if self.collection_stats().growing_rows >= MAINTENANCE_SEAL_MIN_ROWS {
-            match self.seal() {
-                Ok(()) => tick.seals = 1,
-                Err(_) => tick.failed = true,
-            }
-        }
-        match self.compact() {
-            Ok(result) => tick.segments_merged = result.segments_merged as u64,
-            Err(_) => tick.failed = true,
-        }
-        tick
-    }
-}
 
 /// One answered submission.
 #[derive(Debug, Clone)]
@@ -105,10 +35,6 @@ pub struct Served {
     /// nonzero only when micro-batching coalesced concurrent arrivals.
     /// Zero for cache hits and solo executions.
     pub coalesced_with: usize,
-    /// Shards lost while answering (see [`ShardedResult::outages`]); always
-    /// empty for a single engine and for cache hits. A degraded answer is
-    /// served but never cached.
-    pub outages: Vec<ShardOutage>,
 }
 
 /// Point-in-time service counters (all lifetime totals).
@@ -221,8 +147,8 @@ struct QueueState {
 /// contention between unrelated queries.
 const CACHE_SHARDS: usize = 8;
 
-struct Shared<B> {
-    engine: Arc<B>,
+struct Shared {
+    engine: Arc<Lovo>,
     config: ServeConfig,
     state: Mutex<QueueState>,
     work_ready: Condvar,
@@ -230,21 +156,20 @@ struct Shared<B> {
     counters: Counters,
 }
 
-impl<B> Shared<B> {
+impl Shared {
     fn lock_state(&self) -> MutexGuard<'_, QueueState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// A concurrent query front end over an [`Arc`]-shared [`Backend`] — by
-/// default one [`Lovo`] engine.
+/// A concurrent query front end over an [`Arc`]-shared [`Lovo`] engine.
 ///
 /// Submissions go through [`QueryService::submit`]; the service owns its
 /// worker threads (and optionally a maintenance thread) and joins them on
 /// drop, draining any queued submissions first. See the crate docs for the
 /// serving model and a usage example.
-pub struct QueryService<B: Backend = Lovo> {
-    shared: Arc<Shared<B>>,
+pub struct QueryService {
+    shared: Arc<Shared>,
     workers: Vec<std::thread::JoinHandle<()>>,
     maintenance: Option<MaintenanceHandle>,
 }
@@ -254,12 +179,12 @@ struct MaintenanceHandle {
     thread: std::thread::JoinHandle<()>,
 }
 
-impl<B: Backend> QueryService<B> {
+impl QueryService {
     /// Starts the service: spawns the worker pool (and the maintenance
-    /// thread when configured) over the shared backend. Fails on an invalid
+    /// thread when configured) over the shared engine. Fails on an invalid
     /// configuration. To pre-fault an mmap-opened engine's segments before
     /// the first query, call [`Lovo::warmup`] before starting.
-    pub fn start(engine: Arc<B>, config: ServeConfig) -> Result<Self> {
+    pub fn start(engine: Arc<Lovo>, config: ServeConfig) -> Result<Self> {
         config.validate().map_err(ServeError::Engine)?;
         let shared = Arc::new(Shared {
             cache: ResultCache::new(config.cache_capacity, CACHE_SHARDS),
@@ -353,7 +278,7 @@ impl<B: Backend> QueryService<B> {
         let submitted = Instant::now();
         let plan = self.shared.engine.plan(&spec);
         let fingerprint = plan.fingerprint();
-        let epoch = self.shared.engine.epoch(&plan);
+        let epoch = self.shared.engine.ingest_epoch();
         if let Some(mut result) = self.shared.cache.get(fingerprint, &plan, epoch) {
             self.shared
                 .counters
@@ -368,7 +293,6 @@ impl<B: Backend> QueryService<B> {
                 result,
                 cache_hit: true,
                 coalesced_with: 0,
-                outages: Vec::new(),
             });
         }
 
@@ -413,8 +337,8 @@ impl<B: Backend> QueryService<B> {
         response.recv().map_err(|_| ServeError::WorkerLost)?
     }
 
-    /// The backend this service fronts.
-    pub fn engine(&self) -> &Arc<B> {
+    /// The engine this service fronts.
+    pub fn engine(&self) -> &Arc<Lovo> {
         &self.shared.engine
     }
 
@@ -448,7 +372,7 @@ impl<B: Backend> QueryService<B> {
     }
 }
 
-impl<B: Backend> Drop for QueryService<B> {
+impl Drop for QueryService {
     /// Graceful shutdown: stop admitting, let the workers drain every queued
     /// submission, then join all service-owned threads.
     fn drop(&mut self) {
@@ -473,7 +397,7 @@ impl<B: Backend> Drop for QueryService<B> {
 
 /// Worker body: wait for work, assemble a micro-batch, execute, fan out,
 /// until shutdown with an empty queue.
-fn worker_loop<B: Backend>(shared: &Shared<B>) {
+fn worker_loop(shared: &Shared) {
     while let Some(batch) = next_batch(shared) {
         run_pass(shared, batch);
     }
@@ -481,7 +405,7 @@ fn worker_loop<B: Backend>(shared: &Shared<B>) {
 
 /// Executes one closed micro-batch on the calling thread — a worker, or the
 /// submitter leading it — and gives its pass slot back.
-fn run_pass<B: Backend>(shared: &Shared<B>, batch: Vec<Pending>) {
+fn run_pass(shared: &Shared, batch: Vec<Pending>) {
     // A panicking engine pass must not kill the thread it runs on: the pool
     // is fixed-size, so a dead worker would (once all are dead) leave queued
     // waiters blocked forever, and a submitter must get its typed error.
@@ -518,7 +442,7 @@ const WINDOW_POLL: Duration = Duration::from_millis(1);
 /// slot and returns the micro-batch that submission opens. Returns `None` on
 /// shutdown once the queue is empty — queued submissions are always drained
 /// before workers exit.
-fn next_batch<B>(shared: &Shared<B>) -> Option<Vec<Pending>> {
+fn next_batch(shared: &Shared) -> Option<Vec<Pending>> {
     let mut state = shared.lock_state();
     loop {
         if state.passes < shared.config.workers {
@@ -540,8 +464,8 @@ fn next_batch<B>(shared: &Shared<B>) -> Option<Vec<Pending>> {
 /// Keeps the batch `first` opens open for the configured window (or until
 /// `max_batch`) so concurrent arrivals coalesce, and stamps each member's
 /// wait as the batch closes. The caller holds a pass slot.
-fn close_batch<'a, B>(
-    shared: &'a Shared<B>,
+fn close_batch<'a>(
+    shared: &'a Shared,
     mut state: MutexGuard<'a, QueueState>,
     first: Pending,
 ) -> Vec<Pending> {
@@ -588,10 +512,9 @@ fn close_batch<'a, B>(
 }
 
 /// Executes one micro-batch: dedupes plans with the same answer, re-checks
-/// the cache, runs the distinct remainder as one backend pass, caches every
-/// complete answer, and replies to every waiter with its own wait time
-/// stamped in.
-fn execute_batch<B: Backend>(shared: &Shared<B>, batch: Vec<Pending>) {
+/// the cache, runs the distinct remainder as one engine pass, caches every
+/// answer, and replies to every waiter with its own wait time stamped in.
+fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
     // Group submissions by the plan identity the cache keys on; each group
     // executes (or hits) once. Each group carries its exemplar plan alongside
     // the member list so the later stages never index into it.
@@ -610,20 +533,20 @@ fn execute_batch<B: Backend>(shared: &Shared<B>, batch: Vec<Pending>) {
 
     // Re-check the cache per group: another worker (or an earlier batch of
     // this one) may have filled the entry while we waited in the window.
-    // Each group's epoch is read BEFORE the backend runs: a mutation that
+    // Each group's epoch is read BEFORE the engine runs: a mutation that
     // lands mid-pass moves the live epoch past this stamp, so the entry
     // filled below is already stale for later lookups — conservative, never
     // wrong.
     let mut run: Vec<(u64, QueryPlan, u64, Vec<Pending>)> = Vec::new();
     for (fingerprint, plan, members) in groups {
-        let epoch = shared.engine.epoch(&plan);
+        let epoch = shared.engine.ingest_epoch();
         match shared.cache.get(fingerprint, &plan, epoch) {
             Some(result) => {
                 shared
                     .counters
                     .cache_hits
                     .fetch_add(members.len() as u64, Ordering::Relaxed);
-                reply_all(members, &result, &[], true, 0);
+                reply_all(members, &result, true, 0);
             }
             None => run.push((fingerprint, plan, epoch, members)),
         }
@@ -641,7 +564,7 @@ fn execute_batch<B: Backend>(shared: &Shared<B>, batch: Vec<Pending>) {
         .counters
         .engine_queries
         .fetch_add(plans.len() as u64, Ordering::Relaxed);
-    // Only submissions the backend pass actually answers count as coalesced —
+    // Only submissions the engine pass actually answers count as coalesced —
     // group members peeled off by the cache re-check above do not.
     let executed: usize = run.iter().map(|(_, _, _, members)| members.len()).sum();
     if executed > 1 {
@@ -651,26 +574,15 @@ fn execute_batch<B: Backend>(shared: &Shared<B>, batch: Vec<Pending>) {
             .fetch_add(executed as u64, Ordering::Relaxed);
     }
 
-    match shared.engine.answer(&plans) {
+    match shared.engine.query_plans(&plans) {
         Ok(answers) => {
             for ((fingerprint, plan, epoch, members), answer) in run.into_iter().zip(answers) {
-                // A degraded answer is partial: serving it from the cache
-                // after the lost shard recovers would be a lie.
-                if answer.outages.is_empty() {
-                    shared
-                        .cache
-                        .put(fingerprint, &plan, epoch, answer.result.clone());
-                }
-                reply_all(
-                    members,
-                    &answer.result,
-                    &answer.outages,
-                    false,
-                    executed - 1,
-                );
+                shared.cache.put(fingerprint, &plan, epoch, answer.clone());
+                reply_all(members, &answer, false, executed - 1);
             }
         }
-        Err(message) => {
+        Err(error) => {
+            let message = error.to_string();
             for (_, _, _, members) in run {
                 for pending in members {
                     let _ = pending.reply.send(Err(ServeError::Engine(message.clone())));
@@ -682,13 +594,7 @@ fn execute_batch<B: Backend>(shared: &Shared<B>, batch: Vec<Pending>) {
 
 /// Sends one group's shared result to every waiter, stamping each copy with
 /// that submission's own queue + batch-window wait (stamped in `close_batch`).
-fn reply_all(
-    members: Vec<Pending>,
-    result: &QueryResult,
-    outages: &[ShardOutage],
-    cache_hit: bool,
-    coalesced_with: usize,
-) {
+fn reply_all(members: Vec<Pending>, result: &QueryResult, cache_hit: bool, coalesced_with: usize) {
     for pending in members {
         let mut copy = result.clone();
         copy.timings.queue_seconds = pending.queue_seconds;
@@ -697,7 +603,6 @@ fn reply_all(
             result: copy,
             cache_hit,
             coalesced_with,
-            outages: outages.to_vec(),
         }));
     }
 }
@@ -705,13 +610,9 @@ fn reply_all(
 /// Longest maintenance backoff, as a multiple of the configured interval.
 const MAINTENANCE_BACKOFF_CAP: u32 = 32;
 
-/// Maintenance body: one [`Backend::maintain`] call per tick, off the query
-/// path, backing off while ticks fail.
-fn maintenance_loop<B: Backend>(
-    shared: &Shared<B>,
-    stop: &(Mutex<bool>, Condvar),
-    interval: Duration,
-) {
+/// Maintenance body: one [`maintain`] call per tick, off the query path,
+/// backing off while ticks fail.
+fn maintenance_loop(shared: &Shared, stop: &(Mutex<bool>, Condvar), interval: Duration) {
     let (flag, signal) = stop;
     let mut stopped = flag.lock().unwrap_or_else(PoisonError::into_inner);
     // Backoff multiplier applied to the wait interval. Doubles (capped) after
@@ -730,24 +631,44 @@ fn maintenance_loop<B: Backend>(
         if *stopped {
             return;
         }
-        let counters = &shared.counters;
-        counters.maintenance_ticks.fetch_add(1, Ordering::Relaxed);
-        let tick = shared.engine.maintain();
-        counters
-            .maintenance_seals
-            .fetch_add(tick.seals, Ordering::Relaxed);
-        counters
-            .maintenance_segments_merged
-            .fetch_add(tick.segments_merged, Ordering::Relaxed);
-        if tick.failed {
-            counters
-                .maintenance_io_errors
-                .fetch_add(1, Ordering::Relaxed);
-            backoff = (backoff.saturating_mul(2)).min(MAINTENANCE_BACKOFF_CAP);
+        backoff = if maintain(shared) {
+            (backoff.saturating_mul(2)).min(MAINTENANCE_BACKOFF_CAP)
         } else {
-            backoff = 1;
+            1
+        };
+    }
+}
+
+/// One maintenance tick: seals the growing rows once there are
+/// [`MAINTENANCE_SEAL_MIN_ROWS`] of them, then compacts undersized sealed
+/// segments, and counts what it did. Returns true when a seal or compaction
+/// failed.
+fn maintain(shared: &Shared) -> bool {
+    let (engine, counters) = (&shared.engine, &shared.counters);
+    counters.maintenance_ticks.fetch_add(1, Ordering::Relaxed);
+    let mut failed = false;
+    if engine.collection_stats().growing_rows >= MAINTENANCE_SEAL_MIN_ROWS {
+        match engine.seal() {
+            Ok(()) => {
+                counters.maintenance_seals.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(_) => failed = true,
         }
     }
+    match engine.compact() {
+        Ok(result) => {
+            counters
+                .maintenance_segments_merged
+                .fetch_add(result.segments_merged as u64, Ordering::Relaxed);
+        }
+        Err(_) => failed = true,
+    }
+    if failed {
+        counters
+            .maintenance_io_errors
+            .fetch_add(1, Ordering::Relaxed);
+    }
+    failed
 }
 
 #[cfg(test)]

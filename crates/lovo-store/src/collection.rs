@@ -252,23 +252,6 @@ impl SegmentedCollection {
         self.growing.len()
     }
 
-    /// Inclusive id range covered by the whole collection — every sealed
-    /// segment's zone map folded together with the growing segment's.
-    /// `None` while the collection is empty. A routing layer reads this as
-    /// a zone map one level up: a query whose id predicate cannot intersect
-    /// the range cannot match anything stored here.
-    pub fn id_range(&self) -> Option<(VectorId, VectorId)> {
-        self.sealed
-            .iter()
-            .map(Segment::zone_map)
-            .chain(std::iter::once(self.growing.zone_map()))
-            .flatten()
-            .fold(None, |acc: Option<(VectorId, VectorId)>, zone| match acc {
-                Some((min, max)) => Some((min.min(zone.min_id), max.max(zone.max_id))),
-                None => Some((zone.min_id, zone.max_id)),
-            })
-    }
-
     /// Next segment id this collection will allocate (persisted in the
     /// manifest so recovery resumes the sequence without collisions).
     pub fn next_segment_id(&self) -> u64 {

@@ -15,7 +15,6 @@ use crate::collection::{
 use crate::durability::wal::WalRecord;
 use crate::durability::{points, DurabilityConfig, DurableStore, OpenOptions, RecoveryReport};
 use crate::metadata::{MetadataStore, PatchPredicate, PatchRecord};
-use crate::patchid;
 use crate::segment::Segment;
 use crate::{Result, StoreError};
 use lovo_index::{SearchResult, SearchStats};
@@ -532,20 +531,6 @@ impl VectorDatabase {
         Ok(col.stats())
     }
 
-    /// Inclusive video-id range covered by the named collection's stored
-    /// patch ids — the per-segment zone maps folded up to collection level
-    /// and projected onto the video half of the packed patch id. `None` when
-    /// the collection is empty or unknown. Shard routers use this as a zone
-    /// map one level up: a shard whose range cannot intersect a plan's video
-    /// predicate is pruned without touching its segments.
-    pub fn collection_video_range(&self, collection: &str) -> Option<(u32, u32)> {
-        let collections = self.collections.read();
-        let (min_id, max_id) = collections.get(collection)?.id_range()?;
-        let (min_video, _, _) = patchid::split_patch_id(min_id);
-        let (max_video, _, _) = patchid::split_patch_id(max_id);
-        Some((min_video, max_video))
-    }
-
     /// Embedding dimensionality of a collection, or `None` if it does not
     /// exist. Engine recovery checks this against its encoder configuration
     /// before serving a reopened store built under a different config.
@@ -578,6 +563,7 @@ impl VectorDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::patchid;
     use lovo_index::IndexKind;
 
     fn record(patch_id: u64, video: u32, frame: u32) -> PatchRecord {

@@ -56,11 +56,6 @@ pub mod points {
     /// advisory: a failure is recorded and ignored — correctness never
     /// depends on the kernel honouring the hint.
     pub const SEGMENT_MADVISE: &str = "segment.madvise";
-    /// One shard's coarse-search leg inside the shard router's scatter-gather
-    /// (not an I/O point — the serving layer reuses the same deterministic
-    /// plan machinery). Firing it kills that shard's response mid-gather, so
-    /// chaos tests can prove the router degrades instead of hanging.
-    pub const SHARD_GATHER: &str = "shard.gather";
 }
 
 /// What happens when an armed fault fires.

@@ -5,10 +5,13 @@
 //! segments quarantine identically, compaction releases mappings before it
 //! deletes the files they map.
 //!
-//! The equivalence holds by construction — both paths feed the same decoded
-//! rows through `Segment::restore_sealed`, which replays the exact heap
-//! insert + build sequence — and these tests pin that construction against
-//! regressions (a stray re-normalization, a lossy copy, an alignment slip).
+//! The equivalence holds by construction — both paths hand the same
+//! recovered rows (decoded onto the heap, or mapped) to
+//! `Segment::restore_sealed`, which makes them the segment's buffer and calls
+//! `Segment::seal`; seal builds the index from those rows through
+//! `create_segment_index_from_rows`, the one constructor every sealed index
+//! goes through — and these tests pin that construction against regressions
+//! (a stray re-normalization, a lossy copy, an alignment slip).
 
 use lovo_index::{IndexKind, SearchStats, MIN_TRAINED_SEGMENT_ROWS};
 use lovo_store::durability::{points, FaultAction, FaultPlan};

@@ -7,11 +7,8 @@
 //! answered from a pre-ingest cache entry once the ingest has committed.
 
 use lovo::core::{Lovo, LovoConfig, QuerySpec};
-use lovo::serve::{
-    partition_videos, HashPlacement, LocalShard, QueryService, ServeConfig, ServeError,
-    ShardConfig, ShardRouter,
-};
-use lovo::video::{DatasetConfig, DatasetKind, QueryPredicate, VideoCollection};
+use lovo::serve::{QueryService, ServeConfig, ServeError};
+use lovo::video::{DatasetConfig, DatasetKind, VideoCollection};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -28,16 +25,13 @@ fn collection(frames: usize, seed: u64, id_offset: u32) -> VideoCollection {
     videos
 }
 
-/// Ingest epochs in the per-shard vector form the shard router exposes
-/// (`ShardRouter::epochs`). A standalone engine is the one-shard case; the
-/// freshness assertions below are written against the vector so they state
-/// the invariant that actually generalizes: entry `s` moves exactly when
-/// shard `s`'s collection changes.
+/// The engine's ingest epoch, as a one-entry list the freshness assertions
+/// below compare snapshots of.
 fn engine_epochs(engine: &Lovo) -> Vec<u64> {
     vec![engine.ingest_epoch()]
 }
 
-/// True when any shard's epoch advanced past its `before` counterpart.
+/// True when any epoch advanced past its `before` counterpart.
 fn any_epoch_advanced(before: &[u64], now: &[u64]) -> bool {
     before.iter().zip(now).any(|(b, n)| n > b)
 }
@@ -115,7 +109,7 @@ fn sixteen_threads_hammering_during_concurrent_ingest() {
                         if served.cache_hit {
                             assert!(
                                 any_epoch_advanced(epochs_before, &epochs_seen),
-                                "cache hit served although no shard's epoch ever moved?"
+                                "cache hit served although the epoch never moved?"
                             );
                         }
                     }
@@ -126,7 +120,7 @@ fn sixteen_threads_hammering_during_concurrent_ingest() {
 
     assert!(
         any_epoch_advanced(&epochs_before, &engine_epochs(&engine)),
-        "ingest must bump the ingesting shard's epoch"
+        "ingest must bump the engine's epoch"
     );
     assert!(
         post_ingest_submissions.load(Ordering::Relaxed) > 0,
@@ -147,7 +141,23 @@ fn sixteen_threads_hammering_during_concurrent_ingest() {
 
     // Deterministic tail check: with the collection now quiescent, the first
     // submission of a fresh text computes, the second hits, and both see the
-    // appended videos' footage searchable.
+    // appended videos' footage searchable. Quiescent means maintenance has
+    // nothing left to compact: a compaction of the appended segments bumps
+    // the epoch, and one landing between the two submissions rightly makes
+    // the second miss. A tick that starts after the snapshot below has ended
+    // once the next one starts (ticks run one after another on one thread);
+    // when it merged nothing, the collection is compacted.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let before = service.stats();
+        while service.stats().maintenance_ticks < before.maintenance_ticks + 2 {
+            assert!(Instant::now() < deadline, "maintenance stopped ticking");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        if service.stats().maintenance_segments_merged == before.maintenance_segments_merged {
+            break;
+        }
+    }
     let fresh = QuerySpec::new("a red car side by side with another car");
     let computed = service.submit(fresh.clone()).expect("submit");
     assert!(!computed.cache_hit);
@@ -412,166 +422,4 @@ fn served_stage_timings_fit_inside_the_callers_wall_clock() {
         "stages sum to {:.6}s but submit took {wall_seconds:.6}s: {timings:?}",
         timings.total_seconds()
     );
-}
-
-/// Two shard engines over a four-video Bellevue collection, a router over
-/// them, and a `QueryService` serving that router. Maintenance is off: a
-/// background compaction would move an epoch between a test's assertions.
-struct TwoShardService {
-    videos: VideoCollection,
-    placement: HashPlacement,
-    engines: Vec<Arc<Lovo>>,
-    router: Arc<ShardRouter>,
-    service: QueryService<ShardRouter>,
-}
-
-impl TwoShardService {
-    fn start(seed: u64) -> Self {
-        let videos = VideoCollection::generate(
-            DatasetConfig::for_kind(DatasetKind::Bellevue)
-                .with_num_videos(4)
-                .with_frames_per_video(60)
-                .with_seed(seed),
-        );
-        let config = LovoConfig::default();
-        let placement = HashPlacement::new(2);
-        let engines: Vec<Arc<Lovo>> = partition_videos(&videos, placement)
-            .iter()
-            .map(|part| Arc::new(Lovo::build(part, config).expect("build shard engine")))
-            .collect();
-        assert_eq!(engines.len(), 2, "two shard engines expected");
-        let shards: Vec<Arc<dyn lovo::serve::EngineShard>> = engines
-            .iter()
-            .map(|engine| {
-                Arc::new(LocalShard::new(Arc::clone(engine))) as Arc<dyn lovo::serve::EngineShard>
-            })
-            .collect();
-        let router = Arc::new(
-            ShardRouter::new(shards, placement, config, ShardConfig::default())
-                .expect("build router"),
-        );
-        let service = QueryService::start(
-            Arc::clone(&router),
-            ServeConfig::default().with_maintenance_interval(None),
-        )
-        .expect("start service");
-        Self {
-            videos,
-            placement,
-            engines,
-            router,
-            service,
-        }
-    }
-
-    /// Submits through the service and returns whether it hit the cache. A
-    /// hit must not reach any shard, a miss must, and either way the answer
-    /// is the router's direct answer.
-    fn submit(&self, spec: &QuerySpec) -> bool {
-        let before = self.router.stats().coarse_requests;
-        let served = self.service.submit(spec.clone()).expect("submit");
-        let scattered = self.router.stats().coarse_requests - before;
-        assert!(served.outages.is_empty());
-        assert_eq!(served.cache_hit, scattered == 0, "{scattered} coarse legs");
-        let direct = self.router.query_spec(spec).expect("direct query");
-        assert_eq!(served.result.frames, direct.result.frames);
-        served.cache_hit
-    }
-
-    /// Ingests eight fresh videos into shard 0 only — respecting the
-    /// placement, so the router's ownership map stays truthful.
-    fn ingest_into_shard0(&self, seed: u64, id_offset: u32) {
-        let mut fresh = VideoCollection::generate(
-            DatasetConfig::for_kind(DatasetKind::Bellevue)
-                .with_num_videos(8)
-                .with_frames_per_video(45)
-                .with_seed(seed),
-        );
-        for video in &mut fresh.videos {
-            video.id += id_offset;
-        }
-        let batch = partition_videos(&fresh, self.placement).swap_remove(0);
-        assert!(
-            !batch.videos.is_empty(),
-            "batch must place videos on shard 0"
-        );
-        self.engines[0]
-            .add_videos(&batch)
-            .expect("ingest into shard 0");
-    }
-}
-
-#[test]
-fn sharded_epochs_and_caches_move_per_shard() {
-    // The per-shard generalization of the freshness invariant above: a
-    // `QueryService` serves a two-shard router the way it serves an engine.
-    // Ingesting into shard 0 moves exactly that shard's entry in
-    // `ShardRouter::epochs` and stales exactly the plans that target it: a
-    // plan scoped to shard 1 keeps answering from the cache across the
-    // ingest.
-    let fleet = TwoShardService::start(21);
-    let unfiltered = QuerySpec::new("a car on the road");
-    let shard1_video = fleet
-        .videos
-        .videos
-        .iter()
-        .map(|video| video.id)
-        .find(|&id| fleet.placement.shard_of(id) == 1)
-        .expect("shard 1 holds at least one video");
-    let scoped = QuerySpec::new("a bus driving on the road")
-        .with_predicate(QueryPredicate::videos([shard1_video]));
-    assert!(!fleet.submit(&unfiltered));
-    assert!(
-        fleet.submit(&unfiltered),
-        "repeat should hit the service cache"
-    );
-    assert!(!fleet.submit(&scoped));
-    assert!(fleet.submit(&scoped), "repeat should hit the service cache");
-
-    let epochs_before = fleet.router.epochs();
-    assert_eq!(epochs_before.len(), 2);
-    fleet.ingest_into_shard0(77, 1000);
-    let epochs_after = fleet.router.epochs();
-    assert!(
-        epochs_after[0] > epochs_before[0],
-        "ingesting shard's epoch must advance: {epochs_before:?} -> {epochs_after:?}"
-    );
-    assert_eq!(
-        epochs_after[1], epochs_before[1],
-        "idle shard's epoch must not move: {epochs_before:?} -> {epochs_after:?}"
-    );
-
-    // The unfiltered plan sees shard 0: stale, recomputed, then cached
-    // again. The scoped plan sees only shard 1: still fresh.
-    assert!(
-        !fleet.submit(&unfiltered),
-        "shard 0 moved under the unfiltered plan"
-    );
-    assert!(fleet.submit(&unfiltered));
-    assert!(
-        fleet.submit(&scoped),
-        "shard 1 did not move under the scoped plan"
-    );
-}
-
-#[test]
-fn sharded_result_cache_serves_repeats_until_a_shard_ingests() {
-    // The service's result cache in front of a router: a repeat plan over
-    // unchanged shards is answered without any scatter, and an ingest into
-    // a shard the plan targets forces a recompute.
-    let fleet = TwoShardService::start(33);
-    let spec = QuerySpec::new("a bus driving on the road");
-    assert!(!fleet.submit(&spec));
-    assert!(fleet.submit(&spec), "repeat should skip the scatter");
-    assert_eq!(fleet.service.stats().cache_hits, 1);
-
-    fleet.ingest_into_shard0(91, 2000);
-    assert!(
-        !fleet.submit(&spec),
-        "shard 0's epoch moved — the cached result must not be served"
-    );
-    let stats = fleet.service.stats();
-    assert_eq!(stats.cache_hits, 1);
-    assert_eq!(stats.cache_stale_evictions, 1);
-    assert_eq!(stats.engine_queries, 2);
 }
