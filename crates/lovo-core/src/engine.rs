@@ -207,7 +207,7 @@ impl Lovo {
 
     /// The engine over an already-populated database: the query-time models
     /// are built from `config`, everything else is handed in.
-    fn assemble(
+    pub(crate) fn assemble(
         config: LovoConfig,
         summarizer: VideoSummarizer,
         database: VectorDatabase,
@@ -314,15 +314,18 @@ impl Lovo {
     /// Incrementally ingests a new batch of videos: encodes only the new
     /// footage, appends its patches to the vector collection's growing
     /// segment(s), and seals — existing sealed segments are never rebuilt, so
-    /// append cost is proportional to the batch, not the collection. Returns
-    /// this run's statistics; [`Lovo::ingest_stats`] keeps the running total.
+    /// append cost is proportional to the batch, not the collection. The
+    /// batch streams through encode and insert in fixed chunks of key
+    /// frames, so its transient memory is one chunk's patch encodings
+    /// however long its videos are. Returns this run's statistics;
+    /// [`Lovo::ingest_stats`] keeps the running total.
     ///
     /// Safe to call concurrently with queries (and with other appends —
     /// batches land in the shared growing segment in arrival order). The
-    /// batch's key frames are published, under one short write lock after
-    /// encoding, before the first of its vectors becomes searchable: a
-    /// racing query that finds a frame's patches also finds the frame to
-    /// rerank. Every insert and seal moves the ingest epoch, so an
+    /// batch's key frames are published, under one short write lock right
+    /// after key-frame selection, before the first of its vectors becomes
+    /// searchable: a racing query that finds a frame's patches also finds
+    /// the frame to rerank. Every insert and seal moves the ingest epoch, so an
     /// epoch-keyed result cache never serves an answer computed before the
     /// batch landed.
     pub fn add_videos(&self, videos: &VideoCollection) -> Result<IngestStats> {

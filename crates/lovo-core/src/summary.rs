@@ -10,10 +10,16 @@
 //! collection with a globally unique patch id, and its metadata row (video,
 //! frame, patch index, box, timestamp) goes to the relational store in the
 //! same per-frame batch, so the database write lock is taken once per frame
-//! rather than once per patch. Encoding is spread over a scoped thread pool
-//! sized by [`crate::LovoConfig::ingest_workers`]; the output is
-//! deterministic regardless of thread count because patch ids are assigned
-//! from the frame's position, not from completion order.
+//! rather than once per patch.
+//!
+//! Ingest streams: the selected key frames are encoded and inserted in
+//! fixed chunks, and a chunk's patch encodings are dropped before the next
+//! chunk is encoded, so a batch holds one chunk of encodings at a time
+//! however long its videos are. Encoding within a chunk is spread over a
+//! scoped thread pool sized by [`crate::LovoConfig::ingest_workers`]. The
+//! output is deterministic regardless of thread count and chunk size: patch
+//! ids are assigned from the frame's position, not from completion order,
+//! and rows reach the store in frame order either way.
 
 use crate::config::LovoConfig;
 use crate::{LovoError, Result};
@@ -24,7 +30,7 @@ use lovo_video::{Frame, VideoCollection};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Name of the vector collection LOVO stores patch embeddings in.
 pub const PATCH_COLLECTION: &str = "lovo_patches";
@@ -34,6 +40,10 @@ pub const PATCH_COLLECTION: &str = "lovo_patches";
 // tests and zone-map pruning. Re-exported here because the engine assigns
 // the ids and long-standing callers import them from this module.
 pub use lovo_store::patchid::{patch_id, split_patch_id, MAX_PATCH_INDEX, MAX_VIDEO_ID};
+
+/// Key frames each ingest worker encodes per chunk. A batch holds the patch
+/// encodings of one chunk (`workers` × this many key frames) at a time.
+const KEY_FRAMES_PER_WORKER_CHUNK: usize = 32;
 
 /// Statistics of one ingestion run. [`IngestStats::accumulate`] folds the
 /// per-run statistics of incremental appends into a lifetime total.
@@ -47,9 +57,11 @@ pub struct IngestStats {
     pub patches_indexed: usize,
     /// Wall-clock seconds spent extracting key frames.
     pub keyframe_seconds: f64,
-    /// Wall-clock seconds spent encoding frames (visual encoder).
+    /// Wall-clock seconds spent encoding frames (visual encoder), summed
+    /// over the run's chunks.
     pub encoding_seconds: f64,
-    /// Wall-clock seconds spent inserting + sealing segments.
+    /// Wall-clock seconds spent inserting + sealing segments, summed over
+    /// the run's chunks.
     pub indexing_seconds: f64,
     /// Storage segments sealed by this run.
     pub segments_sealed: usize,
@@ -138,17 +150,33 @@ impl VideoSummarizer {
 
     /// Appends one batch of videos to `database`, extending `keyframes` with
     /// the batch's retained key frames. The key frames are published — under
-    /// one short write lock, after encoding — before the first of their
-    /// vectors is inserted, so a racing query that finds a frame's patches
-    /// also finds the frame to rerank. The appended rows land in the
-    /// collection's growing segment(s) and are sealed at the end of the run;
-    /// segments sealed by earlier runs are never rebuilt, which is what makes
-    /// incremental ingest cost proportional to the batch.
+    /// one short write lock, right after selection — before the first of
+    /// their vectors is inserted, so a racing query that finds a frame's
+    /// patches also finds the frame to rerank. The key frames are then
+    /// encoded and inserted chunk by chunk (see the module docs), so the
+    /// run holds one chunk of patch encodings, never the batch's. The
+    /// appended rows land in the collection's growing segment(s) and are
+    /// sealed at the end of the run; segments sealed by earlier runs are
+    /// never rebuilt, which is what makes incremental ingest cost
+    /// proportional to the batch.
     pub fn ingest_into(
         &self,
         videos: &VideoCollection,
         database: &VectorDatabase,
         keyframes: &RwLock<KeyframeMap>,
+    ) -> Result<IngestStats> {
+        let chunk_frames = self.workers.max(1) * KEY_FRAMES_PER_WORKER_CHUNK;
+        self.ingest_chunked(videos, database, keyframes, chunk_frames)
+    }
+
+    /// [`VideoSummarizer::ingest_into`] over chunks of `chunk_frames` key
+    /// frames (`usize::MAX` encodes the whole batch before inserting).
+    fn ingest_chunked(
+        &self,
+        videos: &VideoCollection,
+        database: &VectorDatabase,
+        keyframes: &RwLock<KeyframeMap>,
+        chunk_frames: usize,
     ) -> Result<IngestStats> {
         for video in &videos.videos {
             if video.id > MAX_VIDEO_ID {
@@ -174,13 +202,8 @@ impl VideoSummarizer {
         }
         stats.key_frames = selected.len();
         stats.keyframe_seconds = keyframe_start.elapsed().as_secs_f64();
-
-        // --- visual encoding (§IV-B, §IV-C) ---
-        let encode_start = Instant::now();
-        let encodings = self.encode_parallel(&selected)?;
-        stats.encoding_seconds = encode_start.elapsed().as_secs_f64();
-        // If an insert below fails, key frames without vectors stay
-        // published: harmless, as no lookup names them.
+        // If encoding or an insert below fails, key frames without vectors
+        // stay published: harmless, as no lookup names them.
         keyframes.write().extend(
             selected
                 .iter()
@@ -188,6 +211,7 @@ impl VideoSummarizer {
         );
 
         // --- vector collection + metadata construction (§IV-D, §V-B) ---
+        let mut encoding_time = Duration::ZERO;
         let index_start = Instant::now();
         if !database.has_collection(PATCH_COLLECTION) {
             database.create_collection(
@@ -203,54 +227,62 @@ impl VideoSummarizer {
             .unwrap_or((0, 0));
 
         let durable = database.is_durable();
-        let mut frame_batch: Vec<(&[f32], PatchRecord)> = Vec::new();
-        for ((video_id, frame), encoding) in selected.iter().zip(encodings.iter()) {
-            frame_batch.clear();
-            for patch in &encoding.patches {
-                if patch.objectness < self.min_objectness {
+        for chunk in selected.chunks(chunk_frames.max(1)) {
+            // --- visual encoding (§IV-B, §IV-C), one chunk at a time ---
+            let encode_start = Instant::now();
+            let encodings = self.encode_parallel(chunk)?;
+            encoding_time += encode_start.elapsed();
+            let mut frame_batch: Vec<(&[f32], PatchRecord)> = Vec::new();
+            for ((video_id, frame), encoding) in chunk.iter().zip(encodings.iter()) {
+                frame_batch.clear();
+                for patch in &encoding.patches {
+                    if patch.objectness < self.min_objectness {
+                        continue;
+                    }
+                    if patch.patch_index > MAX_PATCH_INDEX {
+                        return Err(LovoError::InvalidState(format!(
+                            "patch index {} exceeds the patch-id packing limit {MAX_PATCH_INDEX}",
+                            patch.patch_index
+                        )));
+                    }
+                    let patch_id = patch_id(*video_id, frame.index as u32, patch.patch_index);
+                    let record = PatchRecord {
+                        patch_id,
+                        video_id: *video_id,
+                        frame_index: frame.index as u32,
+                        patch_index: patch.patch_index,
+                        bbox: (
+                            patch.predicted_box.x,
+                            patch.predicted_box.y,
+                            patch.predicted_box.w,
+                            patch.predicted_box.h,
+                        ),
+                        timestamp: frame.timestamp,
+                        class_code: patch.dominant_class.map(|class| class.code() as u8),
+                    };
+                    frame_batch.push((patch.class_embedding.as_slice(), record));
+                }
+                if frame_batch.is_empty() {
                     continue;
                 }
-                if patch.patch_index > MAX_PATCH_INDEX {
-                    return Err(LovoError::InvalidState(format!(
-                        "patch index {} exceeds the patch-id packing limit {MAX_PATCH_INDEX}",
-                        patch.patch_index
-                    )));
-                }
-                let patch_id = patch_id(*video_id, frame.index as u32, patch.patch_index);
-                let record = PatchRecord {
-                    patch_id,
-                    video_id: *video_id,
-                    frame_index: frame.index as u32,
-                    patch_index: patch.patch_index,
-                    bbox: (
-                        patch.predicted_box.x,
-                        patch.predicted_box.y,
-                        patch.predicted_box.w,
-                        patch.predicted_box.h,
-                    ),
-                    timestamp: frame.timestamp,
-                    class_code: patch.dominant_class.map(|class| class.code() as u8),
+                stats.patches_indexed += if durable {
+                    // Log the serialized key frame in the same WAL record as
+                    // its patch rows: after a crash, `Lovo::open` rebuilds the
+                    // rerank frame map from these blobs instead of
+                    // re-ingesting footage.
+                    let frame_key = (u64::from(*video_id) << 32) | (frame.index as u32 as u64);
+                    let blob = lovo_video::wire::encode_frame(frame);
+                    database.insert_patches_with_aux(
+                        PATCH_COLLECTION,
+                        frame_batch.drain(..),
+                        vec![(frame_key, blob)],
+                    )?
+                } else {
+                    database.insert_patches(PATCH_COLLECTION, frame_batch.drain(..))?
                 };
-                frame_batch.push((patch.class_embedding.as_slice(), record));
             }
-            if frame_batch.is_empty() {
-                continue;
-            }
-            stats.patches_indexed += if durable {
-                // Log the serialized key frame in the same WAL record as its
-                // patch rows: after a crash, `Lovo::open` rebuilds the rerank
-                // frame map from these blobs instead of re-ingesting footage.
-                let frame_key = (u64::from(*video_id) << 32) | (frame.index as u32 as u64);
-                let blob = lovo_video::wire::encode_frame(frame);
-                database.insert_patches_with_aux(
-                    PATCH_COLLECTION,
-                    frame_batch.drain(..),
-                    vec![(frame_key, blob)],
-                )?
-            } else {
-                database.insert_patches(PATCH_COLLECTION, frame_batch.drain(..))?
-            };
         }
+        stats.encoding_seconds = encoding_time.as_secs_f64();
         if stats.patches_indexed == 0 {
             if videos.videos.is_empty() {
                 // An empty batch is legal: an engine built over no videos
@@ -273,7 +305,10 @@ impl VideoSummarizer {
             .unwrap_or((0, 0));
         stats.segments_sealed = segments_after.0.saturating_sub(segments_before.0);
         stats.index_builds = segments_after.1.saturating_sub(segments_before.1);
-        stats.indexing_seconds = index_start.elapsed().as_secs_f64();
+        stats.indexing_seconds = index_start
+            .elapsed()
+            .saturating_sub(encoding_time)
+            .as_secs_f64();
 
         Ok(stats)
     }
@@ -469,6 +504,79 @@ mod tests {
         // Same frames, same patches, regardless of thread count.
         assert_eq!(serial_stats.key_frames, parallel_stats.key_frames);
         assert_eq!(serial_stats.patches_indexed, parallel_stats.patches_indexed);
+    }
+
+    #[test]
+    fn chunk_size_and_worker_count_cannot_change_the_ingest() {
+        use crate::engine::Lovo;
+        use crate::planner::QuerySpec;
+        use lovo_video::{ObjectClass, QueryPredicate};
+
+        let videos = small_collection();
+        let specs = [
+            QuerySpec::new("a red car driving in the center of the road"),
+            QuerySpec::new("a bus on the road").with_predicate(QueryPredicate::videos([1])),
+            QuerySpec::new("a person walking")
+                .with_predicate(QueryPredicate::class(ObjectClass::Person)),
+        ];
+        let mut runs = Vec::new();
+        for workers in [1, 3] {
+            for chunk_frames in [1, 7, usize::MAX] {
+                // A small segment capacity makes the batch seal mid-run, so
+                // seal points are part of what must not move.
+                let config = LovoConfig::default()
+                    .with_ingest_workers(workers)
+                    .with_segment_capacity(300);
+                let summarizer = VideoSummarizer::new(&config).unwrap();
+                let db = VectorDatabase::new();
+                let keyframes = RwLock::new(KeyframeMap::new());
+                let stats = summarizer
+                    .ingest_chunked(&videos, &db, &keyframes, chunk_frames)
+                    .unwrap();
+                let collection = db.collection_stats(PATCH_COLLECTION).unwrap();
+                assert!(collection.sealed_segments > 1, "{collection:?}");
+                let keyframes = keyframes.into_inner();
+                let mut frames: Vec<(u32, u32)> = keyframes.keys().copied().collect();
+                frames.sort_unstable();
+                let rows: Vec<PatchRecord> = frames
+                    .iter()
+                    .flat_map(|&(video, frame)| db.frame_patches(video, frame))
+                    .collect();
+                assert_eq!(rows.len(), db.metadata_rows());
+                let ingested = db.video_ids().into_iter().collect();
+                let lovo =
+                    Lovo::assemble(config, summarizer, db, keyframes.clone(), stats, ingested)
+                        .unwrap();
+                let answers: Vec<_> = specs
+                    .iter()
+                    .map(|spec| {
+                        let result = lovo.query_spec(spec).unwrap();
+                        (
+                            result.frames,
+                            result.fast_search_candidates,
+                            result.search_stats,
+                        )
+                    })
+                    .collect();
+                let counts = (
+                    stats.key_frames,
+                    stats.patches_indexed,
+                    stats.segments_sealed,
+                );
+                runs.push((
+                    (workers, chunk_frames),
+                    (rows, keyframes, collection, answers, counts),
+                ));
+            }
+        }
+        let (_, reference) = &runs[0];
+        assert!(!reference.3[0].0.is_empty());
+        for (run, outcome) in &runs[1..] {
+            assert!(
+                outcome == reference,
+                "workers x chunk {run:?} changed the ingest"
+            );
+        }
     }
 
     #[test]

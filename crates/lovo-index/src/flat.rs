@@ -195,8 +195,8 @@ impl VectorIndex for FlatIndex {
         self.data.heap_bytes() + self.ids.len() * std::mem::size_of::<VectorId>()
     }
 
-    fn row_store(&self) -> Option<&RowStore> {
-        Some(&self.data)
+    fn row_store(&self) -> &RowStore {
+        &self.data
     }
 }
 

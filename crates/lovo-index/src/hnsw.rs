@@ -7,8 +7,13 @@
 //! queries descend from the entry point with a beam of 1 until layer 0, where
 //! an `ef_search` beam produces the candidate set. Scores are inner products
 //! of unit vectors (higher is better), consistent with the rest of the crate.
+//!
+//! The graph holds only ids and links; the rows live in one [`RowStore`],
+//! which [`HnswIndex::build_from_rows`] adopts without copying, so a sealed
+//! segment's retained rows and its graph read one allocation.
 
 use crate::metric::dot;
+use crate::store::RowStore;
 use crate::{IdFilter, IndexError, Result, SearchResult, SearchStats, VectorId, VectorIndex};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -65,11 +70,11 @@ impl HnswConfig {
     }
 }
 
-/// Internal node: the stored vector, its external id, and per-layer adjacency.
+/// Internal node: its external id and per-layer adjacency. Node `i`'s row is
+/// row `i` of the index's [`RowStore`].
 #[derive(Debug, Clone)]
 struct Node {
     id: VectorId,
-    vector: Vec<f32>,
     /// `neighbors[layer]` lists the node's links on that layer.
     neighbors: Vec<Vec<u32>>,
 }
@@ -134,6 +139,9 @@ struct SearchScratch {
 /// The HNSW index.
 pub struct HnswIndex {
     config: HnswConfig,
+    /// All rows concatenated row-major; node `i` owns
+    /// `rows[i*dim..(i+1)*dim]`.
+    rows: RowStore,
     nodes: Vec<Node>,
     entry_point: Option<u32>,
     max_level: usize,
@@ -149,6 +157,7 @@ impl HnswIndex {
         Ok(Self {
             rng: SmallRng::seed_from_u64(config.seed),
             config,
+            rows: RowStore::new(),
             nodes: Vec::new(),
             entry_point: None,
             max_level: 0,
@@ -161,6 +170,28 @@ impl HnswIndex {
         &self.config
     }
 
+    /// Builds the graph over already-stored rows: `ids[i]` owns
+    /// `rows[i*dim..(i+1)*dim]`. The index adopts `rows` without copying (a
+    /// clone of a heap store shares its allocation, a mapped store stays a
+    /// view into the segment file), and links them in order, so the graph is
+    /// the one [`HnswIndex::insert`]ing the same rows in order would build.
+    pub fn build_from_rows(config: HnswConfig, ids: Vec<VectorId>, rows: RowStore) -> Result<Self> {
+        let mut index = Self::new(config)?;
+        let dim = config.dim;
+        if rows.len() != ids.len() * dim {
+            return Err(IndexError::InvalidState(format!(
+                "HNSW build shape mismatch: {} values for {} rows of dim {dim}",
+                rows.len(),
+                ids.len()
+            )));
+        }
+        index.rows = rows.clone();
+        for (&id, row) in ids.iter().zip(rows.as_slice().chunks_exact(dim)) {
+            index.link_new(id, row);
+        }
+        Ok(index)
+    }
+
     /// Adds a vector, linking it into the graph on every layer up to its
     /// randomly drawn level (the graph is built incrementally by inserts).
     pub fn insert(&mut self, id: VectorId, vector: &[f32]) -> Result<()> {
@@ -170,18 +201,25 @@ impl HnswIndex {
                 actual: vector.len(),
             });
         }
+        self.rows.to_mut().extend_from_slice(vector);
+        self.link_new(id, vector);
+        Ok(())
+    }
+
+    /// Links the next node into the graph. Its row, `vector`, must already
+    /// be row `nodes.len()` of the store.
+    fn link_new(&mut self, id: VectorId, vector: &[f32]) {
         let level = self.random_level();
         let new_index = self.nodes.len() as u32;
         self.nodes.push(Node {
             id,
-            vector: vector.to_vec(),
             neighbors: vec![Vec::new(); level + 1],
         });
 
         let Some(mut current) = self.entry_point else {
             self.entry_point = Some(new_index);
             self.max_level = level;
-            return Ok(());
+            return;
         };
 
         let mut scratch = SearchScratch::default();
@@ -224,7 +262,6 @@ impl HnswIndex {
             self.max_level = level;
             self.entry_point = Some(new_index);
         }
-        Ok(())
     }
 
     fn random_level(&mut self) -> usize {
@@ -234,8 +271,15 @@ impl HnswIndex {
         (-uniform.ln() * ml).floor() as usize
     }
 
+    /// Node `node`'s row.
+    fn row(&self, node: u32) -> &[f32] {
+        let dim = self.config.dim;
+        let start = node as usize * dim;
+        &self.rows.as_slice()[start..start + dim]
+    }
+
     fn score(&self, query: &[f32], node: u32) -> f32 {
-        dot(query, &self.nodes[node as usize].vector)
+        dot(query, self.row(node))
     }
 
     /// Greedy best-first search on one layer, leaving up to `ef` best nodes
@@ -345,11 +389,11 @@ impl HnswIndex {
                 // index-level scratch (taken to appease the borrow on nodes).
                 let mut scored = std::mem::take(&mut self.prune_scratch);
                 scored.clear();
-                let from_node = &self.nodes[from as usize];
+                let from_row = self.row(from);
                 scored.extend(
-                    from_node.neighbors[layer]
+                    self.nodes[from as usize].neighbors[layer]
                         .iter()
-                        .map(|&n| (n, dot(&from_node.vector, &self.nodes[n as usize].vector))),
+                        .map(|&n| (n, dot(from_row, self.row(n)))),
                 );
                 // Unstable sort: the node-id tie-break makes the comparator a
                 // total order over a duplicate-free link list, so no two
@@ -424,18 +468,23 @@ impl VectorIndex for HnswIndex {
         "HNSW"
     }
 
+    /// The graph only: ids and links. The rows are the storage layer's and
+    /// are counted there, as for IVF-PQ's rescore arena.
     fn memory_bytes(&self) -> usize {
         self.nodes
             .iter()
             .map(|n| {
-                n.vector.len() * std::mem::size_of::<f32>()
-                    + n.neighbors
-                        .iter()
-                        .map(|l| l.len() * std::mem::size_of::<u32>())
-                        .sum::<usize>()
+                n.neighbors
+                    .iter()
+                    .map(|l| l.len() * std::mem::size_of::<u32>())
+                    .sum::<usize>()
                     + std::mem::size_of::<VectorId>()
             })
             .sum()
+    }
+
+    fn row_store(&self) -> &RowStore {
+        &self.rows
     }
 }
 
@@ -554,6 +603,27 @@ mod tests {
         for pair in hits.windows(2) {
             assert!(pair[0].score >= pair[1].score);
         }
+    }
+
+    #[test]
+    fn build_from_rows_links_the_graph_inserts_build() {
+        let (inserted, _, vectors) = build(1_000, 16, 21);
+        let built = HnswIndex::build_from_rows(
+            HnswConfig::for_dim(16),
+            (0..vectors.len() as u64).collect(),
+            vectors.concat().into(),
+        )
+        .unwrap();
+        assert_eq!(built.memory_bytes(), inserted.memory_bytes());
+        for probe in (0..1_000).step_by(50) {
+            assert_eq!(
+                built.search(&vectors[probe], 10, None).unwrap(),
+                inserted.search(&vectors[probe], 10, None).unwrap()
+            );
+        }
+        let ragged =
+            HnswIndex::build_from_rows(HnswConfig::for_dim(16), vec![0], vec![0.0; 8].into());
+        assert!(ragged.is_err());
     }
 
     #[test]

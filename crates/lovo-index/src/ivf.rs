@@ -449,8 +449,8 @@ impl VectorIndex for IvfPqIndex {
         code_bytes + centroid_bytes
     }
 
-    fn row_store(&self) -> Option<&RowStore> {
-        Some(&self.arena)
+    fn row_store(&self) -> &RowStore {
+        &self.arena
     }
 }
 

@@ -625,11 +625,9 @@ pub trait VectorIndex: Send + Sync {
     /// Approximate memory footprint of the index payload in bytes.
     fn memory_bytes(&self) -> usize;
 
-    /// The row arena the index scans (flat) or rescores (IVF-PQ), when it
-    /// reads its rows from one; HNSW keeps its rows in its graph nodes.
-    fn row_store(&self) -> Option<&RowStore> {
-        None
-    }
+    /// The row arena the index scans (flat), rescores (IVF-PQ) or walks
+    /// (HNSW).
+    fn row_store(&self) -> &RowStore;
 }
 
 /// Index families the system can be configured with (Table V).
@@ -677,10 +675,9 @@ fn segment_ivf_config(dim: usize, rows: usize) -> IvfPqConfig {
 /// more centroids than points, PQ codebooks trained on a handful of
 /// samples), so an IVF-PQ segment below [`MIN_TRAINED_SEGMENT_ROWS`] falls
 /// back to brute force, which is also faster to build and scan at that
-/// size. The flat and IVF families adopt `rows` as their scan/rescore arena
+/// size. Every family adopts `rows` as its scan, rescore or graph arena
 /// without copying — a clone of a heap store shares its allocation, a
-/// mapped store stays a view into the segment file — while HNSW copies the
-/// rows into its graph nodes as it links them.
+/// mapped store stays a view into the segment file.
 pub fn create_segment_index_from_rows(
     kind: IndexKind,
     dim: usize,
@@ -695,20 +692,11 @@ pub fn create_segment_index_from_rows(
         IndexKind::BruteForce | IndexKind::IvfPq => {
             Ok(Box::new(FlatIndex::from_parts(dim, ids, rows)?))
         }
-        IndexKind::Hnsw => {
-            if rows.len() != ids.len() * dim.max(1) {
-                return Err(IndexError::InvalidState(format!(
-                    "HNSW restore shape mismatch: {} values for {} rows of dim {dim}",
-                    rows.len(),
-                    ids.len()
-                )));
-            }
-            let mut index = HnswIndex::new(HnswConfig::for_dim(dim))?;
-            for (&id, row) in ids.iter().zip(rows.as_slice().chunks_exact(dim)) {
-                index.insert(id, row)?;
-            }
-            Ok(Box::new(index))
-        }
+        IndexKind::Hnsw => Ok(Box::new(HnswIndex::build_from_rows(
+            HnswConfig::for_dim(dim),
+            ids,
+            rows,
+        )?)),
     }
 }
 

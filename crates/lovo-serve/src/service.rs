@@ -546,7 +546,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
                     .counters
                     .cache_hits
                     .fetch_add(members.len() as u64, Ordering::Relaxed);
-                reply_all(members, &result, true, 0);
+                reply_all(members, result, true, 0);
             }
             None => run.push((fingerprint, plan, epoch, members)),
         }
@@ -578,7 +578,7 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
         Ok(answers) => {
             for ((fingerprint, plan, epoch, members), answer) in run.into_iter().zip(answers) {
                 shared.cache.put(fingerprint, &plan, epoch, answer.clone());
-                reply_all(members, &answer, false, executed - 1);
+                reply_all(members, answer, false, executed - 1);
             }
         }
         Err(error) => {
@@ -594,17 +594,29 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
 
 /// Sends one group's shared result to every waiter, stamping each copy with
 /// that submission's own queue + batch-window wait (stamped in `close_batch`).
-fn reply_all(members: Vec<Pending>, result: &QueryResult, cache_hit: bool, coalesced_with: usize) {
-    for pending in members {
-        let mut copy = result.clone();
-        copy.timings.queue_seconds = pending.queue_seconds;
+/// Every waiter but the last gets a clone; the last gets `result` itself.
+fn reply_all(
+    mut members: Vec<Pending>,
+    result: QueryResult,
+    cache_hit: bool,
+    coalesced_with: usize,
+) {
+    let reply = |pending: Pending, mut result: QueryResult| {
+        result.timings.queue_seconds = pending.queue_seconds;
         // A waiter that gave up (dropped its receiver) is not an error.
         let _ = pending.reply.send(Ok(Served {
-            result: copy,
+            result,
             cache_hit,
             coalesced_with,
         }));
+    };
+    let Some(last) = members.pop() else {
+        return;
+    };
+    for pending in members {
+        reply(pending, result.clone());
     }
+    reply(last, result);
 }
 
 /// Longest maintenance backoff, as a multiple of the configured interval.

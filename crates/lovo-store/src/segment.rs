@@ -312,8 +312,7 @@ mod tests {
         let retained = seg.buffer.parts().1.as_slice();
         seg.index
             .as_ref()
-            .and_then(|index| index.row_store())
-            .is_some_and(|arena| std::ptr::eq(arena.as_slice(), retained))
+            .is_some_and(|index| std::ptr::eq(index.row_store().as_slice(), retained))
     }
 
     #[test]
@@ -322,6 +321,7 @@ mod tests {
             (IndexKind::IvfPq, 300, "IVF-PQ"),
             (IndexKind::BruteForce, 300, "BF"),
             (IndexKind::IvfPq, 40, "BF"),
+            (IndexKind::Hnsw, 300, "HNSW"),
         ];
         for (kind, rows, family) in cases {
             let mut seg = Segment::new(0, 8, kind);

@@ -25,15 +25,15 @@ fn collection(frames: usize, seed: u64, id_offset: u32) -> VideoCollection {
     videos
 }
 
-/// The engine's ingest epoch, as a one-entry list the freshness assertions
-/// below compare snapshots of.
-fn engine_epochs(engine: &Lovo) -> Vec<u64> {
-    vec![engine.ingest_epoch()]
+/// The engine's ingest epoch, the snapshot the freshness assertions below
+/// compare.
+fn engine_epoch(engine: &Lovo) -> u64 {
+    engine.ingest_epoch()
 }
 
-/// True when any epoch advanced past its `before` counterpart.
-fn any_epoch_advanced(before: &[u64], now: &[u64]) -> bool {
-    before.iter().zip(now).any(|(b, n)| n > b)
+/// True when the epoch advanced past `before`.
+fn epoch_advanced(before: u64, now: u64) -> bool {
+    now > before
 }
 
 #[test]
@@ -56,7 +56,7 @@ fn sixteen_threads_hammering_during_concurrent_ingest() {
         "a person walking on the sidewalk",
         "a car on the road",
     ];
-    let epochs_before = engine_epochs(&engine);
+    let epochs_before = engine_epoch(&engine);
     let ingest_done = AtomicBool::new(false);
     let post_ingest_submissions = AtomicUsize::new(0);
 
@@ -94,7 +94,7 @@ fn sixteen_threads_hammering_during_concurrent_ingest() {
                     // assertion sound: if the ingest had already committed by
                     // then, a stale pre-ingest answer must be impossible.
                     let ingest_was_done = ingest_done.load(Ordering::SeqCst);
-                    let epochs_seen = engine_epochs(engine);
+                    let epochs_seen = engine_epoch(engine);
                     let served = service.submit(QuerySpec::new(text)).expect("submit");
                     assert!(!served.result.frames.is_empty());
                     for pair in served.result.frames.windows(2) {
@@ -108,7 +108,7 @@ fn sixteen_threads_hammering_during_concurrent_ingest() {
                         // means pre-ingest cache entries were NOT served.
                         if served.cache_hit {
                             assert!(
-                                any_epoch_advanced(epochs_before, &epochs_seen),
+                                epoch_advanced(*epochs_before, epochs_seen),
                                 "cache hit served although the epoch never moved?"
                             );
                         }
@@ -119,7 +119,7 @@ fn sixteen_threads_hammering_during_concurrent_ingest() {
     });
 
     assert!(
-        any_epoch_advanced(&epochs_before, &engine_epochs(&engine)),
+        epoch_advanced(epochs_before, engine_epoch(&engine)),
         "ingest must bump the engine's epoch"
     );
     assert!(
