@@ -35,16 +35,23 @@
 //!   side of the first layer: its context is the projected text, which no
 //!   frame changes, so a token's enhanced features (and their second-layer
 //!   projections) are the same in whichever frame the token sits;
-//! * **per frame** — what is left: the text side of every layer (its context
-//!   is the frame's own token list, duplicates included), the image side of
-//!   the layers after the first over the frame's *distinct* tokens, the
-//!   normalised alignment and the per-object max/mean.
+//! * **per distinct frame token sequence** — what is left: the text side of
+//!   every layer (its context is the frame's own token list, duplicates
+//!   included), the image side of the layers after the first over the
+//!   frame's *distinct* tokens, the normalised alignment and the per-object
+//!   max/mean. All of it reads the frame only through its token rows and
+//!   object boundaries, so candidates that carry the same tokens object by
+//!   object (runs of identical key frames from a static camera, copies of a
+//!   video) share one `(score, best object)`. The same tokens in another
+//!   order are another sequence: the order of the sums decides the bits;
+//! * **per candidate frame** — the box of its own best object (or the
+//!   fallback box), and its ids.
 //!
 //! The codebook is a property of the simulated attribute space, where an
 //! object's appearance *is* a handful of discrete facet values. A real
 //! backbone has no such table; it would cache per-frame image features
 //! instead (a VQPy-style property, computed once per object), and the
-//! per-query and per-frame levels would stay as they are.
+//! levels from the query down would stay as they are.
 
 use crate::space::{AttributeSpace, FineToken};
 use crate::text::TextEncoder;
@@ -55,6 +62,7 @@ use lovo_video::bbox::BoundingBox;
 use lovo_video::query::QueryConstraints;
 use lovo_video::scene::Frame;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Configuration of the cross-modality transformer.
@@ -175,6 +183,10 @@ struct Codebook {
 
 /// The image tokens of one candidate frame, as rows of the query's token
 /// table: `rows[object_starts[o]..object_starts[o + 1]]` are object `o`'s.
+/// Equal values ground to the same `(score, best object)`; the same tokens
+/// in another order are another value, since the order of the sums decides
+/// the bits.
+#[derive(PartialEq, Eq, Hash)]
 struct FrameTokens {
     rows: Vec<usize>,
     object_starts: Vec<usize>,
@@ -326,12 +338,19 @@ impl CrossModalityTransformer {
         } else {
             Some(self.query_tables(&text_tokens, &tokens)?)
         };
+        // Grounding is a function of the frame's token sequence alone, so
+        // frames that repeat one (a static camera, a copied video) are
+        // grounded once; each still takes the box of its own object.
+        let mut grounded: HashMap<&FrameTokens, (f32, Option<usize>)> = HashMap::new();
         let mut out = Vec::with_capacity(candidates.len());
         for (candidate, frame_tokens) in candidates.iter().zip(&frames) {
             let mut score = 0.0;
             let mut bbox = fallback_box(candidate);
             if let (Some(tables), Some(frame_tokens)) = (&tables, frame_tokens) {
-                let (best_score, best_object) = self.ground(tables, frame_tokens)?;
+                let (best_score, best_object) = match grounded.entry(frame_tokens) {
+                    Entry::Occupied(hit) => *hit.get(),
+                    Entry::Vacant(slot) => *slot.insert(self.ground(tables, frame_tokens)?),
+                };
                 score = best_score;
                 if let Some(object) = best_object.and_then(|o| candidate.frame.objects.get(o)) {
                     bbox = object.bbox;
@@ -720,16 +739,36 @@ mod tests {
             frame.objects.push(SceneObject {
                 track: TrackId(o as u64),
                 attributes,
-                bbox: BoundingBox::new(
-                    rng.gen_range(0.0f32..1000.0),
-                    rng.gen_range(0.0f32..600.0),
-                    rng.gen_range(10.0f32..200.0),
-                    rng.gen_range(10.0f32..100.0),
-                ),
+                bbox: random_box(rng),
                 velocity: (0.0, 0.0),
             });
         }
         frame
+    }
+
+    fn random_box(rng: &mut SmallRng) -> BoundingBox {
+        BoundingBox::new(
+            rng.gen_range(0.0f32..1000.0),
+            rng.gen_range(0.0f32..600.0),
+            rng.gen_range(10.0f32..200.0),
+            rng.gen_range(10.0f32..100.0),
+        )
+    }
+
+    /// A copy of `frame` at `index`: the same objects under fresh boxes,
+    /// one time in two rotated into another order.
+    fn repeat_frame(rng: &mut SmallRng, frame: &Frame, index: usize) -> Frame {
+        let mut copy = frame.clone();
+        copy.index = index;
+        copy.timestamp = index as f64 / 30.0;
+        for object in &mut copy.objects {
+            object.bbox = random_box(rng);
+        }
+        if copy.objects.len() > 1 && rng.gen_range(0..2u8) == 0 {
+            let by = rng.gen_range(1..copy.objects.len());
+            copy.objects.rotate_left(by);
+        }
+        copy
     }
 
     /// Constraints of 0–8 tokens: each facet constrained one time in two,
@@ -761,12 +800,20 @@ mod tests {
 
     /// Asserts, over generated candidate sets, that `t` reranks exactly as
     /// the reference scorer does: same order, same score bits, same boxes.
+    /// The sets repeat frames (see [`repeat_frame`]), so frames sharing a
+    /// token sequence, and frames sharing objects in another order, meet in
+    /// one rerank; each must report a box of its own objects.
     fn assert_matches_reference(t: &CrossModalityTransformer, seed: u64, cases: usize) {
         let mut rng = SmallRng::seed_from_u64(seed);
         for case in 0..cases {
-            let frames: Vec<Frame> = (0..rng.gen_range(0..7usize))
+            let mut frames: Vec<Frame> = (0..rng.gen_range(0..7usize))
                 .map(|i| random_frame(&mut rng, i))
                 .collect();
+            for _ in 0..rng.gen_range(0..=frames.len()) {
+                let source = rng.gen_range(0..frames.len());
+                let copy = repeat_frame(&mut rng, &frames[source], frames.len());
+                frames.push(copy);
+            }
             let candidates: Vec<CandidateFrame<'_>> = frames
                 .iter()
                 .map(|frame| CandidateFrame {
@@ -786,6 +833,17 @@ mod tests {
                 bits(&expected),
                 "case {case}: {constraints:?}"
             );
+            // Frame indices are unique within a case, so each result names
+            // its candidate; a repeat's fresh boxes tell its own from its
+            // source's.
+            for r in &actual {
+                let c = &candidates[r.frame_index];
+                assert!(
+                    r.bbox == fallback_box(c) || c.frame.objects.iter().any(|o| o.bbox == r.bbox),
+                    "case {case}: frame {} reported a box not of its own objects",
+                    r.frame_index
+                );
+            }
             for c in &candidates {
                 let (score, bbox) = t.score_frame(&constraints, c.frame, c.seed_box).unwrap();
                 let reference = reference_score_frame(t, &constraints, c.frame, c.seed_box);
@@ -1053,6 +1111,50 @@ mod tests {
         let constraints = TextEncoder::parse("a green bus on the road");
         let (_, bbox) = t.score_frame(&constraints, &frame, None).unwrap();
         assert!(bbox.iou(&frame.objects[1].bbox) > 0.99);
+    }
+
+    #[test]
+    fn repeated_frames_share_a_score_and_keep_their_own_boxes() {
+        let t = transformer();
+        let bus = ObjectAttributes::simple(ObjectClass::Bus).with_color(Color::Green);
+        let person = ObjectAttributes::simple(ObjectClass::Person);
+        let frame = |index: usize, objects: [(&ObjectAttributes, f32); 2]| {
+            let mut f = Frame::empty(index, index as f64, 1280, 720);
+            for (o, (attributes, x)) in objects.into_iter().enumerate() {
+                f.objects.push(SceneObject {
+                    track: TrackId(o as u64),
+                    attributes: attributes.clone(),
+                    bbox: BoundingBox::new(x, 50.0, 100.0, 80.0),
+                    velocity: (0.0, 0.0),
+                });
+            }
+            f
+        };
+        // The same tokens under other boxes, then the same objects reversed.
+        let first = frame(0, [(&person, 10.0), (&bus, 300.0)]);
+        let repeat = frame(1, [(&person, 20.0), (&bus, 400.0)]);
+        let reversed = frame(2, [(&bus, 500.0), (&person, 30.0)]);
+        let candidates: Vec<CandidateFrame<'_>> = [&first, &repeat, &reversed]
+            .into_iter()
+            .zip(0..)
+            .map(|(frame, video_id)| CandidateFrame {
+                video_id,
+                frame,
+                seed_box: None,
+            })
+            .collect();
+        let constraints = TextEncoder::parse("a green bus on the road");
+        let mut ranked = t
+            .rerank_with_constraints(&constraints, &candidates)
+            .unwrap();
+        ranked.sort_by_key(|r| r.frame_index);
+        assert_eq!(ranked[0].score.to_bits(), ranked[1].score.to_bits());
+        let boxes: Vec<f32> = ranked.iter().map(|r| r.bbox.x).collect();
+        assert_eq!(boxes, [300.0, 400.0, 500.0]);
+        for (r, c) in ranked.iter().zip(&candidates) {
+            let (score, bbox) = reference_score_frame(&t, &constraints, c.frame, None);
+            assert_eq!((r.score.to_bits(), r.bbox), (score.to_bits(), bbox));
+        }
     }
 
     #[test]

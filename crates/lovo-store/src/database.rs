@@ -12,7 +12,6 @@ use crate::collection::{
     BatchQuery, CollectionConfig, CollectionStats, CompactionResult, PushdownFilter,
     SegmentedCollection,
 };
-use crate::durability::wal::WalRecord;
 use crate::durability::{points, DurabilityConfig, DurableStore, OpenOptions, RecoveryReport};
 use crate::metadata::{MetadataStore, PatchPredicate, PatchRecord};
 use crate::segment::Segment;
@@ -348,15 +347,7 @@ impl VectorDatabase {
         // any in-memory state changes. A failed append leaves both the log
         // (rolled back to the last record) and memory untouched.
         if let Some(store) = durable.as_mut() {
-            let record = WalRecord {
-                collection: collection.to_string(),
-                patches: batch
-                    .iter()
-                    .map(|(vector, record)| (vector.to_vec(), record.clone()))
-                    .collect(),
-                aux,
-            };
-            store.append_batch(&record)?;
+            store.append_batch(collection, &batch, aux)?;
         }
         // Metadata first, and without the metadata lock spanning the vector
         // inserts (which can trigger a growing-segment seal, i.e. an ANN

@@ -50,7 +50,7 @@ pub mod segfile;
 pub mod wal;
 
 use crate::collection::{CollectionConfig, SegmentedCollection};
-use crate::metadata::MetadataStore;
+use crate::metadata::{MetadataStore, PatchRecord};
 use crate::patchid;
 use manifest::{Manifest, ManifestCollection, ManifestSegment};
 use mmap::Mapping;
@@ -608,10 +608,23 @@ impl DurableStore {
     /// Appends one ingest batch to the WAL and fsyncs it. THE
     /// acknowledgement point: once this returns `Ok`, the batch survives
     /// `kill -9`.
-    pub(crate) fn append_batch(&mut self, record: &WalRecord) -> Result<(), StorageError> {
-        self.wal.append(record, &self.config.faults)?;
-        for (key, blob) in &record.aux {
-            self.pending_aux.entry(*key).or_insert_with(|| blob.clone());
+    ///
+    /// The record is encoded straight from the caller's borrowed rows, and
+    /// the auxiliary blobs move into the pending set once logged.
+    pub(crate) fn append_batch(
+        &mut self,
+        collection: &str,
+        patches: &[(&[f32], PatchRecord)],
+        aux: Vec<(u64, Vec<u8>)>,
+    ) -> Result<(), StorageError> {
+        let payload = wal::encode_payload(
+            collection,
+            patches.iter().map(|(vector, record)| (*vector, record)),
+            &aux,
+        );
+        self.wal.append(&payload, &self.config.faults)?;
+        for (key, blob) in aux {
+            self.pending_aux.entry(key).or_insert(blob);
         }
         Ok(())
     }

@@ -56,21 +56,39 @@ pub struct WalRecord {
     pub aux: Vec<(u64, Vec<u8>)>,
 }
 
+/// Encodes one record payload from borrowed parts: the one encoder behind
+/// both [`WalRecord`] and the insert path, which logs its batch as it holds
+/// it instead of copying every row into an owned record first.
+pub(crate) fn encode_payload<'a>(
+    collection: &str,
+    patches: impl ExactSizeIterator<Item = (&'a [f32], &'a PatchRecord)>,
+    aux: &[(u64, Vec<u8>)],
+) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.string(collection);
+    w.u32(patches.len() as u32);
+    for (vector, record) in patches {
+        encode_patch_record(&mut w, record);
+        w.f32_slice(vector);
+    }
+    w.u32(aux.len() as u32);
+    for (frame_key, blob) in aux {
+        w.u64(*frame_key);
+        w.blob(blob);
+    }
+    w.into_bytes()
+}
+
 impl WalRecord {
+    #[cfg(test)]
     fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.string(&self.collection);
-        w.u32(self.patches.len() as u32);
-        for (vector, record) in &self.patches {
-            encode_patch_record(&mut w, record);
-            w.f32_slice(vector);
-        }
-        w.u32(self.aux.len() as u32);
-        for (frame_key, blob) in &self.aux {
-            w.u64(*frame_key);
-            w.blob(blob);
-        }
-        w.into_bytes()
+        encode_payload(
+            &self.collection,
+            self.patches
+                .iter()
+                .map(|(vector, record)| (&vector[..], record)),
+            &self.aux,
+        )
     }
 
     fn decode(payload: &[u8]) -> Result<Self, StorageError> {
@@ -297,21 +315,16 @@ impl Wal {
         &self.path
     }
 
-    /// Appends one record and fsyncs it before returning — the
-    /// acknowledgement point. On any
+    /// Appends one record, given as its [`encode_payload`] bytes, and
+    /// fsyncs it before returning — the acknowledgement point. On any
     /// error the in-memory committed length is NOT advanced, so a torn
     /// append is invisible to later appends in the same process and
     /// truncated by replay in the next one.
-    pub(crate) fn append(
-        &mut self,
-        record: &WalRecord,
-        faults: &Faults,
-    ) -> Result<(), StorageError> {
-        let payload = record.encode();
+    pub(crate) fn append(&mut self, payload: &[u8], faults: &Faults) -> Result<(), StorageError> {
         let mut framed = Vec::with_capacity(payload.len() + 8);
         framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&crc32(&payload).to_le_bytes());
-        framed.extend_from_slice(&payload);
+        framed.extend_from_slice(&crc32(payload).to_le_bytes());
+        framed.extend_from_slice(payload);
         let result = io::write_all(
             &mut self.file,
             &framed,
@@ -400,12 +413,30 @@ mod tests {
     }
 
     #[test]
+    fn a_borrowed_batch_encodes_to_the_owned_records_bytes() {
+        let owned = record("a", 7, 3);
+        // The insert path's shape: vectors borrowed, records held once.
+        let batch: Vec<(&[f32], PatchRecord)> = owned
+            .patches
+            .iter()
+            .map(|(vector, record)| (&vector[..], record.clone()))
+            .collect();
+        let payload = encode_payload(
+            "a",
+            batch.iter().map(|(vector, record)| (*vector, record)),
+            &owned.aux,
+        );
+        assert_eq!(payload, owned.encode());
+        assert_eq!(WalRecord::decode(&payload).unwrap(), owned);
+    }
+
+    #[test]
     fn append_replay_round_trip() {
         let dir = scratch_dir("roundtrip");
         let mut wal = Wal::create(&dir, 0, &None).unwrap();
         let records = [record("a", 0, 3), record("b", 100, 1)];
         for r in &records {
-            wal.append(r, &None).unwrap();
+            wal.append(&r.encode(), &None).unwrap();
         }
         assert_eq!(wal.record_count(), 2);
         drop(wal);
@@ -422,9 +453,9 @@ mod tests {
     fn torn_tail_is_truncated_and_appendable() {
         let dir = scratch_dir("torn");
         let mut wal = Wal::create(&dir, 3, &None).unwrap();
-        wal.append(&record("a", 0, 2), &None).unwrap();
+        wal.append(&record("a", 0, 2).encode(), &None).unwrap();
         let good_len = wal.len();
-        wal.append(&record("a", 50, 2), &None).unwrap();
+        wal.append(&record("a", 50, 2).encode(), &None).unwrap();
         let path = wal.path().to_path_buf();
         drop(wal);
         // Tear the second record: cut it 5 bytes short.
@@ -440,7 +471,7 @@ mod tests {
         assert_eq!(seen.len(), 1);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), good_len);
         // The log still accepts appends after truncation.
-        wal.append(&record("a", 90, 1), &None).unwrap();
+        wal.append(&record("a", 90, 1).encode(), &None).unwrap();
         drop(wal);
         let mut seen = Vec::new();
         let (_, replay) = Wal::open_replay(&dir, 3, &None, |r| seen.push(r)).unwrap();
@@ -453,10 +484,10 @@ mod tests {
     fn bit_flip_in_record_truncates_from_there() {
         let dir = scratch_dir("flip");
         let mut wal = Wal::create(&dir, 0, &None).unwrap();
-        wal.append(&record("a", 0, 2), &None).unwrap();
+        wal.append(&record("a", 0, 2).encode(), &None).unwrap();
         let first_end = wal.len();
-        wal.append(&record("a", 10, 2), &None).unwrap();
-        wal.append(&record("a", 20, 2), &None).unwrap();
+        wal.append(&record("a", 10, 2).encode(), &None).unwrap();
+        wal.append(&record("a", 20, 2).encode(), &None).unwrap();
         let path = wal.path().to_path_buf();
         drop(wal);
         // Flip one payload byte of the second record.
