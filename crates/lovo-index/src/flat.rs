@@ -183,7 +183,7 @@ impl VectorIndex for FlatIndex {
             filtered_out,
             ..SearchStats::default()
         };
-        Ok((top.into_sorted_results(), stats))
+        Ok((top.into_unordered_results(), stats))
     }
 
     fn family(&self) -> &'static str {
@@ -204,6 +204,7 @@ impl VectorIndex for FlatIndex {
 mod tests {
     use super::*;
     use crate::metric::normalized;
+    use crate::sorted;
 
     fn unit(v: &[f32]) -> Vec<f32> {
         normalized(v)
@@ -215,7 +216,7 @@ mod tests {
         idx.insert(1, &unit(&[1.0, 0.0, 0.0])).unwrap();
         idx.insert(2, &unit(&[0.0, 1.0, 0.0])).unwrap();
         idx.insert(3, &unit(&[0.9, 0.1, 0.0])).unwrap();
-        let (hits, _) = idx.search(&unit(&[1.0, 0.0, 0.0]), 2, None).unwrap();
+        let hits = sorted(idx.search(&unit(&[1.0, 0.0, 0.0]), 2, None).unwrap().0);
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].id, 1);
         assert_eq!(hits[1].id, 3);
@@ -272,7 +273,7 @@ mod tests {
         let mut idx = FlatIndex::with_metric(2, Metric::L2);
         idx.insert(1, &[0.0, 0.0]).unwrap();
         idx.insert(2, &[5.0, 5.0]).unwrap();
-        let (hits, _) = idx.search(&[0.5, 0.5], 2, None).unwrap();
+        let hits = sorted(idx.search(&[0.5, 0.5], 2, None).unwrap().0);
         assert_eq!(hits[0].id, 1);
         assert_eq!(idx.family(), "BF");
     }
@@ -304,7 +305,7 @@ mod tests {
         let mut idx = FlatIndex::new(2);
         idx.insert(9, &[1.0, 0.0]).unwrap();
         idx.insert(3, &[1.0, 0.0]).unwrap();
-        let (hits, _) = idx.search(&[1.0, 0.0], 2, None).unwrap();
+        let hits = sorted(idx.search(&[1.0, 0.0], 2, None).unwrap().0);
         assert_eq!(hits[0].id, 3);
         assert_eq!(hits[1].id, 9);
     }

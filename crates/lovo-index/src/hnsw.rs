@@ -423,7 +423,9 @@ impl VectorIndex for HnswIndex {
 
     /// Greedy descent: the upper layers are pure navigation and always run
     /// unfiltered; the filter (if any) applies only to the layer-0 beam that
-    /// produces the candidate set.
+    /// produces the candidate set. The beam is sorted to cut it to `k`, so
+    /// the hits happen to come back best-first; callers of
+    /// [`VectorIndex::search`] may not rely on that.
     fn search(
         &self,
         query: &[f32],

@@ -17,6 +17,13 @@
 //!   approximate scores as `coarse score + ADC(residual)` using the
 //!   precomputed lookup table, keep the best `k·refine` candidates, exactly
 //!   re-score them against the stored original vectors, and return the top-k.
+//!   **Exact-first cutover:** when the probed cells hold at most `k·refine`
+//!   rows that pass the filter, the approximate stage would keep every one
+//!   of them, so the search skips it — no ADC table, no approximate
+//!   selection — and scores those rows exactly, straight into the top-k.
+//!   The answer is bit-identical to the two-stage search's: the same
+//!   candidates, the same exact `dot`, the same total order. At the
+//!   reproduction's segment sizes this is the common case.
 //!   The patch-id majority vote of Algorithm 1 (line 16) is exposed as
 //!   [`majority_patch_id`] and applied when per-subspace candidate lists are
 //!   merged.
@@ -202,6 +209,30 @@ impl IvfPqIndex {
         self.cells.len()
     }
 
+    /// Algorithm 1, lines 2–7: per-subspace centroid scores, and the Top-A
+    /// centroids of each subspace with their scores, best first.
+    fn top_per_subspace(&self, query: &[f32], stats: &mut SearchStats) -> Vec<Vec<(usize, f32)>> {
+        let sub_dim = self.config.coarse_subspace_dim();
+        // Bounded selection; the centroid index doubles as the tie-break id,
+        // which keeps ties in ascending index.
+        self.coarse_codebooks
+            .iter()
+            .enumerate()
+            .map(|(p, codebook)| {
+                let q_sub = &query[p * sub_dim..(p + 1) * sub_dim];
+                let mut top = TopK::new(self.config.nprobe);
+                for (m, c) in codebook.iter().enumerate() {
+                    top.push_hit(m as u64, dot(q_sub, c));
+                }
+                stats.heap_pushes += top.pushes();
+                top.into_sorted_entries()
+                    .into_iter()
+                    .map(|e| (e.id as usize, e.score))
+                    .collect()
+            })
+            .collect()
+    }
+
     fn pack_cell_key(codes: &[usize]) -> u64 {
         let mut key = 0u64;
         for &c in codes {
@@ -302,11 +333,29 @@ impl VectorIndex for IvfPqIndex {
         self.arena.len() / self.config.dim
     }
 
-    /// Algorithm 1 with optional predicate pushdown: when a filter is
-    /// present, non-matching entries are dropped *before* ADC scoring — the
-    /// matching subset of each probed cell is compacted into one contiguous
-    /// code run so the list kernel still streams sequentially — and only
-    /// matching candidates are ever exactly re-scored.
+    /// Algorithm 1 with optional predicate pushdown, exact-first.
+    ///
+    /// The Top-A step picks the probed cells; they are collected once, and
+    /// each of their rows is tested against the filter once. Then, with
+    /// `keep = k · refine_factor`:
+    ///
+    /// * **Exact-first.** When at most `keep` probed rows pass the filter,
+    ///   each is scored with `dot(query, arena row)` straight into the final
+    ///   top-k, and no ADC table is built. The two-stage search would hand
+    ///   its exact stage this very set — its approximate top-`keep` keeps
+    ///   every offer when it gets at most `keep` — and would score it with
+    ///   the same `dot` and select under the same total order (score
+    ///   descending, then id ascending). So the hits are bit-identical, and
+    ///   so are `vectors_scored`, `exact_rescored`, `cells_probed` and
+    ///   `filtered_out`; only `heap_pushes` drops.
+    /// * **Two-stage.** Otherwise the passing rows are ADC-scored
+    ///   (`coarse score + ADC(residual)`), the best `keep` are kept, and
+    ///   those are exactly rescored. Under a filter, a cell's passing codes
+    ///   are first compacted into one contiguous run, so the list kernel
+    ///   still streams sequentially.
+    ///
+    /// Either way only passing rows are scored, and the hits come back
+    /// unordered ([`VectorIndex::search`]).
     fn search(
         &self,
         query: &[f32],
@@ -322,107 +371,113 @@ impl VectorIndex for IvfPqIndex {
         if k == 0 {
             return Ok((Vec::new(), SearchStats::default()));
         }
-        let sub_dim = self.config.coarse_subspace_dim();
         let mut stats = SearchStats::default();
+        let top_per_subspace = self.top_per_subspace(query, &mut stats);
 
-        // --- Algorithm 1, lines 2–7: per-subspace centroid scores, Top-A. ---
-        // Bounded selection; centroid index doubles as the tie-break id, which
-        // matches the stable sort this replaced (ties kept ascending index).
-        let mut top_per_subspace: Vec<Vec<(usize, f32)>> =
-            Vec::with_capacity(self.config.coarse_subspaces);
-        for (p, codebook) in self.coarse_codebooks.iter().enumerate() {
-            let q_sub = &query[p * sub_dim..(p + 1) * sub_dim];
-            let mut top = TopK::new(self.config.nprobe);
-            for (m, c) in codebook.iter().enumerate() {
-                top.push_hit(m as u64, dot(q_sub, c));
-            }
-            stats.heap_pushes += top.pushes();
-            top_per_subspace.push(
-                top.into_sorted_entries()
-                    .into_iter()
-                    .map(|e| (e.id as usize, e.score))
-                    .collect(),
-            );
-        }
-
-        // --- Algorithm 1, lines 8–12: approximate scores via the ADC table. ---
-        // Every cell in the Cartesian product of the Top-A lists is probed and
-        // the candidate selection below is order-independent, so the cells
-        // need no best-first sort. Each non-empty cell's contiguous code list
-        // is scored in one ADC pass; candidates carry their rescore-arena row
-        // through the bounded selector.
-        let adc = self.pq.adc_table(query)?;
-        let stride = self.config.pq.num_subspaces;
-        let keep = k.saturating_mul(self.config.refine_factor).max(k);
-        let mut approx: TopK<u32> = TopK::new(keep);
-        let mut list_scores: Vec<f32> = Vec::new();
-        // Scratch for the filtered path: the matching subset of a cell,
-        // compacted so one ADC pass still streams a contiguous code run.
-        let mut kept_ids: Vec<VectorId> = Vec::new();
-        let mut kept_rows: Vec<u32> = Vec::new();
-        let mut kept_codes: Vec<u8> = Vec::new();
+        // --- Algorithm 1, lines 8–9: the probed cells, collected once. ---
+        // Every cell in the Cartesian product of the Top-A lists is probed
+        // and both selections below are order-independent, so the cells need
+        // no best-first sort.
+        let mut probed: Vec<(&Cell, f32)> = Vec::new();
         enumerate_cells(&top_per_subspace, &mut |codes, coarse_score| {
-            let Some(cell) = self.cells.get(&Self::pack_cell_key(codes)) else {
-                return;
-            };
-            stats.cells_probed += 1;
-            match filter {
-                None => {
-                    stats.vectors_scored += cell.len();
-                    list_scores.clear();
-                    adc.score_list(&cell.codes, stride, &mut list_scores);
-                    for ((&id, &row), &adc_score) in
-                        cell.ids.iter().zip(&cell.rows).zip(&list_scores)
-                    {
-                        approx.push(id, coarse_score + adc_score, row);
-                    }
-                }
-                Some(filter) => {
-                    kept_ids.clear();
-                    kept_rows.clear();
-                    kept_codes.clear();
-                    for (entry, (&id, &row)) in cell.ids.iter().zip(&cell.rows).enumerate() {
-                        if filter.accepts(id) {
-                            kept_ids.push(id);
-                            kept_rows.push(row);
-                            kept_codes.extend_from_slice(
-                                &cell.codes[entry * stride..(entry + 1) * stride],
-                            );
-                        }
-                    }
-                    stats.filtered_out += cell.len() - kept_ids.len();
-                    stats.vectors_scored += kept_ids.len();
-                    if kept_ids.is_empty() {
-                        return;
-                    }
-                    list_scores.clear();
-                    adc.score_list(&kept_codes, stride, &mut list_scores);
-                    for ((&id, &row), &adc_score) in
-                        kept_ids.iter().zip(&kept_rows).zip(&list_scores)
-                    {
-                        approx.push(id, coarse_score + adc_score, row);
-                    }
-                }
+            if let Some(cell) = self.cells.get(&Self::pack_cell_key(codes)) {
+                probed.push((cell, coarse_score));
             }
         });
-        stats.heap_pushes += approx.pushes();
+        stats.cells_probed = probed.len();
+        let probed_rows: usize = probed.iter().map(|(cell, _)| cell.len()).sum();
+        // Each probed row's filter verdict, cell after cell.
+        let passes: Option<Vec<bool>> = filter.map(|filter| {
+            probed
+                .iter()
+                .flat_map(|(cell, _)| cell.ids.iter().map(|&id| filter.accepts(id)))
+                .collect()
+        });
+        let candidates = passes.as_ref().map_or(probed_rows, |passes| {
+            passes.iter().filter(|&&pass| pass).count()
+        });
+        stats.filtered_out = probed_rows - candidates;
+        stats.vectors_scored = candidates;
+        // The verdicts of the cell whose rows start at `offset`.
+        let verdicts = |offset: usize, cell: &Cell| {
+            passes
+                .as_ref()
+                .map(|passes| &passes[offset..offset + cell.len()])
+        };
 
-        // --- Algorithm 1, lines 13–17: exact re-scoring and final ordering. ---
-        // The arena rows of the kept candidates stream straight out of the
-        // row-major arena — no hash lookup per candidate. The rescoring loop
-        // reads every kept candidate and the selector below orders them, so
-        // nothing here needs them sorted.
         let dim = self.config.dim;
-        let mut top = TopK::new(k);
         let arena = self.arena.as_slice();
-        for entry in approx.into_unordered_entries() {
-            let row = entry.payload as usize;
-            let exact = dot(query, &arena[row * dim..(row + 1) * dim]);
-            stats.exact_rescored += 1;
-            top.push_hit(entry.id, exact);
+        let exact = |row: u32| {
+            let row = row as usize;
+            dot(query, &arena[row * dim..(row + 1) * dim])
+        };
+        let keep = k.saturating_mul(self.config.refine_factor).max(k);
+        let mut top = TopK::new(k);
+        if candidates <= keep {
+            // --- Exact-first: every candidate would survive the ADC cut. ---
+            let mut offset = 0;
+            for (cell, _) in &probed {
+                let verdicts = verdicts(offset, cell);
+                offset += cell.len();
+                for (entry, (&id, &row)) in cell.ids.iter().zip(&cell.rows).enumerate() {
+                    if verdicts.map_or(true, |verdicts| verdicts[entry]) {
+                        top.push_hit(id, exact(row));
+                    }
+                }
+            }
+            stats.exact_rescored = candidates;
+        } else {
+            // --- Algorithm 1, lines 10–12: approximate scores via ADC. ---
+            // Candidates carry their rescore-arena row through the bounded
+            // selector.
+            let adc = self.pq.adc_table(query)?;
+            let stride = self.config.pq.num_subspaces;
+            let mut approx: TopK<u32> = TopK::new(keep);
+            let mut list_scores: Vec<f32> = Vec::new();
+            // Scratch for a filtered cell: its passing subset, compacted.
+            let mut kept_ids: Vec<VectorId> = Vec::new();
+            let mut kept_rows: Vec<u32> = Vec::new();
+            let mut kept_codes: Vec<u8> = Vec::new();
+            let mut offset = 0;
+            for &(cell, coarse_score) in &probed {
+                let verdicts = verdicts(offset, cell);
+                offset += cell.len();
+                let (ids, rows, codes) = match verdicts {
+                    None => (&cell.ids[..], &cell.rows[..], &cell.codes[..]),
+                    Some(verdicts) => {
+                        kept_ids.clear();
+                        kept_rows.clear();
+                        kept_codes.clear();
+                        for (entry, (&id, &row)) in cell.ids.iter().zip(&cell.rows).enumerate() {
+                            if verdicts[entry] {
+                                kept_ids.push(id);
+                                kept_rows.push(row);
+                                kept_codes.extend_from_slice(
+                                    &cell.codes[entry * stride..(entry + 1) * stride],
+                                );
+                            }
+                        }
+                        (&kept_ids[..], &kept_rows[..], &kept_codes[..])
+                    }
+                };
+                list_scores.clear();
+                adc.score_list(codes, stride, &mut list_scores);
+                for ((&id, &row), &adc_score) in ids.iter().zip(rows).zip(&list_scores) {
+                    approx.push(id, coarse_score + adc_score, row);
+                }
+            }
+            stats.heap_pushes += approx.pushes();
+
+            // --- Algorithm 1, lines 13–17: exact re-scoring. ---
+            // The kept candidates' rows stream straight out of the
+            // row-major arena, with no lookup per candidate.
+            for entry in approx.into_unordered_entries() {
+                stats.exact_rescored += 1;
+                top.push_hit(entry.id, exact(entry.payload));
+            }
         }
         stats.heap_pushes += top.pushes();
-        Ok((top.into_sorted_results(), stats))
+        Ok((top.into_unordered_results(), stats))
     }
 
     fn family(&self) -> &'static str {
@@ -501,6 +556,7 @@ mod tests {
     use super::*;
     use crate::flat::FlatIndex;
     use crate::metric::normalize;
+    use crate::{sorted, IdPosting, IdRanges};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashSet;
@@ -699,6 +755,7 @@ mod tests {
         assert!(eight.validate().is_ok());
         let (ivf, vectors) = build_with_config(600, 16, 5, eight);
         let (hits, stats) = ivf.search(&vectors[3], 50, None).unwrap();
+        let hits = sorted(hits);
         assert_eq!(hits[0].id, 3);
         let distinct: HashSet<VectorId> = hits.iter().map(|h| h.id).collect();
         assert_eq!(distinct.len(), 50, "an id came back twice");
@@ -721,6 +778,7 @@ mod tests {
         let (ivf, _, vectors) = build_index(2_000, 32, 55);
         let filter = IdFilter::from_predicate(|id| id < 500);
         let (hits, stats) = ivf.search(&vectors[123], 10, Some(&filter)).unwrap();
+        let hits = sorted(hits);
         assert!(!hits.is_empty());
         assert!(hits.iter().all(|h| h.id < 500));
         assert_eq!(hits[0].id, 123);
@@ -740,5 +798,205 @@ mod tests {
         let (plain, _) = ivf.search(&vectors[7], 10, None).unwrap();
         assert_eq!(filtered, plain);
         assert_eq!(fstats.filtered_out, 0);
+    }
+
+    /// The search before the exact-first cutover: always ADC-score the
+    /// passing rows of the probed cells, keep the best `k · refine_factor`,
+    /// rescore those exactly. Kept as the reference the exact-first search
+    /// must equal, hits sorted best-first.
+    fn two_stage_reference(
+        ivf: &IvfPqIndex,
+        query: &[f32],
+        k: usize,
+        filter: Option<&IdFilter>,
+    ) -> (Vec<SearchResult>, SearchStats) {
+        let mut stats = SearchStats::default();
+        if k == 0 {
+            return (Vec::new(), stats);
+        }
+        let top_per_subspace = ivf.top_per_subspace(query, &mut stats);
+        let adc = ivf.pq.adc_table(query).unwrap();
+        let stride = ivf.config.pq.num_subspaces;
+        let keep = k.saturating_mul(ivf.config.refine_factor).max(k);
+        let mut approx: TopK<u32> = TopK::new(keep);
+        let mut list_scores: Vec<f32> = Vec::new();
+        let mut kept_ids: Vec<VectorId> = Vec::new();
+        let mut kept_rows: Vec<u32> = Vec::new();
+        let mut kept_codes: Vec<u8> = Vec::new();
+        enumerate_cells(&top_per_subspace, &mut |codes, coarse_score| {
+            let Some(cell) = ivf.cells.get(&IvfPqIndex::pack_cell_key(codes)) else {
+                return;
+            };
+            stats.cells_probed += 1;
+            kept_ids.clear();
+            kept_rows.clear();
+            kept_codes.clear();
+            for (entry, (&id, &row)) in cell.ids.iter().zip(&cell.rows).enumerate() {
+                if filter.map_or(true, |filter| filter.accepts(id)) {
+                    kept_ids.push(id);
+                    kept_rows.push(row);
+                    kept_codes.extend_from_slice(&cell.codes[entry * stride..(entry + 1) * stride]);
+                }
+            }
+            stats.filtered_out += cell.len() - kept_ids.len();
+            stats.vectors_scored += kept_ids.len();
+            list_scores.clear();
+            adc.score_list(&kept_codes, stride, &mut list_scores);
+            for ((&id, &row), &adc_score) in kept_ids.iter().zip(&kept_rows).zip(&list_scores) {
+                approx.push(id, coarse_score + adc_score, row);
+            }
+        });
+        stats.heap_pushes += approx.pushes();
+        let dim = ivf.config.dim;
+        let arena = ivf.arena.as_slice();
+        let mut top = TopK::new(k);
+        for entry in approx.into_unordered_entries() {
+            let row = entry.payload as usize;
+            stats.exact_rescored += 1;
+            top.push_hit(entry.id, dot(query, &arena[row * dim..(row + 1) * dim]));
+        }
+        stats.heap_pushes += top.pushes();
+        (top.into_sorted_results(), stats)
+    }
+
+    /// Indexes whose probed rows fall below and above `k · refine_factor`
+    /// for every `k` the equality is checked at: 300 and 2 000 rows under
+    /// the segment configuration, and 4 000 rows under four coarse
+    /// centroids probed three at a time (≈ 9/16 of the rows, past the
+    /// 1 600-row budget of `k = 400`). Built once per test binary.
+    fn exact_first_fixtures() -> &'static [(IvfPqIndex, Vec<Vec<f32>>)] {
+        static FIXTURES: std::sync::OnceLock<Vec<(IvfPqIndex, Vec<Vec<f32>>)>> =
+            std::sync::OnceLock::new();
+        FIXTURES.get_or_init(|| {
+            let dim = 16;
+            let segment = |rows: usize| {
+                IvfPqConfig::for_dim(dim).with_coarse_centroids((rows / 8).clamp(4, 32))
+            };
+            let wide = IvfPqConfig::for_dim(dim)
+                .with_coarse_centroids(4)
+                .with_nprobe(3);
+            [(300, segment(300)), (2_000, segment(2_000)), (4_000, wide)]
+                .into_iter()
+                .map(|(rows, config)| build_with_config(rows, dim, rows as u64, config))
+                .collect()
+        })
+    }
+
+    /// The three filter shapes an engine query pushes down — none, frame
+    /// ranges, class postings within ranges — drawn from `seed` over the ids
+    /// `0..rows`, each rejecting a share of every probed cell.
+    fn exact_first_filter(shape: usize, seed: u64, rows: usize) -> Option<IdFilter> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let rows = rows as u64;
+        let spans: Vec<(VectorId, VectorId)> = (0..rng.gen_range(1..12))
+            .map(|_| {
+                let start = rng.gen_range(0..rows);
+                (start, start + rng.gen_range(0..rows / 4))
+            })
+            .collect();
+        let ranges = IdRanges::new(spans);
+        match shape % 3 {
+            0 => None,
+            1 => {
+                let matched = (0..rows).filter(|&id| ranges.contains(id)).count();
+                Some(IdFilter::Ranges { ranges, matched })
+            }
+            _ => {
+                let step = rng.gen_range(2..5u64);
+                let posting: IdPosting = (0..rows).filter(|id| id % step != 1).collect();
+                let within = rng.gen_bool(0.5).then_some(ranges);
+                Some(IdFilter::Postings {
+                    postings: vec![std::sync::Arc::new(posting)],
+                    within,
+                })
+            }
+        }
+    }
+
+    /// Asserts the exact-first search, sorted, equals the two-stage
+    /// reference bit for bit and in every work counter but `heap_pushes`.
+    /// Returns whether the probed candidates exceeded the refine budget.
+    fn assert_exact_first_equals_reference(
+        ivf: &IvfPqIndex,
+        query: &[f32],
+        k: usize,
+        filter: Option<&IdFilter>,
+    ) -> bool {
+        let (hits, stats) = ivf.search(query, k, filter).unwrap();
+        let (expected, reference) = two_stage_reference(ivf, query, k, filter);
+        let bits = |hits: &[SearchResult]| -> Vec<(VectorId, u32)> {
+            hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+        };
+        assert_eq!(bits(&sorted(hits)), bits(&expected), "k={k} {filter:?}");
+        let counters = |s: &SearchStats| {
+            (
+                s.vectors_scored,
+                s.exact_rescored,
+                s.cells_probed,
+                s.filtered_out,
+            )
+        };
+        assert_eq!(counters(&stats), counters(&reference), "k={k} {filter:?}");
+        assert!(stats.heap_pushes <= reference.heap_pushes);
+        reference.vectors_scored > k * ivf.config.refine_factor
+    }
+
+    #[test]
+    fn exact_first_equals_two_stage_on_both_sides_of_the_budget() {
+        // Every filter shape must meet both branches, or the equality
+        // below would not cover the cutover.
+        let mut exact_first = [0usize; 3];
+        let mut two_stage = [0usize; 3];
+        for (fixture, (ivf, vectors)) in exact_first_fixtures().iter().enumerate() {
+            for k in [1, 10, 400] {
+                for shape in 0..3 {
+                    for probe in [0usize, 77, 151, 299] {
+                        let seed = (fixture * 1_000 + probe) as u64;
+                        let filter = exact_first_filter(shape, seed, vectors.len());
+                        let over = assert_exact_first_equals_reference(
+                            ivf,
+                            &vectors[probe],
+                            k,
+                            filter.as_ref(),
+                        );
+                        if over {
+                            two_stage[shape] += 1;
+                        } else {
+                            exact_first[shape] += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            exact_first.iter().chain(&two_stage).all(|&n| n > 0),
+            "exact-first {exact_first:?}, two-stage {two_stage:?}"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        // Random queries (stored rows and off-data directions) and random
+        // filters over every fixture and every `k` of the budget sweep.
+        #[test]
+        fn exact_first_equals_two_stage_reference(
+            fixture in 0usize..3,
+            k_pick in 0usize..3,
+            shape in 0usize..3,
+            seed in 0u64..u64::MAX,
+            stored in proptest::any::<bool>(),
+        ) {
+            let k = [1, 10, 400][k_pick];
+            let (ivf, vectors) = &exact_first_fixtures()[fixture];
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let query = if stored {
+                vectors[rng.gen_range(0..vectors.len())].clone()
+            } else {
+                random_unit(ivf.config.dim, &mut rng)
+            };
+            let filter = exact_first_filter(shape, seed, vectors.len());
+            assert_exact_first_equals_reference(ivf, &query, k, filter.as_ref());
+        }
     }
 }

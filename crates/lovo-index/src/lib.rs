@@ -580,7 +580,18 @@ impl TopK<()> {
 
     /// Consumes the selector, returning the kept hits best-first.
     pub fn into_sorted_results(self) -> Vec<SearchResult> {
-        self.into_sorted_entries()
+        Self::results(self.into_sorted_entries())
+    }
+
+    /// Consumes the selector, returning the kept hits in no particular
+    /// order — what an index search hands the collection merge, which
+    /// orders them once.
+    pub fn into_unordered_results(self) -> Vec<SearchResult> {
+        Self::results(self.into_unordered_entries())
+    }
+
+    fn results(entries: Vec<TopKEntry>) -> Vec<SearchResult> {
+        entries
             .into_iter()
             .map(|e| SearchResult {
                 id: e.id,
@@ -606,8 +617,15 @@ pub trait VectorIndex: Send + Sync {
     }
 
     /// Returns the `k` most similar vectors to `query` whose ids pass
-    /// `filter` (every id when `None`), best first, with the work the search
-    /// did. Every family evaluates the filter *inside* its scan so rejected
+    /// `filter` (every id when `None`), with the work the search did.
+    ///
+    /// The `k` best, unordered: the hits come back in no particular order,
+    /// and the collection merge, which selects across segments anyway, is
+    /// the one place that orders them (score descending, then id
+    /// ascending). A caller that reads an index directly and needs the best
+    /// hit first sorts them itself.
+    ///
+    /// Every family evaluates the filter *inside* its scan so rejected
     /// vectors are skipped as early as the layout allows: flat masks rows
     /// during the block scan, IVF-PQ skips non-matching codes before ADC
     /// scoring and rescores only matching candidates, HNSW visits the graph
@@ -698,6 +716,17 @@ pub fn create_segment_index_from_rows(
             rows,
         )?)),
     }
+}
+
+/// Index hits in the crate-wide order, best first: what a test reading an
+/// unordered search result by position sorts it into.
+#[cfg(test)]
+pub(crate) fn sorted(hits: Vec<SearchResult>) -> Vec<SearchResult> {
+    let mut top = TopK::new(hits.len());
+    for hit in hits {
+        top.push_hit(hit.id, hit.score);
+    }
+    top.into_sorted_results()
 }
 
 #[cfg(test)]
@@ -1017,7 +1046,7 @@ mod tests {
         for rows in [40usize, 600] {
             let idx = segment_index(IndexKind::IvfPq, dim, rows);
             let vectors = unit_rows(rows, dim);
-            let (hits, _) = idx.search(&vectors[7 * dim..8 * dim], 3, None).unwrap();
+            let hits = sorted(idx.search(&vectors[7 * dim..8 * dim], 3, None).unwrap().0);
             assert_eq!(hits[0].id, 7, "rows={rows}");
             assert!((hits[0].score - 1.0).abs() < 1e-4);
         }

@@ -7,12 +7,22 @@
 use lovo_index::metric::{dot, normalize};
 use lovo_index::{
     FlatIndex, HnswConfig, HnswIndex, IdFilter, IdPosting, IdRanges, IvfPqConfig, IvfPqIndex,
-    RowStore, SearchResult, VectorIndex,
+    RowStore, SearchResult, TopK, VectorIndex,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
+
+/// Index hits in the crate-wide order, best first (score descending, then
+/// id ascending): an index search returns its hits unordered.
+fn sorted(hits: Vec<SearchResult>) -> Vec<SearchResult> {
+    let mut top = TopK::new(hits.len());
+    for hit in hits {
+        top.push_hit(hit.id, hit.score);
+    }
+    top.into_sorted_results()
+}
 
 /// Reference implementation: exhaustively retrieve everything unfiltered,
 /// drop ids the filter rejects, truncate to `k`.
@@ -22,10 +32,7 @@ fn post_filter_reference(
     k: usize,
     filter: &IdFilter,
 ) -> Vec<SearchResult> {
-    index
-        .search(query, index.len(), None)
-        .unwrap()
-        .0
+    sorted(index.search(query, index.len(), None).unwrap().0)
         .into_iter()
         .filter(|hit| filter.accepts(hit.id))
         .take(k)
@@ -63,7 +70,7 @@ proptest! {
         let (set_hits, set_stats) = flat
             .search(&query, k, Some(&set_filter))
             .unwrap();
-        prop_assert_eq!(&set_hits, &reference);
+        prop_assert_eq!(&sorted(set_hits), &reference);
         prop_assert_eq!(set_stats.vectors_scored, allowed.len());
         prop_assert_eq!(set_stats.filtered_out, rows.len() - allowed.len());
 
@@ -73,24 +80,24 @@ proptest! {
         let (pred_hits, _) = flat
             .search(&query, k, Some(&pred_filter))
             .unwrap();
-        prop_assert_eq!(&pred_hits, &reference);
+        prop_assert_eq!(&sorted(pred_hits), &reference);
 
         // And as what the metadata store resolves predicates to: the ids'
         // runs as sorted ranges, and the ids as a posting — alone and cut
         // down by ranges that happen to cover it.
-        let mut sorted: Vec<u64> = allowed.iter().copied().collect();
-        sorted.sort_unstable();
-        let runs = IdRanges::new(sorted.iter().map(|&id| (id, id)).collect());
-        let posting = Arc::new(sorted.iter().copied().collect::<IdPosting>());
+        let mut ascending: Vec<u64> = allowed.iter().copied().collect();
+        ascending.sort_unstable();
+        let runs = IdRanges::new(ascending.iter().map(|&id| (id, id)).collect());
+        let posting = Arc::new(ascending.iter().copied().collect::<IdPosting>());
         let resolved = [
-            IdFilter::Ranges { ranges: runs.clone(), matched: sorted.len() },
+            IdFilter::Ranges { ranges: runs.clone(), matched: ascending.len() },
             IdFilter::Postings { postings: vec![posting.clone()], within: None },
             IdFilter::Postings { postings: vec![posting], within: Some(runs) },
         ];
         for filter in &resolved {
-            prop_assert_eq!(filter.matched(), Some(sorted.len()));
+            prop_assert_eq!(filter.matched(), Some(ascending.len()));
             let (hits, stats) = flat.search(&query, k, Some(filter)).unwrap();
-            prop_assert_eq!(&hits, &reference);
+            prop_assert_eq!(&sorted(hits), &reference);
             prop_assert_eq!(stats.vectors_scored, allowed.len());
         }
     }
@@ -155,6 +162,7 @@ fn ivf_filtered_equals_post_filter_under_full_refine() {
             let query = &vectors[probe];
             let reference = post_filter_reference(&ivf, query, 10, filter);
             let (hits, stats) = ivf.search(query, 10, Some(filter)).unwrap();
+            let hits = sorted(hits);
             assert_eq!(hits, reference, "filter {which}, probe {probe}");
             assert!(hits.iter().all(|h| filter.accepts(h.id)));
             assert_eq!(

@@ -478,32 +478,19 @@ impl SegmentedCollection {
             }
         }
 
-        // Per query: keep one score per id where a row can have two, then one
-        // bounded top-k selection. The selector's (score desc, id asc) total
-        // order over unique ids makes the result independent of segment
-        // order. A replaced row still living in an older segment is the only
-        // way one id reaches the merge twice, and it takes two segments whose
-        // id ranges overlap. Ingest-ordered collections have none.
         let unique_ids = zones_are_disjoint(&probes);
         Ok(scratches
             .into_iter()
             .zip(requests)
             .map(|(scratch, request)| {
                 let MergeScratch {
-                    mut hits,
+                    hits,
                     mut stats,
                     probes: probed,
                 } = scratch;
-                if !unique_ids {
-                    keep_best_per_id(&mut hits);
-                }
-                let mut top = TopK::new(request.k);
-                for hit in hits {
-                    top.push_hit(hit.id, hit.score);
-                }
-                stats.heap_pushes += top.pushes();
+                let hits = merge_hits(hits, request.k, unique_ids, &mut stats);
                 stats.segments_probed = probed;
-                (top.into_sorted_results(), stats)
+                (hits, stats)
             })
             .collect())
     }
@@ -540,6 +527,34 @@ fn zones_are_disjoint(segments: &[&Segment]) -> bool {
         .collect();
     zones.sort_unstable();
     zones.windows(2).all(|pair| pair[0].1 < pair[1].0)
+}
+
+/// The collection merge of one query: every probed segment's hits, in any
+/// order, become the query's `k` best, best first. Segment searches return
+/// their hits unordered, so this is the one place a search orders them.
+///
+/// One score is kept per id where a row can have two, then one bounded
+/// top-k selection runs. The selector's (score desc, id asc) total order
+/// over unique ids makes the result independent of the order the hits
+/// arrive in, within a segment and across segments. A replaced row still
+/// living in an older segment is the only way one id reaches the merge
+/// twice, and it takes two segments whose id ranges overlap (`unique_ids`
+/// false). Ingest-ordered collections have none.
+fn merge_hits(
+    mut hits: Vec<SearchResult>,
+    k: usize,
+    unique_ids: bool,
+    stats: &mut SearchStats,
+) -> Vec<SearchResult> {
+    if !unique_ids {
+        keep_best_per_id(&mut hits);
+    }
+    let mut top = TopK::new(k);
+    for hit in hits {
+        top.push_hit(hit.id, hit.score);
+    }
+    stats.heap_pushes += top.pushes();
+    top.into_sorted_results()
 }
 
 /// Keeps each id's best-scored hit and drops the others, leaving the hits in
@@ -809,16 +824,18 @@ mod tests {
         top.into_sorted_results()
     }
 
-    #[test]
-    fn merge_equals_the_hash_merge_it_replaced() {
-        let vectors = sample_vectors(900, 16);
-        let bits = |hits: &[SearchResult]| -> Vec<(VectorId, u32)> {
-            hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
-        };
+    /// Score bits of hits, for bit-identity assertions.
+    fn bits(hits: &[SearchResult]) -> Vec<(VectorId, u32)> {
+        hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+    }
+
+    /// The merge fixtures, for every index family: one segment, several
+    /// disjoint ones, and several plus a growing segment that re-inserts
+    /// sealed ids with other vectors — the only shape in which one id
+    /// reaches the merge twice. Each comes with a label for messages.
+    fn merge_fixtures(vectors: &[Vec<f32>]) -> Vec<(String, SegmentedCollection)> {
+        let mut fixtures = Vec::new();
         for kind in IndexKind::ALL {
-            // One segment, several disjoint ones, and several plus a growing
-            // segment that re-inserts sealed ids with other vectors: the
-            // only shape in which one id reaches the merge twice.
             for (capacity, replaced) in [(4096, false), (300, false), (300, true)] {
                 let cfg = CollectionConfig::new(16)
                     .with_index_kind(kind)
@@ -836,36 +853,125 @@ mod tests {
                         &c.sealed.iter().chain([&c.growing]).collect::<Vec<_>>()
                     ));
                 }
-                let filters = [
-                    None,
-                    Some(PushdownFilter::new(IdFilter::Ranges {
-                        ranges: IdRanges::new(vec![(0, 49), (280, 420), (640, 700)]),
-                        matched: 252,
-                    })),
-                    Some(PushdownFilter::new(IdFilter::from_predicate(|id| {
-                        id % 3 != 1
-                    }))),
-                ];
-                for filter in &filters {
-                    for probe in [7usize, 310, 457, 650, 899] {
-                        let request = BatchQuery {
-                            query: &vectors[probe],
-                            k: 25,
-                            filter: filter.as_ref(),
-                        };
-                        let (hits, _) = c
-                            .search_batch_with_stats_opts(&[request])
-                            .unwrap()
-                            .pop()
-                            .unwrap();
-                        let expected =
-                            hash_merge_reference(&c, &vectors[probe], 25, filter.as_ref());
-                        assert_eq!(
-                            bits(&hits),
-                            bits(&expected),
-                            "{kind:?} capacity {capacity} replaced {replaced} \
-                             filter {filter:?} probe {probe}"
-                        );
+                let label = format!("{kind:?} capacity {capacity} replaced {replaced}");
+                fixtures.push((label, c));
+            }
+        }
+        fixtures
+    }
+
+    /// The filters the merge fixtures are queried under: none, id ranges
+    /// and an opaque predicate.
+    fn merge_filters() -> [Option<PushdownFilter>; 3] {
+        [
+            None,
+            Some(PushdownFilter::new(IdFilter::Ranges {
+                ranges: IdRanges::new(vec![(0, 49), (280, 420), (640, 700)]),
+                matched: 252,
+            })),
+            Some(PushdownFilter::new(IdFilter::from_predicate(|id| {
+                id % 3 != 1
+            }))),
+        ]
+    }
+
+    #[test]
+    fn merge_equals_the_hash_merge_it_replaced() {
+        let vectors = sample_vectors(900, 16);
+        for (label, c) in merge_fixtures(&vectors) {
+            for filter in &merge_filters() {
+                for probe in [7usize, 310, 457, 650, 899] {
+                    let request = BatchQuery {
+                        query: &vectors[probe],
+                        k: 25,
+                        filter: filter.as_ref(),
+                    };
+                    let (hits, _) = c
+                        .search_batch_with_stats_opts(&[request])
+                        .unwrap()
+                        .pop()
+                        .unwrap();
+                    let expected = hash_merge_reference(&c, &vectors[probe], 25, filter.as_ref());
+                    assert_eq!(
+                        bits(&hits),
+                        bits(&expected),
+                        "{label} filter {filter:?} probe {probe}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Fisher–Yates over `rng`.
+    fn shuffle(hits: &mut [SearchResult], rng: &mut impl rand::Rng) {
+        for i in (1..hits.len()).rev() {
+            hits.swap(i, rng.gen_range(0..i + 1));
+        }
+    }
+
+    #[test]
+    fn merge_ignores_the_order_segments_return_hits_in() {
+        use rand::SeedableRng;
+        let vectors = sample_vectors(900, 16);
+        let k = 25;
+        for (label, c) in merge_fixtures(&vectors) {
+            let mut probes: Vec<&Segment> = c.sealed.iter().collect();
+            if !c.growing.is_empty() {
+                probes.push(&c.growing);
+            }
+            let unique_ids = zones_are_disjoint(&probes);
+            for filter in &merge_filters() {
+                let id_filter = filter.as_ref().map(PushdownFilter::id_filter);
+                for probe in [7usize, 310, 457, 650, 899] {
+                    let context = format!("{label} filter {filter:?} probe {probe}");
+                    let query = lovo_index::metric::normalized(&vectors[probe]);
+                    let per_segment: Vec<Vec<SearchResult>> = probes
+                        .iter()
+                        .map(|segment| segment.search(&query, k, id_filter).unwrap().0)
+                        .collect();
+                    // Each family's unordered hits, once sorted, are what it
+                    // returned best-first: the exact top-k of the segment's
+                    // own rows for brute force, the beam order HNSW still
+                    // keeps. IVF-PQ's equality with its two-stage reference
+                    // is asserted in `lovo-index`.
+                    for (segment, hits) in probes.iter().zip(&per_segment) {
+                        let sorted = merge_hits(hits.clone(), k, true, &mut SearchStats::default());
+                        match segment.family() {
+                            "BF" => {
+                                let mut exact = TopK::new(k);
+                                for (id, row) in segment.raw_rows() {
+                                    if id_filter.map_or(true, |f| f.accepts(id)) {
+                                        exact.push_hit(id, lovo_index::metric::dot(&query, row));
+                                    }
+                                }
+                                let exact = exact.into_sorted_results();
+                                assert_eq!(bits(&sorted), bits(&exact), "{context}");
+                            }
+                            "HNSW" => assert_eq!(bits(&sorted), bits(hits), "{context}"),
+                            _ => {}
+                        }
+                    }
+
+                    let (expected, _) = search_one(&c, &vectors[probe], k, filter.as_ref());
+                    let mut rng = rand::rngs::SmallRng::seed_from_u64(probe as u64);
+                    let reversed: Vec<SearchResult> = per_segment
+                        .iter()
+                        .flat_map(|hits| hits.iter().rev().copied())
+                        .collect();
+                    let shuffled: Vec<SearchResult> = per_segment
+                        .iter()
+                        .flat_map(|hits| {
+                            let mut hits = hits.clone();
+                            shuffle(&mut hits, &mut rng);
+                            hits
+                        })
+                        .collect();
+                    let segments_reversed: Vec<SearchResult> =
+                        per_segment.iter().rev().flatten().copied().collect();
+                    for arranged in [reversed, shuffled, segments_reversed] {
+                        let merged =
+                            merge_hits(arranged, k, unique_ids, &mut SearchStats::default());
+                        assert_eq!(bits(&merged), bits(&expected), "{context}");
                     }
                 }
             }

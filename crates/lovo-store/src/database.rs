@@ -355,12 +355,18 @@ impl VectorDatabase {
         // vector insert still fails, the orphaned metadata rows are benign —
         // the reverse (a searchable vector with no metadata row) would make
         // every query that surfaces it error.
+        // The batch is owned: its records move into the metadata store, and
+        // only each row's (patch id, vector) pair stays behind.
+        let mut rows = Vec::with_capacity(batch.len());
         self.metadata
             .write()
-            .extend(batch.iter().map(|(_, record)| record.clone()));
+            .extend(batch.into_iter().map(|(vector, record)| {
+                rows.push((record.patch_id, vector));
+                record
+            }));
         let sealed_before = col.sealed_segment_count();
-        for (vector, record) in &batch {
-            col.insert(record.patch_id, vector)?;
+        for &(patch_id, vector) in &rows {
+            col.insert(patch_id, vector)?;
         }
         // A batch that crossed segment capacity auto-sealed mid-insert;
         // persist the new segment file(s) now. The rows stay covered by the
@@ -370,7 +376,7 @@ impl VectorDatabase {
                 store.sync_collection(col, &self.metadata.read(), points::SEGMENT_WRITE)?;
             }
         }
-        Ok(batch.len())
+        Ok(rows.len())
     }
 
     /// Seals the named collection's growing segment (builds its ANN index).

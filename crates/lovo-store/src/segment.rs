@@ -194,7 +194,8 @@ impl Segment {
     /// Searches the segment for the `k` rows most similar to `query`,
     /// pushing `filter` into the scan when one is given: through the built
     /// index when sealed, by exact brute-force scan of the append buffer
-    /// while growing.
+    /// while growing. The hits come back unordered, as from any
+    /// [`VectorIndex::search`]; the collection merge orders them.
     ///
     /// Graph escape hatch: HNSW's filtered-accept beam loses recall as
     /// selectivity drops (few accepted nodes ever enter the result beam), so
@@ -248,6 +249,16 @@ fn selective_allow_set(filter: &IdFilter, rows: usize) -> bool {
 mod tests {
     use super::*;
 
+    /// Segment hits in the crate-wide order, best first (score descending,
+    /// then id ascending): a segment search returns its hits unordered.
+    fn sorted(hits: Vec<SearchResult>) -> Vec<SearchResult> {
+        let mut top = lovo_index::TopK::new(hits.len());
+        for hit in hits {
+            top.push_hit(hit.id, hit.score);
+        }
+        top.into_sorted_results()
+    }
+
     fn unit(i: usize, dim: usize) -> Vec<f32> {
         let mut v: Vec<f32> = (0..dim)
             .map(|d| ((i * 31 + d * 7) % 97) as f32 / 97.0 - 0.5)
@@ -265,6 +276,7 @@ mod tests {
         assert_eq!(seg.state(), SegmentState::Growing);
         assert_eq!(seg.family(), "BF");
         let (hits, stats) = seg.search(&unit(3, 8), 2, None).unwrap();
+        let hits = sorted(hits);
         assert_eq!(hits[0].id, 3);
         assert_eq!(stats.vectors_scored, 20);
     }
