@@ -11,19 +11,26 @@
 //!    plans are never searched), then run the **coarse** search for all
 //!    remaining queries in one batched fan-out over the storage segments
 //!    (one collection lock acquisition, one segment walk shared by the
-//!    batch), each with its own filter;
+//!    batch), each with its own filter. Each query gets its `fast_search_k`
+//!    best patch ids and scores, unordered and not yet joined with metadata;
 //! 2. **rerank stage** — the cross-modality transformer re-scores a list of
 //!    candidate frames against one parsed query;
-//! 3. **aggregate** — groups the coarse list into candidate frames,
-//!    truncates to the rerank budget, reranks, and assembles the
-//!    [`QueryResult`] with per-stage timings.
+//! 3. **aggregate** — *groups, then joins the budget*: reduces the raw hits
+//!    to one best patch per key frame, keeps the `rerank_frames` frames
+//!    whose best patches rank highest (`output_frames` with the rerank off),
+//!    joins only those patches' metadata rows for box and timestamp, then
+//!    reranks or assembles the fast-search order, and fills in the
+//!    [`QueryResult`] with per-stage timings. Nothing is sorted before the
+//!    hits are reduced to frames, and at most the budget's rows are read.
 //!
 //! [`Lovo::query_plans`] is the coarse stage over the batch followed by the
 //! aggregation per plan. [`Lovo::coarse_plan`] and [`Lovo::rerank_plan`]
 //! expose the coarse stage over a batch of one and the rerank stage, and
 //! [`group_hits_by_frame`], [`merge_reranked`] and [`assemble_unreranked`]
 //! the pieces of the aggregation, so a caller can run a query stage by stage
-//! and time each stage on its own.
+//! and time each stage on its own. The staged path joins every coarse hit
+//! and groups the joined list; it gives the engine's answer bit for bit,
+//! because both group under one rule, `best_per_frame`'s.
 
 use crate::engine::{Lovo, QueryResult, QueryTimings, RankedObject};
 use crate::planner::QueryPlan;
@@ -31,12 +38,14 @@ use crate::summary::{split_patch_id, PATCH_COLLECTION};
 use crate::Result;
 use lovo_encoder::cross_modality::CandidateFrame;
 use lovo_encoder::{QueryEmbedding, TextEncoder};
-use lovo_index::SearchStats;
-use lovo_store::{BatchQuery, PushdownFilter};
+use lovo_index::{IdBuildHasher, SearchResult, SearchStats};
+use lovo_store::patchid::frame_of;
+use lovo_store::{BatchQuery, PatchRecord, PushdownFilter};
 use lovo_video::bbox::BoundingBox;
 use lovo_video::QueryConstraints;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -106,44 +115,120 @@ pub fn merge_reranked(lists: Vec<Vec<RankedObject>>, output_frames: usize) -> Ve
     merged
 }
 
-/// Groups coarse candidates (given best-first) into candidate frames: one
-/// seed per key frame, listed in order of each frame's best patch's rank,
-/// keeping the best score/box per frame (strictly-greater wins, so on score
-/// ties the earlier — smaller-patch-id — box is kept).
-pub fn group_hits_by_frame(hits: &[CoarseHit]) -> Vec<FrameSeed> {
-    let mut order: Vec<(u32, u32)> = Vec::new();
-    let mut best: HashMap<(u32, u32), FrameSeed> = HashMap::new();
+/// The grouping rule, the one both the engine and [`group_hits_by_frame`]
+/// apply: each key frame's best hit under [`SearchResult::order`] (score
+/// descending, then patch id ascending), for the `limit` frames whose best
+/// hits rank highest, best first. `rank` reads a hit's patch id and score.
+///
+/// The result depends only on the set of hits, not on their order. Frames
+/// are keyed by [`frame_of`] in a map under the cheap id hash; only the
+/// frames are ordered, and only the `limit` kept ones are sorted. Because
+/// the packed id orders `(video, frame)` in its high bits, frames whose best
+/// scores tie come out in `(video id, frame index)` order.
+pub(crate) fn best_per_frame<T: Copy>(
+    hits: &[T],
+    limit: usize,
+    rank: impl Fn(&T) -> SearchResult,
+) -> Vec<T> {
+    let mut slot_of: HashMap<u64, usize, IdBuildHasher> =
+        HashMap::with_capacity_and_hasher(hits.len(), IdBuildHasher::default());
+    let mut best: Vec<T> = Vec::new();
     for hit in hits {
-        let (video_id, frame_index, _) = split_patch_id(hit.patch_id);
-        let key = (video_id, frame_index);
-        match best.get_mut(&key) {
-            Some(existing) => {
-                if hit.score > existing.score {
-                    existing.score = hit.score;
-                    existing.bbox = hit.bbox;
-                }
-                if existing.timestamp.is_none() {
-                    existing.timestamp = hit.timestamp;
-                }
+        let ranked = rank(hit);
+        match slot_of.entry(frame_of(ranked.id)) {
+            Entry::Vacant(slot) => {
+                slot.insert(best.len());
+                best.push(*hit);
             }
-            None => {
-                best.insert(
-                    key,
-                    FrameSeed {
-                        video_id,
-                        frame_index,
-                        score: hit.score,
-                        bbox: hit.bbox,
-                        timestamp: hit.timestamp,
-                    },
-                );
-                order.push(key);
+            Entry::Occupied(slot) => {
+                if let Some(kept) = best.get_mut(*slot.get()) {
+                    if ranked.order(&rank(kept)) == Ordering::Less {
+                        *kept = *hit;
+                    }
+                }
             }
         }
     }
-    order
+    let by_rank = |a: &T, b: &T| rank(a).order(&rank(b));
+    if limit == 0 {
+        best.clear();
+    } else if limit < best.len() {
+        best.select_nth_unstable_by(limit - 1, by_rank);
+        best.truncate(limit);
+    }
+    best.sort_unstable_by(by_rank);
+    best
+}
+
+/// A coarse hit's patch id and score, as the grouping rule ranks it.
+fn rank_of(hit: &CoarseHit) -> SearchResult {
+    SearchResult {
+        id: hit.patch_id,
+        score: hit.score,
+    }
+}
+
+/// The seed a frame's best hit makes: its score, box and timestamp.
+fn seed_of(hit: &CoarseHit) -> FrameSeed {
+    let (video_id, frame_index, _) = split_patch_id(hit.patch_id);
+    FrameSeed {
+        video_id,
+        frame_index,
+        score: hit.score,
+        bbox: hit.bbox,
+        timestamp: hit.timestamp,
+    }
+}
+
+/// A search hit joined with its patch's metadata row.
+fn joined(hit: &SearchResult, record: &PatchRecord) -> CoarseHit {
+    let (x, y, w, h) = record.bbox;
+    CoarseHit {
+        patch_id: hit.id,
+        score: hit.score,
+        bbox: BoundingBox::new(x, y, w, h),
+        // Ingest stamps the record with its key frame's timestamp.
+        timestamp: Some(record.timestamp),
+    }
+}
+
+/// Joins search hits with their metadata rows (one read lock for the
+/// batch), keeping their order.
+fn join(lovo: &Lovo, hits: &[SearchResult]) -> Result<Vec<CoarseHit>> {
+    let ids: Vec<u64> = hits.iter().map(|hit| hit.id).collect();
+    let records = lovo.database.patches(&ids)?;
+    Ok(hits
         .iter()
-        .filter_map(|key| best.get(key).copied())
+        .zip(&records)
+        .map(|(hit, record)| joined(hit, record))
+        .collect())
+}
+
+/// Groups coarse candidates into candidate frames: one seed per key frame,
+/// listed in order of each frame's best patch's rank, with that patch's
+/// score and box. This is the engine's grouping rule (`best_per_frame`):
+/// a frame's best patch is its best hit by score descending, then patch id
+/// ascending, so on a score tie the smaller patch id's box is kept, and the
+/// seeds are the same whatever order the hits come in. On best-first input
+/// — what [`Lovo::coarse_plan`] returns — a frame's best patch is its first
+/// hit.
+///
+/// A seed's timestamp is its best patch's; should that be unknown, the
+/// first known timestamp among the frame's other hits, in input order.
+pub fn group_hits_by_frame(hits: &[CoarseHit]) -> Vec<FrameSeed> {
+    best_per_frame(hits, usize::MAX, rank_of)
+        .iter()
+        .map(|best| {
+            let mut seed = seed_of(best);
+            if seed.timestamp.is_none() {
+                let frame = frame_of(best.patch_id);
+                seed.timestamp = hits
+                    .iter()
+                    .filter(|hit| frame_of(hit.patch_id) == frame)
+                    .find_map(|hit| hit.timestamp);
+            }
+            seed
+        })
         .collect()
 }
 
@@ -170,21 +255,20 @@ pub fn assemble_unreranked(seeds: &[FrameSeed], output_frames: usize) -> Vec<Ran
 }
 
 /// One plan's coarse-stage output: the parsed query (kept for the rerank
-/// stage, so each text is encoded once per query), the candidate patches in
-/// fast-search order with their key-frame timestamps attached, the search
-/// work counters, and the encode / prune / fast-search timings.
+/// stage, so each text is encoded once per query), the candidate patches'
+/// ids and scores, unordered and unjoined, the search work counters, and
+/// the encode / prune / fast-search timings.
 struct CoarseOutput {
     embedding: QueryEmbedding,
-    hits: Vec<CoarseHit>,
+    hits: Vec<SearchResult>,
     stats: SearchStats,
     timings: QueryTimings,
 }
 
 /// The batched coarse stage (Algorithm 1): encode every text, resolve each
-/// *distinct* predicate once, run one batched fan-out over the storage
-/// segments, and attach each candidate's key-frame timestamp. Outputs come
-/// back in plan order; provably-empty plans get no candidates and are never
-/// searched.
+/// *distinct* predicate once, and run one batched fan-out over the storage
+/// segments. Outputs come back in plan order, each with its query's raw
+/// hits; provably-empty plans get no candidates and are never searched.
 fn coarse_stage(lovo: &Lovo, plans: &[QueryPlan]) -> Result<Vec<CoarseOutput>> {
     // --- Encode every query text up front (§VI-A). ---
     let mut outputs: Vec<CoarseOutput> = Vec::with_capacity(plans.len());
@@ -251,7 +335,7 @@ fn coarse_stage(lovo: &Lovo, plans: &[QueryPlan]) -> Result<Vec<CoarseOutput>> {
     let search_start = Instant::now();
     let results = lovo
         .database
-        .search_batch_with_stats_opts(PATCH_COLLECTION, &requests, 0)?;
+        .search_batch_unjoined(PATCH_COLLECTION, &requests)?;
     let shared_seconds = search_start.elapsed().as_secs_f64() / requests.len() as f64;
 
     let searched = outputs
@@ -261,19 +345,7 @@ fn coarse_stage(lovo: &Lovo, plans: &[QueryPlan]) -> Result<Vec<CoarseOutput>> {
     for ((output, _), (hits, stats)) in searched.zip(results) {
         output.timings.fast_search_seconds = shared_seconds;
         output.stats = stats;
-        output.hits = hits
-            .iter()
-            .map(|hit| {
-                let (x, y, w, h) = hit.record.bbox;
-                CoarseHit {
-                    patch_id: hit.patch_id,
-                    score: hit.score,
-                    bbox: BoundingBox::new(x, y, w, h),
-                    // Ingest stamps the record with its key frame's timestamp.
-                    timestamp: Some(hit.record.timestamp),
-                }
-            })
-            .collect();
+        output.hits = hits;
     }
     Ok(outputs)
 }
@@ -317,13 +389,26 @@ fn rerank_stage(
         .collect())
 }
 
-/// The aggregation stage: groups the coarse list into candidate frames and
-/// either reranks the strongest `rerank_frames` of them or — rerank disabled
-/// — assembles the fast-search frame order directly. The collection's top-k
-/// merge already returns the hits best-first (score descending, patch id
-/// ascending) and at most `fast_search_k` of them, so they are grouped as
-/// they come. The coarse timings arrive filled in; the rerank time is
-/// measured here.
+/// The aggregation stage: groups the raw coarse hits into candidate frames,
+/// keeps the strongest of them, joins only those frames' best patches, and
+/// either reranks them or — rerank disabled — assembles the fast-search
+/// frame order directly. The coarse timings arrive filled in; the rerank
+/// time is measured here.
+///
+/// The staged path ([`Lovo::coarse_plan`], [`group_hits_by_frame`], then the
+/// budget cut) gives the same seeds, because:
+///
+/// * both group under [`best_per_frame`], whose seeds do not depend on the
+///   hits' order, and a frame's seed is its best patch's row either way;
+/// * the budget keeps the frames whose best patches rank highest, the
+///   prefix the staged path cuts from its best-first seeds;
+/// * with the rerank off, that order (score descending, then packed patch
+///   id, whose high bits are `(video, frame)`) is [`assemble_unreranked`]'s,
+///   and every joined timestamp is known, so the first `output_frames` seeds
+///   are the ones it outputs.
+///
+/// Only the kept frames' rows are read, so a hit whose metadata row is
+/// missing fails the query only when its frame is one of them.
 fn aggregate(lovo: &Lovo, plan: &QueryPlan, coarse: CoarseOutput) -> Result<QueryResult> {
     let CoarseOutput {
         embedding,
@@ -331,11 +416,14 @@ fn aggregate(lovo: &Lovo, plan: &QueryPlan, coarse: CoarseOutput) -> Result<Quer
         stats,
         mut timings,
     } = coarse;
-    let mut seeds = group_hits_by_frame(&hits);
+    let budget = if plan.enable_rerank {
+        plan.rerank_frames
+    } else {
+        plan.output_frames
+    };
+    let best = best_per_frame(&hits, budget, |hit| *hit);
+    let seeds: Vec<FrameSeed> = join(lovo, &best)?.iter().map(seed_of).collect();
     let frames = if plan.enable_rerank {
-        // Bound the expensive stage: `seeds` lists frames in order of their
-        // best patch's fast-search rank, so truncation keeps the strongest.
-        seeds.truncate(plan.rerank_frames);
         let start = Instant::now();
         let ranked = rerank_stage(lovo, &embedding.parsed, &seeds)?;
         timings.rerank_seconds = start.elapsed().as_secs_f64();
@@ -369,9 +457,10 @@ pub(crate) fn execute(lovo: &Lovo, plans: &[QueryPlan]) -> Result<Vec<QueryResul
 /// [`Lovo::query_plans`] derives).
 impl Lovo {
     /// Runs a plan's encode + prune + coarse stages — the batched coarse
-    /// stage over a batch of one — returning candidate patches in
-    /// fast-search order together with the work counters. Each hit carries
-    /// its key frame's timestamp, which [`assemble_unreranked`] needs.
+    /// stage over a batch of one — returning every candidate patch joined
+    /// with its metadata row, best first (score descending, then patch id
+    /// ascending), together with the work counters. Each hit carries its key
+    /// frame's timestamp, which [`assemble_unreranked`] needs.
     /// Provably-empty plans return no candidates without searching.
     ///
     /// The trailing `usize` is accepted and ignored. It was a scan-thread
@@ -383,8 +472,14 @@ impl Lovo {
         plan: &QueryPlan,
         _ignored: usize,
     ) -> Result<(Vec<CoarseHit>, SearchStats)> {
-        let output = coarse_stage(self, std::slice::from_ref(plan))?.pop();
-        Ok(output.map(|o| (o.hits, o.stats)).unwrap_or_default())
+        let Some(CoarseOutput {
+            mut hits, stats, ..
+        }) = coarse_stage(self, std::slice::from_ref(plan))?.pop()
+        else {
+            return Ok(Default::default());
+        };
+        hits.sort_unstable_by(SearchResult::order);
+        Ok((join(self, &hits)?, stats))
     }
 
     /// Runs a plan's rerank stage over the given candidate frames: frames
@@ -393,5 +488,162 @@ impl Lovo {
     /// [`merge_reranked`] applies the output budget.
     pub fn rerank_plan(&self, plan: &QueryPlan, seeds: &[FrameSeed]) -> Result<Vec<RankedObject>> {
         rerank_stage(self, &TextEncoder::parse(&plan.text), seeds)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::summary::patch_id;
+
+    /// The grouping rule as it stood before the engine grouped raw hits: on
+    /// best-first input, a frame's first hit seeds it (a later hit replaces
+    /// its score and box only when strictly greater), frames are listed in
+    /// first-occurrence order, and a missing timestamp is filled from the
+    /// frame's first later hit that has one.
+    fn first_occurrence_reference(hits: &[CoarseHit]) -> Vec<FrameSeed> {
+        let mut seeds: Vec<FrameSeed> = Vec::new();
+        for hit in hits {
+            let (video_id, frame_index, _) = split_patch_id(hit.patch_id);
+            match seeds
+                .iter_mut()
+                .find(|seed| (seed.video_id, seed.frame_index) == (video_id, frame_index))
+            {
+                Some(seed) => {
+                    if hit.score > seed.score {
+                        seed.score = hit.score;
+                        seed.bbox = hit.bbox;
+                    }
+                    if seed.timestamp.is_none() {
+                        seed.timestamp = hit.timestamp;
+                    }
+                }
+                None => seeds.push(FrameSeed {
+                    video_id,
+                    frame_index,
+                    score: hit.score,
+                    bbox: hit.bbox,
+                    timestamp: hit.timestamp,
+                }),
+            }
+        }
+        seeds
+    }
+
+    /// A xorshift stream, enough to shuffle and draw fixtures reproducibly.
+    struct Stream(u64);
+
+    impl Stream {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn shuffle<T>(&mut self, items: &mut [T]) {
+            for i in (1..items.len()).rev() {
+                items.swap(i, self.below(i as u64 + 1) as usize);
+            }
+        }
+    }
+
+    /// Hits over a few frames of a few videos, many per frame, with scores
+    /// drawn from four values so patches tie inside a frame and frames tie
+    /// on their best score; every patch has its own box, and one hit in
+    /// five has no timestamp.
+    fn tied_hits(seed: u64, count: usize) -> Vec<CoarseHit> {
+        let mut stream = Stream(seed | 1);
+        let mut ids: Vec<u64> = Vec::new();
+        while ids.len() < count {
+            let id = patch_id(
+                stream.below(3) as u32,
+                stream.below(6) as u32,
+                stream.below(40) as u32,
+            );
+            if !ids.contains(&id) {
+                ids.push(id);
+            }
+        }
+        ids.into_iter()
+            .map(|patch_id| {
+                let (video, frame, patch) = split_patch_id(patch_id);
+                CoarseHit {
+                    patch_id,
+                    score: [0.25, 0.5, 0.75, 1.0][stream.below(4) as usize],
+                    bbox: BoundingBox::new(patch as f32, video as f32, 1.0, 1.0),
+                    timestamp: (stream.below(5) > 0).then_some(f64::from(frame) / 30.0),
+                }
+            })
+            .collect()
+    }
+
+    fn best_first(mut hits: Vec<CoarseHit>) -> Vec<CoarseHit> {
+        hits.sort_unstable_by(|a, b| rank_of(a).order(&rank_of(b)));
+        hits
+    }
+
+    #[test]
+    fn grouping_equals_the_first_occurrence_rule_on_best_first_input() {
+        for seed in 1..40 {
+            let hits = best_first(tied_hits(seed, 60));
+            assert_eq!(
+                group_hits_by_frame(&hits),
+                first_occurrence_reference(&hits),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn grouping_ignores_the_order_hits_arrive_in() {
+        for seed in 1..40 {
+            let sorted = best_first(tied_hits(seed, 60));
+            let expected = best_per_frame(&sorted, usize::MAX, rank_of);
+            let mut shuffled = sorted.clone();
+            Stream(seed.wrapping_mul(0x9e37_79b9) | 1).shuffle(&mut shuffled);
+            let reversed: Vec<CoarseHit> = sorted.iter().rev().copied().collect();
+            for arranged in [shuffled, reversed] {
+                assert_eq!(
+                    best_per_frame(&arranged, usize::MAX, rank_of),
+                    expected,
+                    "seed {seed}"
+                );
+                // Every limit keeps the same best-first prefix.
+                for limit in [0, 1, 3, 7, 100] {
+                    let kept = best_per_frame(&arranged, limit, rank_of);
+                    assert_eq!(kept, expected[..limit.min(expected.len())], "seed {seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tied_frames_order_by_video_then_frame_and_tied_patches_by_id() {
+        let hit = |video, frame, patch, score| CoarseHit {
+            patch_id: patch_id(video, frame, patch),
+            score,
+            bbox: BoundingBox::new(patch as f32, 0.0, 1.0, 1.0),
+            timestamp: Some(1.0),
+        };
+        let hits = [
+            hit(1, 0, 5, 0.5),
+            hit(0, 3, 9, 0.5),
+            hit(0, 3, 2, 0.5),
+            hit(0, 1, 7, 0.5),
+            hit(1, 0, 1, 0.25),
+        ];
+        let seeds = group_hits_by_frame(&hits);
+        let keys: Vec<(u32, u32, f32)> = seeds
+            .iter()
+            .map(|seed| (seed.video_id, seed.frame_index, seed.bbox.x))
+            .collect();
+        // Equal best scores: `(video, frame)` ascending; inside frame
+        // (0, 3) the smaller patch id's box.
+        assert_eq!(keys, vec![(0, 1, 7.0), (0, 3, 2.0), (1, 0, 5.0)]);
     }
 }

@@ -13,7 +13,7 @@
 //!   (LOVO's patch id) used to join the relational metadata store.
 //! * **Search** follows Algorithm 1: score the query's sub-vectors against
 //!   every coarse centroid, keep the Top-A centroids per subspace, visit the
-//!   cells in the product of those lists (best combinations first), compute
+//!   cells in the product of those lists, compute
 //!   approximate scores as `coarse score + ADC(residual)` using the
 //!   precomputed lookup table, keep the best `k·refine` candidates, exactly
 //!   re-score them against the stored original vectors, and return the top-k.
@@ -32,7 +32,10 @@ use crate::kmeans::{lloyd, BlockedCentroids, KMeansConfig};
 use crate::metric::dot;
 use crate::pq::{PqConfig, ProductQuantizer};
 use crate::store::RowStore;
-use crate::{IdFilter, IndexError, Result, SearchResult, SearchStats, TopK, VectorId, VectorIndex};
+use crate::{
+    IdBuildHasher, IdFilter, IndexError, Result, SearchResult, SearchStats, TopK, TopKEntry,
+    VectorId, VectorIndex,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -189,7 +192,7 @@ pub struct IvfPqIndex {
     /// Residual product quantizer.
     pq: ProductQuantizer,
     /// Cells keyed by the packed per-subspace centroid codes.
-    cells: HashMap<u64, Cell>,
+    cells: HashMap<u64, Cell, IdBuildHasher>,
     /// Row-major arena of the original vectors for exact re-scoring: row
     /// `r` is `arena[r * dim..(r + 1) * dim]`. Candidates carry their arena
     /// row, so the rescore loop streams contiguous memory with no
@@ -210,23 +213,38 @@ impl IvfPqIndex {
     }
 
     /// Algorithm 1, lines 2–7: per-subspace centroid scores, and the Top-A
-    /// centroids of each subspace with their scores, best first.
+    /// centroids of each subspace with their scores, in no particular order
+    /// (every cell of their product is probed, and the search's selections
+    /// are order-independent).
+    ///
+    /// Each subspace's centroids are scored into one scratch buffer reused
+    /// across subspaces, and one `select_nth_unstable_by` under the
+    /// selectors' total order picks the best `nprobe` — the set a
+    /// [`TopK`] of `nprobe` keeps, the centroid index breaking ties toward
+    /// the smaller index. Every centroid counts as one selector offer in
+    /// `heap_pushes`, as it did when a `TopK` did the picking.
     fn top_per_subspace(&self, query: &[f32], stats: &mut SearchStats) -> Vec<Vec<(usize, f32)>> {
         let sub_dim = self.config.coarse_subspace_dim();
-        // Bounded selection; the centroid index doubles as the tie-break id,
-        // which keeps ties in ascending index.
+        let mut scored: Vec<TopKEntry> = Vec::new();
         self.coarse_codebooks
             .iter()
             .enumerate()
             .map(|(p, codebook)| {
                 let q_sub = &query[p * sub_dim..(p + 1) * sub_dim];
-                let mut top = TopK::new(self.config.nprobe);
-                for (m, c) in codebook.iter().enumerate() {
-                    top.push_hit(m as u64, dot(q_sub, c));
+                scored.clear();
+                scored.extend(codebook.iter().enumerate().map(|(m, c)| TopKEntry {
+                    score: dot(q_sub, c),
+                    id: m as VectorId,
+                    payload: (),
+                }));
+                stats.heap_pushes += scored.len();
+                let keep = self.config.nprobe.min(scored.len());
+                if keep > 0 && keep < scored.len() {
+                    scored.select_nth_unstable_by(keep - 1, TopKEntry::order);
                 }
-                stats.heap_pushes += top.pushes();
-                top.into_sorted_entries()
-                    .into_iter()
+                scored
+                    .iter()
+                    .take(keep)
                     .map(|e| (e.id as usize, e.score))
                     .collect()
             })
@@ -305,7 +323,7 @@ impl IvfPqIndex {
         let pq = ProductQuantizer::train(config.pq, &residual_sample)?;
 
         // --- Cell assignment: every row, in order, into its cell. ---
-        let mut cells: HashMap<u64, Cell> = HashMap::new();
+        let mut cells: HashMap<u64, Cell, IdBuildHasher> = HashMap::default();
         for (row, (&id, vector)) in ids.iter().zip(data.chunks_exact(dim)).enumerate() {
             let (codes, residual) = assign(&coarse_codebooks, &blocked, vector, sub_dim);
             let code = pq.encode(&residual)?;
@@ -741,6 +759,54 @@ mod tests {
     ) -> (IvfPqIndex, Vec<Vec<f32>>) {
         let vectors = clustered_unit_vectors(n, dim, 30, seed);
         (build(config, &vectors).unwrap(), vectors)
+    }
+
+    #[test]
+    fn top_a_equals_a_topk_selection() {
+        let (mut ivf, vectors) = build_with_config(800, 16, 3, IvfPqConfig::for_dim(16));
+        let centroids = ivf.config.coarse_centroids;
+        // Duplicate centroids tie with their original for every query; the
+        // zero query ties every centroid at 0.
+        for codebook in &mut ivf.coarse_codebooks {
+            for m in (4..centroids).step_by(4) {
+                codebook[m] = codebook[m % 8].clone();
+            }
+        }
+        let queries = [vectors[5].clone(), vectors[400].clone(), vec![0.0; 16]];
+        let sub_dim = ivf.config.coarse_subspace_dim();
+        for nprobe in [1, 6, centroids] {
+            ivf.config.nprobe = nprobe;
+            for (q, query) in queries.iter().enumerate() {
+                let mut stats = SearchStats::default();
+                let lists = ivf.top_per_subspace(query, &mut stats);
+                assert_eq!(stats.heap_pushes, ivf.coarse_codebooks.len() * centroids);
+                for (p, (list, codebook)) in lists.iter().zip(&ivf.coarse_codebooks).enumerate() {
+                    let q_sub = &query[p * sub_dim..(p + 1) * sub_dim];
+                    let mut top = TopK::new(nprobe);
+                    for (m, c) in codebook.iter().enumerate() {
+                        top.push_hit(m as u64, dot(q_sub, c));
+                    }
+                    let expected: Vec<(usize, u32)> = top
+                        .into_sorted_results()
+                        .iter()
+                        .map(|hit| (hit.id as usize, hit.score.to_bits()))
+                        .collect();
+                    let mut found: Vec<SearchResult> = list
+                        .iter()
+                        .map(|&(m, score)| SearchResult {
+                            id: m as u64,
+                            score,
+                        })
+                        .collect();
+                    found.sort_unstable_by(SearchResult::order);
+                    let found: Vec<(usize, u32)> = found
+                        .iter()
+                        .map(|hit| (hit.id as usize, hit.score.to_bits()))
+                        .collect();
+                    assert_eq!(found, expected, "nprobe {nprobe} query {q} subspace {p}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -100,6 +100,54 @@ pub struct SearchResult {
     pub score: f32,
 }
 
+impl SearchResult {
+    /// The crate's one total order over hits, best first: score descending,
+    /// a NaN after every number, then id ascending — the order a [`TopK`]
+    /// selects by. A search returns its hits unordered; sorting them with
+    /// this gives the best-first list.
+    #[inline]
+    pub fn order(&self, other: &Self) -> std::cmp::Ordering {
+        let entry = |hit: &Self| TopKEntry {
+            score: hit.score,
+            id: hit.id,
+            payload: (),
+        };
+        entry(self).order(&entry(other))
+    }
+}
+
+/// A deterministic hasher for the `u64` keys the query path groups by —
+/// IVF-PQ cell keys, a query's frame keys — where SipHash's flooding
+/// resistance buys nothing: the keys come from the index and the packed
+/// patch ids, never from a client. One multiply per key spreads its bits
+/// upward; the rotate in [`std::hash::Hasher::finish`] brings the mixed
+/// high bits down to where a hash table picks its bucket.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+/// The [`std::hash::BuildHasher`] of [`IdHasher`], for `HashMap`s keyed by ids.
+pub type IdBuildHasher = std::hash::BuildHasherDefault<IdHasher>;
+
+impl std::hash::Hasher for IdHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, value: u64) {
+        // The 64-bit odd multiplier of FxHash.
+        self.0 = (self.0 ^ value).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// Statistics describing the work a search performed, used by the runtime and
 /// ablation experiments to report probe counts next to wall-clock latency.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]

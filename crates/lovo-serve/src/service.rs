@@ -857,12 +857,10 @@ mod tests {
 
     #[test]
     fn overload_returns_typed_rejection() {
-        // One worker, one-query batches, depth-1 queue. The throttle is the
-        // engine itself: a query costs milliseconds while the 8 submissions
-        // below arrive within microseconds of each other, so the queue is
-        // full for all but the first couple and the rest must be refused.
-        // (Note `max_batch = 1` disables the coalescing window entirely —
-        // the worker serves strictly one query at a time.)
+        // One worker, one-query batches, depth-1 queue: while one query
+        // holds the only pass slot, one more can queue and the rest must be
+        // refused. (Note `max_batch = 1` disables the coalescing window
+        // entirely — the worker serves strictly one query at a time.)
         let config = ServeConfig::default()
             .with_workers(1)
             .with_queue_depth(1)
@@ -871,21 +869,35 @@ mod tests {
             .with_maintenance_interval(None);
         let service = QueryService::start(engine(90), config).unwrap();
         let rejected = std::sync::atomic::AtomicU64::new(0);
+        let submit = |text: String| match service.submit(QuerySpec::new(text)) {
+            Ok(_) => {}
+            Err(ServeError::Rejected { queue_depth }) => {
+                assert_eq!(queue_depth, 1);
+                rejected.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(other) => panic!("unexpected error: {other}"),
+        };
+        // The other seven are spawned first and held at a barrier. The
+        // first submission then leads its own pass, and the burst is
+        // released only once `stats()` counts it admitted: the pass slot is
+        // taken until its engine query returns, and its long text (the text
+        // encoder's attention is quadratic in the word count) keeps that
+        // query running for milliseconds, where two admissions take
+        // microseconds.
+        let burst = std::sync::Barrier::new(8);
         std::thread::scope(|scope| {
-            for worker in 0..8 {
-                let service = &service;
-                let rejected = &rejected;
+            for worker in 1..8 {
+                let (submit, burst) = (&submit, &burst);
                 scope.spawn(move || {
-                    match service.submit(QuerySpec::new(format!("a car number {worker}"))) {
-                        Ok(_) => {}
-                        Err(ServeError::Rejected { queue_depth }) => {
-                            assert_eq!(queue_depth, 1);
-                            rejected.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(other) => panic!("unexpected error: {other}"),
-                    }
+                    burst.wait();
+                    submit(format!("a car number {worker}"));
                 });
             }
+            scope.spawn(|| submit(format!("a car number 0{}", " on the road".repeat(266))));
+            while service.stats().submitted == 0 {
+                std::thread::yield_now();
+            }
+            burst.wait();
         });
         assert!(rejected.load(Ordering::Relaxed) >= 1);
         assert_eq!(service.stats().rejected, rejected.load(Ordering::Relaxed));
@@ -1025,6 +1037,7 @@ mod tests {
         assert!(!served.result.frames.is_empty());
     }
 
+    #[cfg(debug_assertions)]
     #[test]
     fn maintenance_survives_durable_io_faults_and_recovers() {
         use lovo_store::durability::{points, FaultAction, FaultPlan};

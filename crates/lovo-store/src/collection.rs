@@ -3,7 +3,8 @@
 //! The collection follows the segmented storage model (see [`crate::segment`]):
 //! inserts land in a growing segment that seals into an immutable,
 //! ANN-indexed segment every `segment_capacity` rows; searches fan out over
-//! all segments and k-way-merge the per-segment top-k; and
+//! all segments and select the collection's top-k from the per-segment
+//! top-k, leaving them unordered; and
 //! [`SegmentedCollection::compact`] merges undersized sealed segments to
 //! bound the fan-out width.
 
@@ -406,8 +407,9 @@ impl SegmentedCollection {
         Ok(result)
     }
 
-    /// Searches for the `k` most similar embeddings to `query`: the unfiltered
-    /// one-query case of [`SegmentedCollection::search_batch_with_stats_opts`].
+    /// Searches for the `k` most similar embeddings to `query`, unordered:
+    /// the unfiltered one-query case of
+    /// [`SegmentedCollection::search_batch_with_stats_opts`].
     pub fn search(&self, query: &[f32], k: usize) -> Result<Vec<SearchResult>> {
         let request = BatchQuery {
             query,
@@ -430,7 +432,10 @@ impl SegmentedCollection {
     /// ranges are pruned before they are probed (counted in
     /// [`SearchStats::segments_pruned`]), and the per-segment top-k are merged
     /// into the collection top-k with a bounded [`TopK`] selection. Results
-    /// come back in request order.
+    /// come back in request order, each query's `k` best **unordered**: a
+    /// caller that needs them best-first sorts them by
+    /// [`SearchResult::order`], and one that reduces them to fewer items
+    /// first (the engine groups them into frames) sorts only those.
     ///
     /// The pass runs on the caller's thread. Splitting it over spawned
     /// threads was slower on every corpus it was measured on (2, 11 and 25
@@ -530,13 +535,13 @@ fn zones_are_disjoint(segments: &[&Segment]) -> bool {
 }
 
 /// The collection merge of one query: every probed segment's hits, in any
-/// order, become the query's `k` best, best first. Segment searches return
-/// their hits unordered, so this is the one place a search orders them.
+/// order, become the query's `k` best, still unordered — segment searches
+/// return theirs unordered, and nothing here sorts.
 ///
 /// One score is kept per id where a row can have two, then one bounded
 /// top-k selection runs. The selector's (score desc, id asc) total order
-/// over unique ids makes the result independent of the order the hits
-/// arrive in, within a segment and across segments. A replaced row still
+/// over unique ids makes the selected set independent of the order the
+/// hits arrive in, within a segment and across segments. A replaced row still
 /// living in an older segment is the only way one id reaches the merge
 /// twice, and it takes two segments whose id ranges overlap (`unique_ids`
 /// false). Ingest-ordered collections have none.
@@ -554,7 +559,7 @@ fn merge_hits(
         top.push_hit(hit.id, hit.score);
     }
     stats.heap_pushes += top.pushes();
-    top.into_sorted_results()
+    top.into_unordered_results()
 }
 
 /// Keeps each id's best-scored hit and drops the others, leaving the hits in
@@ -599,6 +604,12 @@ mod tests {
             .unwrap()
     }
 
+    /// A search's unordered hits, best first.
+    fn best_first(mut hits: Vec<SearchResult>) -> Vec<SearchResult> {
+        hits.sort_unstable_by(SearchResult::order);
+        hits
+    }
+
     fn sample_vectors(n: usize, dim: usize) -> Vec<Vec<f32>> {
         // Seeded-random so every vector is distinct (a modular pattern would
         // repeat and make nearest-neighbour assertions ambiguous).
@@ -620,7 +631,7 @@ mod tests {
         assert_eq!(c.len(), 600);
         c.build().unwrap();
         assert!(c.is_built());
-        let hits = c.search(&vectors[42], 5).unwrap();
+        let hits = best_first(c.search(&vectors[42], 5).unwrap());
         assert_eq!(hits[0].id, 42);
     }
 
@@ -635,7 +646,7 @@ mod tests {
         }
         assert!(!c.is_built());
         let (hits, stats) = search_one(&c, &vectors[7], 3, None);
-        assert_eq!(hits[0].id, 7);
+        assert_eq!(best_first(hits)[0].id, 7);
         assert_eq!(stats.segments_probed, 1);
         assert_eq!(stats.vectors_scored, 50);
     }
@@ -743,8 +754,8 @@ mod tests {
         split.seal().unwrap();
         assert!(split.stats().sealed_segments > 5);
         for probe in [3usize, 123, 280] {
-            let a = single.search(&vectors[probe], 10).unwrap();
-            let b = split.search(&vectors[probe], 10).unwrap();
+            let a = best_first(single.search(&vectors[probe], 10).unwrap());
+            let b = best_first(split.search(&vectors[probe], 10).unwrap());
             assert_eq!(a, b, "probe {probe}");
         }
     }
@@ -768,6 +779,7 @@ mod tests {
         let filter = PushdownFilter::new(IdFilter::from_predicate(|id| (50..100).contains(&id)))
             .with_ranges(vec![(50, 99)]);
         let (hits, stats) = search_one(&c, &vectors[60], 5, Some(&filter));
+        let hits = best_first(hits);
         assert_eq!(hits[0].id, 60);
         assert!(hits.iter().all(|h| (50..100).contains(&h.id)));
         assert_eq!(stats.segments_pruned, 3);
@@ -893,7 +905,7 @@ mod tests {
                         .unwrap();
                     let expected = hash_merge_reference(&c, &vectors[probe], 25, filter.as_ref());
                     assert_eq!(
-                        bits(&hits),
+                        bits(&best_first(hits)),
                         bits(&expected),
                         "{label} filter {filter:?} probe {probe}"
                     );
@@ -935,7 +947,12 @@ mod tests {
                     // keeps. IVF-PQ's equality with its two-stage reference
                     // is asserted in `lovo-index`.
                     for (segment, hits) in probes.iter().zip(&per_segment) {
-                        let sorted = merge_hits(hits.clone(), k, true, &mut SearchStats::default());
+                        let sorted = best_first(merge_hits(
+                            hits.clone(),
+                            k,
+                            true,
+                            &mut SearchStats::default(),
+                        ));
                         match segment.family() {
                             "BF" => {
                                 let mut exact = TopK::new(k);
@@ -952,7 +969,8 @@ mod tests {
                         }
                     }
 
-                    let (expected, _) = search_one(&c, &vectors[probe], k, filter.as_ref());
+                    let expected =
+                        best_first(search_one(&c, &vectors[probe], k, filter.as_ref()).0);
                     let mut rng = rand::rngs::SmallRng::seed_from_u64(probe as u64);
                     let reversed: Vec<SearchResult> = per_segment
                         .iter()
@@ -971,7 +989,7 @@ mod tests {
                     for arranged in [reversed, shuffled, segments_reversed] {
                         let merged =
                             merge_hits(arranged, k, unique_ids, &mut SearchStats::default());
-                        assert_eq!(bits(&merged), bits(&expected), "{context}");
+                        assert_eq!(bits(&best_first(merged)), bits(&expected), "{context}");
                     }
                 }
             }
@@ -989,6 +1007,7 @@ mod tests {
         // Id 1 again, now in the growing segment, pointing elsewhere.
         c.insert(1, &[0.0, 0.0, 1.0, 0.0]).unwrap();
         let (hits, stats) = search_one(&c, &[0.9, 0.1, 0.0, 0.0], 5, None);
+        let hits = best_first(hits);
         assert_eq!(hits.iter().map(|h| h.id).collect::<Vec<_>>(), vec![1, 2]);
         assert!(hits[0].score > 0.9);
         // Two unique ids reach the selector, not three hits.

@@ -4,9 +4,13 @@
 //! per-patch embeddings and metadata through the batched
 //! [`VectorDatabase::insert_patches`] (one write-lock acquisition per batch),
 //! seals the growing segment once a batch is complete, and answers
-//! fast-search queries with [`VectorDatabase::search`], which fans out over
-//! the collection's segments and returns hits already joined with their
-//! relational rows (frame id, bounding box, timestamp).
+//! fast-search queries with [`VectorDatabase::search_batch_unjoined`], which
+//! fans out over the collection's segments and returns each query's `k` best
+//! patch ids and scores, unordered. The engine reduces those to the frames
+//! its answer uses and joins only their rows (frame id, bounding box,
+//! timestamp) with [`VectorDatabase::patches`];
+//! [`VectorDatabase::search_batch_with_stats_opts`] and
+//! [`VectorDatabase::search`] return every hit joined, best first.
 
 use crate::collection::{
     BatchQuery, CollectionConfig, CollectionStats, CompactionResult, PushdownFilter,
@@ -449,12 +453,11 @@ impl VectorDatabase {
         self.metadata.read().resolve(predicate)
     }
 
-    /// Batched fast search: all queries fan out over the segment set together
-    /// (one collection read-lock acquisition, one segment walk shared by the
-    /// whole batch), each with its own `k` and optional pushed-down filter
-    /// (compile one with [`VectorDatabase::resolve_filter`]). Results come
-    /// back joined with metadata, in request order; the walk runs on the
-    /// caller's thread ([`SegmentedCollection::search_batch_with_stats_opts`]).
+    /// Batched fast search, joined: [`VectorDatabase::search_batch_unjoined`],
+    /// then each query's hits sorted best-first by [`SearchResult::order`]
+    /// (score descending, then patch id ascending) and joined with their
+    /// metadata rows. Results come back in request order. A hit whose row is
+    /// missing fails the call.
     ///
     /// The trailing `usize` is accepted and ignored. It was a scan-thread
     /// count, and stays only because the stand-alone end-to-end benchmark
@@ -466,18 +469,40 @@ impl VectorDatabase {
         requests: &[BatchQuery<'_>],
         _ignored: usize,
     ) -> Result<Vec<(Vec<JoinedHit>, SearchStats)>> {
+        self.search_batch_unjoined(collection, requests)?
+            .into_iter()
+            .map(|(mut hits, stats)| {
+                hits.sort_unstable_by(SearchResult::order);
+                Ok((self.join_hits(hits)?, stats))
+            })
+            .collect()
+    }
+
+    /// Batched fast search, unjoined: all queries fan out over the segment
+    /// set together (one collection read-lock acquisition, one segment walk
+    /// shared by the whole batch), each with its own `k` and optional
+    /// pushed-down filter (compile one with
+    /// [`VectorDatabase::resolve_filter`]). Each query gets its `k` best
+    /// patch ids and scores **unordered**, with its work counters, in
+    /// request order; the walk runs on the caller's thread
+    /// ([`SegmentedCollection::search_batch_with_stats_opts`]).
+    ///
+    /// No metadata row is read. A caller that reduces the hits first — the
+    /// engine keeps one patch per frame, and only the frames its answer
+    /// uses — sorts and joins just what it keeps ([`VectorDatabase::patches`]).
+    pub fn search_batch_unjoined(
+        &self,
+        collection: &str,
+        requests: &[BatchQuery<'_>],
+    ) -> Result<Vec<(Vec<SearchResult>, SearchStats)>> {
         let collections = self.collections.read();
         let col = collections
             .get(collection)
             .ok_or_else(|| StoreError::UnknownCollection(collection.to_string()))?;
-        let results = col.search_batch_with_stats_opts(requests)?;
-        results
-            .into_iter()
-            .map(|(hits, stats)| Ok((self.join_hits(hits)?, stats)))
-            .collect()
+        col.search_batch_with_stats_opts(requests)
     }
 
-    /// Joins raw index hits with their metadata rows.
+    /// Joins index hits with their metadata rows, keeping their order.
     fn join_hits(&self, hits: Vec<SearchResult>) -> Result<Vec<JoinedHit>> {
         let metadata = self.metadata.read();
         hits.into_iter()
@@ -489,6 +514,15 @@ impl VectorDatabase {
                 })
             })
             .collect()
+    }
+
+    /// Metadata rows of a batch of patches, in the order asked for: one
+    /// metadata read lock, one row lookup per id
+    /// ([`MetadataStore::get_many`]). Fails with
+    /// [`StoreError::MissingMetadata`] on the first id without a row.
+    pub fn patches(&self, patch_ids: &[u64]) -> Result<Vec<PatchRecord>> {
+        let metadata = self.metadata.read();
+        Ok(metadata.get_many(patch_ids)?.into_iter().cloned().collect())
     }
 
     /// All metadata rows of one key frame (used by the rerank stage to pull a
@@ -958,6 +992,48 @@ mod tests {
         assert!(db
             .search_batch_with_stats_opts("missing", &requests, 0)
             .is_err());
+
+        // The joined search is the unjoined one, sorted best-first, with
+        // each hit's row read back in that order.
+        let unjoined = db.search_batch_unjoined("p", &requests).unwrap();
+        for ((joined, joined_stats), (mut raw, raw_stats)) in results.iter().zip(unjoined) {
+            assert_eq!(*joined_stats, raw_stats);
+            raw.sort_unstable_by(SearchResult::order);
+            let ids: Vec<u64> = raw.iter().map(|hit| hit.id).collect();
+            let expected: Vec<JoinedHit> = raw
+                .iter()
+                .zip(db.patches(&ids).unwrap())
+                .map(|(hit, record)| JoinedHit {
+                    patch_id: hit.id,
+                    score: hit.score,
+                    record,
+                })
+                .collect();
+            assert_eq!(*joined, expected);
+        }
+        assert!(db.search_batch_unjoined("missing", &requests).is_err());
+    }
+
+    #[test]
+    fn batch_row_lookup_keeps_order_and_fails_on_a_missing_row() {
+        let db = VectorDatabase::new();
+        db.create_collection(
+            "p",
+            CollectionConfig::new(8).with_index_kind(IndexKind::BruteForce),
+        )
+        .unwrap();
+        for i in 0..10u64 {
+            db.insert_patch("p", &vector(i as usize, 8), record(i, 0, i as u32))
+                .unwrap();
+        }
+        let rows = db.patches(&[7, 2, 9]).unwrap();
+        let ids: Vec<u64> = rows.iter().map(|row| row.patch_id).collect();
+        assert_eq!(ids, vec![7, 2, 9]);
+        assert!(db.patches(&[]).unwrap().is_empty());
+        assert!(matches!(
+            db.patches(&[3, 42]),
+            Err(StoreError::MissingMetadata(42))
+        ));
     }
 
     #[test]

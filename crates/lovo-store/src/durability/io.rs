@@ -168,6 +168,7 @@ pub(crate) fn temp_path(dst: &Path) -> std::path::PathBuf {
 
 #[cfg(test)]
 mod tests {
+    #[cfg(any(debug_assertions, feature = "failpoints"))]
     use super::super::fault::points;
     use super::*;
 
@@ -191,6 +192,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    #[cfg(any(debug_assertions, feature = "failpoints"))]
     #[test]
     fn short_write_fault_leaves_a_torn_temp_file_only() {
         let dir = scratch_dir("short");
@@ -215,6 +217,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    #[cfg(any(debug_assertions, feature = "failpoints"))]
     #[test]
     fn rename_fault_fails_cleanly() {
         let dir = scratch_dir("rename");

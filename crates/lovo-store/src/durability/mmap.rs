@@ -312,6 +312,7 @@ mod tests {
         assert!(Mapping::map_file(&missing, false, &None).is_err());
     }
 
+    #[cfg(any(debug_assertions, feature = "failpoints"))]
     #[test]
     fn injected_mmap_fault_fails_the_map_call() {
         use super::super::fault::{FaultAction, FaultPlan};

@@ -51,6 +51,15 @@ pub fn video_of(id: VectorId) -> u32 {
     (id >> VIDEO_ID_SHIFT) as u32
 }
 
+/// Key frame of a packed patch id: the id without its patch bits, which
+/// packs `(video_id, frame_index)` into one `u64` ordered like the pair.
+/// Every patch of a key frame shares it, so it is the key a query's hits
+/// are grouped into frames by.
+#[inline]
+pub fn frame_of(id: VectorId) -> u64 {
+    id >> 12
+}
+
 /// Inclusive range of every patch id a video can own. Because videos are
 /// ingested in order, sealed segments cover contiguous runs of these ranges,
 /// which is what makes zone-map pruning effective for video predicates.
@@ -69,6 +78,9 @@ mod tests {
         let id = patch_id(3, 70_000, 39);
         assert_eq!(split_patch_id(id), (3, 70_000, 39));
         assert_eq!(video_of(id), 3);
+        assert_eq!(frame_of(id), frame_of(patch_id(3, 70_000, 0)));
+        assert!(frame_of(patch_id(3, 70_000, MAX_PATCH_INDEX)) < frame_of(patch_id(3, 70_001, 0)));
+        assert!(frame_of(patch_id(3, u32::MAX, 0)) < frame_of(patch_id(4, 0, 0)));
         let boundary = patch_id(MAX_VIDEO_ID, u32::MAX, MAX_PATCH_INDEX);
         assert_eq!(
             split_patch_id(boundary),

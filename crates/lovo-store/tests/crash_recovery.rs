@@ -8,12 +8,14 @@
 //! database without any shutdown path and reopens from disk — exactly what a
 //! `kill -9` leaves behind (plus whatever bytes the faulted write landed).
 
+#[cfg(any(debug_assertions, feature = "failpoints"))]
 use lovo_store::durability::{points, FaultAction, FaultPlan};
 use lovo_store::{
     patch_id, CollectionConfig, DurabilityConfig, PatchRecord, StorageError, StoreError,
     VectorDatabase,
 };
 use std::path::PathBuf;
+#[cfg(any(debug_assertions, feature = "failpoints"))]
 use std::sync::Arc;
 
 const DIM: usize = 8;
@@ -104,6 +106,7 @@ fn assert_matches_twin(recovered: &VectorDatabase, twin: &VectorDatabase) {
     }
 }
 
+#[cfg(any(debug_assertions, feature = "failpoints"))]
 fn is_injected_crash(err: &StoreError) -> bool {
     matches!(err, StoreError::Storage(StorageError::InjectedCrash { .. }))
 }
@@ -140,6 +143,7 @@ fn clean_reopen_restores_rows_and_results() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+#[cfg(any(debug_assertions, feature = "failpoints"))]
 #[test]
 fn faulted_wal_append_loses_only_the_unacknowledged_batch() {
     for action in [FaultAction::Fail, FaultAction::ShortWrite(13)] {
@@ -176,6 +180,7 @@ fn faulted_wal_append_loses_only_the_unacknowledged_batch() {
     }
 }
 
+#[cfg(any(debug_assertions, feature = "failpoints"))]
 #[test]
 fn crash_between_wal_append_and_fsync_drops_the_unacked_batch() {
     let root = scratch_root("wal-sync");
@@ -230,6 +235,7 @@ fn torn_wal_tail_is_truncated_to_the_last_acked_batch() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+#[cfg(any(debug_assertions, feature = "failpoints"))]
 #[test]
 fn crash_matrix_mid_seal_recovers_every_acked_row() {
     // Kill the seal at each I/O stage: segment write (torn), segment fsync,
@@ -277,6 +283,7 @@ fn crash_matrix_mid_seal_recovers_every_acked_row() {
     }
 }
 
+#[cfg(any(debug_assertions, feature = "failpoints"))]
 #[test]
 fn crash_matrix_mid_compaction_yields_old_or_new_set_never_a_mix() {
     let cases: &[(&'static str, FaultAction)] = &[

@@ -14,6 +14,7 @@
 //! (a stray re-normalization, a lossy copy, an alignment slip).
 
 use lovo_index::{IndexKind, SearchStats, MIN_TRAINED_SEGMENT_ROWS};
+#[cfg(any(debug_assertions, feature = "failpoints"))]
 use lovo_store::durability::{points, FaultAction, FaultPlan};
 use lovo_store::{
     patch_id, BatchQuery, CollectionConfig, DurabilityConfig, OpenOptions, PatchPredicate,
@@ -21,6 +22,7 @@ use lovo_store::{
 };
 use std::collections::BTreeSet;
 use std::path::PathBuf;
+#[cfg(any(debug_assertions, feature = "failpoints"))]
 use std::sync::Arc;
 
 const DIM: usize = 16;
@@ -291,6 +293,7 @@ fn warmup_faults_mappings_in_and_reports_bytes() {
 /// An injected mmap failure (`segment.mmap`) must not fail the open: the
 /// loader falls back to the heap read for that file and recovery stays
 /// clean, with identical query results.
+#[cfg(any(debug_assertions, feature = "failpoints"))]
 #[test]
 fn mmap_fault_falls_back_to_heap_read() {
     let root = scratch_root("fault-mmap");
@@ -327,6 +330,7 @@ fn mmap_fault_falls_back_to_heap_read() {
 
 /// `segment.madvise` failures are advisory: warm-up reports zero bytes and
 /// queries are unaffected.
+#[cfg(any(debug_assertions, feature = "failpoints"))]
 #[test]
 fn madvise_fault_is_advisory_only() {
     let root = scratch_root("fault-madvise");

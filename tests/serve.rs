@@ -10,7 +10,7 @@ use lovo::core::{Lovo, LovoConfig, QuerySpec};
 use lovo::serve::{QueryService, ServeConfig, ServeError};
 use lovo::video::{DatasetConfig, DatasetKind, VideoCollection};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn collection(frames: usize, seed: u64, id_offset: u32) -> VideoCollection {
@@ -171,10 +171,9 @@ fn overload_surfaces_typed_rejection_without_wedging_the_service() {
     let engine =
         Arc::new(Lovo::build(&collection(120, 5, 0), LovoConfig::default()).expect("build engine"));
     // One worker, one-query batches (`max_batch = 1` disables the coalescing
-    // window), depth-2 queue: the throttle is per-query engine latency
-    // (milliseconds) against a 16-thread burst arriving within microseconds,
-    // so at most in-flight + 2 queued submissions can be served promptly and
-    // the rest must be refused at the door.
+    // window), depth-2 queue: while one query holds the only pass slot, two
+    // more can queue and every further submission must be refused at the
+    // door.
     let service = QueryService::start(
         Arc::clone(&engine),
         ServeConfig::default()
@@ -188,25 +187,39 @@ fn overload_surfaces_typed_rejection_without_wedging_the_service() {
 
     let rejected = AtomicUsize::new(0);
     let completed = AtomicUsize::new(0);
+    let submit = |text: String| match service.submit(QuerySpec::new(text)) {
+        Ok(served) => {
+            assert!(served.result.timings.queue_seconds >= 0.0);
+            completed.fetch_add(1, Ordering::Relaxed);
+        }
+        Err(ServeError::Rejected { queue_depth }) => {
+            assert_eq!(queue_depth, 2);
+            rejected.fetch_add(1, Ordering::Relaxed);
+        }
+        Err(other) => panic!("unexpected error: {other}"),
+    };
+    // The burst is not raced against the engine. Its 15 clients are spawned
+    // first and held at a barrier. Client 0 then finds the service idle and
+    // runs its query on its own thread, holding the only pass slot from the
+    // moment `stats()` counts it admitted until its engine query returns —
+    // and its text is long: the text encoder's self-attention is quadratic
+    // in the word count, so that query takes tens of milliseconds (a second
+    // in a debug build), against the microseconds three admissions take.
+    // Only then is the burst released.
+    let burst = Barrier::new(16);
     std::thread::scope(|scope| {
-        for client in 0..16 {
-            let service = &service;
-            let rejected = &rejected;
-            let completed = &completed;
+        for client in 1..16 {
+            let (submit, burst) = (&submit, &burst);
             scope.spawn(move || {
-                match service.submit(QuerySpec::new(format!("a car number {client}"))) {
-                    Ok(served) => {
-                        assert!(served.result.timings.queue_seconds >= 0.0);
-                        completed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(ServeError::Rejected { queue_depth }) => {
-                        assert_eq!(queue_depth, 2);
-                        rejected.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(other) => panic!("unexpected error: {other}"),
-                }
+                burst.wait();
+                submit(format!("a car number {client}"));
             });
         }
+        scope.spawn(|| submit(format!("a car number 0{}", " on the road".repeat(266))));
+        while service.stats().submitted == 0 {
+            std::thread::yield_now();
+        }
+        burst.wait();
     });
     // 16 near-simultaneous one-shot clients against a depth-2 queue and a
     // serve-one-at-a-time worker: some must be refused, the rest served.
