@@ -1,18 +1,15 @@
 //! # lovo-bench
 //!
-//! Benchmark harness for the LOVO reproduction. Two kinds of targets live
-//! here:
+//! Figure and table reproduction binaries for the LOVO reproduction
+//! (`src/bin/*.rs`): one per table/figure of the paper, each a thin wrapper
+//! around the corresponding `lovo_eval::experiments` runner that prints the
+//! same rows the paper reports. Run them with
+//! `cargo run -p lovo-bench --release --bin <name>`. Every binary accepts an
+//! optional scale factor as its first argument (default 1.0) or via the
+//! `LOVO_SCALE` environment variable.
 //!
-//! * **experiment binaries** (`src/bin/*.rs`) — one per table/figure of the
-//!   paper; each is a thin wrapper around the corresponding
-//!   `lovo_eval::experiments` runner and prints the same rows the paper
-//!   reports. Run them with `cargo run -p lovo-bench --release --bin <name>`.
-//!   Every binary accepts an optional scale factor as its first argument
-//!   (default 1.0) or via the `LOVO_SCALE` environment variable.
-//! * **criterion benches** (`benches/*.rs`) — microbenchmarks of the hot
-//!   paths (PQ encoding, ANN search across index families, frame encoding,
-//!   end-to-end query latency) that back the latency claims with wall-clock
-//!   measurements of this implementation.
+//! Timing has one harness: the stand-alone `e2e_bench` package under
+//! `src/bin/e2e_bench/`, which reports end-to-end and per-layer metrics.
 
 /// Reads the experiment scale factor from the first CLI argument or the
 /// `LOVO_SCALE` environment variable, defaulting to 1.0 and clamping to

@@ -54,7 +54,6 @@
 //! levels from the query down would stay as they are.
 
 use crate::space::{AttributeSpace, FineToken};
-use crate::text::TextEncoder;
 use crate::{EncoderError, Result};
 use lovo_tensor::ops::{dot, l2_normalize};
 use lovo_tensor::{Linear, Matrix, MultiHeadAttention};
@@ -284,17 +283,8 @@ impl CrossModalityTransformer {
             .map_or((0.0, fallback_box(&candidate)), |r| (r.score, r.bbox)))
     }
 
-    /// Reranks candidate frames against a query, best first (Algorithm 2).
-    pub fn rerank(
-        &self,
-        query_text: &str,
-        candidates: &[CandidateFrame<'_>],
-    ) -> Result<Vec<RerankedFrame>> {
-        let constraints = TextEncoder::parse(query_text);
-        self.rerank_with_constraints(&constraints, candidates)
-    }
-
-    /// Reranks candidate frames against pre-parsed constraints.
+    /// Reranks candidate frames against a query's parsed constraints, best
+    /// first (Algorithm 2).
     pub fn rerank_with_constraints(
         &self,
         constraints: &QueryConstraints,
@@ -566,6 +556,7 @@ fn fallback_box(candidate: &CandidateFrame<'_>) -> BoundingBox {
 mod tests {
     use super::*;
     use crate::space::AttributeFacet;
+    use crate::text::TextEncoder;
     use lovo_video::object::{
         Accessory, Activity, Color, Gender, Location, ObjectAttributes, ObjectClass, Relation,
         SizeClass,
@@ -1054,7 +1045,9 @@ mod tests {
                 seed_box: None,
             },
         ];
-        let ranked = t.rerank(query, &candidates).unwrap();
+        let ranked = t
+            .rerank_with_constraints(&TextEncoder::parse(query), &candidates)
+            .unwrap();
         assert_eq!(ranked[0].frame_index, 0, "target frame should rank first");
         assert!(ranked[0].score > ranked[1].score);
     }
@@ -1088,7 +1081,9 @@ mod tests {
                 seed_box: None,
             },
         ];
-        let ranked = t.rerank(query, &candidates).unwrap();
+        let ranked = t
+            .rerank_with_constraints(&TextEncoder::parse(query), &candidates)
+            .unwrap();
         assert_eq!(ranked[0].frame_index, 0);
     }
 
@@ -1197,8 +1192,13 @@ mod tests {
                 seed_box: None,
             })
             .collect();
-        let a = t.rerank("a red car on the road", &candidates).unwrap();
-        let b = t.rerank("a red car on the road", &candidates).unwrap();
+        let constraints = TextEncoder::parse("a red car on the road");
+        let a = t
+            .rerank_with_constraints(&constraints, &candidates)
+            .unwrap();
+        let b = t
+            .rerank_with_constraints(&constraints, &candidates)
+            .unwrap();
         assert_eq!(a, b);
         for pair in a.windows(2) {
             assert!(pair[0].score >= pair[1].score);

@@ -284,7 +284,7 @@ mod tests {
         for i in 0..40u64 {
             idx.insert(i, &unit(&[i as f32 + 1.0, 1.0])).unwrap();
         }
-        let filter = IdFilter::from_predicate(|id| id % 4 == 0);
+        let filter = IdFilter::from_ids((0..40u64).filter(|id| id % 4 == 0));
         let (hits, stats) = idx.search(&unit(&[50.0, 1.0]), 5, Some(&filter)).unwrap();
         assert_eq!(hits.len(), 5);
         assert!(hits.iter().all(|h| h.id % 4 == 0));
@@ -292,7 +292,7 @@ mod tests {
         assert_eq!(stats.filtered_out, 30);
 
         // An all-pass filter is score-identical to the unfiltered scan.
-        let all = IdFilter::from_predicate(|_| true);
+        let all = IdFilter::from_ids(0..40u64);
         let q = unit(&[3.0, 2.0]);
         let (filtered, fstats) = idx.search(&q, 7, Some(&all)).unwrap();
         let (plain, _) = idx.search(&q, 7, None).unwrap();

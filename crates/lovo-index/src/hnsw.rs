@@ -639,7 +639,7 @@ mod tests {
     #[test]
     fn filtered_beam_accepts_only_matching_nodes() {
         let (hnsw, flat, vectors) = build(2_000, 32, 13);
-        let filter = IdFilter::from_predicate(|id| id % 2 == 0);
+        let filter = IdFilter::from_ids((0..2_000u64).step_by(2));
         let (hits, stats) = hnsw.search(&vectors[100], 10, Some(&filter)).unwrap();
         assert!(!hits.is_empty());
         assert!(hits.iter().all(|h| h.id % 2 == 0));
@@ -663,7 +663,7 @@ mod tests {
         assert!(overlap >= 6, "filtered recall too low: {overlap}/10");
 
         // An all-pass filter must reproduce the unfiltered search exactly.
-        let all = IdFilter::from_predicate(|_| true);
+        let all = IdFilter::from_ids(0..2_000u64);
         let (filtered, _) = hnsw.search(&vectors[3], 7, Some(&all)).unwrap();
         let (plain, _) = hnsw.search(&vectors[3], 7, None).unwrap();
         assert_eq!(filtered, plain);

@@ -24,9 +24,10 @@
 //!   The answer is bit-identical to the two-stage search's: the same
 //!   candidates, the same exact `dot`, the same total order. At the
 //!   reproduction's segment sizes this is the common case.
-//!   The patch-id majority vote of Algorithm 1 (line 16) is exposed as
-//!   [`majority_patch_id`] and applied when per-subspace candidate lists are
-//!   merged.
+//!   Algorithm 1's patch-id majority vote (line 16) has nothing to decide
+//!   here: a cell entry is one whole stored vector carrying its own patch
+//!   id, so every candidate names exactly one id, and the top-k is selected
+//!   by exact score with ties broken toward the smaller id.
 
 use crate::kmeans::{lloyd, BlockedCentroids, KMeansConfig};
 use crate::metric::dot;
@@ -551,24 +552,6 @@ fn enumerate_cells(top_per_subspace: &[Vec<(usize, f32)>], visit: &mut impl FnMu
     rec(top_per_subspace, 0, &mut codes, 0.0, visit);
 }
 
-/// The patch-id majority vote of Algorithm 1 (line 16): when a candidate is
-/// assembled from components that originate from different database vectors,
-/// the patch id occurring most often among the components is selected.
-/// Ties break toward the smaller id for determinism.
-pub fn majority_patch_id(component_ids: &[VectorId]) -> Option<VectorId> {
-    if component_ids.is_empty() {
-        return None;
-    }
-    let mut counts: HashMap<VectorId, usize> = HashMap::new();
-    for &id in component_ids {
-        *counts.entry(id).or_insert(0) += 1;
-    }
-    counts
-        .into_iter()
-        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-        .map(|(id, _)| id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -728,15 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn majority_patch_id_votes_correctly() {
-        assert_eq!(majority_patch_id(&[]), None);
-        assert_eq!(majority_patch_id(&[5]), Some(5));
-        assert_eq!(majority_patch_id(&[1, 2, 2, 3]), Some(2));
-        // Ties break toward the smaller id.
-        assert_eq!(majority_patch_id(&[7, 3, 7, 3]), Some(3));
-    }
-
-    #[test]
     fn dimension_mismatch_checked_on_build_and_search() {
         let ragged =
             IvfPqIndex::build_from_rows(IvfPqConfig::for_dim(32), vec![0], vec![0.0; 16].into());
@@ -842,7 +816,7 @@ mod tests {
     #[test]
     fn filtered_search_skips_codes_and_matches_all_pass() {
         let (ivf, _, vectors) = build_index(2_000, 32, 55);
-        let filter = IdFilter::from_predicate(|id| id < 500);
+        let filter = IdFilter::from_ids(0..500u64);
         let (hits, stats) = ivf.search(&vectors[123], 10, Some(&filter)).unwrap();
         let hits = sorted(hits);
         assert!(!hits.is_empty());
@@ -859,7 +833,7 @@ mod tests {
 
         // An all-pass filter goes through the compaction path yet must stay
         // bit-identical to the unfiltered search.
-        let all = IdFilter::from_predicate(|_| true);
+        let all = IdFilter::from_ids(0..2_000u64);
         let (filtered, fstats) = ivf.search(&vectors[7], 10, Some(&all)).unwrap();
         let (plain, _) = ivf.search(&vectors[7], 10, None).unwrap();
         assert_eq!(filtered, plain);

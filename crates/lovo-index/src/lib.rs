@@ -376,8 +376,6 @@ pub enum IdFilter {
     /// Explicit allow-set of ids (what a per-row metadata join produces, and
     /// what callers holding an explicit id list use).
     Set(std::collections::HashSet<VectorId>),
-    /// Arbitrary predicate over the id bits.
-    Predicate(Box<dyn Fn(VectorId) -> bool + Send + Sync>),
     /// Every id inside sorted, disjoint ranges — what video and time
     /// predicates resolve to from the metadata store's frame directory.
     Ranges {
@@ -403,17 +401,11 @@ impl IdFilter {
         IdFilter::Set(ids.into_iter().collect())
     }
 
-    /// Builds a predicate filter from a closure over the id bits.
-    pub fn from_predicate(pred: impl Fn(VectorId) -> bool + Send + Sync + 'static) -> Self {
-        IdFilter::Predicate(Box::new(pred))
-    }
-
     /// True when the filter accepts the id.
     #[inline]
     pub fn accepts(&self, id: VectorId) -> bool {
         match self {
             IdFilter::Set(ids) => ids.contains(&id),
-            IdFilter::Predicate(pred) => pred(id),
             IdFilter::Ranges { ranges, .. } => ranges.contains(id),
             IdFilter::Postings { postings, within } => {
                 within.as_ref().map_or(true, |ranges| ranges.contains(id))
@@ -422,27 +414,24 @@ impl IdFilter {
         }
     }
 
-    /// Number of stored rows the filter accepts, when it can tell: the size
-    /// of an allow-set, the row count recorded with resolved ranges, the
-    /// posting entries inside the ranges. `None` for an opaque predicate.
-    pub fn matched(&self) -> Option<usize> {
+    /// Number of stored rows the filter accepts: the size of an allow-set,
+    /// the row count recorded with resolved ranges, the posting entries
+    /// inside the ranges.
+    pub fn matched(&self) -> usize {
         match self {
-            IdFilter::Set(ids) => Some(ids.len()),
-            IdFilter::Predicate(_) => None,
-            IdFilter::Ranges { matched, .. } => Some(*matched),
-            IdFilter::Postings { postings, within } => Some(
-                postings
-                    .iter()
-                    .map(|posting| match within {
-                        None => posting.len(),
-                        Some(ranges) => ranges
-                            .as_slice()
-                            .iter()
-                            .map(|&(start, end)| posting.count_in(start, end))
-                            .sum(),
-                    })
-                    .sum(),
-            ),
+            IdFilter::Set(ids) => ids.len(),
+            IdFilter::Ranges { matched, .. } => *matched,
+            IdFilter::Postings { postings, within } => postings
+                .iter()
+                .map(|posting| match within {
+                    None => posting.len(),
+                    Some(ranges) => ranges
+                        .as_slice()
+                        .iter()
+                        .map(|&(start, end)| posting.count_in(start, end))
+                        .sum(),
+                })
+                .sum(),
         }
     }
 
@@ -452,7 +441,7 @@ impl IdFilter {
         match self {
             IdFilter::Ranges { ranges, .. } => Some(ranges),
             IdFilter::Postings { within, .. } => within.as_ref(),
-            IdFilter::Set(_) | IdFilter::Predicate(_) => None,
+            IdFilter::Set(_) => None,
         }
     }
 }
@@ -461,7 +450,6 @@ impl std::fmt::Debug for IdFilter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             IdFilter::Set(ids) => write!(f, "IdFilter::Set({} ids)", ids.len()),
-            IdFilter::Predicate(_) => write!(f, "IdFilter::Predicate"),
             IdFilter::Ranges { ranges, matched } => write!(
                 f,
                 "IdFilter::Ranges({} ranges, {matched} rows)",
@@ -847,15 +835,13 @@ mod tests {
     }
 
     #[test]
-    fn id_filter_set_and_predicate_accept() {
+    fn id_filter_set_accepts_its_ids() {
         let set = IdFilter::from_ids([3u64, 5, 9]);
         assert!(set.accepts(5));
         assert!(!set.accepts(4));
-        let even = IdFilter::from_predicate(|id| id % 2 == 0);
-        assert!(even.accepts(8));
-        assert!(!even.accepts(9));
+        assert_eq!(set.matched(), 3);
+        assert!(set.ranges().is_none());
         assert!(format!("{set:?}").contains("3 ids"));
-        assert!(format!("{even:?}").contains("Predicate"));
     }
 
     #[test]
@@ -1054,7 +1040,7 @@ mod tests {
             matched: 12,
         };
         assert!(ranges.accepts(15) && ranges.accepts(40) && !ranges.accepts(30));
-        assert_eq!(ranges.matched(), Some(12));
+        assert_eq!(ranges.matched(), 12);
         assert_eq!(ranges.ranges().map(|r| r.as_slice().len()), Some(2));
         assert!(format!("{ranges:?}").contains("2 ranges"));
 
@@ -1065,17 +1051,15 @@ mod tests {
             within: None,
         };
         assert!(unbounded.accepts(98) && unbounded.accepts(19) && !unbounded.accepts(21));
-        assert_eq!(unbounded.matched(), Some(60));
+        assert_eq!(unbounded.matched(), 60);
         assert!(unbounded.ranges().is_none());
         let bounded = IdFilter::Postings {
             postings: vec![std::sync::Arc::new(even)],
             within: Some(IdRanges::new(vec![(10, 19), (40, 49)])),
         };
         assert!(bounded.accepts(12) && !bounded.accepts(13) && !bounded.accepts(20));
-        assert_eq!(bounded.matched(), Some(10));
+        assert_eq!(bounded.matched(), 10);
         assert!(format!("{bounded:?}").contains("1 postings"));
-        assert_eq!(IdFilter::from_ids([1u64, 2]).matched(), Some(2));
-        assert_eq!(IdFilter::from_predicate(|_| true).matched(), None);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Property tests for predicate pushdown: `search(.., Some(pred))` must be
+//! Property tests for predicate pushdown: `search(.., Some(filter))` must be
 //! indistinguishable from "unfiltered search over everything + post-filter +
 //! truncate" — score- and tie-break-identical for the exact paths (Flat, and
 //! IVF-PQ when the refine budget covers every probed candidate), and
@@ -46,7 +46,11 @@ proptest! {
     // exactly — same ids, same (bit-identical) scores, same id tie-breaks.
     // The mask mixes fully-passing blocks (batch kernel) with mixed blocks
     // (per-row kernel); both kernels share the per-row dot, so equality is
-    // exact, not approximate.
+    // exact, not approximate. The same allowed ids are expressed as each
+    // filter kind `MetadataStore::resolve` emits — an allow-set, the ids'
+    // runs as sorted ranges, the ids as a posting alone and cut down by
+    // ranges that happen to cover it — and every kind must report the same
+    // hits, the same search stats and the same matched count.
     #[test]
     fn flat_filtered_equals_post_filter(
         rows in prop::collection::vec(prop::collection::vec(-1.0f32..1.0, 8), 20..150),
@@ -58,35 +62,19 @@ proptest! {
         for (i, v) in rows.iter().enumerate() {
             flat.insert(i as u64, v).unwrap();
         }
-        let allowed: std::collections::HashSet<u64> = rows
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask[*i])
-            .map(|(i, _)| i as u64)
-            .collect();
-        let set_filter = IdFilter::Set(allowed.clone());
+        let ascending: Vec<u64> = (0..rows.len() as u64).filter(|&i| mask[i as usize]).collect();
+        let set_filter = IdFilter::from_ids(ascending.iter().copied());
         let reference = post_filter_reference(&flat, &query, k, &set_filter);
 
         let (set_hits, set_stats) = flat
             .search(&query, k, Some(&set_filter))
             .unwrap();
-        prop_assert_eq!(&sorted(set_hits), &reference);
-        prop_assert_eq!(set_stats.vectors_scored, allowed.len());
-        prop_assert_eq!(set_stats.filtered_out, rows.len() - allowed.len());
+        let set_hits = sorted(set_hits);
+        prop_assert_eq!(&set_hits, &reference);
+        prop_assert_eq!(set_stats.vectors_scored, ascending.len());
+        prop_assert_eq!(set_stats.filtered_out, rows.len() - ascending.len());
+        prop_assert_eq!(set_filter.matched(), ascending.len());
 
-        // The same filter expressed as a predicate takes the same path.
-        let moved = allowed.clone();
-        let pred_filter = IdFilter::from_predicate(move |id| moved.contains(&id));
-        let (pred_hits, _) = flat
-            .search(&query, k, Some(&pred_filter))
-            .unwrap();
-        prop_assert_eq!(&sorted(pred_hits), &reference);
-
-        // And as what the metadata store resolves predicates to: the ids'
-        // runs as sorted ranges, and the ids as a posting — alone and cut
-        // down by ranges that happen to cover it.
-        let mut ascending: Vec<u64> = allowed.iter().copied().collect();
-        ascending.sort_unstable();
         let runs = IdRanges::new(ascending.iter().map(|&id| (id, id)).collect());
         let posting = Arc::new(ascending.iter().copied().collect::<IdPosting>());
         let resolved = [
@@ -95,10 +83,10 @@ proptest! {
             IdFilter::Postings { postings: vec![posting], within: Some(runs) },
         ];
         for filter in &resolved {
-            prop_assert_eq!(filter.matched(), Some(ascending.len()));
+            prop_assert_eq!(filter.matched(), set_filter.matched());
             let (hits, stats) = flat.search(&query, k, Some(filter)).unwrap();
-            prop_assert_eq!(&sorted(hits), &reference);
-            prop_assert_eq!(stats.vectors_scored, allowed.len());
+            prop_assert_eq!(&sorted(hits), &set_hits);
+            prop_assert_eq!(stats, set_stats);
         }
     }
 }
@@ -142,8 +130,8 @@ fn ivf_filtered_equals_post_filter_under_full_refine() {
     let ivf = IvfPqIndex::build_from_rows(config, ids, RowStore::from(vectors.concat())).unwrap();
 
     let filters: Vec<IdFilter> = vec![
-        IdFilter::from_predicate(|id| id < 400),
-        IdFilter::from_predicate(|id| id % 3 == 0),
+        IdFilter::from_ids(0..400),
+        IdFilter::from_ids((0..n as u64).step_by(3)),
         IdFilter::from_ids((700..900).chain(100..150)),
         IdFilter::Ranges {
             ranges: IdRanges::new(vec![(700, 899), (100, 149), (1_499, 5_000)]),
@@ -190,7 +178,7 @@ fn hnsw_filtered_is_recall_bounded() {
         flat.insert(i as u64, v).unwrap();
     }
 
-    let filter = IdFilter::from_predicate(|id| id % 2 == 1);
+    let filter = IdFilter::from_ids((1..n as u64).step_by(2));
     let mut recall_hits = 0usize;
     let mut total = 0usize;
     for &probe in &[3usize, 401, 777, 1200, 1999] {

@@ -407,22 +407,6 @@ impl SegmentedCollection {
         Ok(result)
     }
 
-    /// Searches for the `k` most similar embeddings to `query`, unordered:
-    /// the unfiltered one-query case of
-    /// [`SegmentedCollection::search_batch_with_stats_opts`].
-    pub fn search(&self, query: &[f32], k: usize) -> Result<Vec<SearchResult>> {
-        let request = BatchQuery {
-            query,
-            k,
-            filter: None,
-        };
-        Ok(self
-            .search_batch_with_stats_opts(&[request])?
-            .pop()
-            .unwrap_or_default()
-            .0)
-    }
-
     /// Answers a batch of (possibly filtered) queries in one fan-out pass:
     /// the segment set is walked once, each segment scanned for every query
     /// it survives pruning for while its rows are hot in cache, so a batch
@@ -631,7 +615,7 @@ mod tests {
         assert_eq!(c.len(), 600);
         c.build().unwrap();
         assert!(c.is_built());
-        let hits = best_first(c.search(&vectors[42], 5).unwrap());
+        let hits = best_first(search_one(&c, &vectors[42], 5, None).0);
         assert_eq!(hits[0].id, 42);
     }
 
@@ -707,7 +691,7 @@ mod tests {
 
         // Every row is still retrievable after compaction.
         for probe in [0usize, 45, 119] {
-            let hits = c.search(&vectors[probe], 1).unwrap();
+            let (hits, _) = search_one(&c, &vectors[probe], 1, None);
             assert_eq!(hits[0].id, probe as u64, "row {probe}");
         }
 
@@ -754,8 +738,8 @@ mod tests {
         split.seal().unwrap();
         assert!(split.stats().sealed_segments > 5);
         for probe in [3usize, 123, 280] {
-            let a = best_first(single.search(&vectors[probe], 10).unwrap());
-            let b = best_first(split.search(&vectors[probe], 10).unwrap());
+            let a = best_first(search_one(&single, &vectors[probe], 10, None).0);
+            let b = best_first(search_one(&split, &vectors[probe], 10, None).0);
             assert_eq!(a, b, "probe {probe}");
         }
     }
@@ -776,8 +760,7 @@ mod tests {
         assert_eq!(c.stats().sealed_segments, 4);
 
         // Filter allowing only ids 50..100: one segment can match.
-        let filter = PushdownFilter::new(IdFilter::from_predicate(|id| (50..100).contains(&id)))
-            .with_ranges(vec![(50, 99)]);
+        let filter = PushdownFilter::new(IdFilter::from_ids(50..100)).with_ranges(vec![(50, 99)]);
         let (hits, stats) = search_one(&c, &vectors[60], 5, Some(&filter));
         let hits = best_first(hits);
         assert_eq!(hits[0].id, 60);
@@ -787,7 +770,7 @@ mod tests {
         assert_eq!(stats.vectors_scored, 50);
 
         // The same filter without ranges probes everything but still masks.
-        let no_ranges = PushdownFilter::new(IdFilter::from_predicate(|id| (50..100).contains(&id)));
+        let no_ranges = PushdownFilter::new(IdFilter::from_ids(50..100));
         let (hits2, stats2) = search_one(&c, &vectors[60], 5, Some(&no_ranges));
         assert_eq!(hits, hits2);
         assert_eq!(stats2.segments_pruned, 0);
@@ -873,7 +856,7 @@ mod tests {
     }
 
     /// The filters the merge fixtures are queried under: none, id ranges
-    /// and an opaque predicate.
+    /// and an allow-set.
     fn merge_filters() -> [Option<PushdownFilter>; 3] {
         [
             None,
@@ -881,9 +864,9 @@ mod tests {
                 ranges: IdRanges::new(vec![(0, 49), (280, 420), (640, 700)]),
                 matched: 252,
             })),
-            Some(PushdownFilter::new(IdFilter::from_predicate(|id| {
-                id % 3 != 1
-            }))),
+            Some(PushdownFilter::new(IdFilter::from_ids(
+                (0..900).filter(|id| id % 3 != 1),
+            ))),
         ]
     }
 
@@ -1023,8 +1006,7 @@ mod tests {
             c.insert(i as u64, v).unwrap();
         }
         c.seal().unwrap();
-        let filter = PushdownFilter::new(IdFilter::from_predicate(|id| id < 200))
-            .with_ranges(vec![(0, 199)]);
+        let filter = PushdownFilter::new(IdFilter::from_ids(0..200)).with_ranges(vec![(0, 199)]);
         let requests = [
             BatchQuery {
                 query: vectors[7].as_slice(),
@@ -1060,9 +1042,7 @@ mod tests {
         let mut c = SegmentedCollection::new("bf", cfg).unwrap();
         c.insert(1, &[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
             .unwrap();
-        let hits = c
-            .search(&[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], 1)
-            .unwrap();
+        let (hits, _) = search_one(&c, &[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], 1, None);
         assert_eq!(hits[0].id, 1);
         assert_eq!(c.index_family(), "BF");
     }
@@ -1073,7 +1053,7 @@ mod tests {
         let mut c = SegmentedCollection::new("norm", cfg).unwrap();
         c.insert(1, &[10.0, 0.0, 0.0, 0.0]).unwrap();
         c.insert(2, &[0.0, 0.1, 0.0, 0.0]).unwrap();
-        let hits = c.search(&[0.0, 500.0, 0.0, 0.0], 1).unwrap();
+        let (hits, _) = search_one(&c, &[0.0, 500.0, 0.0, 0.0], 1, None);
         assert_eq!(hits[0].id, 2);
         assert!((hits[0].score - 1.0).abs() < 1e-5);
     }
@@ -1145,7 +1125,7 @@ mod tests {
             c.insert(i as u64, v).unwrap();
         }
         // HNSW needs no explicit build.
-        let hits = c.search(&sample_vectors(50, 8)[10], 3).unwrap();
+        let (hits, _) = search_one(&c, &sample_vectors(50, 8)[10], 3, None);
         assert!(!hits.is_empty());
     }
 }

@@ -816,7 +816,7 @@ mod tests {
         let filter = db.resolve_filter(&window).unwrap();
         // One range per video, and the row test reports what it matches.
         assert_eq!(filter.ranges().unwrap().len(), 4);
-        assert_eq!(filter.id_filter().matched(), Some(4 * 32));
+        assert_eq!(filter.id_filter().matched(), 4 * 32);
         let probe = vector(2 * 64 + 11, 8);
         let (hits, stats) = search_one(&db, &probe, 10, Some(&filter));
         assert_eq!(hits[0].patch_id, patchid::patch_id(2, 11, 0));
@@ -885,7 +885,7 @@ mod tests {
         };
         for (predicate, matched) in [(&window, 30), (&class, 8)] {
             let filter = graph.resolve_filter(predicate).unwrap();
-            assert_eq!(filter.id_filter().matched(), Some(matched));
+            assert_eq!(filter.id_filter().matched(), matched);
             let reference = exact.resolve_filter(predicate).unwrap();
             for probe in [5usize, 310, 599] {
                 let query = vector(probe, 8);

@@ -211,8 +211,8 @@ impl Segment {
         filter: Option<&IdFilter>,
     ) -> Result<(Vec<SearchResult>, SearchStats)> {
         let index: &dyn VectorIndex = match &self.index {
-            Some(index)
-                if index.family() == "HNSW"
+            Some(_)
+                if self.target_kind == IndexKind::Hnsw
                     && filter.is_some_and(|filter| selective_allow_set(filter, self.len())) =>
             {
                 &self.buffer
@@ -235,14 +235,10 @@ impl Segment {
     }
 }
 
-/// True when the filter reports how many rows it matches and that is few
-/// enough (under a tenth of the segment) that a graph beam would mostly
-/// visit rejected nodes. Opaque predicates have unknown cardinality and stay
-/// on the index path.
+/// True when the filter matches few enough rows (under a tenth of the
+/// segment) that a graph beam would mostly visit rejected nodes.
 fn selective_allow_set(filter: &IdFilter, rows: usize) -> bool {
-    filter
-        .matched()
-        .is_some_and(|matched| matched.saturating_mul(10) < rows)
+    filter.matched().saturating_mul(10) < rows
 }
 
 #[cfg(test)]
@@ -405,10 +401,13 @@ mod tests {
         assert!(hits.iter().all(|h| allowed.contains(&h.id)));
         assert_eq!(stats.vectors_scored, 5);
         assert_eq!(stats.filtered_out, 595);
-        // A large predicate filter stays on the graph path (beam stats, not
-        // a 600-row exhaustive scan).
-        let wide = IdFilter::from_predicate(|id| id % 2 == 0);
+        // An allow-set above a tenth of the segment stays on the graph path:
+        // beam stats, not those of the exhaustive scan over the raw rows.
+        let wide = IdFilter::from_ids((0..600u64).step_by(2));
         let (_, wide_stats) = seg.search(&unit(42, 8), 5, Some(&wide)).unwrap();
+        let (_, scan_stats) = seg.buffer.search(&unit(42, 8), 5, Some(&wide)).unwrap();
+        assert_eq!(scan_stats.vectors_scored + scan_stats.filtered_out, 600);
+        assert_ne!(wide_stats, scan_stats);
         assert!(wide_stats.vectors_scored < 600);
     }
 
@@ -418,7 +417,7 @@ mod tests {
         for i in 0..60u64 {
             seg.insert(i, &unit(i as usize, 8)).unwrap();
         }
-        let filter = IdFilter::from_predicate(|id| id >= 30);
+        let filter = IdFilter::from_ids(30..60u64);
         for sealed in [false, true] {
             if sealed {
                 seg.seal().unwrap();

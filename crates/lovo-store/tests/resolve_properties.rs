@@ -191,11 +191,7 @@ fn resolved_filters_accept_exactly_the_matching_rows() {
                 store.matching_ids(&predicate).into_iter().collect(),
                 "{context}"
             );
-            assert_eq!(
-                filter.id_filter().matched(),
-                Some(expected.len()),
-                "{context}"
-            );
+            assert_eq!(filter.id_filter().matched(), expected.len(), "{context}");
             let ranges = filter.ranges().expect("resolved filters carry ranges");
             assert!(
                 ranges.windows(2).all(|pair| pair[0].1 < pair[1].0),
