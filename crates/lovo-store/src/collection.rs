@@ -10,7 +10,7 @@
 
 use crate::segment::{Segment, ZoneMap};
 use crate::Result;
-use lovo_index::{IdFilter, IdRanges, IndexKind, SearchResult, SearchStats, TopK, VectorId};
+use lovo_index::{IdFilter, IdRanges, IndexKind, SearchResult, SearchStats, VectorId};
 use serde::{Deserialize, Serialize};
 
 /// Default number of rows after which the growing segment seals.
@@ -415,7 +415,7 @@ impl SegmentedCollection {
     /// scan, segments whose zone map does not intersect the filter's id
     /// ranges are pruned before they are probed (counted in
     /// [`SearchStats::segments_pruned`]), and the per-segment top-k are merged
-    /// into the collection top-k with a bounded [`TopK`] selection. Results
+    /// into the collection top-k with one selection over their hits. Results
     /// come back in request order, each query's `k` best **unordered**: a
     /// caller that needs them best-first sorts them by
     /// [`SearchResult::order`], and one that reduces them to fewer items
@@ -522,13 +522,16 @@ fn zones_are_disjoint(segments: &[&Segment]) -> bool {
 /// order, become the query's `k` best, still unordered — segment searches
 /// return theirs unordered, and nothing here sorts.
 ///
-/// One score is kept per id where a row can have two, then one bounded
-/// top-k selection runs. The selector's (score desc, id asc) total order
-/// over unique ids makes the selected set independent of the order the
-/// hits arrive in, within a segment and across segments. A replaced row still
-/// living in an older segment is the only way one id reaches the merge
-/// twice, and it takes two segments whose id ranges overlap (`unique_ids`
-/// false). Ingest-ordered collections have none.
+/// One score is kept per id where a row can have two, then one
+/// `select_nth_unstable_by` over the concatenated hits picks the `k` best in
+/// place. [`SearchResult::order`] (score desc, id asc) is a total order over
+/// unique ids, so the selected set is independent of the order the hits
+/// arrive in, within a segment and across segments, and is the set a
+/// bounded `TopK` would keep. A replaced row still living in an older
+/// segment is the only way one id reaches the merge twice, and it takes two
+/// segments whose id ranges overlap (`unique_ids` false). Ingest-ordered
+/// collections have none. Every hit offered to the selection counts in
+/// `heap_pushes`.
 fn merge_hits(
     mut hits: Vec<SearchResult>,
     k: usize,
@@ -538,12 +541,14 @@ fn merge_hits(
     if !unique_ids {
         keep_best_per_id(&mut hits);
     }
-    let mut top = TopK::new(k);
-    for hit in hits {
-        top.push_hit(hit.id, hit.score);
+    stats.heap_pushes += hits.len();
+    if k == 0 {
+        hits.clear();
+    } else if k < hits.len() {
+        hits.select_nth_unstable_by(k - 1, SearchResult::order);
+        hits.truncate(k);
     }
-    stats.heap_pushes += top.pushes();
-    top.into_unordered_results()
+    hits
 }
 
 /// Keeps each id's best-scored hit and drops the others, leaving the hits in
@@ -574,6 +579,7 @@ impl MergeScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lovo_index::TopK;
 
     /// One (optionally filtered) query through the batched working function.
     fn search_one(
@@ -977,6 +983,105 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The merge as it was before it selected in place: one best score per
+    /// id where ids can repeat, then every hit offered to a bounded
+    /// [`TopK`]. Kept as the reference the selection must equal.
+    fn topk_merge_reference(
+        mut hits: Vec<SearchResult>,
+        k: usize,
+        unique_ids: bool,
+        stats: &mut SearchStats,
+    ) -> Vec<SearchResult> {
+        if !unique_ids {
+            keep_best_per_id(&mut hits);
+        }
+        let mut top = TopK::new(k);
+        for hit in hits {
+            top.push_hit(hit.id, hit.score);
+        }
+        stats.heap_pushes += top.pushes();
+        top.into_unordered_results()
+    }
+
+    /// Asserts the merge of `hits` equals the [`TopK`] reference for `k` of
+    /// none, one, a few, the engine's 400, and more than there are hits:
+    /// equal ids, equal score bits and equal `heap_pushes`.
+    fn assert_merge_equals_topk(hits: &[SearchResult], unique_ids: bool, context: &str) {
+        for k in [0, 1, 7, 400, hits.len() + 1] {
+            let mut stats = SearchStats::default();
+            let merged = merge_hits(hits.to_vec(), k, unique_ids, &mut stats);
+            let mut expected_stats = SearchStats::default();
+            let expected = topk_merge_reference(hits.to_vec(), k, unique_ids, &mut expected_stats);
+            assert_eq!(
+                bits(&best_first(merged)),
+                bits(&best_first(expected)),
+                "{context} k {k}"
+            );
+            assert_eq!(
+                stats.heap_pushes, expected_stats.heap_pushes,
+                "{context} k {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn selection_merge_equals_the_topk_merge_on_every_fixture() {
+        let vectors = sample_vectors(900, 16);
+        for (label, c) in merge_fixtures(&vectors) {
+            let mut probes: Vec<&Segment> = c.sealed.iter().collect();
+            if !c.growing.is_empty() {
+                probes.push(&c.growing);
+            }
+            let unique_ids = zones_are_disjoint(&probes);
+            for filter in &merge_filters() {
+                let id_filter = filter.as_ref().map(PushdownFilter::id_filter);
+                for probe in [7usize, 457, 899] {
+                    let query = lovo_index::metric::normalized(&vectors[probe]);
+                    let hits: Vec<SearchResult> = probes
+                        .iter()
+                        .flat_map(|segment| segment.search(&query, 400, id_filter).unwrap().0)
+                        .collect();
+                    let context = format!("{label} filter {filter:?} probe {probe}");
+                    assert_merge_equals_topk(&hits, unique_ids, &context);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn selection_merge_equals_the_topk_merge_on_ties_and_a_nan() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x7135);
+        // Three score values over 600 ids, shuffled: ties straddle every cut.
+        let mut tied: Vec<SearchResult> = (0..600u64)
+            .map(|id| SearchResult {
+                id,
+                score: [0.25, 0.5, 0.75][rng.gen_range(0..3)],
+            })
+            .collect();
+        shuffle(&mut tied, &mut rng);
+        assert_merge_equals_topk(&tied, true, "tied scores");
+
+        // A third of the ids twice, as a replaced row's two copies arrive.
+        let mut repeated = tied.clone();
+        repeated.extend(tied.iter().step_by(3).map(|hit| SearchResult {
+            id: hit.id,
+            score: 0.5,
+        }));
+        shuffle(&mut repeated, &mut rng);
+        assert_merge_equals_topk(&repeated, false, "tied scores, repeated ids");
+
+        // One NaN, which the order ranks after every number.
+        let mut with_nan = tied;
+        with_nan[17].score = f32::NAN;
+        let nan_id = with_nan[17].id;
+        assert_merge_equals_topk(&with_nan, true, "one NaN");
+        let kept = merge_hits(with_nan.clone(), 400, true, &mut SearchStats::default());
+        assert!(kept.iter().all(|hit| !hit.score.is_nan()));
+        let all = merge_hits(with_nan, 601, true, &mut SearchStats::default());
+        assert_eq!(best_first(all).last().map(|hit| hit.id), Some(nan_id));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! patch ids and scores, unordered. The engine reduces those to the frames
 //! its answer uses and joins only their rows (frame id, bounding box,
 //! timestamp) with [`VectorDatabase::patches`];
-//! [`VectorDatabase::search_batch_with_stats_opts`] and
-//! [`VectorDatabase::search`] return every hit joined, best first.
+//! [`VectorDatabase::search_batch_with_stats_opts`] returns every hit
+//! joined, best first.
 
 use crate::collection::{
     BatchQuery, CollectionConfig, CollectionStats, CompactionResult, PushdownFilter,
@@ -422,22 +422,6 @@ impl VectorDatabase {
         Ok(result)
     }
 
-    /// Fast search: top-`k` joined hits for the query embedding — the
-    /// unfiltered one-query case of
-    /// [`VectorDatabase::search_batch_with_stats_opts`].
-    pub fn search(&self, collection: &str, query: &[f32], k: usize) -> Result<Vec<JoinedHit>> {
-        let request = BatchQuery {
-            query,
-            k,
-            filter: None,
-        };
-        Ok(self
-            .search_batch_with_stats_opts(collection, &[request], 0)?
-            .pop()
-            .unwrap_or_default()
-            .0)
-    }
-
     /// Compiles a metadata predicate into the fully pushed-down filter the
     /// index scans consume: the id test every segment applies per row, plus
     /// the candidate id ranges used to prune segments by zone map. Returns
@@ -623,6 +607,26 @@ mod tests {
             .unwrap()
     }
 
+    /// The `k` best joined hits of one unfiltered query on `collection`,
+    /// best first.
+    fn top_hits(
+        db: &VectorDatabase,
+        collection: &str,
+        query: &[f32],
+        k: usize,
+    ) -> Result<Vec<JoinedHit>> {
+        let request = BatchQuery {
+            query,
+            k,
+            filter: None,
+        };
+        Ok(db
+            .search_batch_with_stats_opts(collection, &[request], 0)?
+            .pop()
+            .unwrap_or_default()
+            .0)
+    }
+
     fn vector(i: usize, dim: usize) -> Vec<f32> {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
@@ -644,7 +648,7 @@ mod tests {
             .unwrap();
         }
         db.seal_collection("patches").unwrap();
-        let hits = db.search("patches", &vector(123, 16), 5).unwrap();
+        let hits = top_hits(&db, "patches", &vector(123, 16), 5).unwrap();
         assert_eq!(hits.len(), 5);
         assert_eq!(hits[0].patch_id, 123);
         assert_eq!(hits[0].record.frame_index, (123 / 48) as u32);
@@ -656,7 +660,7 @@ mod tests {
         assert!(db
             .insert_patch("missing", &[0.0; 4], record(0, 0, 0))
             .is_err());
-        assert!(db.search("missing", &[0.0; 4], 1).is_err());
+        assert!(top_hits(&db, "missing", &[0.0; 4], 1).is_err());
         assert!(db.collection_stats("missing").is_err());
         assert!(!db.has_collection("missing"));
     }
@@ -713,7 +717,7 @@ mod tests {
             .unwrap();
         assert_eq!(inserted, 20);
         assert_eq!(db.metadata_rows(), 20);
-        let hits = db.search("p", &vector(7, 8), 1).unwrap();
+        let hits = top_hits(&db, "p", &vector(7, 8), 1).unwrap();
         assert_eq!(hits[0].patch_id, 7);
         assert_eq!(hits[0].record.frame_index, 1);
         assert!(db
@@ -746,7 +750,7 @@ mod tests {
         assert!(db.collection_generation("missing").is_err());
         assert_eq!(result.segments_merged, 3);
         assert_eq!(db.collection_stats("p").unwrap().sealed_segments, 1);
-        let hits = db.search("p", &vector(42, 8), 1).unwrap();
+        let hits = top_hits(&db, "p", &vector(42, 8), 1).unwrap();
         assert_eq!(hits[0].patch_id, 42);
         assert!(db.seal_collection("missing").is_err());
         assert!(db.compact_collection("missing").is_err());

@@ -11,8 +11,8 @@
 #[cfg(any(debug_assertions, feature = "failpoints"))]
 use lovo_store::durability::{points, FaultAction, FaultPlan};
 use lovo_store::{
-    patch_id, CollectionConfig, DurabilityConfig, PatchRecord, StorageError, StoreError,
-    VectorDatabase,
+    patch_id, BatchQuery, CollectionConfig, DurabilityConfig, PatchRecord, StorageError,
+    StoreError, VectorDatabase,
 };
 use std::path::PathBuf;
 #[cfg(any(debug_assertions, feature = "failpoints"))]
@@ -85,8 +85,16 @@ fn twin(batches: &[Vec<(Vec<f32>, PatchRecord)>], seal: bool) -> VectorDatabase 
 }
 
 fn top_ids(db: &VectorDatabase, query: &[f32], k: usize) -> Vec<u64> {
-    db.search(COL, query, k)
+    let request = BatchQuery {
+        query,
+        k,
+        filter: None,
+    };
+    db.search_batch_with_stats_opts(COL, &[request], 0)
         .unwrap()
+        .pop()
+        .unwrap_or_default()
+        .0
         .into_iter()
         .map(|h| h.patch_id)
         .collect()

@@ -17,8 +17,8 @@ use lovo_index::{IndexKind, SearchStats, MIN_TRAINED_SEGMENT_ROWS};
 #[cfg(any(debug_assertions, feature = "failpoints"))]
 use lovo_store::durability::{points, FaultAction, FaultPlan};
 use lovo_store::{
-    patch_id, BatchQuery, CollectionConfig, DurabilityConfig, OpenOptions, PatchPredicate,
-    PatchRecord, VectorDatabase, MMAP_SUPPORTED,
+    patch_id, BatchQuery, CollectionConfig, DurabilityConfig, JoinedHit, OpenOptions,
+    PatchPredicate, PatchRecord, VectorDatabase, MMAP_SUPPORTED,
 };
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -116,10 +116,24 @@ fn build_store(root: &PathBuf, config: CollectionConfig) {
     build_store_with(root, config, 40);
 }
 
+/// One unfiltered search: its `k` best joined hits, best first, and its
+/// work counters.
+fn search(db: &VectorDatabase, query: &[f32], k: usize) -> (Vec<JoinedHit>, SearchStats) {
+    let request = BatchQuery {
+        query,
+        k,
+        filter: None,
+    };
+    db.search_batch_with_stats_opts(COL, &[request], 0)
+        .unwrap()
+        .pop()
+        .unwrap()
+}
+
 /// Full search observation: ids plus exact score bit patterns.
 fn observe(db: &VectorDatabase, query: &[f32], k: usize) -> Vec<(u64, u32)> {
-    db.search(COL, query, k)
-        .unwrap()
+    search(db, query, k)
+        .0
         .into_iter()
         .map(|h| (h.patch_id, h.score.to_bits()))
         .collect()
@@ -145,20 +159,6 @@ fn observe_filtered(
         .into_iter()
         .map(|h| (h.patch_id, h.score.to_bits()))
         .collect()
-}
-
-/// Work counters of one unfiltered search.
-fn stats(db: &VectorDatabase, query: &[f32], k: usize) -> SearchStats {
-    let request = BatchQuery {
-        query,
-        k,
-        filter: None,
-    };
-    db.search_batch_with_stats_opts(COL, &[request], 0)
-        .unwrap()
-        .pop()
-        .unwrap()
-        .1
 }
 
 /// The probe set: spread over both videos, plus off-manifold directions.
@@ -244,7 +244,7 @@ fn mmap_and_heap_reads_are_bit_identical_across_index_families() {
                     // The flat fallback probes no cells: a trained index
                     // must serve both reads.
                     for db in [&heap, &mapped] {
-                        let cells = stats(db, query, 10).cells_probed;
+                        let cells = search(db, query, 10).1.cells_probed;
                         assert!(cells > 0, "{name}: probe {p} fell back to flat");
                     }
                 }
@@ -355,7 +355,7 @@ fn madvise_fault_is_advisory_only() {
             "the madvise point must actually have fired"
         );
     }
-    assert_eq!(db.search(COL, &vector(3), 5).unwrap().len(), 5);
+    assert_eq!(search(&db, &vector(3), 5).0.len(), 5);
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -408,7 +408,7 @@ fn corrupt_mapped_segment_quarantines_exactly_like_heap() {
         assert_eq!(db.metadata_rows(), 20, "{tag}");
         let q = vector(healthy[3].1.patch_id);
         assert_eq!(
-            db.search(COL, &q, 1).unwrap()[0].patch_id,
+            search(&db, &q, 1).0[0].patch_id,
             healthy[3].1.patch_id,
             "{tag}: the healthy segment must still serve"
         );
