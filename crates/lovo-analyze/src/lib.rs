@@ -127,12 +127,9 @@ pub fn default_config(hierarchy: &[(String, String)]) -> Config {
                 // The durability layer: recovery code that panics on a
                 // corrupt byte defeats its whole purpose — every parse
                 // failure must surface as a typed StorageError (quarantine,
-                // truncate, or report) instead. The directory prefix covers
-                // durability/mmap.rs too: raw-syscall mapping code must turn
-                // every failure into a typed error so the caller can fall
-                // back to the heap read path.
+                // truncate, or report) instead.
                 "lovo-store/src/durability".to_string(),
-                // The borrowed-or-owned row store hands mapped bytes straight
+                // The row store hands every sealed segment's rows straight
                 // into the scan kernels above; a panic here is a panic on the
                 // query path.
                 "lovo-index/src/store.rs".to_string(),

@@ -14,8 +14,14 @@
 //!    under-approximate, never wrong about what it does report.
 //! 3. **Hold tracking.** A `let`-bound guard is held to the end of its
 //!    enclosing block; a temporary guard to the end of its statement;
-//!    `drop(guard)` releases early. Guard-returning helpers (any fn whose
-//!    return type mentions `Guard`) export their acquisitions to the caller.
+//!    `drop(guard)` releases early. A `let` whose initializer goes on past
+//!    the acquisition (`let v = m.lock().get(k).cloned();`) binds the
+//!    result, not the guard, so its guard is a temporary. A guard taken in
+//!    the scrutinee of an `if let`, `while let` or `match` is held through
+//!    every block of the construct, `else` included (edition 2021), and
+//!    released where the construct ends. Guard-returning helpers (any fn
+//!    whose return type mentions `Guard`) export their acquisitions to the
+//!    caller.
 //! 4. **Call graph.** Method calls resolve through `self`, field types and
 //!    `Type::method` paths; unresolvable receivers contribute no edges. A
 //!    fixpoint computes each fn's may-acquire set, and every call made while
@@ -26,7 +32,7 @@
 //! ARCHITECTURE.md are errors; observed orders the hierarchy doesn't cover
 //! are warnings nudging the doc to stay complete.
 
-use crate::lexer::TokenKind;
+use crate::lexer::{Token, TokenKind};
 use crate::model::ParsedFile;
 use crate::{Finding, Severity};
 use std::collections::{HashMap, HashSet};
@@ -50,22 +56,32 @@ enum Event {
     Semi { depth: usize },
     /// `drop(var)` releases the named guard early.
     DropVar { name: String },
+    /// The `if let` / `while let` / `match` whose last block closes at this
+    /// token index ended, releasing the guards taken in its scrutinee.
+    ConstructEnd { end: usize },
     /// A lock acquisition.
-    Acquire {
-        lock: String,
-        depth: usize,
-        block_bound: bool,
-        var: Option<String>,
-        line: u32,
-    },
+    Acquire { lock: String, hold: Hold, line: u32 },
     /// A call to one or more candidate workspace fns.
     Call {
         cands: Vec<usize>,
-        depth: usize,
-        block_bound: bool,
-        var: Option<String>,
+        hold: Hold,
         line: u32,
     },
+}
+
+/// How long a guard taken at one site is held.
+#[derive(Debug, Clone)]
+struct Hold {
+    /// Brace depth of the acquisition.
+    depth: usize,
+    /// Bound by a `let`: held to the end of the enclosing block, not the
+    /// statement.
+    block_bound: bool,
+    /// The `let`'s variable, which `drop(var)` releases.
+    var: Option<String>,
+    /// Taken in a construct's scrutinee: held until the construct ending at
+    /// this token index ends.
+    construct: Option<usize>,
 }
 
 struct FnRef {
@@ -322,6 +338,86 @@ fn resolve_call(file: &ParsedFile, j: usize, current_impl: Option<&str>, ctx: &C
     filter_impl(None)
 }
 
+/// Adapters that pass a lock result through unchanged, so a `let` ending
+/// in one of them still binds the guard.
+const GUARD_ADAPTERS: [&str; 4] = ["unwrap", "expect", "map_err", "unwrap_or_else"];
+
+/// Forward scan from the opening delimiter at `open` to its matching
+/// closing one, within `limit`.
+fn matching_close(toks: &[Token], open: usize, limit: usize) -> Option<usize> {
+    let (open_c, close_c) = if toks[open].is_punct('(') {
+        ('(', ')')
+    } else {
+        ('{', '}')
+    };
+    let mut depth = 0usize;
+    for (j, t) in toks.iter().enumerate().take(limit + 1).skip(open) {
+        if t.is_punct(open_c) {
+            depth += 1;
+        } else if t.is_punct(close_c) {
+            depth -= 1;
+            if depth == 0 {
+                return Some(j);
+            }
+        }
+    }
+    None
+}
+
+/// True when the expression whose guard-producing part ends at token
+/// `end` goes on with a method call, after skipping `?` and the
+/// [`GUARD_ADAPTERS`]: the guard is then a temporary of the statement.
+fn continues_past(toks: &[Token], mut end: usize, limit: usize) -> bool {
+    loop {
+        match toks.get(end + 1) {
+            Some(t) if t.is_punct('?') => end += 1,
+            Some(t) if t.is_punct('.') => {
+                let adapter = toks
+                    .get(end + 2)
+                    .is_some_and(|m| GUARD_ADAPTERS.iter().any(|a| m.is_ident(a)))
+                    && toks.get(end + 3).is_some_and(|p| p.is_punct('('));
+                if !adapter {
+                    return true;
+                }
+                match matching_close(toks, end + 3, limit) {
+                    Some(close) => end = close,
+                    None => return false,
+                }
+            }
+            _ => return false,
+        }
+    }
+}
+
+/// The first `{` at or after `from` outside any parentheses or brackets:
+/// the block that follows a condition or scrutinee.
+fn block_after(toks: &[Token], from: usize, limit: usize) -> Option<usize> {
+    let mut nesting = 0isize;
+    for (j, t) in toks.iter().enumerate().take(limit + 1).skip(from) {
+        if t.is_punct('(') || t.is_punct('[') {
+            nesting += 1;
+        } else if t.is_punct(')') || t.is_punct(']') {
+            nesting -= 1;
+        } else if nesting == 0 && t.is_punct('{') {
+            return Some(j);
+        }
+    }
+    None
+}
+
+/// For the `if let` / `while let` / `match` keyword at `kw`: the `{` that
+/// ends its scrutinee and the `}` that ends the whole construct, following
+/// `else` and `else if` blocks to the last one.
+fn construct_span(toks: &[Token], kw: usize, limit: usize) -> Option<(usize, usize)> {
+    let body = block_after(toks, kw + 1, limit)?;
+    let mut end = matching_close(toks, body, limit)?;
+    while toks.get(end + 1).is_some_and(|t| t.is_ident("else")) {
+        let next = block_after(toks, end + 2, limit)?;
+        end = matching_close(toks, next, limit)?;
+    }
+    Some((body, end))
+}
+
 /// Walks one fn body into an event list.
 fn scan_fn(file: &ParsedFile, fn_local_idx: usize, ctx: &Ctx) -> Vec<Event> {
     let fndef = &file.fns[fn_local_idx];
@@ -334,20 +430,48 @@ fn scan_fn(file: &ParsedFile, fn_local_idx: usize, ctx: &Ctx) -> Vec<Event> {
     let mut depth = 0usize;
     let mut let_pending = false;
     let mut let_var: Option<String> = None;
+    // Open constructs: (keyword, scrutinee-ending `{`, construct-ending `}`).
+    let mut constructs: Vec<(usize, usize, usize)> = Vec::new();
+    // The hold of a guard whose producing expression spans `at..=end`.
+    let hold = |constructs: &[(usize, usize, usize)],
+                (at, end): (usize, usize),
+                depth: usize,
+                let_pending: bool,
+                let_var: &Option<String>| Hold {
+        depth,
+        block_bound: let_pending && !continues_past(toks, end, close),
+        var: let_var.clone(),
+        construct: constructs
+            .iter()
+            .rev()
+            .find(|&&(kw, body, _)| kw < at && at < body)
+            .map(|&(.., end)| end),
+    };
     let mut j = open;
     while j <= close {
         let t = &toks[j];
+        let scrutinee_let = t.is_ident("let")
+            && j > open
+            && (toks[j - 1].is_ident("if") || toks[j - 1].is_ident("while"));
         if t.is_punct('{') {
             depth += 1;
         } else if t.is_punct('}') {
             depth = depth.saturating_sub(1);
             events.push(Event::Close { depth_after: depth });
+            if constructs.iter().any(|&(.., end)| end == j) {
+                constructs.retain(|&(.., end)| end != j);
+                events.push(Event::ConstructEnd { end: j });
+            }
             let_pending = false;
             let_var = None;
         } else if t.is_punct(';') {
             events.push(Event::Semi { depth });
             let_pending = false;
             let_var = None;
+        } else if scrutinee_let || t.is_ident("match") {
+            if let Some((body, end)) = construct_span(toks, j, close) {
+                constructs.push((j, body, end));
+            }
         } else if t.is_ident("let") {
             let_pending = true;
             let mut v = j + 1;
@@ -380,9 +504,7 @@ fn scan_fn(file: &ParsedFile, fn_local_idx: usize, ctx: &Ctx) -> Vec<Event> {
                 if let Some(lock) = resolve_lock_receiver(file, j, current_impl, ctx) {
                     events.push(Event::Acquire {
                         lock,
-                        depth,
-                        block_bound: let_pending,
-                        var: let_var.clone(),
+                        hold: hold(&constructs, (j, j + 2), depth, let_pending, &let_var),
                         line: t.line,
                     });
                     j += 3;
@@ -391,11 +513,10 @@ fn scan_fn(file: &ParsedFile, fn_local_idx: usize, ctx: &Ctx) -> Vec<Event> {
             }
             let cands = resolve_call(file, j, current_impl, ctx);
             if !cands.is_empty() {
+                let end = matching_close(toks, j + 1, close).unwrap_or(j + 1);
                 events.push(Event::Call {
                     cands,
-                    depth,
-                    block_bound: let_pending,
-                    var: let_var.clone(),
+                    hold: hold(&constructs, (j, end), depth, let_pending, &let_var),
                     line: t.line,
                 });
             }
@@ -476,9 +597,7 @@ pub fn check(files: &[ParsedFile], config: &LockConfig, findings: &mut Vec<Findi
     // Replay each fn with hold-tracking to produce edges.
     struct Held {
         lock: String,
-        depth: usize,
-        block_bound: bool,
-        var: Option<String>,
+        hold: Hold,
     }
     let mut edges: Vec<Edge> = Vec::new();
     for (id, evs) in events.iter().enumerate() {
@@ -486,16 +605,15 @@ pub fn check(files: &[ParsedFile], config: &LockConfig, findings: &mut Vec<Findi
         let mut held: Vec<Held> = Vec::new();
         for e in evs {
             match e {
-                Event::Close { depth_after } => held.retain(|h| h.depth <= *depth_after),
-                Event::Semi { depth } => held.retain(|h| h.block_bound || h.depth != *depth),
-                Event::DropVar { name } => held.retain(|h| h.var.as_deref() != Some(name.as_str())),
-                Event::Acquire {
-                    lock,
-                    depth,
-                    block_bound,
-                    var,
-                    line,
-                } => {
+                Event::Close { depth_after } => held.retain(|h| h.hold.depth <= *depth_after),
+                Event::Semi { depth } => held.retain(|h| {
+                    h.hold.block_bound || h.hold.construct.is_some() || h.hold.depth != *depth
+                }),
+                Event::DropVar { name } => {
+                    held.retain(|h| h.hold.var.as_deref() != Some(name.as_str()));
+                }
+                Event::ConstructEnd { end } => held.retain(|h| h.hold.construct != Some(*end)),
+                Event::Acquire { lock, hold, line } => {
                     for h in &held {
                         edges.push(Edge {
                             from: h.lock.clone(),
@@ -507,18 +625,10 @@ pub fn check(files: &[ParsedFile], config: &LockConfig, findings: &mut Vec<Findi
                     }
                     held.push(Held {
                         lock: lock.clone(),
-                        depth: *depth,
-                        block_bound: *block_bound,
-                        var: var.clone(),
+                        hold: hold.clone(),
                     });
                 }
-                Event::Call {
-                    cands,
-                    depth,
-                    block_bound,
-                    var,
-                    line,
-                } => {
+                Event::Call { cands, hold, line } => {
                     let mut acquired: HashSet<&String> = HashSet::new();
                     for &c in cands {
                         acquired.extend(&may[c]);
@@ -542,9 +652,7 @@ pub fn check(files: &[ParsedFile], config: &LockConfig, findings: &mut Vec<Findi
                         for lock in &acquired {
                             held.push(Held {
                                 lock: (*lock).clone(),
-                                depth: *depth,
-                                block_bound: *block_bound,
-                                var: var.clone(),
+                                hold: hold.clone(),
                             });
                         }
                     }

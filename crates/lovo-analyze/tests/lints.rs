@@ -168,6 +168,34 @@ fn allow_marker_drops_the_lock_edge() {
 }
 
 #[test]
+fn temporary_guards_end_with_their_statement_or_construct() {
+    let findings = run(&["lock_temp.rs"], &quiet_config());
+    assert!(
+        findings
+            .iter()
+            .all(|f| !f.message.contains("Table.entries")),
+        "a dropped temporary guard was reported held: {findings:?}"
+    );
+    let reentrant: Vec<&str> = of_lint(&findings, "lock-order")
+        .into_iter()
+        .filter(|f| f.severity == Severity::Error && f.message.contains("already held"))
+        .map(|f| f.message.as_str())
+        .collect();
+    for held in [
+        "InBody.entries",
+        "InElse.entries",
+        "InArm.entries",
+        "AfterLet.entries",
+    ] {
+        assert!(
+            reentrant.iter().any(|m| m.contains(held)),
+            "`{held}` is still held at its second acquisition: {findings:?}"
+        );
+    }
+    assert_eq!(findings.len(), 4, "findings: {findings:?}");
+}
+
+#[test]
 fn stale_hierarchy_entries_warn() {
     let config = Config {
         locks: LockConfig {

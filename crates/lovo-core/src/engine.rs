@@ -244,33 +244,7 @@ impl Lovo {
         root: impl AsRef<std::path::Path>,
         durability: DurabilityConfig,
     ) -> Result<(Self, RecoveryReport)> {
-        // The default open consults LOVO_MMAP / LOVO_MMAP_POPULATE, so the
-        // zero-copy read path can be switched on without code changes.
-        let recovered = VectorDatabase::open_durable(root, durability)?;
-        Self::from_reopened(config, recovered)
-    }
-
-    /// [`Lovo::open`] with explicit storage read-path options: with
-    /// `options.mmap` on, sealed-segment rows are served zero-copy from the
-    /// mapped segment files — opening is O(headers), and the row payload
-    /// lives in evictable page cache instead of the heap, which is what
-    /// lets a corpus larger than RAM keep serving. See
-    /// [`lovo_store::OpenOptions`]; consider [`Lovo::warmup`] after an
-    /// mmap open that skipped `populate`.
-    pub fn open_with(
-        config: LovoConfig,
-        root: impl AsRef<std::path::Path>,
-        durability: DurabilityConfig,
-        options: lovo_store::OpenOptions,
-    ) -> Result<(Self, RecoveryReport)> {
-        let recovered = VectorDatabase::open_durable_with(root, durability, options)?;
-        Self::from_reopened(config, recovered)
-    }
-
-    fn from_reopened(
-        config: LovoConfig,
-        (database, mut report): (VectorDatabase, RecoveryReport),
-    ) -> Result<(Self, RecoveryReport)> {
+        let (database, mut report) = VectorDatabase::open_durable(root, durability)?;
         config.validate().map_err(LovoError::InvalidState)?;
         let summarizer = VideoSummarizer::new(&config)?;
         if let Some(dim) = database.collection_dim(PATCH_COLLECTION) {
@@ -401,33 +375,6 @@ impl Lovo {
     /// Approximate storage footprint in bytes (index + metadata).
     pub fn storage_bytes(&self) -> usize {
         self.database.total_bytes()
-    }
-
-    /// Pre-faults every mapped sealed segment (`MADV_WILLNEED`), returning
-    /// the bytes advised. Call once after an mmap [`Lovo::open_with`] to
-    /// warm the page cache ahead of the first queries; a no-op (0) on the
-    /// heap read path.
-    pub fn warmup(&self) -> usize {
-        self.database.warmup()
-    }
-
-    /// Drops every mapped sealed segment's resident pages
-    /// (`MADV_DONTNEED`), returning the bytes advised — the inverse of
-    /// [`Lovo::warmup`], used to bound page-cache footprint when the
-    /// corpus outgrows memory.
-    pub fn release_pages(&self) -> usize {
-        self.database.release_pages()
-    }
-
-    /// Total bytes of live segment mappings (0 on the heap read path).
-    pub fn mapped_bytes(&self) -> usize {
-        self.database.mapped_bytes()
-    }
-
-    /// Bytes of mapped sealed segments currently resident in page cache —
-    /// the serving-side gauge of how warm the mapped corpus is.
-    pub fn resident_bytes(&self) -> usize {
-        self.database.resident_bytes()
     }
 
     /// Borrow the underlying vector database (used by storage experiments).

@@ -16,8 +16,8 @@ pub struct FlatIndex {
     metric: Metric,
     ids: Vec<VectorId>,
     /// All vectors concatenated row-major; `ids[i]` owns
-    /// `data[i*dim..(i+1)*dim]`. Owned for growing buffers; a zero-copy
-    /// view into a mapped segment file on the mmap restore path.
+    /// `data[i*dim..(i+1)*dim]`. Shared with the sealed segment that owns
+    /// the rows.
     data: RowStore,
 }
 
@@ -40,9 +40,8 @@ impl FlatIndex {
 
     /// Reconstructs a flat index from already-stored rows (the segment
     /// restore path): `ids[i]` owns `data[i*dim..(i+1)*dim]`. Scores are
-    /// bit-identical to inserting the same rows in order, whether `data` is
-    /// owned or a mapped view. Inner-product metric, matching the sealed
-    /// segments the storage layer persists.
+    /// bit-identical to inserting the same rows in order. Inner-product
+    /// metric, matching the sealed segments the storage layer persists.
     pub fn from_parts(dim: usize, ids: Vec<VectorId>, data: RowStore) -> Result<Self> {
         if dim == 0 || data.len() != ids.len() * dim {
             return Err(IndexError::InvalidState(format!(
@@ -191,8 +190,8 @@ impl VectorIndex for FlatIndex {
     }
 
     fn memory_bytes(&self) -> usize {
-        // Mapped rows are file-backed page cache, not heap, so they report 0.
-        self.data.heap_bytes() + self.ids.len() * std::mem::size_of::<VectorId>()
+        self.data.len() * std::mem::size_of::<f32>()
+            + self.ids.len() * std::mem::size_of::<VectorId>()
     }
 
     fn row_store(&self) -> &RowStore {

@@ -172,9 +172,9 @@ impl HnswIndex {
 
     /// Builds the graph over already-stored rows: `ids[i]` owns
     /// `rows[i*dim..(i+1)*dim]`. The index adopts `rows` without copying (a
-    /// clone of a heap store shares its allocation, a mapped store stays a
-    /// view into the segment file), and links them in order, so the graph is
-    /// the one [`HnswIndex::insert`]ing the same rows in order would build.
+    /// clone of a store shares its allocation), and links them in order, so
+    /// the graph is the one [`HnswIndex::insert`]ing the same rows in order
+    /// would build.
     pub fn build_from_rows(config: HnswConfig, ids: Vec<VectorId>, rows: RowStore) -> Result<Self> {
         let mut index = Self::new(config)?;
         let dim = config.dim;

@@ -198,7 +198,7 @@ pub struct IvfPqIndex {
     /// `r` is `arena[r * dim..(r + 1) * dim]`. Candidates carry their arena
     /// row, so the rescore loop streams contiguous memory with no
     /// per-candidate lookup. It is the store the index was built from —
-    /// the sealed segment's own rows, heap or mapped — not a copy.
+    /// the sealed segment's own rows, not a copy.
     arena: RowStore,
 }
 
@@ -261,9 +261,8 @@ impl IvfPqIndex {
     }
 
     /// Trains the index over `rows` and assigns every row to its cell:
-    /// `ids[i]` owns `rows[i*dim..(i+1)*dim]`, and the store itself — a heap
-    /// store shared with its caller, or a zero-copy mapped view — becomes
-    /// the exact-rescore arena.
+    /// `ids[i]` owns `rows[i*dim..(i+1)*dim]`, and the store itself, shared
+    /// with its caller, becomes the exact-rescore arena.
     ///
     /// Training is deterministic in the rows and their order: a stride
     /// sample of at most `max_training_sample` rows trains one k-means

@@ -21,7 +21,7 @@
 //! * [`hnsw`] — a hierarchical navigable small-world graph index;
 //! * [`flat`] — exhaustive (brute-force) search, the accuracy upper bound;
 //! * [`store`] — the row storage the flat and IVF families scan and
-//!   rescore, heap-owned or a zero-copy view into a mapped segment file.
+//!   rescore, shared copy-on-write.
 //!
 //! All indexes implement the query-side [`VectorIndex`] trait — one
 //! `search`, with an optional pushed-down [`IdFilter`] — so the storage
@@ -48,7 +48,7 @@ pub use hnsw::{HnswConfig, HnswIndex};
 pub use ivf::{IvfPqConfig, IvfPqIndex};
 pub use metric::Metric;
 pub use pq::{PqCode, PqConfig, ProductQuantizer};
-pub use store::{MappedSlice, RowStore};
+pub use store::RowStore;
 
 use serde::{Deserialize, Serialize};
 
@@ -730,8 +730,7 @@ fn segment_ivf_config(dim: usize, rows: usize) -> IvfPqConfig {
 /// samples), so an IVF-PQ segment below [`MIN_TRAINED_SEGMENT_ROWS`] falls
 /// back to brute force, which is also faster to build and scan at that
 /// size. Every family adopts `rows` as its scan, rescore or graph arena
-/// without copying — a clone of a heap store shares its allocation, a
-/// mapped store stays a view into the segment file.
+/// without copying: a clone of a store shares its allocation.
 pub fn create_segment_index_from_rows(
     kind: IndexKind,
     dim: usize,

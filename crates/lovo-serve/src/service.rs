@@ -182,8 +182,7 @@ struct MaintenanceHandle {
 impl QueryService {
     /// Starts the service: spawns the worker pool (and the maintenance
     /// thread when configured) over the shared engine. Fails on an invalid
-    /// configuration. To pre-fault an mmap-opened engine's segments before
-    /// the first query, call [`Lovo::warmup`] before starting.
+    /// configuration.
     pub fn start(engine: Arc<Lovo>, config: ServeConfig) -> Result<Self> {
         config.validate().map_err(ServeError::Engine)?;
         let shared = Arc::new(Shared {

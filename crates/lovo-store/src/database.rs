@@ -16,11 +16,11 @@ use crate::collection::{
     BatchQuery, CollectionConfig, CollectionStats, CompactionResult, PushdownFilter,
     SegmentedCollection,
 };
-use crate::durability::{points, DurabilityConfig, DurableStore, OpenOptions, RecoveryReport};
+use crate::durability::{points, DurabilityConfig, DurableStore, RecoveryReport};
 use crate::metadata::{MetadataStore, PatchPredicate, PatchRecord};
 use crate::segment::Segment;
 use crate::{Result, StoreError};
-use lovo_index::{SearchResult, SearchStats};
+use lovo_index::{RowStore, SearchResult, SearchStats};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::Path;
@@ -90,23 +90,7 @@ impl VectorDatabase {
         root: impl AsRef<Path>,
         config: DurabilityConfig,
     ) -> Result<(Self, RecoveryReport)> {
-        // `DurableStore::open` resolves OpenOptions::from_env(), so setting
-        // LOVO_MMAP=1 switches every default open — including existing test
-        // suites — onto the mapped read path.
         let recovered = DurableStore::open(root.as_ref(), config)?;
-        Self::from_recovered(recovered)
-    }
-
-    /// [`VectorDatabase::open_durable`] with explicit read-path options:
-    /// `options.mmap` serves sealed-segment rows zero-copy out of the
-    /// mapped `.lseg` files instead of copying them onto the heap (see
-    /// [`OpenOptions`]).
-    pub fn open_durable_with(
-        root: impl AsRef<Path>,
-        config: DurabilityConfig,
-        options: OpenOptions,
-    ) -> Result<(Self, RecoveryReport)> {
-        let recovered = DurableStore::open_with(root.as_ref(), config, options)?;
         Self::from_recovered(recovered)
     }
 
@@ -129,15 +113,14 @@ impl VectorDatabase {
                 // Rows were normalized before they were persisted; restore
                 // them verbatim. The restore path replays the exact
                 // insert-then-build sequence of the original seal, so the
-                // rebuilt index is bit-identical — whether the rows live on
-                // the heap or stay in the segment file's mapping.
+                // rebuilt index is bit-identical.
                 let segment = Segment::restore_sealed(
                     loaded.id,
                     recovered.config.dim,
                     recovered.config.index_kind,
                     loaded.zone,
                     loaded.ids,
-                    loaded.rows,
+                    RowStore::from(loaded.rows),
                 )?;
                 sealed.push(segment);
             }
@@ -220,45 +203,6 @@ impl VectorDatabase {
         self.durable
             .as_ref()
             .map_or(0, |durable| durable.lock().wal_bytes())
-    }
-
-    /// Pre-faults every live mapped segment (`MADV_WILLNEED`), returning
-    /// the number of bytes advised. A no-op (0) on the heap read path or
-    /// without a durable store; call after an mmap open that skipped
-    /// `populate` to trade one up-front sequential read for demand-paging
-    /// stalls on the first queries.
-    pub fn warmup(&self) -> usize {
-        self.durable
-            .as_ref()
-            .map_or(0, |durable| durable.lock().warmup())
-    }
-
-    /// Drops every live mapped segment's resident pages (`MADV_DONTNEED`),
-    /// returning the number of bytes advised. The inverse of
-    /// [`VectorDatabase::warmup`] and the churn knob for corpora larger
-    /// than RAM: a read-only mapping loses only clean page-cache copies,
-    /// and later scans demand-page them back in.
-    pub fn release_pages(&self) -> usize {
-        self.durable
-            .as_ref()
-            .map_or(0, |durable| durable.lock().release_pages())
-    }
-
-    /// Total bytes of live segment mappings (0 on the heap read path).
-    pub fn mapped_bytes(&self) -> usize {
-        self.durable
-            .as_ref()
-            .map_or(0, |durable| durable.lock().mapped_bytes())
-    }
-
-    /// Bytes of live segment mappings currently resident in page cache.
-    /// The mmap-mode complement of [`VectorDatabase::total_bytes`]: it
-    /// shrinks when the kernel evicts cold segment pages, which is exactly
-    /// the degradation mode that lets corpora larger than RAM keep serving.
-    pub fn resident_bytes(&self) -> usize {
-        self.durable
-            .as_ref()
-            .map_or(0, |durable| durable.lock().resident_bytes())
     }
 
     /// Takes the durable lock when a durable store is attached — the FIRST

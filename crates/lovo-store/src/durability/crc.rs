@@ -2,9 +2,10 @@
 //! every on-disk structure in the durability layer carries.
 //!
 //! Hand-rolled because the workspace builds offline: the tables are generated
-//! at compile time by a `const fn`. Since the mmap read path (PR 9) verifies
-//! whole vector sections at open, checksumming sits on the cold-open path for
-//! gigabyte-scale stores, so the loop uses the slicing-by-8 technique: eight
+//! at compile time by a `const fn`. Reopening a store verifies every
+//! section of every segment file, whole vector sections included, so
+//! checksumming sits on the cold-open path for gigabyte-scale stores, and
+//! the loop uses the slicing-by-8 technique: eight
 //! bytes are folded per iteration through eight precomputed tables, giving a
 //! several-fold speedup over byte-at-a-time while producing *bit-identical*
 //! checksums (the known-vector tests pin this).

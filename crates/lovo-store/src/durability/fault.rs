@@ -47,15 +47,6 @@ pub mod points {
     pub const MANIFEST_SYNC: &str = "manifest.sync";
     /// Renaming the manifest's temp file over the live manifest (the swap).
     pub const MANIFEST_RENAME: &str = "manifest.rename";
-    /// Memory-mapping a sealed segment file at open. A failure here is not
-    /// corruption (the bytes on disk are fine — the *mapping* failed, e.g.
-    /// address-space exhaustion), so the reader degrades to the heap load
-    /// path instead of quarantining.
-    pub const SEGMENT_MMAP: &str = "segment.mmap";
-    /// `madvise` on a mapped segment (warm-up / residency hints). Purely
-    /// advisory: a failure is recorded and ignored — correctness never
-    /// depends on the kernel honouring the hint.
-    pub const SEGMENT_MADVISE: &str = "segment.madvise";
 }
 
 /// What happens when an armed fault fires.

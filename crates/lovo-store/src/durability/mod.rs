@@ -45,7 +45,6 @@ pub mod crc;
 pub mod fault;
 mod io;
 pub mod manifest;
-pub mod mmap;
 pub mod segfile;
 pub mod wal;
 
@@ -53,15 +52,13 @@ use crate::collection::{CollectionConfig, SegmentedCollection};
 use crate::metadata::{MetadataStore, PatchRecord};
 use crate::patchid;
 use manifest::{Manifest, ManifestCollection, ManifestSegment};
-use mmap::Mapping;
 use segfile::{LoadedSegment, SegmentFileData};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use wal::{Wal, WalRecord};
 
 pub use fault::{points, FaultAction, FaultPlan};
-pub use mmap::MMAP_SUPPORTED;
 pub use segfile::LoadedSegment as RecoveredSegment;
 pub use wal::WalRecord as DurableBatch;
 
@@ -162,83 +159,6 @@ impl DurabilityConfig {
     }
 }
 
-/// How `open` reads sealed segment files: copied onto the heap (the
-/// default) or served zero-copy out of memory mappings.
-///
-/// With `mmap` on, each segment file is mapped `PROT_READ` and its row
-/// payload is scanned in place — opening a store costs O(header) per
-/// segment instead of O(payload), and the payload consumes evictable page
-/// cache instead of heap. Corruption handling is identical in both modes
-/// (a failed checksum quarantines the file); a failed `mmap` call itself
-/// degrades to the heap path rather than failing the open. Version-1
-/// segment files predate the aligned layout and are always heap-copied.
-#[derive(Debug, Clone, Copy)]
-pub struct OpenOptions {
-    /// Serve sealed-segment rows from `PROT_READ` file mappings. Requires
-    /// little-endian Linux ([`MMAP_SUPPORTED`]); elsewhere (and for v1
-    /// files) the open transparently falls back to heap copies.
-    pub mmap: bool,
-    /// Ask the kernel to pre-fault mapped segments at open (`MAP_POPULATE`)
-    /// instead of demand-paging on first scan. Cold-start QPS is immediately
-    /// warm, at the cost of an O(payload) open. Only meaningful with `mmap`.
-    pub populate: bool,
-    /// Verify the vector-payload checksum of every section at open (the
-    /// default — identical corruption detection to the heap path). Turning
-    /// this off defers payload verification: headers, ids, metadata, and aux
-    /// sections are still CRC-checked, but the row payload is trusted to the
-    /// atomic temp+fsync+rename write path, keeping the open O(header).
-    pub verify_payload: bool,
-}
-
-impl Default for OpenOptions {
-    fn default() -> Self {
-        Self {
-            mmap: false,
-            populate: false,
-            verify_payload: true,
-        }
-    }
-}
-
-impl OpenOptions {
-    /// The default heap-copy read path.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builder-style mmap toggle.
-    pub fn with_mmap(mut self, mmap: bool) -> Self {
-        self.mmap = mmap;
-        self
-    }
-
-    /// Builder-style `MAP_POPULATE` toggle.
-    pub fn with_populate(mut self, populate: bool) -> Self {
-        self.populate = populate;
-        self
-    }
-
-    /// Builder-style payload-verification toggle (see the field docs).
-    pub fn with_verify_payload(mut self, verify: bool) -> Self {
-        self.verify_payload = verify;
-        self
-    }
-
-    /// Options from the environment: `LOVO_MMAP=1` turns the mapped read
-    /// path on, `LOVO_MMAP_POPULATE=1` pre-faults, `LOVO_MMAP_DEFER_VERIFY=1`
-    /// defers payload verification. The default open paths consult this, so
-    /// an entire existing test suite can run against the mapped read path
-    /// without code changes (the CI matrix leg does exactly that).
-    pub fn from_env() -> Self {
-        let on = |name: &str| std::env::var(name).is_ok_and(|v| v == "1" || v == "true");
-        Self {
-            mmap: on("LOVO_MMAP"),
-            populate: on("LOVO_MMAP_POPULATE"),
-            verify_payload: !on("LOVO_MMAP_DEFER_VERIFY"),
-        }
-    }
-}
-
 /// One sealed segment that failed verification at open and was moved to
 /// the store's `quarantine/` directory instead of being served.
 #[derive(Debug, Clone)]
@@ -329,12 +249,6 @@ pub struct DurableStore {
     /// AUX section of the next sealed segments. Cleared at rotation, by
     /// which point every blob's frame has rows in some sealed file.
     pending_aux: HashMap<u64, Vec<u8>>,
-    /// Weak handles to the segment mappings this open created. The strong
-    /// references live inside the recovered segments' row stores; once a
-    /// segment is dropped (compaction, collection replacement) its mapping
-    /// unmaps with it and the weak handle here goes dead. Used by
-    /// [`DurableStore::warmup`] and the residency gauges.
-    mappings: Vec<Weak<Mapping>>,
 }
 
 const SEGMENTS_DIR: &str = "segments";
@@ -402,28 +316,16 @@ impl DurableStore {
             manifest,
             wal,
             pending_aux: HashMap::new(),
-            mappings: Vec::new(),
         })
-    }
-
-    /// Opens an existing store and runs recovery with read-path options
-    /// taken from the environment ([`OpenOptions::from_env`]).
-    pub(crate) fn open(
-        root: impl Into<PathBuf>,
-        config: DurabilityConfig,
-    ) -> Result<(Self, RecoveredState), StorageError> {
-        Self::open_with(root, config, OpenOptions::from_env())
     }
 
     /// Opens an existing store and runs recovery. See the module docs for
     /// the recovery state machine; the returned [`RecoveredState`] carries
     /// the loaded segments and the WAL records for the database layer to
-    /// re-apply. `options` selects the heap or mmap read path for sealed
-    /// segment files.
-    pub(crate) fn open_with(
+    /// re-apply.
+    pub(crate) fn open(
         root: impl Into<PathBuf>,
         config: DurabilityConfig,
-        options: OpenOptions,
     ) -> Result<(Self, RecoveredState), StorageError> {
         reject_inert_faults(&config)?;
         let root = root.into();
@@ -434,26 +336,6 @@ impl DurableStore {
             .map_err(|e| io::io_err(format!("create of {}", segments_dir.display()), e))?;
 
         // 1. Load every manifest-referenced segment, quarantining failures.
-        // With mmap on, each file is mapped and verified in place; an mmap
-        // *syscall* failure (an I/O-class problem, not corruption) degrades
-        // that one segment to the heap path, while verification failures
-        // quarantine exactly as on the heap path.
-        let load = |path: &Path| -> Result<(LoadedSegment, Option<Arc<Mapping>>), StorageError> {
-            if options.mmap {
-                match segfile::map_segment_file(
-                    path,
-                    options.populate,
-                    options.verify_payload,
-                    &config.faults,
-                ) {
-                    Ok(loaded) => return Ok(loaded),
-                    Err(StorageError::Io { .. }) => {}
-                    Err(err) => return Err(err),
-                }
-            }
-            segfile::read_segment_file(path).map(|loaded| (loaded, None))
-        };
-        let mut mappings: Vec<Weak<Mapping>> = Vec::new();
         let mut collections = Vec::new();
         let mut quarantined_any = false;
         for entry in &mut manifest.collections {
@@ -466,15 +348,12 @@ impl DurableStore {
             let mut surviving = Vec::new();
             for seg in &entry.segments {
                 let path = segments_dir.join(&seg.file);
-                match load(&path) {
-                    Ok((loaded, mapping)) => {
+                match segfile::read_segment_file(&path) {
+                    Ok(loaded) => {
                         report.segments_loaded += 1;
                         report.rows_loaded += loaded.row_count();
                         for (key, blob) in &loaded.aux {
                             report.aux_blobs.entry(*key).or_insert_with(|| blob.clone());
-                        }
-                        if let Some(mapping) = mapping {
-                            mappings.push(Arc::downgrade(&mapping));
                         }
                         recovered.segments.push(loaded);
                         surviving.push(seg.clone());
@@ -552,7 +431,6 @@ impl DurableStore {
                 manifest,
                 wal,
                 pending_aux,
-                mappings,
             },
             RecoveredState {
                 collections,
@@ -789,44 +667,6 @@ impl DurableStore {
         let _ = std::fs::remove_file(old_path);
         self.pending_aux.clear();
         Ok(())
-    }
-
-    /// Live segment mappings (handles whose segments are still in memory).
-    fn live_mappings(&self) -> impl Iterator<Item = Arc<Mapping>> + '_ {
-        self.mappings.iter().filter_map(Weak::upgrade)
-    }
-
-    /// Advises the kernel to fault in every live segment mapping
-    /// (`MADV_WILLNEED`) — the explicit warm-up for mmap opens that skipped
-    /// `populate`. Returns the number of bytes advised; purely advisory, so
-    /// per-mapping failures are ignored.
-    pub fn warmup(&self) -> usize {
-        self.live_mappings()
-            .map(|m| m.advise_willneed(&self.config.faults))
-            .sum()
-    }
-
-    /// Advises the kernel to drop every live mapping's resident pages
-    /// (`MADV_DONTNEED`) — the churn knob for larger-than-RAM operation:
-    /// a read-only file mapping loses only clean page-cache copies, never
-    /// data, and subsequent scans demand-page back in. Returns the number
-    /// of bytes advised; purely advisory, failures are ignored.
-    pub fn release_pages(&self) -> usize {
-        self.live_mappings()
-            .map(|m| m.advise_dontneed(&self.config.faults))
-            .sum()
-    }
-
-    /// Total bytes of live segment mappings (0 on the heap read path).
-    pub fn mapped_bytes(&self) -> usize {
-        self.live_mappings().map(|m| m.len()).sum()
-    }
-
-    /// Bytes of live segment mappings currently resident in page cache, per
-    /// `mincore`. The mmap-mode analog of a heap footprint gauge: it falls
-    /// as the kernel evicts cold segment pages under memory pressure.
-    pub fn resident_bytes(&self) -> usize {
-        self.live_mappings().map(|m| m.resident_bytes()).sum()
     }
 
     /// Number of records in the active WAL (exposed for tests and stats).

@@ -26,13 +26,14 @@
 //!   AUX     (3): blob_count u32 | per blob: frame_key u64 | blob
 //! ```
 //!
-//! Version 2 exists for the zero-copy read path: every section starts at a
-//! 64-byte-aligned absolute file offset (the gaps are zero padding, outside
-//! every CRC), and the VECTORS section is raw little-endian row-major `f32`
-//! — exactly the arena layout the scan kernels consume — so a memory-mapped
-//! file can serve searches without copying the payload onto the heap.
-//! Version 1 interleaved `id u64 | dim × f32` per row with no alignment
-//! promise; the reader still accepts it and decodes onto the heap.
+//! In version 2 every section starts at a 64-byte-aligned absolute file
+//! offset (the gaps are zero padding, outside every CRC), and the VECTORS
+//! section is raw little-endian row-major `f32`, the arena layout the scan
+//! kernels consume. The alignment is part of the format: the header's
+//! offsets and the CRC layout depend on it, so the writer keeps it and
+//! every file written so far reopens unchanged. Version 1 interleaved
+//! `id u64 | dim × f32` per row with no alignment; the reader still
+//! accepts it.
 //!
 //! Files are written via temp-file + fsync + atomic rename
 //! (the private `io::write_file_atomic` helper), so a torn segment write
@@ -44,22 +45,17 @@ use super::codec::{decode_patch_record, encode_patch_record, ByteReader, ByteWri
 use super::crc::crc32;
 use super::fault::points;
 use super::io::{self, Faults};
-use super::mmap::Mapping;
 use super::StorageError;
 use crate::metadata::PatchRecord;
 use crate::segment::ZoneMap;
-use lovo_index::{MappedSlice, RowStore};
-use std::any::Any;
 use std::path::Path;
-use std::sync::Arc;
 
 pub(crate) const SEGMENT_MAGIC: [u8; 4] = *b"LSEG";
 /// Version written by this build.
 pub(crate) const SEGMENT_VERSION: u32 = 2;
 /// Oldest version the reader still decodes.
 pub(crate) const SEGMENT_MIN_VERSION: u32 = 1;
-/// Every section's absolute file offset is a multiple of this in version 2,
-/// so a mapped VECTORS section satisfies any scan kernel's alignment needs.
+/// Every section's absolute file offset is a multiple of this in version 2.
 pub(crate) const SECTION_ALIGN: usize = 64;
 
 /// Raw rows: v2 row-major f32 payload; v1 interleaved `id | row`.
@@ -75,10 +71,7 @@ pub const SECTION_PQ_CODES: u32 = 4;
 /// Row ids, in row order (v2; v1 interleaves them into VECTORS).
 pub const SECTION_IDS: u32 = 6;
 
-/// Everything a segment file persists, decoded back into memory. The row
-/// payload is a [`RowStore`]: heap-owned on the copying read path, a
-/// zero-copy view into the file mapping on the mmap path — bit-identical
-/// either way.
+/// Everything a segment file persists, decoded back into memory.
 #[derive(Debug, Clone)]
 pub struct LoadedSegment {
     /// Segment id (unique within its collection).
@@ -92,7 +85,7 @@ pub struct LoadedSegment {
     /// ones.
     pub ids: Vec<u64>,
     /// Row values, row-major, `ids.len() × dim` values in id order.
-    pub rows: RowStore,
+    pub rows: Vec<f32>,
     /// Metadata rows for the segment's patch ids.
     pub meta: Vec<PatchRecord>,
     /// Auxiliary blobs whose frames have rows in this segment.
@@ -111,10 +104,7 @@ impl LoadedSegment {
     /// `(id, row)` pairs in insertion order.
     pub fn iter_rows(&self) -> impl Iterator<Item = (u64, &[f32])> {
         let dim = self.dim.max(1);
-        self.ids
-            .iter()
-            .copied()
-            .zip(self.rows.as_slice().chunks(dim))
+        self.ids.iter().copied().zip(self.rows.chunks(dim))
     }
 }
 
@@ -229,8 +219,7 @@ pub(crate) fn write_segment_file(
 }
 
 /// Header fields plus the byte range of every section this reader consumes,
-/// all structurally validated and (optionally minus the vector payload)
-/// CRC-verified against the underlying buffer.
+/// all structurally validated and CRC-verified against the file bytes.
 struct RawSegment<'a> {
     version: u32,
     id: u64,
@@ -245,18 +234,9 @@ struct RawSegment<'a> {
     aux: Option<&'a [u8]>,
 }
 
-/// Parses and verifies a segment image (either the file bytes on the heap or
-/// the live mapping). Every structural invariant and every section CRC is
-/// checked here — except the VECTORS payload CRC when `verify_vectors` is
-/// false, the deferred-verification mode the mmap open uses to avoid
-/// faulting in the whole payload of a cold file (the atomic write path means
-/// a visible file was once complete; deferral trades detection of later
-/// bit-rot in the payload for an O(header) open).
-fn parse_segment<'a>(
-    bytes: &'a [u8],
-    path: &Path,
-    verify_vectors: bool,
-) -> Result<RawSegment<'a>, StorageError> {
+/// Parses and verifies a segment image. Every structural invariant and
+/// every section CRC is checked here.
+fn parse_segment<'a>(bytes: &'a [u8], path: &Path) -> Result<RawSegment<'a>, StorageError> {
     let fail = |detail: String| corrupt(path, detail);
     let mut r = ByteReader::new(bytes);
     let magic = r
@@ -325,7 +305,7 @@ fn parse_segment<'a>(
         let section = bytes
             .get(offset..end)
             .ok_or_else(|| fail("section out of file bounds".to_string()))?;
-        if (verify_vectors || kind != SECTION_VECTORS) && crc32(section) != crc {
+        if crc32(section) != crc {
             return Err(fail(format!("section {kind} checksum mismatch")));
         }
         match kind {
@@ -362,31 +342,20 @@ fn parse_segment<'a>(
     Ok(raw)
 }
 
-/// Decodes the v2 ids section.
-fn decode_ids(section: &[u8], path: &Path) -> Result<Vec<u64>, StorageError> {
-    let mut s = ByteReader::new(section);
-    let mut ids = Vec::with_capacity(section.len() / 8);
-    while !s.is_exhausted() {
-        ids.push(s.u64("row id").map_err(|e| corrupt(path, e.to_string()))?);
-    }
-    Ok(ids)
-}
-
-/// Decodes the rows onto the heap: `(ids, row-major values)` for both the
-/// v1 interleaved layout and the v2 split layout.
-fn decode_rows_heap(
-    raw: &RawSegment<'_>,
-    path: &Path,
-) -> Result<(Vec<u64>, Vec<f32>), StorageError> {
+/// Decodes the rows: `(ids, row-major values)` for both the v1 interleaved
+/// layout and the v2 split layout.
+fn decode_rows(raw: &RawSegment<'_>, path: &Path) -> Result<(Vec<u64>, Vec<f32>), StorageError> {
     let Some(section) = raw.vectors else {
         return Ok((Vec::new(), Vec::new()));
     };
     let fail = |detail: String| corrupt(path, detail);
     if raw.version >= 2 {
-        let ids = match raw.ids {
-            Some(ids) => decode_ids(ids, path)?,
-            None => Vec::new(),
-        };
+        let id_section = raw.ids.unwrap_or_default();
+        let mut ids = Vec::with_capacity(id_section.len() / 8);
+        let mut s = ByteReader::new(id_section);
+        while !s.is_exhausted() {
+            ids.push(s.u64("row id").map_err(|e| fail(e.to_string()))?);
+        }
         let mut values = Vec::with_capacity(raw.row_count * raw.dim);
         let mut s = ByteReader::new(section);
         while !s.is_exhausted() {
@@ -443,8 +412,8 @@ fn decode_meta_aux(
 pub(crate) fn read_segment_file(path: &Path) -> Result<LoadedSegment, StorageError> {
     let bytes =
         std::fs::read(path).map_err(|e| io::io_err(format!("read of {}", path.display()), e))?;
-    let raw = parse_segment(&bytes, path, true)?;
-    let (ids, values) = decode_rows_heap(&raw, path)?;
+    let raw = parse_segment(&bytes, path)?;
+    let (ids, values) = decode_rows(&raw, path)?;
     if ids.len() != raw.row_count {
         return Err(corrupt(path, "row id count mismatch".to_string()));
     }
@@ -454,80 +423,15 @@ pub(crate) fn read_segment_file(path: &Path) -> Result<LoadedSegment, StorageErr
         dim: raw.dim,
         zone: raw.zone,
         ids,
-        rows: RowStore::from(values),
+        rows: values,
         meta,
         aux,
     })
 }
 
-/// Memory-maps and verifies a segment file, serving the row payload straight
-/// from the mapping when the file's layout allows it (version 2, aligned
-/// vectors section). Returns the loaded segment plus the mapping that backs
-/// its rows — `None` when the rows had to be copied onto the heap (v1 file,
-/// unaligned legacy layout, or an empty segment), in which case the mapping
-/// is already unmapped by the time this returns.
-///
-/// `verify_payload` selects eager (true: every section CRC-checked at open,
-/// byte-for-byte the same corruption detection as [`read_segment_file`]) or
-/// deferred payload verification (false: the VECTORS CRC is skipped so the
-/// open touches only the header and small sections; see [`parse_segment`]).
-///
-/// Errors: a failed `mmap` call surfaces as [`StorageError::Io`] — the
-/// caller degrades to the heap path; verification failures surface as
-/// [`StorageError::Corrupt`] / [`StorageError::UnsupportedVersion`] exactly
-/// like the heap reader, so quarantine behavior is mode-independent.
-pub(crate) fn map_segment_file(
-    path: &Path,
-    populate: bool,
-    verify_payload: bool,
-    faults: &Faults,
-) -> Result<(LoadedSegment, Option<Arc<Mapping>>), StorageError> {
-    let mapping = Mapping::map_file(path, populate, faults)?;
-    let raw = parse_segment(mapping.bytes(), path, verify_payload)?;
-    if raw.version >= 2 && raw.row_count > 0 {
-        if let (Some(vectors), Some(ids_bytes)) = (raw.vectors, raw.ids) {
-            let ids = decode_ids(ids_bytes, path)?;
-            let (meta, aux) = decode_meta_aux(&raw, path)?;
-            let owner: Arc<dyn Any + Send + Sync> = Arc::<Mapping>::clone(&mapping);
-            // `vectors` points into the PROT_READ mapping passed as owner.
-            // SAFETY: the view's Arc keeps the mapping (and thus the bytes)
-            // alive and immutable for the view's whole lifetime.
-            let view = unsafe { MappedSlice::new(owner, vectors) };
-            if let Some(view) = view {
-                let loaded = LoadedSegment {
-                    id: raw.id,
-                    dim: raw.dim,
-                    zone: raw.zone,
-                    ids,
-                    rows: RowStore::Mapped(view),
-                    meta,
-                    aux,
-                };
-                return Ok((loaded, Some(mapping)));
-            }
-            // Unaligned legacy layout: fall through to the heap copy below.
-        }
-    }
-    let (ids, values) = decode_rows_heap(&raw, path)?;
-    if ids.len() != raw.row_count {
-        return Err(corrupt(path, "row id count mismatch".to_string()));
-    }
-    let (meta, aux) = decode_meta_aux(&raw, path)?;
-    let loaded = LoadedSegment {
-        id: raw.id,
-        dim: raw.dim,
-        zone: raw.zone,
-        ids,
-        rows: RowStore::from(values),
-        meta,
-        aux,
-    };
-    Ok((loaded, None))
-}
-
 /// Writes the retired version-1 layout (interleaved rows, unaligned
 /// sections). Kept so compatibility tests can prove v1 files written by
-/// earlier builds still load through both read paths.
+/// earlier builds still load.
 #[cfg(test)]
 pub(crate) fn write_segment_file_v1(
     path: &Path,
@@ -599,7 +503,6 @@ pub(crate) fn write_segment_file_v1(
 
 #[cfg(test)]
 mod tests {
-    use super::super::mmap::MMAP_SUPPORTED;
     use super::*;
 
     fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -682,7 +585,6 @@ mod tests {
         assert_eq!(loaded.id, 1);
         assert_eq!(loaded.dim, 4);
         assert_eq!(loaded.row_count(), 10);
-        assert!(!loaded.rows.is_mapped());
         let round: Vec<(u64, Vec<f32>)> = loaded
             .iter_rows()
             .map(|(id, row)| (id, row.to_vec()))
@@ -723,6 +625,8 @@ mod tests {
         assert_eq!(ids.2, 7 * 8);
     }
 
+    /// The reader's two row decoders, v1's interleaved records and v2's
+    /// split IDS and VECTORS sections, load the same segment.
     #[test]
     fn v1_files_load_through_both_read_paths() {
         let dir = scratch_dir("v1compat");
@@ -738,75 +642,10 @@ mod tests {
         let from_v1 = read_segment_file(&v1).unwrap();
         let from_v2 = read_segment_file(&v2).unwrap();
         assert_eq!(from_v1.ids, from_v2.ids);
-        assert_eq!(from_v1.rows.as_slice(), from_v2.rows.as_slice());
+        assert_eq!(from_v1.rows, from_v2.rows);
         assert_eq!(from_v1.meta, from_v2.meta);
         assert_eq!(from_v1.aux, from_v2.aux);
         assert_eq!(from_v1.zone, from_v2.zone);
-
-        // The mmap reader copy-falls-back on v1 (no alignment promise): rows
-        // come out owned, no mapping is retained, contents identical.
-        if MMAP_SUPPORTED {
-            let (mapped_v1, mapping) = map_segment_file(&v1, false, true, &None).unwrap();
-            assert!(mapping.is_none());
-            assert!(!mapped_v1.rows.is_mapped());
-            assert_eq!(mapped_v1.ids, from_v1.ids);
-            assert_eq!(mapped_v1.rows.as_slice(), from_v1.rows.as_slice());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn mapped_read_serves_v2_rows_zero_copy() {
-        if !MMAP_SUPPORTED {
-            return;
-        }
-        let dir = scratch_dir("mapped");
-        let path = dir.join("seg.lseg");
-        let rows = sample_rows(9, 6);
-        let meta_rows: Vec<PatchRecord> = rows.iter().map(|(id, _)| meta(*id)).collect();
-        let data = sample_data(&rows, &meta_rows, &[7u8]);
-        write_segment_file(&path, &data, points::SEGMENT_WRITE, &None).unwrap();
-        let heap = read_segment_file(&path).unwrap();
-        for verify_payload in [true, false] {
-            let (mapped, mapping) = map_segment_file(&path, false, verify_payload, &None).unwrap();
-            assert!(mapped.rows.is_mapped(), "verify_payload={verify_payload}");
-            assert!(mapping.is_some());
-            assert_eq!(mapped.ids, heap.ids);
-            assert_eq!(mapped.rows.as_slice(), heap.rows.as_slice());
-            assert_eq!(mapped.meta, heap.meta);
-            assert_eq!(mapped.aux, heap.aux);
-            assert_eq!(mapped.rows.heap_bytes(), 0);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn mapped_read_detects_payload_corruption_only_in_eager_mode() {
-        if !MMAP_SUPPORTED {
-            return;
-        }
-        let dir = scratch_dir("mapped-corrupt");
-        let path = dir.join("seg.lseg");
-        let rows = sample_rows(8, 4);
-        let meta_rows: Vec<PatchRecord> = rows.iter().map(|(id, _)| meta(*id)).collect();
-        let data = sample_data(&rows, &meta_rows, &[]);
-        write_segment_file(&path, &data, points::SEGMENT_WRITE, &None).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let (_, offset, len) = *section_table(&bytes)
-            .iter()
-            .find(|(k, ..)| *k == SECTION_VECTORS)
-            .unwrap();
-        bytes[offset + len / 2] ^= 0x40;
-        std::fs::write(&path, &bytes).unwrap();
-        // Eager mode: corruption in the mapped payload is caught at open,
-        // same as the heap reader — the quarantine path is mode-independent.
-        assert!(matches!(
-            map_segment_file(&path, false, true, &None),
-            Err(StorageError::Corrupt { .. })
-        ));
-        assert!(read_segment_file(&path).is_err());
-        // Deferred mode skips exactly this one check by design.
-        assert!(map_segment_file(&path, false, false, &None).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

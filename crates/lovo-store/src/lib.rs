@@ -41,9 +41,7 @@ pub use collection::{
     SegmentedCollection, DEFAULT_SEGMENT_CAPACITY,
 };
 pub use database::{JoinedHit, VectorDatabase};
-pub use durability::{
-    DurabilityConfig, OpenOptions, QuarantinedSegment, RecoveryReport, StorageError, MMAP_SUPPORTED,
-};
+pub use durability::{DurabilityConfig, QuarantinedSegment, RecoveryReport, StorageError};
 pub use metadata::{MetadataStore, PatchPredicate, PatchRecord};
 pub use patchid::{patch_id, split_patch_id, MAX_PATCH_INDEX, MAX_VIDEO_ID};
 pub use segment::{Segment, SegmentState, ZoneMap};

@@ -86,9 +86,8 @@ impl Segment {
 
     /// Reconstructs a sealed segment from recovered parts: the rows become
     /// the segment's buffer and [`Segment::seal`] builds the index over
-    /// them, exactly as it does for a segment filled by inserts. A mapped
-    /// `rows` stays a zero-copy view into its segment file, shared by the
-    /// buffer and the index.
+    /// them, exactly as it does for a segment filled by inserts. The buffer
+    /// and the index share `rows`.
     pub fn restore_sealed(
         id: u64,
         dim: usize,
