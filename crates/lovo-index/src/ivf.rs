@@ -7,10 +7,16 @@
 //!   split into `P` coarse subspaces, each with its own codebook of `M`
 //!   centroids trained by Lloyd's iteration. A cell of the index is an element
 //!   of the Cartesian product `C = C_1 × … × C_P`; every stored vector belongs
-//!   to the cell given by its nearest centroid in each subspace.
-//! * Inside a cell, vectors are stored as **product-quantized residuals**
-//!   (vector minus its concatenated coarse centroid), plus the external id
-//!   (LOVO's patch id) used to join the relational metadata store.
+//!   to the cell given by its nearest centroid in each subspace. A cell holds
+//!   its vectors' external ids (LOVO's patch ids, used to join the relational
+//!   metadata store) and their rows in the exact-rescore arena.
+//! * The **residual level** stores each vector as a product-quantized
+//!   residual (vector minus its concatenated coarse centroid). Only the ADC
+//!   stage reads it, so it is built lazily: the first search that takes the
+//!   two-stage branch trains the residual quantizer and encodes every row,
+//!   and every later search reuses them. The build is a fixed function of the
+//!   index's rows, so codes, ADC scores and hits are the same whenever it
+//!   happens. Sealing, compaction and reopen train the coarse level only.
 //! * **Search** follows Algorithm 1: score the query's sub-vectors against
 //!   every coarse centroid, keep the Top-A centroids per subspace, visit the
 //!   cells in the product of those lists, compute
@@ -20,10 +26,11 @@
 //!   **Exact-first cutover:** when the probed cells hold at most `k·refine`
 //!   rows that pass the filter, the approximate stage would keep every one
 //!   of them, so the search skips it — no ADC table, no approximate
-//!   selection — and scores those rows exactly, straight into the top-k.
-//!   The answer is bit-identical to the two-stage search's: the same
-//!   candidates, the same exact `dot`, the same total order. At the
-//!   reproduction's segment sizes this is the common case.
+//!   selection, no residual level — and scores those rows exactly, straight
+//!   into the top-k. The answer is bit-identical to the two-stage search's:
+//!   the same candidates, the same exact `dot`, the same total order. At the
+//!   reproduction's segment sizes this is the common case, so a segment's
+//!   residual level is normally never built.
 //!   Algorithm 1's patch-id majority vote (line 16) has nothing to decide
 //!   here: a cell entry is one whole stored vector carrying its own patch
 //!   id, so every candidate names exactly one id, and the top-k is selected
@@ -39,6 +46,7 @@ use crate::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Most coarse subspaces a cell key can hold: one byte-wide centroid code
 /// per subspace, packed into a `u64` by [`IvfPqIndex::pack_cell_key`].
@@ -143,23 +151,55 @@ impl IvfPqConfig {
 }
 
 /// One cell of the inverted multi-index, in structure-of-arrays layout:
-/// entry `i` is (`ids[i]`, `rows[i]`, `codes[i*P..(i+1)*P]`) where `P` is the
-/// residual PQ's subspace count. Keeping every PQ code of a list in one
-/// contiguous byte buffer (instead of one heap-allocated `PqCode` per entry)
-/// lets an ADC pass score the whole list with a single sequential stream.
-#[derive(Debug, Clone, Serialize, Deserialize, Default)]
+/// entry `i` is (`ids[i]`, `rows[i]`). Its PQ codes, once a search has
+/// needed them, are the cell's list in [`Residual::codes`], in the same
+/// entry order.
+#[derive(Debug, Clone, Default)]
 struct Cell {
     ids: Vec<VectorId>,
     /// Row of each entry in the rescore arena.
     rows: Vec<u32>,
-    /// Concatenated PQ codes, stride = `pq.num_subspaces`.
-    codes: Vec<u8>,
 }
 
 impl Cell {
     fn len(&self) -> usize {
         self.ids.len()
     }
+}
+
+/// The residual level of the index: what only Algorithm 1's ADC stage
+/// (lines 10–12) reads, built by [`IvfPqIndex::residual`] when a search
+/// first needs it.
+struct Residual {
+    /// Residual product quantizer.
+    pq: ProductQuantizer,
+    /// Each cell's PQ codes, keyed like [`IvfPqIndex::cells`]: entry `i`'s
+    /// code is `codes[i*P..(i+1)*P]`, where `P` is the quantizer's subspace
+    /// count. Keeping every code of a list in one contiguous byte buffer
+    /// (instead of one heap-allocated `PqCode` per entry) lets an ADC pass
+    /// score the whole list with a single sequential stream.
+    codes: HashMap<u64, Vec<u8>, IdBuildHasher>,
+}
+
+/// The deterministic stride sample both codebook trainings draw from: at
+/// most `max_training_sample` of the rows in `data`, evenly spaced.
+fn training_sample<'a>(config: &IvfPqConfig, data: &'a [f32]) -> Vec<&'a [f32]> {
+    let rows = data.len() / config.dim;
+    let sample_len = rows.min(config.max_training_sample);
+    let stride = (rows / sample_len.max(1)).max(1);
+    data.chunks_exact(config.dim)
+        .step_by(stride)
+        .take(sample_len)
+        .collect()
+}
+
+/// Nearest coarse centroid of each `sub_dim`-long subvector of `vector`.
+fn coarse_codes(blocked: &[BlockedCentroids], vector: &[f32], sub_dim: usize) -> Vec<usize> {
+    vector
+        .chunks_exact(sub_dim)
+        .zip(blocked)
+        .map(|(sub, codebook)| codebook.nearest(sub))
+        .collect()
 }
 
 /// Nearest coarse centroid of each `sub_dim`-long subvector of `vector`,
@@ -170,11 +210,7 @@ fn assign(
     vector: &[f32],
     sub_dim: usize,
 ) -> (Vec<usize>, Vec<f32>) {
-    let codes: Vec<usize> = vector
-        .chunks_exact(sub_dim)
-        .zip(blocked)
-        .map(|(sub, codebook)| codebook.nearest(sub))
-        .collect();
+    let codes = coarse_codes(blocked, vector, sub_dim);
     let mut residual = Vec::with_capacity(vector.len());
     for ((sub, codebook), &code) in vector.chunks_exact(sub_dim).zip(codebooks).zip(&codes) {
         if let Some(c) = codebook.get(code) {
@@ -184,14 +220,12 @@ fn assign(
     (codes, residual)
 }
 
-/// The inverted multi-index with PQ-compressed residuals, trained once over
-/// the rows it is built from and searched thereafter.
+/// The inverted multi-index with PQ-compressed residuals, trained over the
+/// rows it is built from and searched thereafter.
 pub struct IvfPqIndex {
     config: IvfPqConfig,
     /// `coarse_codebooks[p][m]` is centroid `m` of coarse subspace `p`.
     coarse_codebooks: Vec<Vec<Vec<f32>>>,
-    /// Residual product quantizer.
-    pq: ProductQuantizer,
     /// Cells keyed by the packed per-subspace centroid codes.
     cells: HashMap<u64, Cell, IdBuildHasher>,
     /// Row-major arena of the original vectors for exact re-scoring: row
@@ -200,6 +234,9 @@ pub struct IvfPqIndex {
     /// per-candidate lookup. It is the store the index was built from —
     /// the sealed segment's own rows, not a copy.
     arena: RowStore,
+    /// The residual level, or the error its build failed with: empty until
+    /// the first two-stage search, then set once and for all.
+    residual: OnceLock<Result<Residual>>,
 }
 
 impl IvfPqIndex {
@@ -260,14 +297,16 @@ impl IvfPqIndex {
         key
     }
 
-    /// Trains the index over `rows` and assigns every row to its cell:
-    /// `ids[i]` owns `rows[i*dim..(i+1)*dim]`, and the store itself, shared
-    /// with its caller, becomes the exact-rescore arena.
+    /// Trains the coarse codebooks over `rows` and assigns every row to its
+    /// cell: `ids[i]` owns `rows[i*dim..(i+1)*dim]`, and the store itself,
+    /// shared with its caller, becomes the exact-rescore arena.
     ///
     /// Training is deterministic in the rows and their order: a stride
     /// sample of at most `max_training_sample` rows trains one k-means
-    /// codebook per coarse subspace (seeded per subspace) and then the
-    /// residual PQ, so the same rows always build the same index.
+    /// codebook per coarse subspace (seeded per subspace), so the same rows
+    /// always build the same index. The residual PQ is not trained here:
+    /// the first search that needs the ADC stage trains it over the same
+    /// sample and encodes every row.
     pub fn build_from_rows(
         config: IvfPqConfig,
         ids: Vec<VectorId>,
@@ -288,16 +327,10 @@ impl IvfPqIndex {
             ));
         }
 
-        // --- Training over a deterministic stride sample. ---
+        // --- Coarse training over a deterministic stride sample. ---
         let data = rows.as_slice();
         let sub_dim = config.coarse_subspace_dim();
-        let sample_len = ids.len().min(config.max_training_sample);
-        let stride = (ids.len() / sample_len).max(1);
-        let sample: Vec<&[f32]> = data
-            .chunks_exact(dim)
-            .step_by(stride)
-            .take(sample_len)
-            .collect();
+        let sample = training_sample(&config, data);
         let mut coarse_codebooks = Vec::with_capacity(config.coarse_subspaces);
         for p in 0..config.coarse_subspaces {
             let sub_points: Vec<Vec<f32>> = sample
@@ -316,29 +349,73 @@ impl IvfPqIndex {
             .iter()
             .map(|c| BlockedCentroids::new(c))
             .collect();
-        let residual_sample: Vec<Vec<f32>> = sample
-            .iter()
-            .map(|v| assign(&coarse_codebooks, &blocked, v, sub_dim).1)
-            .collect();
-        let pq = ProductQuantizer::train(config.pq, &residual_sample)?;
 
         // --- Cell assignment: every row, in order, into its cell. ---
         let mut cells: HashMap<u64, Cell, IdBuildHasher> = HashMap::default();
         for (row, (&id, vector)) in ids.iter().zip(data.chunks_exact(dim)).enumerate() {
-            let (codes, residual) = assign(&coarse_codebooks, &blocked, vector, sub_dim);
-            let code = pq.encode(&residual)?;
-            let cell = cells.entry(Self::pack_cell_key(&codes)).or_default();
+            let key = Self::pack_cell_key(&coarse_codes(&blocked, vector, sub_dim));
+            let cell = cells.entry(key).or_default();
             cell.ids.push(id);
             cell.rows.push(row as u32);
-            cell.codes.extend_from_slice(&code.0);
         }
         Ok(Self {
             config,
             coarse_codebooks,
-            pq,
             cells,
             arena: rows,
+            residual: OnceLock::new(),
         })
+    }
+
+    /// The residual level, built by the first caller and shared by every
+    /// later one. Concurrent first callers wait on the one build; a failed
+    /// build is kept and every caller gets a clone of its error.
+    ///
+    /// The build trains the residual PQ and encodes every row of the index.
+    /// The first search of a segment that takes the two-stage branch pays
+    /// it: ≈ 60–90 ms for a full 4 096-row segment of dim 32 on a 2-vCPU
+    /// host (≈ 70 ms on the benchmark's embeddings, ≈ 90 ms on uniform
+    /// random rows). Exact-first searches never call this.
+    fn residual(&self) -> Result<&Residual> {
+        self.residual
+            .get_or_init(|| self.build_residual())
+            .as_ref()
+            .map_err(IndexError::clone)
+    }
+
+    /// Trains the residual PQ over the residuals of the coarse training's
+    /// stride sample, then encodes every row in arena order, so each cell's
+    /// codes come out in its entry order. A fixed function of the rows and
+    /// the coarse codebooks: the same index builds the same residual level
+    /// whenever this runs.
+    fn build_residual(&self) -> Result<Residual> {
+        let data = self.arena.as_slice();
+        let sub_dim = self.config.coarse_subspace_dim();
+        let blocked: Vec<BlockedCentroids> = self
+            .coarse_codebooks
+            .iter()
+            .map(|c| BlockedCentroids::new(c))
+            .collect();
+        let residual_sample: Vec<Vec<f32>> = training_sample(&self.config, data)
+            .into_iter()
+            .map(|v| assign(&self.coarse_codebooks, &blocked, v, sub_dim).1)
+            .collect();
+        let pq = ProductQuantizer::train(self.config.pq, &residual_sample)?;
+        let code_bytes = pq.code_bytes();
+        let mut codes: HashMap<u64, Vec<u8>, IdBuildHasher> = self
+            .cells
+            .iter()
+            .map(|(&key, cell)| (key, Vec::with_capacity(cell.len() * code_bytes)))
+            .collect();
+        for vector in data.chunks_exact(self.config.dim) {
+            let (cell, residual) = assign(&self.coarse_codebooks, &blocked, vector, sub_dim);
+            let code = pq.encode(&residual)?;
+            codes
+                .entry(Self::pack_cell_key(&cell))
+                .or_default()
+                .extend_from_slice(&code.0);
+        }
+        Ok(Residual { pq, codes })
     }
 }
 
@@ -370,7 +447,8 @@ impl VectorIndex for IvfPqIndex {
     ///   (`coarse score + ADC(residual)`), the best `keep` are kept, and
     ///   those are exactly rescored. Under a filter, a cell's passing codes
     ///   are first compacted into one contiguous run, so the list kernel
-    ///   still streams sequentially.
+    ///   still streams sequentially. The first such search of an index
+    ///   builds its residual level.
     ///
     /// Either way only passing rows are scored, and the hits come back
     /// unordered ([`VectorIndex::search`]).
@@ -396,19 +474,20 @@ impl VectorIndex for IvfPqIndex {
         // Every cell in the Cartesian product of the Top-A lists is probed
         // and both selections below are order-independent, so the cells need
         // no best-first sort.
-        let mut probed: Vec<(&Cell, f32)> = Vec::new();
+        let mut probed: Vec<(u64, &Cell, f32)> = Vec::new();
         enumerate_cells(&top_per_subspace, &mut |codes, coarse_score| {
-            if let Some(cell) = self.cells.get(&Self::pack_cell_key(codes)) {
-                probed.push((cell, coarse_score));
+            let key = Self::pack_cell_key(codes);
+            if let Some(cell) = self.cells.get(&key) {
+                probed.push((key, cell, coarse_score));
             }
         });
         stats.cells_probed = probed.len();
-        let probed_rows: usize = probed.iter().map(|(cell, _)| cell.len()).sum();
+        let probed_rows: usize = probed.iter().map(|(_, cell, _)| cell.len()).sum();
         // Each probed row's filter verdict, cell after cell.
         let passes: Option<Vec<bool>> = filter.map(|filter| {
             probed
                 .iter()
-                .flat_map(|(cell, _)| cell.ids.iter().map(|&id| filter.accepts(id)))
+                .flat_map(|(_, cell, _)| cell.ids.iter().map(|&id| filter.accepts(id)))
                 .collect()
         });
         let candidates = passes.as_ref().map_or(probed_rows, |passes| {
@@ -434,7 +513,7 @@ impl VectorIndex for IvfPqIndex {
         if candidates <= keep {
             // --- Exact-first: every candidate would survive the ADC cut. ---
             let mut offset = 0;
-            for (cell, _) in &probed {
+            for (_, cell, _) in &probed {
                 let verdicts = verdicts(offset, cell);
                 offset += cell.len();
                 for (entry, (&id, &row)) in cell.ids.iter().zip(&cell.rows).enumerate() {
@@ -448,7 +527,8 @@ impl VectorIndex for IvfPqIndex {
             // --- Algorithm 1, lines 10–12: approximate scores via ADC. ---
             // Candidates carry their rescore-arena row through the bounded
             // selector.
-            let adc = self.pq.adc_table(query)?;
+            let residual = self.residual()?;
+            let adc = residual.pq.adc_table(query)?;
             let stride = self.config.pq.num_subspaces;
             let mut approx: TopK<u32> = TopK::new(keep);
             let mut list_scores: Vec<f32> = Vec::new();
@@ -457,11 +537,14 @@ impl VectorIndex for IvfPqIndex {
             let mut kept_rows: Vec<u32> = Vec::new();
             let mut kept_codes: Vec<u8> = Vec::new();
             let mut offset = 0;
-            for &(cell, coarse_score) in &probed {
+            for &(key, cell, coarse_score) in &probed {
                 let verdicts = verdicts(offset, cell);
                 offset += cell.len();
+                let cell_codes = residual.codes.get(&key).ok_or_else(|| {
+                    IndexError::InvalidState(format!("IVF cell {key:#x} has no PQ codes"))
+                })?;
                 let (ids, rows, codes) = match verdicts {
-                    None => (&cell.ids[..], &cell.rows[..], &cell.codes[..]),
+                    None => (&cell.ids[..], &cell.rows[..], &cell_codes[..]),
                     Some(verdicts) => {
                         kept_ids.clear();
                         kept_rows.clear();
@@ -471,7 +554,7 @@ impl VectorIndex for IvfPqIndex {
                                 kept_ids.push(id);
                                 kept_rows.push(row);
                                 kept_codes.extend_from_slice(
-                                    &cell.codes[entry * stride..(entry + 1) * stride],
+                                    &cell_codes[entry * stride..(entry + 1) * stride],
                                 );
                             }
                         }
@@ -502,16 +585,21 @@ impl VectorIndex for IvfPqIndex {
         "IVF-PQ"
     }
 
+    /// The cells' ids and arena rows, the coarse centroids, and — once a
+    /// search has built the residual level — every row's PQ code.
     fn memory_bytes(&self) -> usize {
-        let code_bytes: usize = self
+        let entry_bytes: usize = self
             .cells
             .values()
             .map(|c| {
-                c.codes.len()
-                    + c.ids.len() * std::mem::size_of::<VectorId>()
+                c.ids.len() * std::mem::size_of::<VectorId>()
                     + c.rows.len() * std::mem::size_of::<u32>()
             })
             .sum();
+        let code_bytes: usize = match self.residual.get() {
+            Some(Ok(residual)) => residual.codes.values().map(Vec::len).sum(),
+            _ => 0,
+        };
         let centroid_bytes = self.config.coarse_subspaces
             * self.config.coarse_centroids
             * self.config.coarse_subspace_dim()
@@ -519,7 +607,7 @@ impl VectorIndex for IvfPqIndex {
         // The originals kept for exact re-scoring are the storage layer's
         // rows; they are counted there so experiments can report the
         // compressed index size the way the paper does.
-        code_bytes + centroid_bytes
+        entry_bytes + code_bytes + centroid_bytes
     }
 
     fn row_store(&self) -> &RowStore {
@@ -854,7 +942,8 @@ mod tests {
             return (Vec::new(), stats);
         }
         let top_per_subspace = ivf.top_per_subspace(query, &mut stats);
-        let adc = ivf.pq.adc_table(query).unwrap();
+        let residual = ivf.residual().unwrap();
+        let adc = residual.pq.adc_table(query).unwrap();
         let stride = ivf.config.pq.num_subspaces;
         let keep = k.saturating_mul(ivf.config.refine_factor).max(k);
         let mut approx: TopK<u32> = TopK::new(keep);
@@ -863,9 +952,11 @@ mod tests {
         let mut kept_rows: Vec<u32> = Vec::new();
         let mut kept_codes: Vec<u8> = Vec::new();
         enumerate_cells(&top_per_subspace, &mut |codes, coarse_score| {
-            let Some(cell) = ivf.cells.get(&IvfPqIndex::pack_cell_key(codes)) else {
+            let key = IvfPqIndex::pack_cell_key(codes);
+            let Some(cell) = ivf.cells.get(&key) else {
                 return;
             };
+            let cell_codes = &residual.codes[&key];
             stats.cells_probed += 1;
             kept_ids.clear();
             kept_rows.clear();
@@ -874,7 +965,7 @@ mod tests {
                 if filter.map_or(true, |filter| filter.accepts(id)) {
                     kept_ids.push(id);
                     kept_rows.push(row);
-                    kept_codes.extend_from_slice(&cell.codes[entry * stride..(entry + 1) * stride]);
+                    kept_codes.extend_from_slice(&cell_codes[entry * stride..(entry + 1) * stride]);
                 }
             }
             stats.filtered_out += cell.len() - kept_ids.len();
@@ -898,27 +989,113 @@ mod tests {
         (top.into_sorted_results(), stats)
     }
 
+    /// `build_from_rows` as it was before the residual level became lazy:
+    /// one pass trains the coarse codebooks and the residual PQ over the
+    /// stride sample, then assigns and encodes every row. Kept as the
+    /// reference the lazily built residual level must equal byte for byte;
+    /// the index it returns starts with its residual level built.
+    fn eager_reference(config: IvfPqConfig, vectors: &[Vec<f32>]) -> IvfPqIndex {
+        let ids: Vec<VectorId> = (0..vectors.len() as u64).collect();
+        let rows = RowStore::from(vectors.concat());
+        let dim = config.dim;
+        let data = rows.as_slice();
+        let sub_dim = config.coarse_subspace_dim();
+        let sample_len = ids.len().min(config.max_training_sample);
+        let stride = (ids.len() / sample_len).max(1);
+        let sample: Vec<&[f32]> = data
+            .chunks_exact(dim)
+            .step_by(stride)
+            .take(sample_len)
+            .collect();
+        let mut coarse_codebooks = Vec::with_capacity(config.coarse_subspaces);
+        for p in 0..config.coarse_subspaces {
+            let sub_points: Vec<Vec<f32>> = sample
+                .iter()
+                .map(|v| v[p * sub_dim..(p + 1) * sub_dim].to_vec())
+                .collect();
+            let km = lloyd(
+                &sub_points,
+                sub_dim,
+                &KMeansConfig::new(config.coarse_centroids)
+                    .with_seed(config.seed ^ (p as u64 + 1).wrapping_mul(0xABCD)),
+            )
+            .unwrap();
+            coarse_codebooks.push(km.centroids);
+        }
+        let blocked: Vec<BlockedCentroids> = coarse_codebooks
+            .iter()
+            .map(|c| BlockedCentroids::new(c))
+            .collect();
+        let residual_sample: Vec<Vec<f32>> = sample
+            .iter()
+            .map(|v| assign(&coarse_codebooks, &blocked, v, sub_dim).1)
+            .collect();
+        let pq = ProductQuantizer::train(config.pq, &residual_sample).unwrap();
+        let mut cells: HashMap<u64, Cell, IdBuildHasher> = HashMap::default();
+        let mut codes: HashMap<u64, Vec<u8>, IdBuildHasher> = HashMap::default();
+        for (row, (&id, vector)) in ids.iter().zip(data.chunks_exact(dim)).enumerate() {
+            let (cell_codes, residual) = assign(&coarse_codebooks, &blocked, vector, sub_dim);
+            let key = IvfPqIndex::pack_cell_key(&cell_codes);
+            let cell = cells.entry(key).or_default();
+            cell.ids.push(id);
+            cell.rows.push(row as u32);
+            let code = pq.encode(&residual).unwrap();
+            codes.entry(key).or_default().extend_from_slice(&code.0);
+        }
+        IvfPqIndex {
+            config,
+            coarse_codebooks,
+            cells,
+            arena: rows,
+            residual: OnceLock::from(Ok(Residual { pq, codes })),
+        }
+    }
+
+    /// One index of the exact-first sweep: the lazily built index, the
+    /// eager reference over the same rows, and the rows.
+    struct Fixture {
+        ivf: IvfPqIndex,
+        eager: IvfPqIndex,
+        vectors: Vec<Vec<f32>>,
+    }
+
     /// Indexes whose probed rows fall below and above `k · refine_factor`
     /// for every `k` the equality is checked at: 300 and 2 000 rows under
-    /// the segment configuration, and 4 000 rows under four coarse
-    /// centroids probed three at a time (≈ 9/16 of the rows, past the
-    /// 1 600-row budget of `k = 400`). Built once per test binary.
-    fn exact_first_fixtures() -> &'static [(IvfPqIndex, Vec<Vec<f32>>)] {
-        static FIXTURES: std::sync::OnceLock<Vec<(IvfPqIndex, Vec<Vec<f32>>)>> =
-            std::sync::OnceLock::new();
+    /// the segment configuration, and 4 000 rows under [`wide_config`].
+    /// Built once per test binary.
+    fn exact_first_fixtures() -> &'static [Fixture] {
+        static FIXTURES: OnceLock<Vec<Fixture>> = OnceLock::new();
         FIXTURES.get_or_init(|| {
             let dim = 16;
             let segment = |rows: usize| {
                 IvfPqConfig::for_dim(dim).with_coarse_centroids((rows / 8).clamp(4, 32))
             };
-            let wide = IvfPqConfig::for_dim(dim)
-                .with_coarse_centroids(4)
-                .with_nprobe(3);
-            [(300, segment(300)), (2_000, segment(2_000)), (4_000, wide)]
-                .into_iter()
-                .map(|(rows, config)| build_with_config(rows, dim, rows as u64, config))
-                .collect()
+            [
+                (300, segment(300)),
+                (2_000, segment(2_000)),
+                (4_000, wide_config(dim)),
+            ]
+            .into_iter()
+            .map(|(rows, config)| {
+                let (ivf, vectors) = build_with_config(rows, dim, rows as u64, config);
+                let eager = eager_reference(config, &vectors);
+                Fixture {
+                    ivf,
+                    eager,
+                    vectors,
+                }
+            })
+            .collect()
         })
+    }
+
+    /// Four coarse centroids probed three at a time: a search probes
+    /// ≈ 9/16 of the rows, past the 1 600-row budget of `k = 400`, so that
+    /// `k` takes the two-stage branch.
+    fn wide_config(dim: usize) -> IvfPqConfig {
+        IvfPqConfig::for_dim(dim)
+            .with_coarse_centroids(4)
+            .with_nprobe(3)
     }
 
     /// The three filter shapes an engine query pushes down — none, frame
@@ -952,6 +1129,11 @@ mod tests {
         }
     }
 
+    /// Ids and score bits of `hits`, in their order.
+    fn hit_bits(hits: Vec<SearchResult>) -> Vec<(VectorId, u32)> {
+        hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+    }
+
     /// Asserts the exact-first search, sorted, equals the two-stage
     /// reference bit for bit and in every work counter but `heap_pushes`.
     /// Returns whether the probed candidates exceeded the refine budget.
@@ -963,10 +1145,11 @@ mod tests {
     ) -> bool {
         let (hits, stats) = ivf.search(query, k, filter).unwrap();
         let (expected, reference) = two_stage_reference(ivf, query, k, filter);
-        let bits = |hits: &[SearchResult]| -> Vec<(VectorId, u32)> {
-            hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
-        };
-        assert_eq!(bits(&sorted(hits)), bits(&expected), "k={k} {filter:?}");
+        assert_eq!(
+            hit_bits(sorted(hits)),
+            hit_bits(expected),
+            "k={k} {filter:?}"
+        );
         let counters = |s: &SearchStats| {
             (
                 s.vectors_scored,
@@ -986,7 +1169,7 @@ mod tests {
         // below would not cover the cutover.
         let mut exact_first = [0usize; 3];
         let mut two_stage = [0usize; 3];
-        for (fixture, (ivf, vectors)) in exact_first_fixtures().iter().enumerate() {
+        for (fixture, Fixture { ivf, vectors, .. }) in exact_first_fixtures().iter().enumerate() {
             for k in [1, 10, 400] {
                 for shape in 0..3 {
                     for probe in [0usize, 77, 151, 299] {
@@ -1013,6 +1196,125 @@ mod tests {
         );
     }
 
+    #[test]
+    fn lazy_residual_equals_the_eager_build() {
+        // The sweep must meet both branches, so the lazy side builds its
+        // residual level mid-sweep unless another test already has.
+        let (mut exact_first, mut two_stage) = (0usize, 0usize);
+        for (
+            fixture,
+            Fixture {
+                ivf,
+                eager,
+                vectors,
+            },
+        ) in exact_first_fixtures().iter().enumerate()
+        {
+            for k in [1, 10, 400] {
+                for shape in 0..3 {
+                    for probe in [0usize, 77, 151, 299] {
+                        let seed = (fixture * 1_000 + probe) as u64;
+                        let filter = exact_first_filter(shape, seed, vectors.len());
+                        let filter = filter.as_ref();
+                        let (hits, stats) = ivf.search(&vectors[probe], k, filter).unwrap();
+                        let (expected, reference) =
+                            eager.search(&vectors[probe], k, filter).unwrap();
+                        let case = format!("fixture {fixture} k={k} {filter:?}");
+                        assert_eq!(hit_bits(sorted(hits)), hit_bits(sorted(expected)), "{case}");
+                        assert_eq!(stats, reference, "{case}");
+                        if stats.vectors_scored > k * ivf.config.refine_factor {
+                            two_stage += 1;
+                        } else {
+                            exact_first += 1;
+                        }
+                    }
+                }
+            }
+            // Once built, the residual level is the eager one, byte for byte.
+            let codebook_bits = |residual: &Residual| -> Vec<u32> {
+                residual
+                    .pq
+                    .codebooks()
+                    .iter()
+                    .flatten()
+                    .flatten()
+                    .map(|x| x.to_bits())
+                    .collect()
+            };
+            let (lazy, built) = (ivf.residual().unwrap(), eager.residual().unwrap());
+            assert_eq!(
+                codebook_bits(lazy),
+                codebook_bits(built),
+                "fixture {fixture}"
+            );
+            assert_eq!(lazy.codes, built.codes, "fixture {fixture}");
+        }
+        assert!(
+            exact_first > 0 && two_stage > 0,
+            "exact-first {exact_first}, two-stage {two_stage}"
+        );
+    }
+
+    #[test]
+    fn racing_two_stage_searches_share_one_residual_build() {
+        let dim = 16;
+        let config = wide_config(dim);
+        let (ivf, vectors) = build_with_config(4_000, dim, 4_000, config);
+        assert!(ivf.residual.get().is_none());
+        let start = std::sync::Barrier::new(4);
+        let built: Vec<&Residual> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..4)
+                .map(|t| {
+                    let (ivf, vectors, start) = (&ivf, &vectors, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let (_, stats) = ivf.search(&vectors[t * 101], 400, None).unwrap();
+                        assert!(
+                            stats.vectors_scored > 400 * config.refine_factor,
+                            "{stats:?}"
+                        );
+                        ivf.residual().unwrap()
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert!(built.iter().all(|&r| std::ptr::eq(r, built[0])));
+    }
+
+    #[test]
+    fn segment_sized_indexes_search_without_building_the_residual() {
+        // A segment's index probes 36 of up to 1 024 cells, so at the
+        // engine's per-segment `k` (`fast_search_k`, 400 by default) and
+        // down to 100 the probed rows stay within the `k · refine_factor`
+        // budget and every search is exact-first. A `k` whose budget falls
+        // below the probed rows (here `k = 50` can: one cluster's cells
+        // hold 273 rows) takes the two-stage branch, and only then is the
+        // residual level built and counted.
+        let dim = 32;
+        for rows in [crate::MIN_TRAINED_SEGMENT_ROWS, 4_096] {
+            let vectors = clustered_unit_vectors(rows, dim, 30, rows as u64);
+            let ivf = build(crate::segment_ivf_config(dim, rows), &vectors).unwrap();
+            let before = ivf.memory_bytes();
+            for k in [100, 400] {
+                for shape in 0..3 {
+                    for probe in [0usize, 77, 151, 255] {
+                        let filter = exact_first_filter(shape, probe as u64, rows);
+                        let (_, stats) = ivf.search(&vectors[probe], k, filter.as_ref()).unwrap();
+                        assert_eq!(stats.exact_rescored, stats.vectors_scored, "{stats:?}");
+                    }
+                }
+            }
+            assert!(ivf.residual.get().is_none(), "{rows} rows built it");
+            assert_eq!(ivf.memory_bytes(), before);
+
+            let (_, stats) = ivf.search(&vectors[0], 1, None).unwrap();
+            assert!(stats.exact_rescored < stats.vectors_scored, "{stats:?}");
+            let code_bytes = ivf.residual().unwrap().pq.code_bytes();
+            assert_eq!(ivf.memory_bytes(), before + rows * code_bytes);
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
@@ -1027,7 +1329,7 @@ mod tests {
             stored in proptest::any::<bool>(),
         ) {
             let k = [1, 10, 400][k_pick];
-            let (ivf, vectors) = &exact_first_fixtures()[fixture];
+            let Fixture { ivf, vectors, .. } = &exact_first_fixtures()[fixture];
             let mut rng = SmallRng::seed_from_u64(seed);
             let query = if stored {
                 vectors[rng.gen_range(0..vectors.len())].clone()

@@ -304,6 +304,12 @@ impl ProductQuantizer {
     pub fn code_bytes(&self) -> usize {
         self.config.num_subspaces
     }
+
+    /// The codebooks, `codebooks()[p][m]` being centroid `m` of subspace `p`.
+    #[cfg(test)]
+    pub(crate) fn codebooks(&self) -> &[Vec<Vec<f32>>] {
+        &self.codebooks
+    }
 }
 
 #[cfg(test)]
