@@ -7,13 +7,13 @@
 //!   lock-acquisition sequences, builds an inter-procedural lock-order graph
 //!   through the call graph, and reports cycles (potential deadlocks) and
 //!   orders contradicting the hierarchy documented in ARCHITECTURE.md.
-//! - **panic / index** ([`lints::panics`]) — denies `unwrap`/`expect`/
-//!   `panic!`-family macros and unchecked slice indexing in designated
-//!   always-on modules (the serve tier, the executor, the index scan
-//!   kernels).
-//! - **float-sort / stats-merge / safety-comment** ([`lints::invariants`]) —
-//!   total-order float comparators, full field coverage in stats `merge`
-//!   bodies, and `// SAFETY:` comments on `unsafe`.
+//! - **index** ([`lints::index`]) — denies unchecked indexing of slices,
+//!   `Vec`s and maps alike in designated always-on modules (the serve tier,
+//!   the executor, the metadata table, the motion fields).
+//!   `unwrap`/`expect`/`panic!` there are clippy's to deny: each always-on
+//!   module carries `#![deny(clippy::unwrap_used, …)]`.
+//! - **float-sort / safety-comment** ([`lints::invariants`]) — total-order
+//!   float comparators and `// SAFETY:` comments on `unsafe`.
 //!
 //! Intentional violations are suppressed inline with
 //! `// lint:allow(<lint>, <reason>)` on the offending line or the line
@@ -23,33 +23,30 @@
 //! `cargo run -p lovo-analyze --release -- --deny-warnings`, or embed it:
 //!
 //! ```
+//! use lovo_analyze::lints::index::IndexConfig;
 //! use lovo_analyze::lints::locks::LockConfig;
-//! use lovo_analyze::lints::panics::PanicConfig;
 //! use lovo_analyze::{analyze, Config, Workspace};
 //! use std::path::PathBuf;
 //!
 //! let config = Config {
-//!     panics: PanicConfig {
-//!         panic_paths: vec!["demo.rs".to_string()],
-//!         index_paths: vec![],
+//!     index: IndexConfig {
+//!         index_paths: vec!["demo.rs".to_string()],
 //!     },
 //!     locks: LockConfig { hierarchy: vec![] },
-//!     stats: vec![],
 //! };
-//! let source = "fn f(x: Option<u32>) -> u32 { x.unwrap() }";
+//! let source = "fn f(v: &[u32]) -> u32 { v[0] }";
 //! let ws = Workspace::from_sources(vec![(PathBuf::from("demo.rs"), source.to_string())]);
 //! let findings = analyze(&ws, &config);
 //! assert_eq!(findings.len(), 1);
-//! assert_eq!(findings[0].lint, "panic");
+//! assert_eq!(findings[0].lint, "index");
 //! ```
 
 pub mod lexer;
 pub mod lints;
 pub mod model;
 
-use lints::invariants::StatsPair;
+use lints::index::IndexConfig;
 use lints::locks::LockConfig;
-use lints::panics::PanicConfig;
 use model::ParsedFile;
 use std::path::{Path, PathBuf};
 
@@ -96,55 +93,19 @@ impl std::fmt::Display for Finding {
 
 /// The full analyzer configuration.
 pub struct Config {
-    /// Panic-audit scope.
-    pub panics: PanicConfig,
+    /// Index-audit scope.
+    pub index: IndexConfig,
     /// Documented lock hierarchy.
     pub locks: LockConfig,
-    /// Stats structs whose merge coverage is enforced.
-    pub stats: Vec<StatsPair>,
 }
 
-/// The default configuration for this repository: panic-denied modules are
-/// the serve tier, the executor, the rerank scorer, the index scan kernels,
-/// the metadata table and the ingest path (motion fields, key frames,
-/// k-means); the covered stats structs are
-/// `SearchStats`/`ServeStats`/`IngestStats`; the lock hierarchy
-/// is whatever `hierarchy` pairs the caller parsed from
-/// ARCHITECTURE.md (see [`parse_hierarchy_doc`]).
+/// The default configuration for this repository: index-denied modules are
+/// the serve tier's service and cache, the executor, the metadata table and
+/// the motion fields; the lock hierarchy is whatever `hierarchy` pairs the
+/// caller parsed from ARCHITECTURE.md (see [`parse_hierarchy_doc`]).
 pub fn default_config(hierarchy: &[(String, String)]) -> Config {
     Config {
-        panics: PanicConfig {
-            panic_paths: vec![
-                "lovo-serve/src".to_string(),
-                "lovo-core/src/exec.rs".to_string(),
-                // The rerank scorer runs where the executor runs: on
-                // `QueryService` workers and submitting threads.
-                "lovo-encoder/src/cross_modality.rs".to_string(),
-                "lovo-index/src/flat.rs".to_string(),
-                "lovo-index/src/ivf.rs".to_string(),
-                "lovo-index/src/hnsw.rs".to_string(),
-                "lovo-index/src/pq.rs".to_string(),
-                // The durability layer: recovery code that panics on a
-                // corrupt byte defeats its whole purpose — every parse
-                // failure must surface as a typed StorageError (quarantine,
-                // truncate, or report) instead.
-                "lovo-store/src/durability".to_string(),
-                // The row store hands every sealed segment's rows straight
-                // into the scan kernels above; a panic here is a panic on the
-                // query path.
-                "lovo-index/src/store.rs".to_string(),
-                // The metadata table runs inside every filtered query's
-                // resolve and every hit's join, and the postings it shares
-                // are tested inside the scans.
-                "lovo-store/src/metadata.rs".to_string(),
-                // Ingest: key-frame selection inside every `add_videos`, and
-                // the codebook training every seal runs — also on the
-                // `QueryService` maintenance thread (seal, compaction), where
-                // a panic would end maintenance for good.
-                "lovo-video/src/motion.rs".to_string(),
-                "lovo-video/src/keyframe.rs".to_string(),
-                "lovo-index/src/kmeans.rs".to_string(),
-            ],
+        index: IndexConfig {
             index_paths: vec![
                 "lovo-serve/src/service.rs".to_string(),
                 "lovo-serve/src/cache.rs".to_string(),
@@ -159,20 +120,6 @@ pub fn default_config(hierarchy: &[(String, String)]) -> Config {
         locks: LockConfig {
             hierarchy: hierarchy.to_vec(),
         },
-        stats: vec![
-            StatsPair {
-                struct_name: "SearchStats".to_string(),
-                merge_fn: "merge".to_string(),
-            },
-            StatsPair {
-                struct_name: "ServeStats".to_string(),
-                merge_fn: "merge".to_string(),
-            },
-            StatsPair {
-                struct_name: "IngestStats".to_string(),
-                merge_fn: "accumulate".to_string(),
-            },
-        ],
     }
 }
 
@@ -288,10 +235,9 @@ pub fn analyze(ws: &Workspace, config: &Config) -> Vec<Finding> {
     }
 
     for file in &ws.files {
-        lints::panics::check(file, &config.panics, &mut findings);
+        lints::index::check(file, &config.index, &mut findings);
         lints::invariants::check_file(file, &mut findings);
     }
-    lints::invariants::check_stats_merge(&ws.files, &config.stats, &mut findings);
     lints::locks::check(&ws.files, &config.locks, &mut findings);
 
     findings.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));

@@ -1,5 +1,5 @@
-//! Invariant lints: total-order float comparators, stats merge coverage, and
-//! `// SAFETY:` comments on `unsafe` blocks.
+//! Invariant lints: total-order float comparators and `// SAFETY:` comments
+//! on `unsafe` blocks.
 //!
 //! These encode repo-specific correctness rules that `rustc`/clippy cannot
 //! know about:
@@ -10,34 +10,17 @@
 //!   itself*. Comparators must use `total_cmp` or the documented
 //!   `unwrap_or(Equal)`-plus-tie-break pattern (see
 //!   `lovo_baselines::finalize_hits`).
-//! - **stats-merge** — every field of the configured stats structs must be
-//!   mentioned in the corresponding `merge`/`accumulate` body, catching the
-//!   add-a-counter-forget-to-merge bug class at lint time.
 //! - **safety-comment** — any `unsafe` block must carry a `// SAFETY:`
-//!   comment on the same or the preceding two lines. `unsafe fn`
-//!   declarations carrying `#[target_feature(..)]` are exempt: there the
-//!   `unsafe` is the *signature* (calling without the CPU feature is UB, so
-//!   pre-2024 editions force the keyword), not an unsafe operation — the
-//!   SAFETY obligation sits at the call sites, which the lint still checks.
+//!   comment on the same or the preceding two lines.
 
+use crate::lints::push_unless_allowed;
 use crate::model::{matching_close, ParsedFile};
 use crate::{Finding, Severity};
 
 /// Lint name for non-total float comparators.
 pub const FLOAT_SORT_LINT: &str = "float-sort";
-/// Lint name for stats structs whose merge body misses fields.
-pub const STATS_MERGE_LINT: &str = "stats-merge";
 /// Lint name for `unsafe` without a `// SAFETY:` comment.
 pub const SAFETY_LINT: &str = "safety-comment";
-
-/// A `(struct, merge_fn)` pair whose field coverage is enforced.
-#[derive(Debug, Clone)]
-pub struct StatsPair {
-    /// The stats struct name, e.g. `SearchStats`.
-    pub struct_name: String,
-    /// The merge-like method name, e.g. `merge` or `accumulate`.
-    pub merge_fn: String,
-}
 
 /// Checks float-sort comparators and SAFETY comments in one file.
 pub fn check_file(file: &ParsedFile, findings: &mut Vec<Finding>) {
@@ -119,9 +102,6 @@ fn check_safety_comments(file: &ParsedFile, findings: &mut Vec<Finding>) {
         if !t.is_ident("unsafe") || file.in_test(i) {
             continue;
         }
-        if is_target_feature_fn(file, i) {
-            continue;
-        }
         let line = t.line;
         let documented = file
             .comments
@@ -139,116 +119,4 @@ fn check_safety_comments(file: &ParsedFile, findings: &mut Vec<Finding>) {
             );
         }
     }
-}
-
-/// True when the `unsafe` at token `i` opens an `unsafe fn` declaration
-/// whose attributes include `#[target_feature(..)]`. Such fns are `unsafe`
-/// by signature, not by operation: the declaration performs nothing unsafe
-/// (its *callers* must prove the CPU feature is present, and those call
-/// sites stay subject to the lint). The backward scan is bounded: the
-/// attribute sits directly above the declaration, separated from the
-/// `unsafe` keyword only by visibility tokens and other attributes.
-fn is_target_feature_fn(file: &ParsedFile, i: usize) -> bool {
-    let tokens = &file.tokens;
-    if !tokens.get(i + 1).is_some_and(|next| next.is_ident("fn")) {
-        return false;
-    }
-    let start = i.saturating_sub(24);
-    (start..i).any(|j| {
-        tokens[j].is_ident("target_feature")
-            && j > 0
-            && tokens[j - 1].is_punct('[')
-            && tokens.get(j + 1).is_some_and(|next| next.is_punct('('))
-    })
-}
-
-/// Checks stats merge coverage across the whole workspace (struct and merge
-/// fn may live in different files, though in practice they share one).
-pub fn check_stats_merge(files: &[ParsedFile], pairs: &[StatsPair], findings: &mut Vec<Finding>) {
-    for pair in pairs {
-        let Some((file, def)) = files.iter().find_map(|f| {
-            f.structs
-                .iter()
-                .find(|s| s.name == pair.struct_name)
-                .map(|s| (f, s))
-        }) else {
-            findings.push(Finding {
-                file: std::path::PathBuf::from("<workspace>"),
-                line: 0,
-                lint: STATS_MERGE_LINT,
-                severity: Severity::Error,
-                message: format!(
-                    "configured stats struct `{}` not found in the workspace",
-                    pair.struct_name
-                ),
-            });
-            continue;
-        };
-        let merge = files.iter().find_map(|f| {
-            f.fns
-                .iter()
-                .find(|fun| {
-                    fun.name == pair.merge_fn
-                        && fun.impl_type.as_deref() == Some(pair.struct_name.as_str())
-                        && fun.body.is_some()
-                })
-                .map(|fun| (f, fun))
-        });
-        let Some((merge_file, merge_fn)) = merge else {
-            findings.push(Finding {
-                file: file.path.clone(),
-                line: def.line,
-                lint: STATS_MERGE_LINT,
-                severity: Severity::Error,
-                message: format!(
-                    "`{}` has no `fn {}` — every stats struct must define one so counters \
-                     survive aggregation",
-                    pair.struct_name, pair.merge_fn
-                ),
-            });
-            continue;
-        };
-        let (body_start, body_end) = merge_fn.body.unwrap_or((0, 0));
-        let body_idents: std::collections::HashSet<&str> = merge_file.tokens[body_start..=body_end]
-            .iter()
-            .filter(|t| t.kind == crate::lexer::TokenKind::Ident)
-            .map(|t| t.text.as_str())
-            .collect();
-        for field in &def.fields {
-            if !body_idents.contains(field.name.as_str()) {
-                push_unless_allowed(
-                    file,
-                    STATS_MERGE_LINT,
-                    field.line,
-                    Severity::Error,
-                    format!(
-                        "`{}.{}` is not mentioned in `{}::{}` — the counter would be \
-                         silently dropped on aggregation",
-                        pair.struct_name, field.name, pair.struct_name, pair.merge_fn
-                    ),
-                    findings,
-                );
-            }
-        }
-    }
-}
-
-fn push_unless_allowed(
-    file: &ParsedFile,
-    lint: &'static str,
-    line: u32,
-    severity: Severity,
-    message: String,
-    findings: &mut Vec<Finding>,
-) {
-    if file.allow_for(lint, line).is_some() {
-        return;
-    }
-    findings.push(Finding {
-        file: file.path.clone(),
-        line,
-        lint,
-        severity,
-        message,
-    });
 }

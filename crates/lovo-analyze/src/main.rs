@@ -32,8 +32,8 @@ fn main() {
                 println!(
                     "lovo-analyze: workspace static analysis\n\n\
                      USAGE: lovo-analyze [--deny-warnings] [--root <dir>]\n\n\
-                     Lints: lock-order, panic, index, float-sort, stats-merge, \
-                     safety-comment.\n\
+                     Lints: lock-order, index, float-sort, safety-comment.\n\
+                     unwrap/expect/panic! are clippy's to deny (see docs/static-analysis.md).\n\
                      Suppress intentional findings with `// lint:allow(<lint>, <reason>)`."
                 );
                 return;

@@ -17,8 +17,6 @@ pub struct FieldDef {
     pub name: String,
     /// Space-joined type tokens, e.g. `RwLock < HashMap < String , V > >`.
     pub type_text: String,
-    /// 1-based source line of the field name.
-    pub line: u32,
 }
 
 /// A struct definition (unit and tuple structs have no fields recorded).
@@ -28,8 +26,6 @@ pub struct StructDef {
     pub name: String,
     /// Named fields in declaration order.
     pub fields: Vec<FieldDef>,
-    /// 1-based source line of the `struct` keyword.
-    pub line: u32,
 }
 
 /// A function definition (free or associated) with its body token range.
@@ -44,8 +40,6 @@ pub struct FnDef {
     /// Token index range `(open_brace, close_brace)` of the body, inclusive;
     /// `None` for bodyless trait-method declarations.
     pub body: Option<(usize, usize)>,
-    /// 1-based source line of the function name.
-    pub line: u32,
     /// True when the fn lives inside a `#[cfg(test)]` region or is itself a
     /// `#[test]`/`#[cfg(test)]` item.
     pub is_test: bool,
@@ -226,7 +220,6 @@ fn find_structs(tokens: &[Token]) -> Vec<StructDef> {
             continue;
         };
         let name = name_tok.text.clone();
-        let line = tokens[i].line;
         let mut j = i + 2;
         if j < tokens.len() && tokens[j].is_punct('<') {
             j = skip_angles(tokens, j);
@@ -260,7 +253,6 @@ fn find_structs(tokens: &[Token]) -> Vec<StructDef> {
                     continue;
                 }
                 let field_name = tokens[k].text.clone();
-                let field_line = tokens[k].line;
                 if !tokens.get(k + 1).is_some_and(|t| t.is_punct(':')) {
                     k += 1;
                     continue;
@@ -292,7 +284,6 @@ fn find_structs(tokens: &[Token]) -> Vec<StructDef> {
                 fields.push(FieldDef {
                     name: field_name,
                     type_text,
-                    line: field_line,
                 });
                 k = t + 1;
             }
@@ -300,7 +291,7 @@ fn find_structs(tokens: &[Token]) -> Vec<StructDef> {
         } else {
             i = j + 1;
         }
-        structs.push(StructDef { name, fields, line });
+        structs.push(StructDef { name, fields });
     }
     structs
 }
@@ -370,7 +361,6 @@ fn find_fns(tokens: &[Token], test_ranges: &[(usize, usize)]) -> Vec<FnDef> {
             continue;
         };
         let name = name_tok.text.clone();
-        let line = name_tok.line;
         let mut j = i + 2;
         if j < tokens.len() && tokens[j].is_punct('<') {
             j = skip_angles(tokens, j);
@@ -428,7 +418,6 @@ fn find_fns(tokens: &[Token], test_ranges: &[(usize, usize)]) -> Vec<FnDef> {
             impl_type,
             ret_text,
             body,
-            line,
             is_test,
         });
         i = body.map_or(k + 1, |(open, _)| open + 1);

@@ -2,9 +2,8 @@
 //! known-bad input and stay quiet when the code is fixed or the finding is
 //! suppressed with a reasoned allow marker.
 
-use lovo_analyze::lints::invariants::StatsPair;
+use lovo_analyze::lints::index::IndexConfig;
 use lovo_analyze::lints::locks::LockConfig;
-use lovo_analyze::lints::panics::PanicConfig;
 use lovo_analyze::{analyze, parse_hierarchy_doc, Config, Finding, Severity, Workspace};
 use std::path::PathBuf;
 
@@ -20,12 +19,10 @@ fn fixture(name: &str) -> (PathBuf, String) {
 /// (lock-order, float-sort, safety-comment, allow-reason) can fire.
 fn quiet_config() -> Config {
     Config {
-        panics: PanicConfig {
-            panic_paths: vec![],
+        index: IndexConfig {
             index_paths: vec![],
         },
         locks: LockConfig { hierarchy: vec![] },
-        stats: vec![],
     }
 }
 
@@ -38,64 +35,56 @@ fn of_lint<'a>(findings: &'a [Finding], lint: &str) -> Vec<&'a Finding> {
     findings.iter().filter(|f| f.lint == lint).collect()
 }
 
-// --- panic / index audit ---
+// --- index audit (the analyzer's share of the panic audit; clippy denies
+// unwrap/expect/panic!) ---
 
-fn panic_config_for(name: &str) -> Config {
+fn index_config_for(name: &str) -> Config {
     Config {
-        panics: PanicConfig {
-            panic_paths: vec![name.to_string()],
+        index: IndexConfig {
             index_paths: vec![name.to_string()],
         },
         locks: LockConfig { hierarchy: vec![] },
-        stats: vec![],
     }
 }
 
 #[test]
 fn panic_audit_fires_on_every_denied_construct() {
-    let findings = run(&["panics_bad.rs"], &panic_config_for("panics_bad.rs"));
-    let panics = of_lint(&findings, "panic");
-    let indexes = of_lint(&findings, "index");
-    // unwrap, expect, panic! — and the one slice index.
-    assert_eq!(panics.len(), 3, "panic findings: {findings:?}");
-    assert_eq!(indexes.len(), 1, "index findings: {findings:?}");
+    let findings = run(&["index_bad.rs"], &index_config_for("index_bad.rs"));
+    // The slice index and the map lookup; the range slice is out of scope.
+    let lines: Vec<u32> = of_lint(&findings, "index").iter().map(|f| f.line).collect();
+    assert_eq!(lines, vec![7, 11], "index findings: {findings:?}");
+    assert_eq!(findings.len(), 2, "findings: {findings:?}");
     assert!(findings.iter().all(|f| f.severity == Severity::Error));
 }
 
 #[test]
 fn panic_audit_exempts_test_code() {
-    // The #[cfg(test)] module in the fixture unwraps and indexes freely;
-    // nothing in it may be reported (all findings sit above line 19).
-    let findings = run(&["panics_bad.rs"], &panic_config_for("panics_bad.rs"));
+    // The #[cfg(test)] module in the fixture indexes freely; nothing in it
+    // may be reported (all findings sit above line 18).
+    let findings = run(&["index_bad.rs"], &index_config_for("index_bad.rs"));
     assert!(
-        findings.iter().all(|f| f.line < 19),
+        findings.iter().all(|f| f.line < 18),
         "findings: {findings:?}"
     );
 }
 
 #[test]
 fn panic_audit_is_scoped_to_configured_paths() {
-    let findings = run(
-        &["panics_bad.rs"],
-        &panic_config_for("some_other_module.rs"),
-    );
+    let findings = run(&["index_bad.rs"], &index_config_for("some_other_module.rs"));
     assert!(findings.is_empty(), "findings: {findings:?}");
 }
 
 #[test]
 fn reasoned_allow_markers_suppress_the_panic_audit() {
-    let findings = run(
-        &["panics_allowed.rs"],
-        &panic_config_for("panics_allowed.rs"),
-    );
+    let findings = run(&["index_allowed.rs"], &index_config_for("index_allowed.rs"));
     assert!(findings.is_empty(), "findings: {findings:?}");
 }
 
 #[test]
 fn allow_marker_without_reason_is_itself_an_error() {
-    let source = "pub fn f(v: Option<u32>) -> u32 {\n    v.unwrap() // lint:allow(panic)\n}\n";
+    let source = "pub fn f(v: &[u32]) -> u32 {\n    v[0] // lint:allow(index)\n}\n";
     let ws = Workspace::from_sources(vec![(PathBuf::from("demo.rs"), source.to_string())]);
-    let findings = analyze(&ws, &panic_config_for("demo.rs"));
+    let findings = analyze(&ws, &index_config_for("demo.rs"));
     assert_eq!(findings.len(), 1, "findings: {findings:?}");
     assert_eq!(findings[0].lint, "allow-reason");
     assert_eq!(findings[0].severity, Severity::Error);
@@ -229,55 +218,11 @@ fn float_sort_shapes() {
 }
 
 #[test]
-fn stats_merge_coverage() {
-    let config = Config {
-        stats: vec![
-            StatsPair {
-                struct_name: "PoolStats".to_string(),
-                merge_fn: "merge".to_string(),
-            },
-            StatsPair {
-                struct_name: "OrphanStats".to_string(),
-                merge_fn: "merge".to_string(),
-            },
-        ],
-        ..quiet_config()
-    };
-    let findings = run(&["stats_bad.rs"], &config);
-    let merges = of_lint(&findings, "stats-merge");
-    assert_eq!(merges.len(), 2, "findings: {findings:?}");
-    assert!(merges.iter().any(|f| f.message.contains("evictions")));
-    assert!(merges
-        .iter()
-        .any(|f| f.message.contains("OrphanStats") && f.message.contains("no `fn merge`")));
-
-    let config = Config {
-        stats: vec![StatsPair {
-            struct_name: "PoolStats".to_string(),
-            merge_fn: "merge".to_string(),
-        }],
-        ..quiet_config()
-    };
-    let findings = run(&["stats_good.rs"], &config);
-    assert!(findings.is_empty(), "findings: {findings:?}");
-}
-
-#[test]
 fn unsafe_requires_a_safety_comment() {
     let findings = run(&["safety.rs"], &quiet_config());
     let safety = of_lint(&findings, "safety-comment");
     assert_eq!(safety.len(), 1, "findings: {findings:?}");
     assert_eq!(safety[0].line, 4); // `undocumented` only
-}
-
-#[test]
-fn target_feature_fn_declaration_is_exempt_but_call_sites_are_not() {
-    let findings = run(&["target_feature.rs"], &quiet_config());
-    let safety = of_lint(&findings, "safety-comment");
-    // The `#[target_feature] unsafe fn` declaration must NOT fire; the
-    // undocumented call of it and the undocumented plain block both must.
-    let lines: Vec<u32> = safety.iter().map(|f| f.line).collect();
-    assert_eq!(lines, vec![17, 21], "findings: {findings:?}");
 }
 
 // --- hierarchy doc parsing ---

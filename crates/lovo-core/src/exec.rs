@@ -32,6 +32,17 @@
 //! and groups the joined list; it gives the engine's answer bit for bit,
 //! because both group under one rule, `best_per_frame`'s.
 
+// The executor runs every query on `QueryService` workers and submitting
+// threads, where a panic is a lost request.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::engine::{Lovo, QueryResult, QueryTimings, RankedObject};
 use crate::planner::QueryPlan;
 use crate::summary::{split_patch_id, PATCH_COLLECTION};

@@ -78,16 +78,28 @@ impl IngestStats {
     }
 
     /// Folds another run's statistics into this one (used by the engine to
-    /// keep a lifetime total across incremental appends).
+    /// keep a lifetime total across incremental appends). The exhaustive
+    /// destructuring makes a new field a compile error here until it is
+    /// folded.
     pub fn accumulate(&mut self, run: &IngestStats) {
-        self.total_frames += run.total_frames;
-        self.key_frames += run.key_frames;
-        self.patches_indexed += run.patches_indexed;
-        self.keyframe_seconds += run.keyframe_seconds;
-        self.encoding_seconds += run.encoding_seconds;
-        self.indexing_seconds += run.indexing_seconds;
-        self.segments_sealed += run.segments_sealed;
-        self.index_builds += run.index_builds;
+        let Self {
+            total_frames,
+            key_frames,
+            patches_indexed,
+            keyframe_seconds,
+            encoding_seconds,
+            indexing_seconds,
+            segments_sealed,
+            index_builds,
+        } = *run;
+        self.total_frames += total_frames;
+        self.key_frames += key_frames;
+        self.patches_indexed += patches_indexed;
+        self.keyframe_seconds += keyframe_seconds;
+        self.encoding_seconds += encoding_seconds;
+        self.indexing_seconds += indexing_seconds;
+        self.segments_sealed += segments_sealed;
+        self.index_builds += index_builds;
     }
 }
 

@@ -53,6 +53,17 @@
 //! instead (a VQPy-style property, computed once per object), and the
 //! levels from the query down would stay as they are.
 
+// The rerank scorer runs where the executor runs: on `QueryService` workers
+// and submitting threads.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::space::{AttributeSpace, FineToken};
 use crate::{EncoderError, Result};
 use lovo_tensor::ops::{dot, l2_normalize};

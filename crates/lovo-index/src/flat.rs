@@ -1,6 +1,17 @@
 //! Exhaustive (brute-force) index: the accuracy upper bound in Table V.
 
-use crate::metric::Metric;
+// A scan kernel: it runs inside every query, on `QueryService` workers and
+// submitting threads, where a panic is a lost request.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
+use crate::metric::dot_batch;
 use crate::store::RowStore;
 use crate::{IdFilter, IndexError, Result, SearchResult, SearchStats, TopK, VectorId, VectorIndex};
 
@@ -13,7 +24,6 @@ const SCAN_BLOCK_ROWS: usize = 256;
 #[derive(Debug, Clone)]
 pub struct FlatIndex {
     dim: usize,
-    metric: Metric,
     ids: Vec<VectorId>,
     /// All vectors concatenated row-major; `ids[i]` owns
     /// `data[i*dim..(i+1)*dim]`. Shared with the sealed segment that owns
@@ -22,17 +32,11 @@ pub struct FlatIndex {
 }
 
 impl FlatIndex {
-    /// Creates an empty flat index for `dim`-dimensional vectors with the
-    /// default inner-product metric.
+    /// Creates an empty flat index for `dim`-dimensional vectors, scored by
+    /// inner product.
     pub fn new(dim: usize) -> Self {
-        Self::with_metric(dim, Metric::InnerProduct)
-    }
-
-    /// Creates an empty flat index with an explicit metric.
-    pub fn with_metric(dim: usize, metric: Metric) -> Self {
         Self {
             dim,
-            metric,
             ids: Vec::new(),
             data: RowStore::new(),
         }
@@ -40,8 +44,7 @@ impl FlatIndex {
 
     /// Reconstructs a flat index from already-stored rows (the segment
     /// restore path): `ids[i]` owns `data[i*dim..(i+1)*dim]`. Scores are
-    /// bit-identical to inserting the same rows in order. Inner-product
-    /// metric, matching the sealed segments the storage layer persists.
+    /// bit-identical to inserting the same rows in order.
     pub fn from_parts(dim: usize, ids: Vec<VectorId>, data: RowStore) -> Result<Self> {
         if dim == 0 || data.len() != ids.len() * dim {
             return Err(IndexError::InvalidState(format!(
@@ -50,12 +53,7 @@ impl FlatIndex {
                 ids.len()
             )));
         }
-        Ok(Self {
-            dim,
-            metric: Metric::InnerProduct,
-            ids,
-            data,
-        })
+        Ok(Self { dim, ids, data })
     }
 
     /// Appends a row (the growing segment's append path).
@@ -108,11 +106,10 @@ impl VectorIndex for FlatIndex {
 
     /// Block scan. A filter masks rows *before* they are scored, so at low
     /// selectivity the scan skips most of its dot products instead of
-    /// discarding them afterwards. The metric dispatches once per block, not
-    /// once per row: a block whose rows all pass streams through the batch
-    /// kernel in place, and the passing rows of a mixed block are gathered
-    /// into one contiguous run first ([`Metric::score_batch`] delegates to
-    /// the per-row kernel, so both score bit-identically).
+    /// discarding them afterwards. A block whose rows all pass streams
+    /// through the batch kernel in place, and the passing rows of a mixed
+    /// block are gathered into one contiguous run first ([`dot_batch`]
+    /// delegates to the per-row kernel, so both score bit-identically).
     fn search(
         &self,
         query: &[f32],
@@ -168,7 +165,7 @@ impl VectorIndex for FlatIndex {
                     continue;
                 };
                 scores.clear();
-                self.metric.score_batch(query, block, self.dim, &mut scores);
+                dot_batch(query, block, self.dim, &mut scores);
                 for (&id, &score) in ids.iter().zip(&scores) {
                     top.push_hit(id, score);
                 }
@@ -265,16 +262,6 @@ mod tests {
         idx.insert(42, &v).unwrap();
         assert_eq!(idx.vector(42).unwrap(), v.as_slice());
         assert!(idx.vector(43).is_none());
-    }
-
-    #[test]
-    fn l2_metric_orders_by_distance() {
-        let mut idx = FlatIndex::with_metric(2, Metric::L2);
-        idx.insert(1, &[0.0, 0.0]).unwrap();
-        idx.insert(2, &[5.0, 5.0]).unwrap();
-        let hits = sorted(idx.search(&[0.5, 0.5], 2, None).unwrap().0);
-        assert_eq!(hits[0].id, 1);
-        assert_eq!(idx.family(), "BF");
     }
 
     #[test]

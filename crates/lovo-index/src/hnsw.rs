@@ -12,6 +12,17 @@
 //! which [`HnswIndex::build_from_rows`] adopts without copying, so a sealed
 //! segment's retained rows and its graph read one allocation.
 
+// A scan kernel: it runs inside every query, on `QueryService` workers and
+// submitting threads, where a panic is a lost request.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::metric::dot;
 use crate::store::RowStore;
 use crate::{IdFilter, IndexError, Result, SearchResult, SearchStats, VectorId, VectorIndex};

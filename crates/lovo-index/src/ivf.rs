@@ -36,6 +36,17 @@
 //!   id, so every candidate names exactly one id, and the top-k is selected
 //!   by exact score with ties broken toward the smaller id.
 
+// A scan kernel: it runs inside every query, on `QueryService` workers and
+// submitting threads, where a panic is a lost request.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::kmeans::{lloyd, BlockedCentroids, KMeansConfig};
 use crate::metric::dot;
 use crate::pq::{PqConfig, ProductQuantizer};

@@ -29,6 +29,18 @@
 //! assignments, inertia and iteration counts therefore equal those of the
 //! per-centroid form, kept as the `#[cfg(test)]` reference.
 
+// Ingest: the codebook training every seal runs, also on the `QueryService`
+// maintenance thread (seal, compaction), where a panic would end maintenance
+// for good.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::metric::squared_l2;
 use crate::{IndexError, Result};
 use rand::rngs::SmallRng;

@@ -46,7 +46,6 @@ pub mod store;
 pub use flat::FlatIndex;
 pub use hnsw::{HnswConfig, HnswIndex};
 pub use ivf::{IvfPqConfig, IvfPqIndex};
-pub use metric::Metric;
 pub use pq::{PqCode, PqConfig, ProductQuantizer};
 pub use store::RowStore;
 
@@ -178,14 +177,26 @@ impl SearchStats {
     /// Folds another search's work counters into this one. The segmented
     /// storage layer uses this to aggregate per-segment statistics into one
     /// collection-level report.
+    ///
+    /// The exhaustive destructuring makes a new field a compile error here
+    /// until it is folded.
     pub fn merge(&mut self, other: &SearchStats) {
-        self.vectors_scored += other.vectors_scored;
-        self.cells_probed += other.cells_probed;
-        self.exact_rescored += other.exact_rescored;
-        self.segments_probed += other.segments_probed;
-        self.segments_pruned += other.segments_pruned;
-        self.heap_pushes += other.heap_pushes;
-        self.filtered_out += other.filtered_out;
+        let Self {
+            vectors_scored,
+            cells_probed,
+            exact_rescored,
+            segments_probed,
+            segments_pruned,
+            heap_pushes,
+            filtered_out,
+        } = *other;
+        self.vectors_scored += vectors_scored;
+        self.cells_probed += cells_probed;
+        self.exact_rescored += exact_rescored;
+        self.segments_probed += segments_probed;
+        self.segments_pruned += segments_pruned;
+        self.heap_pushes += heap_pushes;
+        self.filtered_out += filtered_out;
     }
 }
 

@@ -5,57 +5,6 @@
 //! `d = sqrt(2 - 2 s)`. The index implementations score with the inner
 //! product (higher = better); the k-means trainer works in distance space.
 
-use serde::{Deserialize, Serialize};
-
-/// Which similarity/distance the index optimizes for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum Metric {
-    /// Inner product of L2-normalized vectors (equivalently cosine similarity).
-    #[default]
-    InnerProduct,
-    /// Squared Euclidean distance.
-    L2,
-}
-
-impl Metric {
-    /// Similarity score for the metric: higher is always better.
-    ///
-    /// For [`Metric::L2`] the score is the negated squared distance so the
-    /// same "descending score" ordering applies everywhere.
-    #[inline]
-    pub fn score(&self, a: &[f32], b: &[f32]) -> f32 {
-        match self {
-            Metric::InnerProduct => dot(a, b),
-            Metric::L2 => -squared_l2(a, b),
-        }
-    }
-
-    /// Scores a contiguous row-major block of vectors against `query`,
-    /// appending one score per row to `out`. The metric dispatch happens once
-    /// per block, not once per vector, and the inner-product arm streams the
-    /// block through [`dot_batch`].
-    pub fn score_batch(&self, query: &[f32], rows: &[f32], dim: usize, out: &mut Vec<f32>) {
-        match self {
-            Metric::InnerProduct => dot_batch(query, rows, dim, out),
-            Metric::L2 => {
-                debug_assert_eq!(rows.len() % dim.max(1), 0);
-                out.reserve(rows.len() / dim.max(1));
-                for row in rows.chunks_exact(dim) {
-                    out.push(-squared_l2(query, row));
-                }
-            }
-        }
-    }
-
-    /// Human-readable name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Metric::InnerProduct => "IP",
-            Metric::L2 => "L2",
-        }
-    }
-}
-
 /// Inner product of two equal-length vectors.
 ///
 /// Unrolled 8-wide with one accumulator per lane: a single running sum chains
@@ -174,18 +123,10 @@ mod tests {
     }
 
     #[test]
-    fn l2_score_is_negated_distance() {
-        let a = [1.0, 0.0];
-        let b = [0.0, 1.0];
-        assert_eq!(Metric::L2.score(&a, &b), -2.0);
-        assert_eq!(Metric::InnerProduct.score(&a, &b), 0.0);
-    }
-
-    #[test]
     fn inner_product_on_unit_vectors_equals_cosine() {
         let a = normalized(&[3.0, 4.0]);
         let b = normalized(&[4.0, 3.0]);
-        let ip = Metric::InnerProduct.score(&a, &b);
+        let ip = dot(&a, &b);
         assert!((ip - 24.0 / 25.0).abs() < 1e-5);
     }
 
@@ -194,7 +135,7 @@ mod tests {
         let q = normalized(&[1.0, 1.0, 0.0]);
         let close = normalized(&[1.0, 0.9, 0.1]);
         let far = normalized(&[-1.0, 0.2, 0.5]);
-        assert!(Metric::InnerProduct.score(&q, &close) > Metric::InnerProduct.score(&q, &far));
+        assert!(dot(&q, &close) > dot(&q, &far));
         assert!(squared_l2(&q, &close) < squared_l2(&q, &far));
     }
 
@@ -218,31 +159,9 @@ mod tests {
     }
 
     #[test]
-    fn score_batch_dispatches_both_metrics() {
-        let dim = 5;
-        let rows: Vec<f32> = (0..4 * dim).map(|i| i as f32 * 0.1).collect();
-        let query = vec![0.3; dim];
-        for metric in [Metric::InnerProduct, Metric::L2] {
-            let mut out = Vec::new();
-            metric.score_batch(&query, &rows, dim, &mut out);
-            assert_eq!(out.len(), 4);
-            for (r, &score) in out.iter().enumerate() {
-                assert_eq!(score, metric.score(&query, &rows[r * dim..(r + 1) * dim]));
-            }
-        }
-    }
-
-    #[test]
     fn normalize_handles_zero() {
         let mut v = vec![0.0, 0.0, 0.0];
         normalize(&mut v);
         assert_eq!(v, vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn metric_names() {
-        assert_eq!(Metric::InnerProduct.name(), "IP");
-        assert_eq!(Metric::L2.name(), "L2");
-        assert_eq!(Metric::default(), Metric::InnerProduct);
     }
 }

@@ -8,6 +8,17 @@
 //! tabulated once, after which scoring any stored code is `P` table lookups —
 //! this is the "distance lookup-table" Algorithm 1 references.
 
+// A scan kernel: it runs inside every query, on `QueryService` workers and
+// submitting threads, where a panic is a lost request.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::kmeans::{lloyd, BlockedCentroids, KMeansConfig};
 use crate::metric::dot;
 use crate::{IndexError, Result};

@@ -7,6 +7,17 @@
 //! segment's retained rows and the index built over them are one
 //! allocation.
 
+// The row store hands every sealed segment's rows straight into the scan
+// kernels; a panic here is a panic on the query path.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::sync::Arc;
 
 /// Row-major `f32` storage shared copy-on-write between its clones. The

@@ -59,6 +59,16 @@
 //! assert_eq!(second.result.frames, first.result.frames);
 //! ```
 
+// The serve tier runs on `QueryService` worker threads: a panic there is a
+// lost request (`ServeStats::worker_panics`), so no module of it may panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 mod cache;

@@ -77,31 +77,41 @@ impl ServeStats {
     /// Folds another snapshot into this one, field by field, yielding the
     /// combined lifetime totals (e.g. across replicas of one service).
     ///
-    /// Every counter in the struct must be folded here — the workspace
-    /// `stats-merge` lint checks the field list against this body.
+    /// The exhaustive destructuring makes a new counter a compile error
+    /// here until it is folded.
     pub fn merge(&mut self, other: &ServeStats) {
-        self.submitted = self.submitted.saturating_add(other.submitted);
-        self.rejected = self.rejected.saturating_add(other.rejected);
-        self.cache_hits = self.cache_hits.saturating_add(other.cache_hits);
+        let Self {
+            submitted,
+            rejected,
+            cache_hits,
+            cache_stale_evictions,
+            engine_batches,
+            engine_queries,
+            coalesced,
+            worker_panics,
+            maintenance_ticks,
+            maintenance_seals,
+            maintenance_segments_merged,
+            maintenance_io_errors,
+        } = *other;
+        self.submitted = self.submitted.saturating_add(submitted);
+        self.rejected = self.rejected.saturating_add(rejected);
+        self.cache_hits = self.cache_hits.saturating_add(cache_hits);
         self.cache_stale_evictions = self
             .cache_stale_evictions
-            .saturating_add(other.cache_stale_evictions);
-        self.engine_batches = self.engine_batches.saturating_add(other.engine_batches);
-        self.engine_queries = self.engine_queries.saturating_add(other.engine_queries);
-        self.coalesced = self.coalesced.saturating_add(other.coalesced);
-        self.worker_panics = self.worker_panics.saturating_add(other.worker_panics);
-        self.maintenance_ticks = self
-            .maintenance_ticks
-            .saturating_add(other.maintenance_ticks);
-        self.maintenance_seals = self
-            .maintenance_seals
-            .saturating_add(other.maintenance_seals);
+            .saturating_add(cache_stale_evictions);
+        self.engine_batches = self.engine_batches.saturating_add(engine_batches);
+        self.engine_queries = self.engine_queries.saturating_add(engine_queries);
+        self.coalesced = self.coalesced.saturating_add(coalesced);
+        self.worker_panics = self.worker_panics.saturating_add(worker_panics);
+        self.maintenance_ticks = self.maintenance_ticks.saturating_add(maintenance_ticks);
+        self.maintenance_seals = self.maintenance_seals.saturating_add(maintenance_seals);
         self.maintenance_segments_merged = self
             .maintenance_segments_merged
-            .saturating_add(other.maintenance_segments_merged);
+            .saturating_add(maintenance_segments_merged);
         self.maintenance_io_errors = self
             .maintenance_io_errors
-            .saturating_add(other.maintenance_io_errors);
+            .saturating_add(maintenance_io_errors);
     }
 }
 

@@ -79,12 +79,10 @@ impl Crc32 {
         let mut state = self.state;
         let mut chunks = bytes.chunks_exact(8);
         for chunk in &mut chunks {
-            // chunks_exact(8) guarantees exactly 8 bytes per chunk.
-            // lint:allow(index, chunk is exactly 8 bytes; table indexes are masked to 0..256)
+            // chunks_exact(8) guarantees exactly 8 bytes per chunk, and every
+            // table index is masked to 0..256 (each table has 256 entries).
             let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ state;
-            // lint:allow(index, chunk is exactly 8 bytes; table indexes are masked to 0..256)
             let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-            // lint:allow(index, table indexes are masked to 0..256 and each table has 256 entries)
             state = TABLES[7][(lo & 0xFF) as usize]
                 ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
                 ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
@@ -96,7 +94,6 @@ impl Crc32 {
         }
         for &byte in chunks.remainder() {
             let idx = ((state ^ u32::from(byte)) & 0xFF) as usize;
-            // lint:allow(index, idx is masked to 0..256 and TABLES[0] has 256 entries)
             state = (state >> 8) ^ TABLES[0][idx];
         }
         self.state = state;

@@ -40,6 +40,18 @@
 //! [`RecoveryReport`]; data loss (a quarantined segment, a torn tail) is
 //! reported, never silently absorbed and never fatal.
 
+// The durability layer, submodules included: recovery code that panics on a
+// corrupt byte defeats its whole purpose, so every parse failure surfaces as
+// a typed `StorageError` (quarantine, truncate, or report) instead.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod codec;
 pub mod crc;
 pub mod fault;

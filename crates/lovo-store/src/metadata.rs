@@ -8,6 +8,17 @@
 //! the rerank stage can fetch all patches of a candidate frame in one call
 //! and a metadata predicate resolves to id ranges without reading the rows.
 
+// The metadata table runs inside every filtered query's resolve and every
+// hit's join, and the postings it shares are tested inside the scans.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::collection::PushdownFilter;
 use crate::{Result, StoreError};
 use lovo_index::{IdFilter, IdPosting, IdRanges};

@@ -17,6 +17,16 @@
 //! as the `#[cfg(test)]` reference, and the key-frame golden in
 //! `tests/keyframe_golden.rs` pins it.
 
+// Ingest: key-frame selection runs inside every `add_videos`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::motion::{FieldBuilder, MotionEstimator, MotionField};
 use crate::scene::Frame;
 use serde::{Deserialize, Serialize};

@@ -44,6 +44,17 @@
 //! fields are bit-identical to it. That form survives as the `#[cfg(test)]`
 //! reference the property tests compare against.
 
+// Ingest: motion fields feed the key-frame selection inside every
+// `add_videos`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::bbox::BoundingBox;
 use crate::scene::{Frame, SceneObject, TrackId};
 use serde::{Deserialize, Serialize};
